@@ -22,7 +22,6 @@ from .errors import (
     DimensionError,
     DomainError,
     RankError,
-    SearchFailureError,
     SpectralMismatchError,
     XLabError,
 )
@@ -43,7 +42,7 @@ __all__ = [
     "ConversionResult", "closed_form_conversion", "closed_form_x",
     "conversion_unitary", "find_x_equivalent",
     "ConfigError", "DimensionError", "DomainError", "RankError",
-    "SearchFailureError", "SpectralMismatchError", "XLabError",
+    "SpectralMismatchError", "XLabError",
     "anti_x_measure", "concurrence", "concurrence_x", "mems_boundary_2x2",
     "mems_boundary_2x3", "negativity_e", "purity",
     "DensityMatrix", "XParams",

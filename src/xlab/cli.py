@@ -21,9 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import convert, measures, states, tgx
-from .errors import ConfigError, RankError, SearchFailureError, XLabError
+from .errors import ConfigError, RankError, XLabError
 
-_SYSTEMS = {"2x2": (2, 2), "2x3": (2, 3)}
+_SYSTEMS = ((2, 2), (2, 3))
+# Purity of the maximally mixed state: the left end of each purity axis.
+_P_MIN = {(2, 2): 0.25, (2, 3): 1.0 / 6.0}
+# A converted state with a larger anti-X measure is not an X state.
+_ANTI_X_TOL = 1e-10
 _FAMILIES = ("general", "x", "lx", "tgx", "mems", "h")
 
 
@@ -46,16 +50,17 @@ class ExperimentConfig:
     samples: int = 10_000
     seed: int = 0
     tol: float = convert.DEFAULT_TOL_C
-    budget: int = convert.DEFAULT_BUDGET
     threads: int = 1
 
     def validate(self) -> "ExperimentConfig":
-        if tuple(self.system) not in _SYSTEMS.values():
+        if tuple(self.system) not in _SYSTEMS:
             raise ConfigError(f"system must be 2x2 or 2x3, got {list(self.system)}")
         if self.family not in _FAMILIES:
             raise ConfigError(f"family must be one of {_FAMILIES}, got {self.family!r}")
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         n = int(np.prod(self.system))
         if self.rank is not None and not 1 <= self.rank <= n:
             raise ConfigError(f"rank {self.rank} invalid for system {list(self.system)}")
@@ -108,7 +113,7 @@ def _draw_family_state(cfg: ExperimentConfig, rng: np.random.Generator, index: i
     elif fam == "tgx":
         builder = states.tgx_rank_state
     elif fam == "mems":
-        p_min = 0.25 if tuple(cfg.system) == (2, 2) else 1.0 / 6.0
+        p_min = _P_MIN[tuple(cfg.system)]
         P = p_min + (1.0 - p_min) * (index / max(cfg.samples - 1, 1))
         return (states.mems_2x2 if tuple(cfg.system) == (2, 2) else states.mems_2x3)(P)
     elif fam == "h":
@@ -196,20 +201,14 @@ def _convert_one(cfg: ExperimentConfig, index: int) -> CampaignRecord:
     R = _draw_rank(cfg, rng)
     rho = states.random_mixed(4, R, rng, (2, 2))
     c_in = measures.concurrence(rho)
-    try:
-        res = convert.find_x_equivalent(rho, tol_c=cfg.tol, budget=cfg.budget, rng=rng)
-        success = True
-    except SearchFailureError as exc:
-        res = exc.best_result
-        success = False
-        print(f"conversion failure at sample {index} (seed {cfg.seed}): "
-              f"best |dC| = {res.delta_c:.3e}", file=sys.stderr)
+    res = convert.find_x_equivalent(rho)
     return CampaignRecord(
         sample_index=index, rank=R, purity=float(measures.purity(rho)),
         input_concurrence=float(c_in),
         output_concurrence=float(measures.concurrence(res.converted)),
         attempts=int(res.attempts), delta_c=float(res.delta_c),
-        anti_x=float(res.anti_x), success=success)
+        anti_x=float(res.anti_x),
+        success=res.delta_c <= cfg.tol and res.anti_x <= _ANTI_X_TOL)
 
 
 def run_conversion_campaign(cfg: ExperimentConfig) -> CampaignSummary:
@@ -285,6 +284,16 @@ def _campaign_json(summary: CampaignSummary) -> str:
     }, indent=2) + "\n"
 
 
+def _curve_csv(system, samples: int) -> str:
+    p_min = _P_MIN[system]
+    boundary = _boundary_for(system)
+    lines = ["purity,entanglement"]
+    for i in range(samples):
+        P = p_min + (1.0 - p_min) * i / max(samples - 1, 1)
+        lines.append(f"{_fmt(P)},{_fmt(boundary(float(P)))}")
+    return "\n".join(lines) + "\n"
+
+
 def _boundary_for(system):
     return (measures.mems_boundary_2x2 if tuple(system) == (2, 2)
             else measures.mems_boundary_2x3)
@@ -293,7 +302,7 @@ def _boundary_for(system):
 def _scatter_svg(records, system) -> str:
     """Standalone SVG scatter with the MEMS boundary polyline overlaid."""
     W, H, M = 640, 480, 50
-    p_min = 0.25 if tuple(system) == (2, 2) else 1.0 / 6.0
+    p_min = _P_MIN[tuple(system)]
 
     def sx(p):
         return M + (p - p_min) / (1.0 - p_min) * (W - 2 * M)
@@ -318,6 +327,24 @@ def _scatter_svg(records, system) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _serializer(fmt, by_format: dict):
+    """The serializer for `fmt`; an unknown format is a ConfigError."""
+    try:
+        return by_format[fmt]
+    except (KeyError, TypeError):
+        raise ConfigError(
+            f"format must be one of {', '.join(by_format)}, got {fmt!r}") from None
+
+
+def _write(text: str, path=None) -> None:
+    """Write `text` to the file at `path`, or to stdout when no path is given."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def emit_output(records, fmt: str = "csv", out=None, plot=None, system=(2, 2)) -> str:
     """Serialize scatter records; optionally write an SVG scatter plot.
 
@@ -326,18 +353,11 @@ def emit_output(records, fmt: str = "csv", out=None, plot=None, system=(2, 2)) -
     records = list(records)
     if not records:
         raise ConfigError("no records to emit")
-    if fmt == "csv":
-        text = _scatter_csv(records)
-    elif fmt == "json":
-        text = _scatter_json(records)
-    else:
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
+    text = _serializer(fmt, {"csv": _scatter_csv, "json": _scatter_json})(records)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write(text, out)
     if plot:
-        with open(plot, "w") as fh:
-            fh.write(_scatter_svg(records, system))
+        _write(_scatter_svg(records, system), plot)
     return text
 
 
@@ -346,10 +366,10 @@ def emit_output(records, fmt: str = "csv", out=None, plot=None, system=(2, 2)) -
 # ---------------------------------------------------------------------------
 
 def _parse_system(text: str):
-    key = text.lower().replace("[", "").replace("]", "").replace(",", "x").replace(" ", "")
-    if key not in _SYSTEMS:
+    dims = _parse_dims(text)
+    if dims not in _SYSTEMS:
         raise ConfigError(f"unknown system {text!r}; use 2x2 or 2x3")
-    return _SYSTEMS[key]
+    return dims
 
 
 def _parse_dims(text: str):
@@ -385,8 +405,8 @@ def _build_parser():
 
     p = sub.add_parser("convert", help="consecutive X-conversion campaign")
     p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--tol", type=float, default=None,
+                   help="largest |dC| that counts as a successful conversion")
     _add_common(p)
 
     p = sub.add_parser("mask", help="print the TGX / anti-X element masks")
@@ -425,11 +445,24 @@ def _merge_config(args) -> dict:
     return merged
 
 
+def _get(m, key: str, kind, default=None):
+    """m[key] converted by `kind`, or `default` when it is absent, null or empty.
+
+    Config files and the environment can hold values of any type, so one
+    that `kind` cannot convert is a ConfigError, not a traceback.
+    """
+    value = m.get(key)
+    if value is None or value == "":
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from None
+
+
 def _threads_from(merged: dict) -> int:
-    if merged.get("threads") is not None:
-        return int(merged["threads"])
-    env = os.environ.get("XLAB_THREADS")
-    return int(env) if env else 1
+    threads = _get(merged, "threads", int)
+    return _get(os.environ, "XLAB_THREADS", int, 1) if threads is None else threads
 
 
 def _cmd_scatter(args) -> int:
@@ -437,35 +470,28 @@ def _cmd_scatter(args) -> int:
     cfg = ExperimentConfig(
         system=_parse_system(str(m.get("system", "2x2"))),
         family=m.get("family", "general"),
-        rank=m.get("rank"),
-        samples=int(m.get("samples", 10_000)),
-        seed=int(m.get("seed", 0)),
+        rank=_get(m, "rank", int),
+        samples=_get(m, "samples", int, 10_000),
+        seed=_get(m, "seed", int, 0),
         threads=_threads_from(m))
     records = run_scatter(cfg)
-    text = emit_output(records, fmt=m.get("fmt", "csv"), out=m.get("out"),
-                       plot=m.get("plot"), system=cfg.system)
-    if not m.get("out"):
-        sys.stdout.write(text)
+    _write(emit_output(records, fmt=m.get("fmt", "csv"), plot=m.get("plot"),
+                       system=cfg.system), m.get("out"))
     return 0
 
 
 def _cmd_convert(args) -> int:
     m = _merge_config(args)
+    serialize = _serializer(m.get("fmt", "csv"),
+                            {"csv": _campaign_csv, "json": _campaign_json})
     cfg = ExperimentConfig(
-        system=(2, 2), family="general", rank=m.get("rank"),
-        samples=int(m.get("samples", 100)),
-        seed=int(m.get("seed", 0)),
-        tol=float(m.get("tol", convert.DEFAULT_TOL_C)),
-        budget=int(m.get("budget", convert.DEFAULT_BUDGET)),
+        system=(2, 2), family="general", rank=_get(m, "rank", int),
+        samples=_get(m, "samples", int, 100),
+        seed=_get(m, "seed", int, 0),
+        tol=_get(m, "tol", float, convert.DEFAULT_TOL_C),
         threads=_threads_from(m))
     summary = run_conversion_campaign(cfg)
-    fmt = m.get("fmt", "csv")
-    text = _campaign_csv(summary) if fmt == "csv" else _campaign_json(summary)
-    if m.get("out"):
-        with open(m["out"], "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(serialize(summary), m.get("out"))
     return 0 if summary.all_succeeded else 2
 
 
@@ -477,36 +503,24 @@ def _cmd_mask(args) -> int:
     else:
         text = json.dumps({"dims": list(dims), "kind": args.kind,
                            "pairs": [list(p) for p in mask.pairs()]}, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return 0
 
 
 def _cmd_mems_curve(args) -> int:
     m = _merge_config(args)
+    serialize = _serializer(m.get("fmt", "csv"), {"csv": _curve_csv})
     system = _parse_system(str(m.get("system", "2x2")))
-    samples = int(m.get("samples", 500))
-    p_min = 0.25 if system == (2, 2) else 1.0 / 6.0
-    boundary = _boundary_for(system)
-    lines = ["purity,entanglement"]
-    for i in range(samples):
-        P = p_min + (1.0 - p_min) * i / max(samples - 1, 1)
-        lines.append(f"{_fmt(P)},{_fmt(boundary(float(P)))}")
-    text = "\n".join(lines) + "\n"
-    if m.get("out"):
-        with open(m["out"], "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    samples = _get(m, "samples", int, 500)
+    _write(serialize(system, samples), m.get("out"))
     return 0
 
 
 def _cmd_verify(args) -> int:
     """Fast invariant spot-checks; exits nonzero on any failure."""
     seed = args.seed
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -528,12 +542,8 @@ def _cmd_verify(args) -> int:
     check("mask partition", mask_ok)
     ok = True
     for k in range(10):
-        rho = states.random_mixed(4, 1 + k % 4, rng, (2, 2))
-        try:
-            res = convert.find_x_equivalent(rho, rng=np.random.default_rng([seed, k]))
-            ok &= res.delta_c <= convert.DEFAULT_TOL_C and res.anti_x <= 1e-10
-        except SearchFailureError:
-            ok = False
+        res = convert.find_x_equivalent(states.random_mixed(4, 1 + k % 4, rng, (2, 2)))
+        ok &= res.delta_c <= convert.DEFAULT_TOL_C and res.anti_x <= _ANTI_X_TOL
     check("x conversion sample", ok)
     u = tgx.meb_union_mask(
         tgx.meb_basis_2x3(states.PHI) + tgx.meb_basis_2x3(states.PSI), (2, 3))

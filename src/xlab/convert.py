@@ -1,12 +1,12 @@
 """Entanglement-preserving unitary (EPU) conversion of two-qubit states to X form.
 
-The central routine is `find_x_equivalent`, a randomized search for a
-spectrum-preserving unitary that maps an arbitrary two-qubit state to an
-X state of the same concurrence.  The rank-<=2 case has a closed form
-(`closed_form_conversion`).  Also here: diagonal-unitary factorizability
-tests, X-preserving and subspace-rotation unitaries, candidate EPU
-assembly, and spectrum-based concurrence estimation against the
-fixed-concurrence/fixed-purity state family.
+The central routine is `find_x_equivalent`, which builds in closed form a
+spectrum-preserving unitary that maps any two-qubit state, of any rank, to
+an X state of the same concurrence.  `closed_form_conversion` maps rank-<=2
+states onto the `closed_form_x` family instead.  Also here:
+diagonal-unitary factorizability tests, X-preserving and subspace-rotation
+unitaries, candidate EPU assembly, and spectrum-based concurrence
+estimation against the fixed-concurrence/fixed-purity state family.
 """
 
 from __future__ import annotations
@@ -19,23 +19,21 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import linalg, measures, states
-from .errors import (
-    DimensionError,
-    DomainError,
-    RankError,
-    SearchFailureError,
-    SpectralMismatchError,
-)
+from .errors import DimensionError, DomainError, RankError, SpectralMismatchError
 from .states import DensityMatrix
 
+# |dC| up to which a conversion counts as concurrence-preserving.
 DEFAULT_TOL_C = 1e-3
-DEFAULT_BUDGET = 100_000
-_BATCH = 256
 
 
 @dataclass
 class ConversionResult:
-    """Outcome of an X-conversion: the X-shaped state, the unitary, and stats."""
+    """Outcome of an X-conversion: the X-shaped state, the unitary, and stats.
+
+    `attempts` counts the candidate X states evaluated: `find_x_equivalent`
+    builds its one candidate in closed form, so it reports 1;
+    `closed_form_conversion` reports 0.
+    """
 
     converted: DensityMatrix
     unitary: np.ndarray
@@ -75,122 +73,38 @@ def _conjugate(rho: DensityMatrix, U: np.ndarray) -> DensityMatrix:
     return DensityMatrix(U @ rho.mat @ U.conj().T, rho.dims)
 
 
-def _rank_x_candidate(R: int, thetas, prob_angles) -> np.ndarray:
-    # Same constituent recipe as states.rank_x_state but without the
-    # positivity/rank guards: the search only consumes the eigenframe,
-    # for which degenerate draws are harmless.
-    probs = states.hyperspherical_probs(prob_angles) if R > 1 else np.array([1.0])
-    mat = np.zeros((4, 4), dtype=complex)
-    for p, th, (fam, sign) in zip(probs, thetas, states._RANK_X_CONSTITUENTS[R]):
-        mat += p * states.theta_state(fam, th, 0.0 if sign > 0 else math.pi).mat
-    return mat
+def find_x_equivalent(rho: DensityMatrix) -> ConversionResult:
+    """X state unitarily equivalent to `rho` with the same concurrence, in closed form.
 
-
-def find_x_equivalent(rho: DensityMatrix, tol_c: float = DEFAULT_TOL_C,
-                      budget: int = DEFAULT_BUDGET,
-                      rng: np.random.Generator | int | None = None) -> ConversionResult:
-    """Search for an X state unitarily equivalent to `rho` with the same concurrence.
-
-    Strategy: draw batches of rank-matched real X states, conjugate `rho`
-    into each candidate's eigenframe (spectrum preservation is automatic),
-    and accept when the concurrence shift is within `tol_c`.  After every
-    failed batch the best candidate's first superposition angle is refined
-    by a bracketed one-dimensional root search.  Exhausting `budget`
-    raises SearchFailureError carrying the best result seen.
+    With the spectrum l1 >= l2 >= l3 >= l4 of rho, the X state that puts l2
+    on |01>, l4 on |10> and l1, l3 on the {|00>, |11>} plane rotated by an
+    angle a has concurrence max(0, (l1 - l3) sin 2a - 2 sqrt(l2 l4)).  Its
+    maximum over a is the largest concurrence any state of that spectrum
+    can have (Verstraete, Audenaert & De Moor, PRA 64, 012316 (2001);
+    Ishizaka & Hiroshima, PRA 62, 022310 (2000)), so
+    sin 2a = (C + 2 sqrt(l2 l4)) / (l1 - l3) is always solvable, with a = 0
+    when C = 0.  U maps rho's eigenframe onto that X eigenframe.
     """
     if tuple(rho.dims) != (2, 2):
-        raise DimensionError(f"search requires dims [2, 2], got {list(rho.dims)}")
-    if tol_c <= 0:
-        raise DomainError(f"tol_c must be positive, got {tol_c}")
-    if budget < 1:
-        raise DomainError(f"budget must be >= 1, got {budget}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-
-    c_target = measures.concurrence(rho)
-    R = rho.rank()
-    eg_dag = linalg.eig_hermitian(rho.mat).vectors.conj().T
-
-    def evaluate(thetas, prob_angles):
-        ex = linalg.eig_hermitian(_rank_x_candidate(R, thetas, prob_angles)).vectors
-        U = ex @ eg_dag
-        out = _conjugate(rho, U)
-        return out, U, measures.concurrence(out)
-
-    attempts = 0
-    best = None  # (delta, out, U)
-
-    def record(out, U, c):
-        nonlocal best
-        delta = abs(c - c_target)
-        if best is None or delta < best[0]:
-            best = (delta, out, U)
-        return delta
-
-    def result_from(delta, out, U):
-        return ConversionResult(converted=out, unitary=U, attempts=attempts,
-                                delta_c=delta, anti_x=measures.anti_x_measure(out))
-
-    while attempts < budget:
-        # Random batch.
-        batch_thetas = rng.uniform(0.0, math.pi / 2.0, size=(_BATCH, R))
-        batch_pangles = rng.uniform(0.0, math.pi / 2.0, size=(_BATCH, max(R - 1, 0)))
-        batch_best = None
-        for k in range(_BATCH):
-            if attempts >= budget:
-                break
-            attempts += 1
-            out, U, c = evaluate(batch_thetas[k], batch_pangles[k])
-            delta = record(out, U, c)
-            if delta <= tol_c:
-                return result_from(delta, out, U)
-            if batch_best is None or delta < batch_best[0]:
-                batch_best = (delta, batch_thetas[k].copy(), batch_pangles[k])
-        if batch_best is None:
-            break
-
-        # Refine theta_1 of the batch's best candidate: bracket a sign change
-        # of C(rho') - C(rho) on a coarse grid, then bisect.
-        _, thetas, pangles = batch_best
-        grid = np.linspace(0.0, math.pi / 2.0, 17)
-        fs = []
-        for t in grid:
-            if attempts >= budget:
-                break
-            attempts += 1
-            thetas[0] = t
-            out, U, c = evaluate(thetas, pangles)
-            delta = record(out, U, c)
-            if delta <= tol_c:
-                return result_from(delta, out, U)
-            fs.append(c - c_target)
-        for i in range(len(fs) - 1):
-            if fs[i] == 0.0 or fs[i] * fs[i + 1] > 0.0:
-                continue
-            lo, hi = grid[i], grid[i + 1]
-            flo = fs[i]
-            while attempts < budget:
-                attempts += 1
-                mid = 0.5 * (lo + hi)
-                thetas[0] = mid
-                out, U, c = evaluate(thetas, pangles)
-                delta = record(out, U, c)
-                if delta <= tol_c:
-                    return result_from(delta, out, U)
-                if flo * (c - c_target) <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, c - c_target
-                if hi - lo < 1e-15:
-                    break
-            break
-
-    assert best is not None
-    raise SearchFailureError(
-        f"no X equivalent within tol_c={tol_c} after {attempts} attempts "
-        f"(best |dC| = {best[0]:.3e}); either raise the budget or treat this "
-        f"state as a counterexample candidate",
-        best_result=result_from(best[0], best[1], best[2]))
+        raise DimensionError(f"X conversion requires dims [2, 2], got {list(rho.dims)}")
+    vals, eg = linalg.eig_hermitian(rho.mat)
+    l1, l2, l3, l4 = np.clip(vals, 0.0, None)
+    c_in = measures.concurrence(rho)
+    a = 0.0
+    if c_in > 0.0 and l1 > l3:
+        a = 0.5 * math.asin(min(1.0, (c_in + 2.0 * math.sqrt(l2 * l4)) / (l1 - l3)))
+    # Column k is the X state's eigenvector for l_(k+1).
+    ex = np.zeros((4, 4), dtype=complex)
+    ex[0, 0], ex[3, 0] = math.cos(a), math.sin(a)
+    ex[1, 1] = 1.0
+    ex[0, 2], ex[3, 2] = -math.sin(a), math.cos(a)
+    ex[2, 3] = 1.0
+    U = ex @ eg.conj().T
+    out = _conjugate(rho, U)
+    return ConversionResult(
+        converted=out, unitary=U, attempts=1,
+        delta_c=abs(measures.concurrence(out) - c_in),
+        anti_x=measures.anti_x_measure(out))
 
 
 def closed_form_x(C: float, P: float) -> DensityMatrix:
@@ -250,7 +164,7 @@ def closed_form_conversion(rho_g: DensityMatrix) -> ConversionResult:
     if 2.0 * P - 1.0 - C * C < -1e-9:
         # Rank <= 2 alone is not enough: no rank-<=2 X state with this
         # (C, P) pair exists, so an exact concurrence-preserving target is
-        # out of reach for the closed form (the search still applies).
+        # out of reach for this closed form (find_x_equivalent still applies).
         raise DomainError(
             f"(C={C:.6f}, P={P:.6f}) lies outside the closed-form region "
             f"P >= (1 + C^2)/2; use find_x_equivalent instead")

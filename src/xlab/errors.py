@@ -21,17 +21,5 @@ class SpectralMismatchError(XLabError):
     """Two states that must be unitarily equivalent have different spectra."""
 
 
-class SearchFailureError(XLabError):
-    """A randomized search exhausted its budget without meeting tolerance.
-
-    Carries the best candidate found so the failure can be inspected;
-    a genuine failure here is scientifically interesting, not just a bug.
-    """
-
-    def __init__(self, message, best_result=None):
-        super().__init__(message)
-        self.best_result = best_result
-
-
 class ConfigError(XLabError):
     """Invalid experiment configuration."""

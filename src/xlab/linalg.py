@@ -84,11 +84,6 @@ def sqrt_psd(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product (thin alias kept for a uniform call surface)."""
-    return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
-
-
 def trace_norm(M: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix (Manhattan/1-norm)."""
     H = hermitize(M)

@@ -89,14 +89,6 @@ def concurrence_x(rho, tol: float = 1e-10) -> float:
     return float(c)
 
 
-def _digits(index: int, dims) -> tuple[int, ...]:
-    out = []
-    for d in reversed(dims):
-        out.append(index % d)
-        index //= d
-    return tuple(reversed(out))
-
-
 def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     """Reduction to subsystem `keep` (1-based), tracing out the others."""
     dims = rho.dims

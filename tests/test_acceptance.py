@@ -29,7 +29,7 @@ def test_01_conversion_campaign_1000_consecutive():
         rng = np.random.default_rng([7, k])
         R = int(rng.integers(1, 5))
         rho = states.random_mixed(4, R, rng, (2, 2))
-        res = convert.find_x_equivalent(rho, rng=rng)
+        res = convert.find_x_equivalent(rho)
         worst_dc = max(worst_dc, res.delta_c)
         worst_ax = max(worst_ax, res.anti_x)
         worst_spec = max(worst_spec, float(np.max(np.abs(
@@ -54,7 +54,7 @@ def test_02_closed_form_rank2_1000():
             res = convert.closed_form_conversion(rho)
         except DomainError:
             # Rank-2 states whose (C, P) lies outside the closed-form
-            # region have no rank-<=2 X target; the search handles those.
+            # region have no rank-<=2 X target; find_x_equivalent handles those.
             continue
         done += 1
         C = measures.concurrence(rho)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -53,6 +54,20 @@ def test_run_conversion_campaign():
     assert summary.max_delta_c <= cli.convert.DEFAULT_TOL_C
     assert summary.max_anti_x <= 1e-10
     assert sum(summary.attempt_histogram.values()) == 6
+
+
+def test_convert_success_means_x_state(tmp_path):
+    # Sample 3 of this seed once came out of a search with anti-X 1.75e-4
+    # and was still reported as a success.
+    out = tmp_path / "c.csv"
+    assert cli.main(["convert", "--samples", "4", "--seed", "100326741",
+                     "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 4
+    for row in rows:
+        assert row["success"] == "1"
+        assert float(row["anti_x"]) <= 1e-10
+        assert float(row["delta_c"]) <= 1e-7
 
 
 def test_emit_output_csv_and_json(tmp_path):
@@ -129,6 +144,30 @@ def test_main_flag_overrides_config(tmp_path, capsys):
 def test_main_bad_config_exits_1(capsys):
     assert cli.main(["scatter", "--family", "lx"]) == 1
     assert cli.main(["scatter", "--config", "/nonexistent.json"]) == 1
+
+
+@pytest.mark.parametrize("argv,config,env", [
+    (["scatter"], {"samples": "abc"}, None),
+    (["convert"], {"tol": [1e-3]}, None),
+    (["scatter", "--samples", "2"], None, "abc"),
+    (["convert", "--samples", "2"], {"fmt": "xml"}, None),
+    (["mems-curve", "--format", "json"], None, None),
+    (["scatter", "--samples", "2", "--seed", "-1"], None, None),
+], ids=["samples-abc", "tol-list", "threads-env-abc", "fmt-xml",
+        "mems-curve-json", "negative-seed"])
+def test_main_bad_input_is_one_line_error(tmp_path, monkeypatch, capsys,
+                                          argv, config, env):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    if env is not None:
+        monkeypatch.setenv("XLAB_THREADS", env)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_threads_env_var(monkeypatch, capsys):

@@ -2,14 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xlab import convert, linalg, measures, states
-from xlab.errors import (
-    DomainError,
-    RankError,
-    SearchFailureError,
-    SpectralMismatchError,
-)
+from xlab.errors import DimensionError, DomainError, RankError, SpectralMismatchError
 from xlab.states import DensityMatrix
 
 
@@ -49,7 +46,7 @@ def test_find_x_equivalent_each_rank(R):
     rng = np.random.default_rng(100 + R)
     for trial in range(5):
         rho = states.random_mixed(4, R, rng, (2, 2))
-        res = convert.find_x_equivalent(rho, rng=np.random.default_rng([R, trial]))
+        res = convert.find_x_equivalent(rho)
         assert res.delta_c <= convert.DEFAULT_TOL_C
         assert res.anti_x <= 1e-10
         assert np.max(np.abs(np.sort(np.linalg.eigvalsh(res.converted.mat))
@@ -57,16 +54,58 @@ def test_find_x_equivalent_each_rank(R):
         assert np.max(np.abs(res.unitary @ res.unitary.conj().T - np.eye(4))) <= 1e-10
 
 
-def test_find_x_equivalent_budget_failure_carries_best():
-    rng = np.random.default_rng(3)
-    rho = states.random_mixed(4, 4, rng, (2, 2))
-    with pytest.raises(SearchFailureError) as exc:
-        convert.find_x_equivalent(rho, tol_c=1e-15, budget=50,
-                                  rng=np.random.default_rng(0))
-    best = exc.value.best_result
-    assert best is not None
-    assert best.attempts == 50
-    assert best.anti_x <= 1e-10
+def _werner(p):
+    return DensityMatrix(p * states.bell_state(states.PSI, -1).mat
+                         + (1 - p) * np.eye(4) / 4, (2, 2))
+
+
+# Degenerate and rank-deficient spectra, with C = 0, at the separability
+# edge (Werner p = 1/3) and at C = 1.
+DEGENERATE = {
+    "maximally mixed": DensityMatrix(np.eye(4) / 4, (2, 2)),
+    "Werner p=1/3": _werner(1 / 3),
+    "Bell": states.bell_state(),
+    "|00>": states.theta_state(states.PHI, 0.0, 0.0),
+    "equal-weight rank 2": DensityMatrix(
+        0.5 * states.bell_state().mat + 0.5 * np.diag([0, 1, 0, 0]), (2, 2)),
+}
+
+
+def _ginibre(seed, R):
+    return states.random_mixed(4, R, np.random.default_rng(seed), (2, 2))
+
+
+def _locally_rotated(name, seed):
+    # A local unitary keeps C and the spectrum but hides the X form.
+    rng = np.random.default_rng(seed)
+    L = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    return DensityMatrix(L @ DEGENERATE[name].mat @ L.conj().T, (2, 2))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(
+    st.builds(_ginibre, st.integers(0, 2**32 - 1), st.integers(1, 4)),
+    st.builds(_locally_rotated, st.sampled_from(sorted(DEGENERATE)),
+              st.integers(0, 2**32 - 1))))
+@example(DEGENERATE["maximally mixed"])
+@example(DEGENERATE["Werner p=1/3"])
+@example(DEGENERATE["Bell"])
+@example(DEGENERATE["|00>"])
+@example(DEGENERATE["equal-weight rank 2"])
+def test_find_x_equivalent_properties(rho):
+    res = convert.find_x_equivalent(rho)
+    U = res.unitary
+    assert res.attempts == 1
+    assert abs(measures.concurrence(res.converted) - measures.concurrence(rho)) <= 1e-7
+    assert res.anti_x <= 1e-12
+    assert np.max(np.abs(np.linalg.eigvalsh(res.converted.mat)
+                         - np.linalg.eigvalsh(rho.mat))) <= 1e-10
+    assert np.max(np.abs(U @ U.conj().T - np.eye(4))) <= 1e-10
+
+
+def test_find_x_equivalent_rejects_other_dims():
+    with pytest.raises(DimensionError):
+        convert.find_x_equivalent(states.mems_2x3(0.5))
 
 
 def test_closed_form_x_anchors():
