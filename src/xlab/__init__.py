@@ -7,9 +7,11 @@ Modules:
   tgx      - true-generalized-X masks and maximally entangled bases
   linalg   - shared Hermitian linear algebra helpers
   cli      - seeded experiment harness and command-line interface
+
+`cli` is not imported here, so that `python -m xlab.cli` runs it fresh.
 """
 
-from . import cli, convert, errors, linalg, measures, states, tgx
+from . import convert, errors, linalg, measures, states, tgx
 from .convert import (
     ConversionResult,
     closed_form_conversion,

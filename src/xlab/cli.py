@@ -436,6 +436,9 @@ def _merge_config(args) -> dict:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
+        unknown = sorted(set(loaded) - (set(vars(args)) - {"command", "config"}))
+        if unknown:
+            raise ConfigError(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
         merged.update(loaded)
     for key, val in vars(args).items():
         if key in ("command", "config"):
@@ -460,6 +463,13 @@ def _get(m, key: str, kind, default=None):
         raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from None
 
 
+def _path(m, key: str):
+    """m[key] as a file path; any other type would reach open() as a file descriptor."""
+    if not isinstance(m.get(key), (str, type(None))):
+        raise ConfigError(f"{key} must be a path string, got {m[key]!r}")
+    return m.get(key)
+
+
 def _threads_from(merged: dict) -> int:
     threads = _get(merged, "threads", int)
     return _get(os.environ, "XLAB_THREADS", int, 1) if threads is None else threads
@@ -475,8 +485,8 @@ def _cmd_scatter(args) -> int:
         seed=_get(m, "seed", int, 0),
         threads=_threads_from(m))
     records = run_scatter(cfg)
-    _write(emit_output(records, fmt=m.get("fmt", "csv"), plot=m.get("plot"),
-                       system=cfg.system), m.get("out"))
+    _write(emit_output(records, fmt=m.get("fmt", "csv"), plot=_path(m, "plot"),
+                       system=cfg.system), _path(m, "out"))
     return 0
 
 
@@ -491,7 +501,7 @@ def _cmd_convert(args) -> int:
         tol=_get(m, "tol", float, convert.DEFAULT_TOL_C),
         threads=_threads_from(m))
     summary = run_conversion_campaign(cfg)
-    _write(serialize(summary), m.get("out"))
+    _write(serialize(summary), _path(m, "out"))
     return 0 if summary.all_succeeded else 2
 
 
@@ -501,8 +511,10 @@ def _cmd_mask(args) -> int:
     if args.fmt == "ascii":
         text = mask.to_ascii() + "\n"
     else:
-        text = json.dumps({"dims": list(dims), "kind": args.kind,
-                           "pairs": [list(p) for p in mask.pairs()]}, indent=2) + "\n"
+        # The bytes of json.dumps(..., indent=2), without its slow pure-Python encoder.
+        head = json.dumps({"dims": list(dims), "kind": args.kind}, indent=2)[:-2]
+        rows = ",\n".join(f"    [\n      {i},\n      {j}\n    ]" for i, j in mask.pairs())
+        text = f'{head},\n  "pairs": [\n{rows}\n  ]\n}}\n'
     _write(text, args.out)
     return 0
 
@@ -512,7 +524,7 @@ def _cmd_mems_curve(args) -> int:
     serialize = _serializer(m.get("fmt", "csv"), {"csv": _curve_csv})
     system = _parse_system(str(m.get("system", "2x2")))
     samples = _get(m, "samples", int, 500)
-    _write(serialize(system, samples), m.get("out"))
+    _write(serialize(system, samples), _path(m, "out"))
     return 0
 
 
@@ -532,14 +544,9 @@ def _cmd_verify(args) -> int:
           abs(measures.mems_boundary_2x2(1 / 3)) <= 1e-12
           and abs(measures.mems_boundary_2x2(5 / 9) - 2 / 3) <= 1e-12
           and abs(measures.mems_boundary_2x2(1.0) - 1.0) <= 1e-12)
-    mask_ok = True
-    for dims in ((2, 2), (2, 3), (2, 2, 2), (3, 3)):
-        anti = tgx.anti_x_mask(dims).marked
-        t = tgx.tgx_mask(dims).marked
-        n = int(np.prod(dims))
-        offd = {(i, j) for i in range(n) for j in range(n) if i != j}
-        mask_ok &= not (anti & t) and (anti | t) == offd | {(i, i) for i in range(n)}
-    check("mask partition", mask_ok)
+    masks = [(tgx.anti_x_mask(d).grid, tgx.tgx_mask(d).grid)
+             for d in ((2, 2), (2, 3), (2, 2, 2), (3, 3))]
+    check("mask partition", all(not np.any(a & t) and np.all(a | t) for a, t in masks))
     ok = True
     for k in range(10):
         res = convert.find_x_equivalent(states.random_mixed(4, 1 + k % 4, rng, (2, 2)))
@@ -547,7 +554,7 @@ def _cmd_verify(args) -> int:
     check("x conversion sample", ok)
     u = tgx.meb_union_mask(
         tgx.meb_basis_2x3(states.PHI) + tgx.meb_basis_2x3(states.PSI), (2, 3))
-    check("2x3 MEB union = TGX mask", u.marked == tgx.tgx_mask((2, 3)).marked)
+    check("2x3 MEB union = TGX mask", u == tgx.tgx_mask((2, 3)))
     return 0 if all(ok for _, ok in checks) else 1
 
 

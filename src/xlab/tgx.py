@@ -19,51 +19,63 @@ from .errors import DimensionError, DomainError, RankError
 from .states import DensityMatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ElementMask:
-    """Symmetric set of marked (row, col) positions of an n x n matrix."""
+    """Symmetric marked (row, col) positions of an n x n matrix, held as one
+    read-only boolean array `grid`; built from such an array or from pairs."""
 
     n: int
-    marked: frozenset
+    grid: np.ndarray
 
-    def __post_init__(self):
-        for i, j in self.marked:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise DimensionError(f"position ({i},{j}) out of range for n={self.n}")
-            if (j, i) not in self.marked:
-                raise DimensionError(f"mask not symmetric: ({i},{j}) without ({j},{i})")
+    def __init__(self, n: int, marked):
+        n = int(n)
+        if not isinstance(marked, np.ndarray):
+            pos = np.array(list(marked), dtype=np.int64).reshape(-1, 2)
+            bad = pos[((pos < 0) | (pos >= n)).any(axis=1)]
+            if len(bad):
+                raise DimensionError(f"position ({bad[0, 0]},{bad[0, 1]}) out of range for n={n}")
+            marked = np.zeros((n, n), dtype=bool)
+            marked[pos[:, 0], pos[:, 1]] = True
+        elif marked.shape != (n, n):
+            raise DimensionError(f"mask shape {marked.shape} is not ({n}, {n})")
+        grid = marked.astype(bool)
+        lone = np.argwhere(grid & ~grid.T)
+        if len(lone):
+            i, j = lone[0]
+            raise DimensionError(f"mask not symmetric: ({i},{j}) without ({j},{i})")
+        grid.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "grid", grid)
+
+    @property
+    def marked(self) -> frozenset:
+        return frozenset(self.pairs())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ElementMask) and np.array_equal(self.grid, other.grid)
+
+    def __hash__(self) -> int:
+        return hash(self.grid.tobytes())
 
     def __contains__(self, pos) -> bool:
-        return tuple(pos) in self.marked
+        i, j = pos
+        return 0 <= i < self.n and 0 <= j < self.n and bool(self.grid[i, j])
 
     def pairs(self) -> list:
         """Sorted 0-based (row, col) list."""
-        return sorted(self.marked)
+        return list(zip(*(axis.tolist() for axis in np.nonzero(self.grid))))
 
     def to_bool(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=bool)
-        for i, j in self.marked:
-            out[i, j] = True
-        return out
+        return self.grid.copy()
 
     def to_ascii(self) -> str:
         """Dot/X grid in the paper-style dot notation."""
-        b = self.to_bool()
-        return "\n".join(" ".join("X" if b[i, j] else "." for j in range(self.n))
-                         for i in range(self.n))
+        return "\n".join(" ".join(row) for row in np.where(self.grid, "X", ".").tolist())
 
     def union(self, other: "ElementMask") -> "ElementMask":
         if self.n != other.n:
             raise DimensionError(f"mask sizes differ: {self.n} vs {other.n}")
-        return ElementMask(self.n, self.marked | other.marked)
-
-
-def _digits(index: int, dims) -> tuple:
-    out = []
-    for d in reversed(dims):
-        out.append(index % d)
-        index //= d
-    return tuple(reversed(out))
+        return ElementMask(self.n, self.grid | other.grid)
 
 
 def _check_dims(dims) -> tuple:
@@ -73,7 +85,7 @@ def _check_dims(dims) -> tuple:
     return dims
 
 
-_MASK_CACHE: dict = {}
+_MASK_CACHE: dict = {}  # anti-X mask by dims
 
 
 def anti_x_mask(dims) -> ElementMask:
@@ -84,33 +96,17 @@ def anti_x_mask(dims) -> ElementMask:
     and places it off-diagonal in that subsystem's reduction.
     """
     dims = _check_dims(dims)
-    key = ("anti", dims)
-    if key not in _MASK_CACHE:
-        n = int(np.prod(dims))
-        marked = set()
-        for i in range(n):
-            di = _digits(i, dims)
-            for j in range(n):
-                if i == j:
-                    continue
-                dj = _digits(j, dims)
-                if sum(a != b for a, b in zip(di, dj)) == 1:
-                    marked.add((i, j))
-        _MASK_CACHE[key] = ElementMask(n, frozenset(marked))
-    return _MASK_CACHE[key]
+    if dims not in _MASK_CACHE:
+        digits = np.stack(np.unravel_index(np.arange(math.prod(dims)), dims), axis=1)
+        differ = (digits[:, None, :] != digits[None, :, :]).sum(axis=2)
+        _MASK_CACHE[dims] = ElementMask(len(digits), differ == 1)
+    return _MASK_CACHE[dims]
 
 
 def tgx_mask(dims) -> ElementMask:
     """Diagonal plus every off-diagonal position that is not anti-X."""
-    dims = _check_dims(dims)
-    key = ("tgx", dims)
-    if key not in _MASK_CACHE:
-        n = int(np.prod(dims))
-        anti = anti_x_mask(dims).marked
-        marked = {(i, j) for i in range(n) for j in range(n)
-                  if i == j or (i, j) not in anti}
-        _MASK_CACHE[key] = ElementMask(n, frozenset(marked))
-    return _MASK_CACHE[key]
+    anti = anti_x_mask(dims)
+    return ElementMask(anti.n, ~anti.grid)
 
 
 def project_tgx(rho: DensityMatrix) -> DensityMatrix:
@@ -120,8 +116,7 @@ def project_tgx(rho: DensityMatrix) -> DensityMatrix:
     reductions, but is NOT guaranteed positive semidefinite; callers that
     need a physical state must check.
     """
-    keep = ~anti_x_mask(rho.dims).to_bool()
-    return DensityMatrix(rho.mat * keep, rho.dims)
+    return DensityMatrix(rho.mat * tgx_mask(rho.dims).grid, rho.dims)
 
 
 def is_simple_me_state(psi: DensityMatrix, tol: float = 1e-12) -> bool:
@@ -134,10 +129,8 @@ def is_simple_me_state(psi: DensityMatrix, tol: float = 1e-12) -> bool:
     """
     if measures.purity(psi) < 1.0 - max(tol, 1e-12):
         raise RankError("input must be a pure state (rank 1)")
-    anti = anti_x_mask(psi.dims)
-    for i, j in anti.marked:
-        if abs(psi.mat[i, j]) > tol:
-            return False
+    if np.any(np.abs(psi.mat[anti_x_mask(psi.dims).grid]) > tol):
+        return False
     for m in range(1, len(psi.dims) + 1):
         red = measures.partial_trace(psi, m)
         w = np.linalg.eigvalsh(red.mat)
@@ -150,16 +143,15 @@ def is_simple_me_state(psi: DensityMatrix, tol: float = 1e-12) -> bool:
 def meb_union_mask(members, dims) -> ElementMask:
     """Union of the nonzero-element footprints of a set of simple ME states."""
     dims = _check_dims(dims)
-    n = int(np.prod(dims))
-    marked = set()
+    n = math.prod(dims)
+    grid = np.zeros((n, n), dtype=bool)
     for k, psi in enumerate(members):
         if tuple(psi.dims) != dims:
             raise DimensionError(f"member {k} has dims {list(psi.dims)}, expected {list(dims)}")
         if not is_simple_me_state(psi):
             raise DomainError(f"member {k} is not a simple maximally entangled state")
-        ii, jj = np.nonzero(np.abs(psi.mat) > 1e-12)
-        marked.update(zip(ii.tolist(), jj.tolist()))
-    return ElementMask(n, frozenset(marked))
+        grid |= np.abs(psi.mat) > 1e-12
+    return ElementMask(n, grid)
 
 
 def basis_resolution(members) -> tuple:
@@ -191,8 +183,7 @@ def basis_resolution(members) -> tuple:
 
 def _pure_from_support(n, dims, support, coeffs) -> DensityMatrix:
     v = np.zeros(n, dtype=complex)
-    for idx, c in zip(support, coeffs):
-        v[idx] = c
+    v[list(support)] = coeffs
     v /= np.linalg.norm(v)
     return DensityMatrix(np.outer(v, v.conj()), dims)
 

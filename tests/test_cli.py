@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xlab
 from xlab import cli
 from xlab.errors import ConfigError
 
@@ -115,6 +120,50 @@ def test_main_mask_json(capsys):
     assert [4, 0] in data["pairs"]
 
 
+def _digit_rule_ascii(dims, kind) -> str:
+    def digits(index):
+        out = []
+        for d in reversed(dims):
+            index, r = divmod(index, d)
+            out.append(r)
+        return out
+
+    n = int(np.prod(dims))
+    rows = []
+    for i in range(n):
+        cells = []
+        for j in range(n):
+            anti = sum(a != b for a, b in zip(digits(i), digits(j))) == 1
+            cells.append("X" if anti == (kind == "anti") else ".")
+        rows.append(" ".join(cells))
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (3, 2, 4), (2,) * 7])
+@pytest.mark.parametrize("kind", ["anti", "tgx"])
+def test_main_mask_golden_bytes(capsys, dims, kind):
+    system = "x".join(map(str, dims))
+    assert cli.main(["mask", "--system", system, "--kind", kind, "--format", "json"]) == 0
+    mask = cli.tgx.anti_x_mask(dims) if kind == "anti" else cli.tgx.tgx_mask(dims)
+    assert capsys.readouterr().out == json.dumps({
+        "dims": list(dims), "kind": kind,
+        "pairs": [list(p) for p in mask.pairs()]}, indent=2) + "\n"
+    assert cli.main(["mask", "--system", system, "--kind", kind]) == 0
+    assert capsys.readouterr().out == _digit_rule_ascii(dims, kind)
+
+
+def test_python_m_xlab_cli_runs_without_warning():
+    src = str(Path(xlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "xlab.cli",
+         "mask", "--system", "2x2"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == "X . . X\n. X X .\n. X X .\nX . . X\n"
+
+
 def test_main_mems_curve(capsys):
     rc = cli.main(["mems-curve", "--system", "2x2", "--samples", "5"])
     assert rc == 0
@@ -153,8 +202,13 @@ def test_main_bad_config_exits_1(capsys):
     (["convert", "--samples", "2"], {"fmt": "xml"}, None),
     (["mems-curve", "--format", "json"], None, None),
     (["scatter", "--samples", "2", "--seed", "-1"], None, None),
+    (["scatter", "--samples", "2"], {"out": 1}, None),
+    (["scatter", "--samples", "2"], {"plot": True}, None),
+    (["convert", "--samples", "2"], {"out": 1}, None),
+    (["mems-curve", "--samples", "2"], {"out": ["a.csv"]}, None),
 ], ids=["samples-abc", "tol-list", "threads-env-abc", "fmt-xml",
-        "mems-curve-json", "negative-seed"])
+        "mems-curve-json", "negative-seed", "scatter-out-int", "scatter-plot-bool",
+        "convert-out-int", "mems-curve-out-list"])
 def test_main_bad_input_is_one_line_error(tmp_path, monkeypatch, capsys,
                                           argv, config, env):
     if config is not None:
@@ -168,6 +222,21 @@ def test_main_bad_input_is_one_line_error(tmp_path, monkeypatch, capsys,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,config,names", [
+    (["convert", "--samples", "2"], {"budget": 5, "sampels": 3}, "budget, sampels"),
+    (["scatter", "--samples", "2"], {"tol": 1e-3}, "tol"),
+    (["mems-curve"], {"format": "csv"}, "format"),
+    (["scatter", "--samples", "2"], {"config": "other.json"}, "config"),
+], ids=["removed-and-typo", "other-command", "flag-not-dest", "config"])
+def test_main_unknown_config_key_is_error(tmp_path, capsys, argv, config, names):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(argv + ["--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown config key(s) for {argv[0]}: {names}\n"
 
 
 def test_threads_env_var(monkeypatch, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xlab import measures, states, tgx
 from xlab.errors import DimensionError, DomainError, RankError
@@ -62,6 +64,44 @@ def test_element_mask_helpers():
     assert m.to_ascii().splitlines()[0] == "X . . X"
     with pytest.raises(DimensionError):
         tgx.ElementMask(2, frozenset({(0, 1)}))  # not symmetric
+
+
+@pytest.mark.parametrize("n,marked,match", [
+    (2, {(0, 2), (2, 0)}, "out of range"),
+    (2, {(-1, 0), (0, -1)}, "out of range"),
+    (2, np.ones((3, 3), bool), "shape"),
+    (2, {(0, 1), (1, 1)}, "not symmetric"),
+    (3, np.triu(np.ones((3, 3), bool)), "not symmetric"),
+], ids=["past-end", "negative", "wrong-shape", "pairs-asymmetric", "array-asymmetric"])
+def test_element_mask_rejects_bad_positions(n, marked, match):
+    with pytest.raises(DimensionError, match=match):
+        tgx.ElementMask(n, marked)
+
+
+def _digit_rule_anti(dims) -> np.ndarray:
+    # Subsystem k alone differs: all-ones-minus-identity on k, identity elsewhere.
+    out = 0
+    for k in range(len(dims)):
+        term = np.ones((1, 1))
+        for m, d in enumerate(dims):
+            term = np.kron(term, np.ones((d, d)) - np.eye(d) if m == k else np.eye(d))
+        out = out + term
+    return out.astype(bool)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.integers(2, 4), min_size=2, max_size=5))
+def test_mask_kernel_properties(dims):
+    n = math.prod(dims)
+    anti, t = tgx.anti_x_mask(dims), tgx.tgx_mask(dims)
+    assert np.array_equal(anti.to_bool(), _digit_rule_anti(dims))
+    assert np.count_nonzero(anti.grid) == n * sum(d - 1 for d in dims)
+    for mask in (anti, t):
+        assert mask.n == n and np.array_equal(mask.grid, mask.grid.T)
+    assert not np.any(anti.grid & t.grid) and np.all(anti.grid | t.grid)
+    assert anti.pairs() == sorted(anti.marked)
+    if n <= 256:  # sorting the dense TGX set of n = 1024 takes seconds
+        assert t.pairs() == sorted(t.marked)
 
 
 def test_project_tgx_diagonal_reductions():
