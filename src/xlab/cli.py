@@ -4,8 +4,10 @@ Subcommands: `scatter` (entanglement-purity samples of a state family),
 `convert` (consecutive X-conversion campaign), `mask` (TGX/anti-X element
 masks), `mems-curve` (boundary curves), `verify` (fast invariant checks).
 
-Every sample derives its own RNG statelessly from (seed, sample_index),
-so results are byte-identical regardless of worker count.
+Every sample derives its own RNG statelessly from (seed, sample_index), and
+`run_scatter` measures blocks of `_BLOCK` samples with stacked kernels, so
+output is byte-identical for any block size.  `--threads` is validated but
+has no effect.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ _P_MIN = {(2, 2): 0.25, (2, 3): 1.0 / 6.0}
 # A converted state with a larger anti-X measure is not an X state.
 _ANTI_X_TOL = 1e-10
 _FAMILIES = ("general", "x", "lx", "tgx", "mems", "h")
+_BLOCK = measures.BLOCK  # samples per stacked measurement in run_scatter
 
 
 @dataclass
@@ -75,7 +77,7 @@ class ExperimentConfig:
 
 def _sample_rng(seed: int, index: int) -> np.random.Generator:
     # Stateless per-sample stream: the seed sequence hashes (seed, index),
-    # so any sharding across workers reproduces the same draws.
+    # so any blocking of the samples reproduces the same draws.
     return np.random.default_rng([seed, index])
 
 
@@ -139,31 +141,18 @@ def _draw_family_state(cfg: ExperimentConfig, rng: np.random.Generator, index: i
     raise ConfigError(f"could not draw a rank-{R} {fam} state after 64 tries")
 
 
-def _scatter_one(cfg: ExperimentConfig, index: int) -> SampleRecord:
-    rng = _sample_rng(cfg.seed, index)
-    rho = _draw_family_state(cfg, rng, index)
-    return SampleRecord(
-        entanglement=float(_measure_for(cfg.system)(rho)),
-        purity=float(measures.purity(rho)),
-        rank=int(rho.rank()),
-        family=cfg.family,
-        sample_index=index)
-
-
-def _parallel_map(fn, count: int, threads: int) -> list:
-    if threads <= 1:
-        results = [fn(i) for i in range(count)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(fn, range(count)))
-    return results
-
-
 def run_scatter(cfg: ExperimentConfig) -> list:
     """Draw, measure, and record `samples` states of the configured family."""
     cfg.validate()
-    records = _parallel_map(lambda i: _scatter_one(cfg, i), cfg.samples, cfg.threads)
-    records.sort(key=lambda r: r.sample_index)
+    records = []
+    for lo in range(0, cfg.samples, _BLOCK):
+        block = range(lo, min(lo + _BLOCK, cfg.samples))
+        batch = states.DensityMatrix(np.stack([
+            _draw_family_state(cfg, _sample_rng(cfg.seed, i), i).mat for i in block]),
+            cfg.system)
+        records += map(SampleRecord, _measure_for(cfg.system)(batch).tolist(),
+                       measures.purity(batch).tolist(), batch.rank().tolist(),
+                       [cfg.family] * len(block), block)
     return records
 
 
@@ -200,12 +189,11 @@ def _convert_one(cfg: ExperimentConfig, index: int) -> CampaignRecord:
     rng = _sample_rng(cfg.seed, index)
     R = _draw_rank(cfg, rng)
     rho = states.random_mixed(4, R, rng, (2, 2))
-    c_in = measures.concurrence(rho)
     res = convert.find_x_equivalent(rho)
     return CampaignRecord(
         sample_index=index, rank=R, purity=float(measures.purity(rho)),
-        input_concurrence=float(c_in),
-        output_concurrence=float(measures.concurrence(res.converted)),
+        input_concurrence=float(res.input_concurrence),
+        output_concurrence=float(res.output_concurrence),
         attempts=int(res.attempts), delta_c=float(res.delta_c),
         anti_x=float(res.anti_x),
         success=res.delta_c <= cfg.tol and res.anti_x <= _ANTI_X_TOL)
@@ -214,8 +202,7 @@ def _convert_one(cfg: ExperimentConfig, index: int) -> CampaignRecord:
 def run_conversion_campaign(cfg: ExperimentConfig) -> CampaignSummary:
     """Convert `samples` consecutive random two-qubit states to X form."""
     cfg.validate()
-    records = _parallel_map(lambda i: _convert_one(cfg, i), cfg.samples, cfg.threads)
-    records.sort(key=lambda r: r.sample_index)
+    records = [_convert_one(cfg, i) for i in range(cfg.samples)]
     hist: dict = {}
     for r in records:
         # Bucket attempts by decade for a compact histogram.

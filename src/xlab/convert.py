@@ -32,7 +32,9 @@ class ConversionResult:
 
     `attempts` counts the candidate X states evaluated: `find_x_equivalent`
     builds its one candidate in closed form, so it reports 1;
-    `closed_form_conversion` reports 0.
+    `closed_form_conversion` reports 0.  `input_concurrence` and
+    `output_concurrence` are the concurrences of the input and of
+    `converted`; `delta_c` is their absolute difference.
     """
 
     converted: DensityMatrix
@@ -40,6 +42,8 @@ class ConversionResult:
     attempts: int
     delta_c: float
     anti_x: float
+    input_concurrence: float
+    output_concurrence: float
 
 
 def _spectrum(mat: np.ndarray) -> np.ndarray:
@@ -85,8 +89,9 @@ def find_x_equivalent(rho: DensityMatrix) -> ConversionResult:
     sin 2a = (C + 2 sqrt(l2 l4)) / (l1 - l3) is always solvable, with a = 0
     when C = 0.  U maps rho's eigenframe onto that X eigenframe.
     """
-    if tuple(rho.dims) != (2, 2):
-        raise DimensionError(f"X conversion requires dims [2, 2], got {list(rho.dims)}")
+    if tuple(rho.dims) != (2, 2) or rho.mat.ndim != 2:
+        raise DimensionError(f"X conversion requires one [2, 2] state, got dims "
+                             f"{list(rho.dims)} and shape {rho.mat.shape}")
     vals, eg = linalg.eig_hermitian(rho.mat)
     l1, l2, l3, l4 = np.clip(vals, 0.0, None)
     c_in = measures.concurrence(rho)
@@ -101,10 +106,11 @@ def find_x_equivalent(rho: DensityMatrix) -> ConversionResult:
     ex[2, 3] = 1.0
     U = ex @ eg.conj().T
     out = _conjugate(rho, U)
+    c_out = measures.concurrence(out)
     return ConversionResult(
-        converted=out, unitary=U, attempts=1,
-        delta_c=abs(measures.concurrence(out) - c_in),
-        anti_x=measures.anti_x_measure(out))
+        converted=out, unitary=U, attempts=1, delta_c=abs(c_out - c_in),
+        anti_x=measures.anti_x_measure(out),
+        input_concurrence=c_in, output_concurrence=c_out)
 
 
 def closed_form_x(C: float, P: float) -> DensityMatrix:
@@ -153,9 +159,9 @@ def _closed_form_frame(C: float, P: float) -> np.ndarray:
 
 def closed_form_conversion(rho_g: DensityMatrix) -> ConversionResult:
     """Exact X conversion for rank-<=2 two-qubit states (no search needed)."""
-    if tuple(rho_g.dims) != (2, 2):
-        raise DimensionError(
-            f"closed-form conversion requires dims [2, 2], got {list(rho_g.dims)}")
+    if tuple(rho_g.dims) != (2, 2) or rho_g.mat.ndim != 2:
+        raise DimensionError(f"closed-form conversion requires one [2, 2] state, got dims "
+                             f"{list(rho_g.dims)} and shape {rho_g.mat.shape}")
     R = rho_g.rank()
     if R > 2:
         raise RankError(f"closed-form conversion needs rank <= 2, got rank {R}")
@@ -173,10 +179,11 @@ def closed_form_conversion(rho_g: DensityMatrix) -> ConversionResult:
     eg = linalg.eig_hermitian(rho_g.mat).vectors
     U = ex @ eg.conj().T
     out = _conjugate(rho_g, U)
+    c_out = measures.concurrence(out)
     return ConversionResult(
-        converted=out, unitary=U, attempts=0,
-        delta_c=abs(measures.concurrence(out) - C),
-        anti_x=measures.anti_x_measure(out))
+        converted=out, unitary=U, attempts=0, delta_c=abs(c_out - C),
+        anti_x=measures.anti_x_measure(out),
+        input_concurrence=C, output_concurrence=c_out)
 
 
 # ---------------------------------------------------------------------------

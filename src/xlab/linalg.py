@@ -1,6 +1,8 @@
-"""Dense complex linear algebra kernel for small matrices.
+"""Dense complex linear algebra for small matrices and stacks of them.
 
-Everything here operates on plain numpy arrays.  Eigendecompositions use a
+Each function works matrix by matrix on the last two axes of an (n, n)
+matrix or an (..., n, n) stack, so a stacked call equals a loop bit for bit
+and every check covers every matrix.  Eigendecompositions use a
 deterministic gauge (descending eigenvalues, largest-magnitude component of
 each eigenvector made real and positive) so that downstream conversion
 unitaries are reproducible.
@@ -20,11 +22,16 @@ HERM_DRIFT_TOL = 1e-8
 class EigenSystem(NamedTuple):
     """Eigenvalues in descending order paired with gauge-fixed eigenvectors.
 
-    ``vectors[:, k]`` is the unit eigenvector for ``values[k]``.
+    ``vectors[..., :, k]`` is the unit eigenvector for ``values[..., k]``.
     """
 
     values: np.ndarray
     vectors: np.ndarray
+
+
+def scalar(x):
+    """A 0-d result as a Python float or int; a stacked result unchanged."""
+    return x.item() if x.ndim == 0 else x
 
 
 def hermitize(M: np.ndarray, tol: float = HERM_DRIFT_TOL) -> np.ndarray:
@@ -34,41 +41,33 @@ def hermitize(M: np.ndarray, tol: float = HERM_DRIFT_TOL) -> np.ndarray:
     pipelines: symmetrizing must not change any entry by more than `tol`.
     """
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {M.shape}")
-    H = 0.5 * (M + M.conj().T)
-    drift = np.max(np.abs(H - M))
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise DimensionError(f"expected a square matrix or a stack of them, got shape {M.shape}")
+    H = 0.5 * (M + M.conj().mT)
+    drift = np.abs(H - M).max()
     if drift > tol:
         raise DomainError(f"matrix is not Hermitian: symmetrization moved an entry by {drift:.3e}")
     return H
 
 
-def _gauge_fix(vectors: np.ndarray) -> np.ndarray:
-    """Fix each column's phase so its largest-magnitude entry is real positive.
-
-    Magnitude ties break toward the lowest index (np.argmax convention).
-    """
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        mag = abs(pivot)
-        if mag > 0.0:
-            out[:, k] = col * (pivot.conjugate() / mag)
-    return out
-
-
 def eig_hermitian(M: np.ndarray) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix with deterministic gauge.
 
-    Eigenvalues come out in descending order (stable on ties); each
-    eigenvector is phase-fixed via `_gauge_fix`.
+    Eigenvalues come out in descending order (stable on ties).  Each
+    eigenvector is multiplied by conj(p)/|p|, where p is its
+    largest-magnitude entry (the lowest index on ties), so that p becomes
+    real and positive.
     """
     H = hermitize(M)
-    w, v = np.linalg.eigh(H)
-    order = np.argsort(-w, kind="stable")
-    return EigenSystem(values=w[order], vectors=_gauge_fix(v[:, order]))
+    n = H.shape[-1]
+    w, v = np.linalg.eigh(H.reshape(-1, n, n))
+    rows = np.arange(len(w))[:, None]
+    order = (-w).argsort(axis=-1, kind="stable")
+    # vt[b, k] is the eigenvector of matrix b for its k-th largest eigenvalue.
+    w, vt = w[rows, order], v.mT[rows, order]
+    pivot = vt[rows, np.arange(n), np.abs(vt).argmax(axis=-1)]
+    vt = vt * (pivot.conj() / np.abs(pivot))[..., None]
+    return EigenSystem(values=w.reshape(H.shape[:-1]), vectors=vt.mT.reshape(H.shape))
 
 
 def sqrt_psd(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -78,26 +77,28 @@ def sqrt_psd(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     genuine PSD violation and raises.
     """
     vals, vecs = eig_hermitian(M)
-    if vals[-1] < -tol:
-        raise DomainError(f"matrix is not PSD: smallest eigenvalue {vals[-1]:.3e}")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    low = vals[..., -1]
+    if (low < -tol).any():
+        raise DomainError(f"matrix is not PSD: smallest eigenvalue {low.min():.3e}")
+    vals = np.maximum(vals, 0.0)
+    return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().mT
 
 
-def trace_norm(M: np.ndarray) -> float:
+def trace_norm(M: np.ndarray):
     """Sum of absolute eigenvalues of a Hermitian matrix (Manhattan/1-norm)."""
     H = hermitize(M)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(H))))
+    return scalar(np.abs(np.linalg.eigvalsh(H)).sum(axis=-1))
 
 
-def numerical_rank(M: np.ndarray, tol: float | None = None) -> int:
+def numerical_rank(M: np.ndarray, tol: float | None = None):
     """Count of eigenvalues above `tol` for a Hermitian PSD matrix.
 
-    Default tolerance is 1e-10 times the largest eigenvalue.
+    Default tolerance is 1e-10 times the largest eigenvalue of each matrix.
     """
     vals, _ = eig_hermitian(M)
-    if vals[0] < -1e-10:
+    top = vals[..., :1]
+    if (top < -1e-10).any():
         raise DomainError("matrix is not PSD")
     if tol is None:
-        tol = 1e-10 * max(vals[0], 0.0)
-    return int(np.count_nonzero(vals > tol))
+        tol = 1e-10 * np.maximum(top, 0.0)
+    return scalar((vals > tol).sum(axis=-1))

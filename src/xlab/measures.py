@@ -15,11 +15,15 @@ from . import linalg, states
 from .errors import DimensionError, DomainError
 from .states import DensityMatrix
 
+# Matrices per stacked call when a long sequence is measured in blocks: enough
+# to amortise numpy's per-call overhead, few enough to keep temporaries small.
+BLOCK = 256
+
 _SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA2, _SIGMA2)
 
 # Anti-X positions of the two-qubit X pattern (upper triangle).
-_ANTI_X_UPPER = [(0, 1), (0, 2), (1, 3), (2, 3)]
+_ANTI_X_ROWS, _ANTI_X_COLS = [0, 0, 1, 2], [1, 2, 3, 3]
 
 
 def _as_mat(rho) -> np.ndarray:
@@ -31,13 +35,13 @@ def _require_dims(rho: DensityMatrix, dims: tuple[int, ...], what: str):
         raise DimensionError(f"{what} requires dims {list(dims)}, got {list(rho.dims)}")
 
 
-def purity(rho) -> float:
+def purity(rho):
     """tr(rho^2); ranges from 1/n (maximally mixed) to 1 (pure)."""
     m = _as_mat(rho)
-    return float(np.sum(np.abs(m) ** 2))
+    return linalg.scalar((np.abs(m) ** 2).sum(axis=(-2, -1)))
 
 
-def concurrence(rho: DensityMatrix) -> float:
+def concurrence(rho: DensityMatrix):
     """Wootters concurrence of a two-qubit state.
 
     Uses the Hermitian route: descending eigenvalues lam_k of
@@ -52,22 +56,20 @@ def concurrence(rho: DensityMatrix) -> float:
     # eigenvalue square root would blow eps-level noise up to ~sqrt(eps).
     st = _SPIN_FLIP @ s.conj() @ _SPIN_FLIP
     lam = np.linalg.svd(s @ st, compute_uv=False)
-    c = lam[0] - lam[1] - lam[2] - lam[3]
-    if c < -1e-9:
-        return 0.0
-    return float(max(0.0, c))
+    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    return linalg.scalar(np.maximum(c, 0.0))
 
 
-def anti_x_measure(rho) -> float:
+def anti_x_measure(rho):
     """How far a two-qubit state is from X form, normalized to [0, 1].
 
     Four times the summed square magnitudes of the unique anti-X elements;
     exactly zero iff the state is an X state.
     """
     m = _as_mat(rho)
-    if m.shape != (4, 4):
+    if m.shape[-2:] != (4, 4):
         raise DimensionError(f"anti-X measure needs a 4x4 matrix, got {m.shape}")
-    return float(4.0 * sum(abs(m[i, j]) ** 2 for i, j in _ANTI_X_UPPER))
+    return linalg.scalar(4.0 * (np.abs(m[..., _ANTI_X_ROWS, _ANTI_X_COLS]) ** 2).sum(axis=-1))
 
 
 def concurrence_x(rho, tol: float = 1e-10) -> float:
@@ -116,24 +118,19 @@ def partial_transpose(rho: DensityMatrix, sub: int) -> np.ndarray:
     if sub not in (1, 2):
         raise DimensionError(f"subsystem must be 1 or 2, got {sub}")
     dA, dB = dims
-    t = rho.mat.reshape(dA, dB, dA, dB)
-    if sub == 1:
-        t = t.transpose(2, 1, 0, 3)
-    else:
-        t = t.transpose(0, 3, 2, 1)
-    return t.reshape(dA * dB, dA * dB)
+    t = rho.mat.reshape(-1, dA, dB, dA, dB)
+    t = t.swapaxes(1, 3) if sub == 1 else t.swapaxes(2, 4)
+    return t.reshape(rho.mat.shape)
 
 
-def negativity_e(rho: DensityMatrix) -> float:
+def negativity_e(rho: DensityMatrix):
     """Rescaled negativity for 2x3: ||rho^T1||_1 - 1, clamped to [0, 1].
 
     Normalized so a maximally entangled 2x3 state scores exactly 1.
     """
     _require_dims(rho, (2, 3), "negativity_e")
     e = linalg.trace_norm(partial_transpose(rho, 1)) - 1.0
-    if e < -1e-9:
-        return 0.0
-    return float(min(max(e, 0.0), 1.0 + 1e-9))
+    return linalg.scalar(np.minimum(np.maximum(e, 0.0), 1.0 + 1e-9))
 
 
 def mems_boundary_2x2(P: float) -> float:
@@ -152,27 +149,30 @@ class _Boundary2x3:
     """Tabulated E_T1-vs-purity curve of the 2x3 MEMS family.
 
     No closed form exists; the curve is sampled once on a uniform grid and
-    linearly interpolated afterwards.
+    linearly interpolated afterwards.  The (grid, values) table is published
+    in one assignment, so a concurrent caller never sees half of it.
     """
 
     GRID_POINTS = 1000
 
     def __init__(self):
-        self._grid = None
-        self._vals = None
+        self._table = None
 
     def _build(self):
         ps = np.linspace(1.0 / 6.0, 1.0, self.GRID_POINTS)
-        vals = np.array([negativity_e(states.mems_2x3(p)) for p in ps])
-        self._grid, self._vals = ps, vals
+        vals = np.concatenate([
+            negativity_e(DensityMatrix(
+                np.stack([states.mems_2x3(p).mat for p in ps[lo:lo + BLOCK]]), (2, 3)))
+            for lo in range(0, len(ps), BLOCK)])
+        self._table = ps, vals
+        return self._table
 
     def __call__(self, P: float) -> float:
         if not (1.0 / 6.0 - 1e-12 <= P <= 1.0 + 1e-12):
             raise DomainError(f"purity {P} outside [1/6, 1]")
-        if self._grid is None:
-            self._build()
+        grid, vals = self._table or self._build()
         P = min(max(P, 1.0 / 6.0), 1.0)
-        return float(np.interp(P, self._grid, self._vals))
+        return float(np.interp(P, grid, vals))
 
 
 mems_boundary_2x3 = _Boundary2x3()

@@ -22,7 +22,7 @@ _EPS = 1e-12
 
 @dataclass
 class DensityMatrix:
-    """A density matrix together with its subsystem dimension list."""
+    """A density matrix, or a (B, n, n) stack of them, with the subsystem dimensions."""
 
     mat: np.ndarray
     dims: tuple[int, ...]
@@ -33,29 +33,30 @@ class DensityMatrix:
         if any(d < 2 for d in self.dims):
             raise DimensionError(f"all subsystem dimensions must be >= 2, got {self.dims}")
         n = int(np.prod(self.dims))
-        if self.mat.shape != (n, n):
+        if self.mat.shape[-2:] != (n, n) or self.mat.ndim not in (2, 3):
             raise DimensionError(
                 f"matrix shape {self.mat.shape} does not match dims {self.dims} (n={n})")
 
     @property
     def n(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
 
     def validate(self, herm_tol: float = 1e-10, trace_tol: float = 1e-12,
                  psd_tol: float = 1e-10) -> "DensityMatrix":
-        """Check Hermiticity, unit trace, and positivity; return self."""
-        drift = np.max(np.abs(self.mat - self.mat.conj().T))
+        """Check Hermiticity, unit trace, and positivity of every matrix; return self."""
+        drift = np.max(np.abs(self.mat - self.mat.conj().mT))
         if drift > herm_tol:
             raise DomainError(f"not Hermitian within {herm_tol} (drift {drift:.3e})")
-        tr = complex(np.trace(self.mat))
-        if abs(tr - 1.0) > trace_tol:
-            raise DomainError(f"trace {tr} is not 1 within {trace_tol}")
-        wmin = float(np.min(np.linalg.eigvalsh(0.5 * (self.mat + self.mat.conj().T))))
+        tr_err = np.max(np.abs(np.trace(self.mat, axis1=-2, axis2=-1) - 1.0))
+        if tr_err > trace_tol:
+            raise DomainError(f"trace differs from 1 by {tr_err:.3e}, beyond {trace_tol}")
+        wmin = float(np.min(np.linalg.eigvalsh(0.5 * (self.mat + self.mat.conj().mT))))
         if wmin < -psd_tol:
             raise DomainError(f"not PSD: smallest eigenvalue {wmin:.3e}")
         return self
 
-    def rank(self, tol: float | None = None) -> int:
+    def rank(self, tol: float | None = None):
+        """Numerical rank: an int, or an int array with one entry per stacked matrix."""
         return linalg.numerical_rank(self.mat, tol)
 
 

@@ -27,11 +27,14 @@ def test_config_validation():
     cli.ExperimentConfig(system=(2, 3), family="tgx", rank=6).validate()
 
 
-@pytest.mark.parametrize("family,system", [
+_SCATTER_CASES = [
     ("general", (2, 2)), ("general", (2, 3)), ("x", (2, 2)),
     ("lx", (2, 3)), ("tgx", (2, 3)), ("mems", (2, 2)),
     ("mems", (2, 3)), ("h", (2, 2)),
-])
+]
+
+
+@pytest.mark.parametrize("family,system", _SCATTER_CASES)
 def test_run_scatter_families(family, system):
     cfg = cli.ExperimentConfig(system=system, family=family, samples=16, seed=1)
     records = cli.run_scatter(cfg)
@@ -49,6 +52,29 @@ def test_run_scatter_thread_invariance():
                                                      threads=threads))
         assert [(r.entanglement, r.purity, r.rank) for r in other] == \
                [(r.entanglement, r.purity, r.rank) for r in base]
+
+
+@pytest.mark.parametrize("family,system", _SCATTER_CASES)
+def test_run_scatter_block_invariance(monkeypatch, family, system):
+    cfg = dict(system=system, family=family, seed=6)
+    default = cli.run_scatter(cli.ExperimentConfig(samples=20, **cfg))
+    monkeypatch.setattr(cli, "_BLOCK", 7)
+    assert cli.run_scatter(cli.ExperimentConfig(samples=20, **cfg)) == default
+    # The mems and h grids are spread over `samples`, so only the other
+    # families draw the same states in a shorter run.
+    if family not in ("mems", "h"):
+        assert cli.run_scatter(cli.ExperimentConfig(samples=9, **cfg)) == default[:9]
+
+
+def test_main_scatter_threads_do_not_change_bytes(tmp_path):
+    outputs = []
+    for threads in ("1", "3"):
+        out = tmp_path / f"s{threads}.json"
+        assert cli.main(["scatter", "--system", "2x3", "--family", "tgx", "--samples", "30",
+                         "--seed", "8", "--threads", threads, "--format", "json",
+                         "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_run_conversion_campaign():

@@ -106,6 +106,10 @@ def test_find_x_equivalent_properties(rho):
 def test_find_x_equivalent_rejects_other_dims():
     with pytest.raises(DimensionError):
         convert.find_x_equivalent(states.mems_2x3(0.5))
+    stack = states.DensityMatrix(np.stack([np.eye(4) / 4] * 2), (2, 2))
+    for conversion in (convert.find_x_equivalent, convert.closed_form_conversion):
+        with pytest.raises(DimensionError):
+            conversion(stack)
 
 
 def test_closed_form_x_anchors():

@@ -56,3 +56,28 @@ def test_trace_norm_sums_absolute_eigenvalues():
 def test_numerical_rank():
     d = np.diag([1.0, 0.5, 1e-14, 0.0])
     assert linalg.numerical_rank(d) == 2
+
+
+def test_stack_checks_every_matrix():
+    ok = np.stack([np.eye(4) / 4] * 5)
+    skew = ok.copy()
+    skew[3, 0, 1] = 0.5
+    for kernel in (linalg.hermitize, linalg.eig_hermitian, linalg.sqrt_psd,
+                   linalg.trace_norm, linalg.numerical_rank):
+        kernel(ok)
+        with pytest.raises(DomainError):
+            kernel(skew)
+    for bad, kernels in ((np.diag([0.5, 0.5, 0.25, -0.25]), (linalg.sqrt_psd,)),
+                         (-np.eye(4) / 4, (linalg.sqrt_psd, linalg.numerical_rank))):
+        stack = ok.copy()
+        stack[2] = bad
+        for kernel in kernels:
+            with pytest.raises(DomainError):
+                kernel(stack)
+
+
+def test_numerical_rank_tolerance_is_per_matrix():
+    # 1e-12 is below 1e-10 * 1 but above 1e-10 * 1e-3.
+    stack = np.stack([np.diag([1.0, 1e-12, 0.0, 0.0]), np.diag([1e-3, 1e-12, 0.0, 0.0])])
+    assert linalg.numerical_rank(stack).tolist() == [1, 2]
+    assert [linalg.numerical_rank(m) for m in stack] == [1, 2]

@@ -140,3 +140,55 @@ def test_measure_dimension_checks():
         measures.concurrence(rho23)
     with pytest.raises(DimensionError):
         measures.negativity_e(states.bell_state())
+
+
+def _state_stack(seed, dims):
+    """Random states of every rank, the maximally mixed state, a maximally
+    entangled state and a rank-1 product state, stacked in random order."""
+    rng = np.random.default_rng(seed)
+    n = int(np.prod(dims))
+    ranks = rng.permutation(np.repeat(np.arange(1, n + 1), 2))
+    mats = [states.random_mixed(n, int(R), rng, dims).mat for R in ranks]
+    entangled = (states.bell_state() if dims == (2, 2)
+                 else states.meb_state_2x3(states.PHI, 1, math.pi / 4, 0.0))
+    mats += [np.eye(n) / n, entangled.mat, np.diag(np.eye(n)[0])]
+    return np.stack([mats[i] for i in rng.permutation(len(mats))])
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 10_000), st.sampled_from([(2, 2), (2, 3)]))
+def test_stacked_kernels_match_per_matrix_calls(seed, dims):
+    stack = _state_stack(seed, dims)
+    measure = measures.concurrence if dims == (2, 2) else measures.negativity_e
+    kernels = {
+        "eig_hermitian.values": lambda m: linalg.eig_hermitian(m).values,
+        "eig_hermitian.vectors": lambda m: linalg.eig_hermitian(m).vectors,
+        "sqrt_psd": linalg.sqrt_psd,
+        "trace_norm": lambda m: linalg.trace_norm(
+            measures.partial_transpose(DensityMatrix(m, dims), 1)),
+        "numerical_rank": linalg.numerical_rank,
+        "rank": lambda m: DensityMatrix(m, dims).rank(),
+        "purity": lambda m: measures.purity(DensityMatrix(m, dims)),
+        "entanglement": lambda m: measure(DensityMatrix(m, dims)),
+    }
+    if dims == (2, 2):
+        kernels["anti_x_measure"] = measures.anti_x_measure
+    scalar_kernels = {"trace_norm", "numerical_rank", "rank", "purity",
+                      "entanglement", "anti_x_measure"}
+    for name, kernel in kernels.items():
+        looped = [kernel(m) for m in stack]
+        assert np.array_equal(kernel(stack), np.array(looped)), name
+        assert np.array_equal(kernel(stack[:1]), np.array(looped[:1])), name
+        if name in scalar_kernels:
+            assert all(type(x) in (float, int) for x in looped), name
+
+
+def test_stacked_measures_check_every_matrix():
+    stack = np.stack([np.eye(4) / 4] * 3)
+    stack[1] = np.diag([0.5, 0.5, 0.25, -0.25])
+    with pytest.raises(DomainError):
+        measures.concurrence(DensityMatrix(stack, (2, 2)))
+    stack = np.stack([np.eye(6) / 6] * 3)
+    stack[2, 0, 5] = 0.1
+    with pytest.raises(DomainError):
+        measures.negativity_e(DensityMatrix(stack, (2, 3)))

@@ -146,3 +146,16 @@ def test_random_ensembles():
 def test_density_matrix_shape_check():
     with pytest.raises(DimensionError):
         states.DensityMatrix(np.eye(3), (2, 2))
+
+
+def test_density_matrix_stack():
+    stack = np.stack([states.bell_state().mat, np.eye(4) / 4, np.diag([1.0, 0, 0, 0])])
+    rho = states.DensityMatrix(stack, (2, 2)).validate()
+    assert rho.n == 4
+    assert rho.rank().tolist() == [1, 4, 1]
+    bad = stack.copy()
+    bad[1] *= 1.5
+    with pytest.raises(DomainError):
+        states.DensityMatrix(bad, (2, 2)).validate()
+    with pytest.raises(DimensionError):
+        states.DensityMatrix(stack[None], (2, 2))
