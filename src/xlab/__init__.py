@@ -15,7 +15,6 @@ from . import convert, errors, linalg, measures, states, tgx
 from .convert import (
     ConversionResult,
     closed_form_conversion,
-    closed_form_x,
     conversion_unitary,
     find_x_equivalent,
 )
@@ -36,7 +35,7 @@ from .measures import (
     negativity_e,
     purity,
 )
-from .states import DensityMatrix, XParams
+from .states import DensityMatrix, XParams, closed_form_x
 from .tgx import ElementMask, anti_x_mask, project_tgx, tgx_mask
 
 __all__ = [

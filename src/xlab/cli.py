@@ -81,10 +81,6 @@ def _sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
-def _measure_for(system):
-    return measures.concurrence if tuple(system) == (2, 2) else measures.negativity_e
-
-
 def _draw_rank(cfg: ExperimentConfig, rng: np.random.Generator) -> int:
     if cfg.rank is not None:
         return cfg.rank
@@ -121,12 +117,7 @@ def _draw_family_state(cfg: ExperimentConfig, rng: np.random.Generator, index: i
     elif fam == "h":
         side = max(int(math.ceil(math.sqrt(cfg.samples))), 2)
         C = (index % side) / (side - 1)
-        if C == 0.0:
-            lo = 0.25
-        elif C < 2.0 / 3.0:
-            lo = 1.0 / 3.0 + 0.5 * C * C
-        else:
-            lo = 0.5 * (1.0 + (2.0 * C - 1.0) ** 2)
+        lo = states.h_purity_floor(C)
         P = lo + (1.0 - lo) * ((index // side) % side) / (side - 1)
         return states.h_state(C, min(P, 1.0))
     else:  # pragma: no cover
@@ -150,7 +141,7 @@ def run_scatter(cfg: ExperimentConfig) -> list:
         batch = states.DensityMatrix(np.stack([
             _draw_family_state(cfg, _sample_rng(cfg.seed, i), i).mat for i in block]),
             cfg.system)
-        records += map(SampleRecord, _measure_for(cfg.system)(batch).tolist(),
+        records += map(SampleRecord, measures.entanglement(batch).tolist(),
                        measures.purity(batch).tolist(), batch.rank().tolist(),
                        [cfg.family] * len(block), block)
     return records
@@ -221,64 +212,41 @@ def run_conversion_campaign(cfg: ExperimentConfig) -> CampaignSummary:
 # Output
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _cell(x) -> str:
+    """The format field of a CSV cell like x: a float as format(x, ".17g"),
+    a bool as 0/1, anything else as str(x)."""
+    if isinstance(x, float):
+        return "{:.17g}"
+    return "{:d}" if isinstance(x, int) else "{}"
 
 
-_SCATTER_HEADER = "entanglement,purity,rank,family,sample_index"
-_CAMPAIGN_HEADER = ("sample_index,rank,purity,input_concurrence,output_concurrence,"
-                    "attempts,delta_c,anti_x,success")
+def _csv(header, rows) -> str:
+    """CSV text: the header line, then one line per row; each column is
+    written by the `_cell` of its first-row value."""
+    rows = list(rows)
+    line = ",".join(map(_cell, rows[0])) + "\n" if rows else ""
+    return ",".join(header) + "\n" + "".join(line.format(*row) for row in rows)
 
 
-def _scatter_csv(records) -> str:
-    lines = [_SCATTER_HEADER]
-    for r in records:
-        lines.append(f"{_fmt(r.entanglement)},{_fmt(r.purity)},{r.rank},"
-                     f"{r.family},{r.sample_index}")
-    return "\n".join(lines) + "\n"
+def _records_csv(records) -> str:
+    """CSV of dataclass records, one column per field in field order."""
+    return _csv(vars(records[0]), (vars(r).values() for r in records))
 
 
-def _scatter_json(records) -> str:
-    return json.dumps([{
-        "entanglement": r.entanglement, "purity": r.purity, "rank": r.rank,
-        "family": r.family, "sample_index": r.sample_index,
-    } for r in records], indent=2) + "\n"
-
-
-def _campaign_csv(summary: CampaignSummary) -> str:
-    lines = [_CAMPAIGN_HEADER]
-    for r in summary.records:
-        lines.append(
-            f"{r.sample_index},{r.rank},{_fmt(r.purity)},{_fmt(r.input_concurrence)},"
-            f"{_fmt(r.output_concurrence)},{r.attempts},{_fmt(r.delta_c)},"
-            f"{_fmt(r.anti_x)},{int(r.success)}")
-    return "\n".join(lines) + "\n"
+def _records_json(records) -> str:
+    return json.dumps([vars(r) for r in records], indent=2) + "\n"
 
 
 def _campaign_json(summary: CampaignSummary) -> str:
-    return json.dumps({
-        "samples": summary.samples,
-        "successes": summary.successes,
-        "max_delta_c": summary.max_delta_c,
-        "max_anti_x": summary.max_anti_x,
-        "attempt_histogram": summary.attempt_histogram,
-        "records": [{
-            "sample_index": r.sample_index, "rank": r.rank, "purity": r.purity,
-            "input_concurrence": r.input_concurrence,
-            "output_concurrence": r.output_concurrence, "attempts": r.attempts,
-            "delta_c": r.delta_c, "anti_x": r.anti_x, "success": r.success,
-        } for r in summary.records],
-    }, indent=2) + "\n"
+    return json.dumps({**vars(summary), "records": [vars(r) for r in summary.records]},
+                      indent=2) + "\n"
 
 
 def _curve_csv(system, samples: int) -> str:
     p_min = _P_MIN[system]
     boundary = _boundary_for(system)
-    lines = ["purity,entanglement"]
-    for i in range(samples):
-        P = p_min + (1.0 - p_min) * i / max(samples - 1, 1)
-        lines.append(f"{_fmt(P)},{_fmt(boundary(float(P)))}")
-    return "\n".join(lines) + "\n"
+    grid = (p_min + (1.0 - p_min) * i / max(samples - 1, 1) for i in range(samples))
+    return _csv(("purity", "entanglement"), ((P, boundary(P)) for P in grid))
 
 
 def _boundary_for(system):
@@ -340,7 +308,7 @@ def emit_output(records, fmt: str = "csv", out=None, plot=None, system=(2, 2)) -
     records = list(records)
     if not records:
         raise ConfigError("no records to emit")
-    text = _serializer(fmt, {"csv": _scatter_csv, "json": _scatter_json})(records)
+    text = _serializer(fmt, {"csv": _records_csv, "json": _records_json})(records)
     if out:
         _write(text, out)
     if plot:
@@ -368,12 +336,13 @@ def _parse_dims(text: str):
     return dims
 
 
-def _add_common(p):
+def _add_common(p, seeded: bool = True):
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    if seeded:
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--config", default=None, help="JSON file with flag defaults")
 
 
@@ -404,7 +373,7 @@ def _build_parser():
 
     p = sub.add_parser("mems-curve", help="tabulate the MEMS boundary curve")
     p.add_argument("--system", default="2x2")
-    _add_common(p)
+    _add_common(p, seeded=False)
 
     p = sub.add_parser("verify", help="run fast invariant checks")
     p.add_argument("--seed", type=int, default=0)
@@ -480,7 +449,8 @@ def _cmd_scatter(args) -> int:
 def _cmd_convert(args) -> int:
     m = _merge_config(args)
     serialize = _serializer(m.get("fmt", "csv"),
-                            {"csv": _campaign_csv, "json": _campaign_json})
+                            {"csv": lambda summary: _records_csv(summary.records),
+                             "json": _campaign_json})
     cfg = ExperimentConfig(
         system=(2, 2), family="general", rank=_get(m, "rank", int),
         samples=_get(m, "samples", int, 100),

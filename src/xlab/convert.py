@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg, measures, states
 from .errors import DimensionError, DomainError, RankError, SpectralMismatchError
-from .states import DensityMatrix
+from .states import DensityMatrix, closed_form_x
 
 # |dC| up to which a conversion counts as concurrence-preserving.
 DEFAULT_TOL_C = 1e-3
@@ -89,9 +89,7 @@ def find_x_equivalent(rho: DensityMatrix) -> ConversionResult:
     sin 2a = (C + 2 sqrt(l2 l4)) / (l1 - l3) is always solvable, with a = 0
     when C = 0.  U maps rho's eigenframe onto that X eigenframe.
     """
-    if tuple(rho.dims) != (2, 2) or rho.mat.ndim != 2:
-        raise DimensionError(f"X conversion requires one [2, 2] state, got dims "
-                             f"{list(rho.dims)} and shape {rho.mat.shape}")
+    measures.require_single(rho, "X conversion", (2, 2))
     vals, eg = linalg.eig_hermitian(rho.mat)
     l1, l2, l3, l4 = np.clip(vals, 0.0, None)
     c_in = measures.concurrence(rho)
@@ -104,64 +102,24 @@ def find_x_equivalent(rho: DensityMatrix) -> ConversionResult:
     ex[1, 1] = 1.0
     ex[0, 2], ex[3, 2] = -math.sin(a), math.cos(a)
     ex[2, 3] = 1.0
+    return _onto_frame(rho, eg, ex, c_in, attempts=1)
+
+
+def _onto_frame(rho: DensityMatrix, eg: np.ndarray, ex: np.ndarray, c_in: float,
+                attempts: int) -> ConversionResult:
+    """Conjugate rho by U = ex eg+, which maps its eigenframe eg onto ex."""
     U = ex @ eg.conj().T
     out = _conjugate(rho, U)
     c_out = measures.concurrence(out)
     return ConversionResult(
-        converted=out, unitary=U, attempts=1, delta_c=abs(c_out - c_in),
+        converted=out, unitary=U, attempts=attempts, delta_c=abs(c_out - c_in),
         anti_x=measures.anti_x_measure(out),
         input_concurrence=c_in, output_concurrence=c_out)
 
 
-def closed_form_x(C: float, P: float) -> DensityMatrix:
-    """Rank-<=2 X state with concurrence C and purity P, P >= (1+C^2)/2."""
-    if not -1e-12 <= C <= 1.0 + 1e-12:
-        raise DomainError(f"concurrence {C} outside [0, 1]")
-    C = min(max(C, 0.0), 1.0)
-    lo = 0.5 * (1.0 + C * C)
-    if not lo - 1e-9 <= P <= 1.0 + 1e-12:
-        raise DomainError(f"purity {P} outside [{lo}, 1] for concurrence {C}")
-    P = min(max(P, lo), 1.0)
-    B = math.sqrt(max(2.0 * P - 1.0 - C * C, 0.0))
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[0, 0] = (1.0 + B) / 2.0
-    mat[3, 3] = (1.0 - B) / 2.0
-    mat[0, 3] = mat[3, 0] = C / 2.0
-    return DensityMatrix(mat, (2, 2))
-
-
-def _closed_form_frame(C: float, P: float) -> np.ndarray:
-    """Eigenvector matrix of closed_form_x(C, P), columns in descending order.
-
-    A = sqrt(2P-1), B = sqrt(2P-1-C^2).  Columns 1 and 2 live on the outer
-    plane; where a column's norm vanishes (C = 0) the continuous limit
-    vector is substituted.
-    """
-    A = math.sqrt(max(2.0 * P - 1.0, 0.0))
-    B = math.sqrt(max(2.0 * P - 1.0 - C * C, 0.0))
-    frame = np.zeros((4, 4), dtype=complex)
-    n1 = math.hypot(C, A - B)
-    if n1 < 1e-12:
-        frame[0, 0] = 1.0
-    else:
-        frame[0, 0] = C / n1
-        frame[3, 0] = (A - B) / n1
-    n2 = math.hypot(C, A + B)
-    if n2 < 1e-12:
-        frame[3, 1] = -1.0
-    else:
-        frame[0, 1] = C / n2
-        frame[3, 1] = -(A + B) / n2
-    frame[2, 2] = 1.0
-    frame[1, 3] = 1.0
-    return frame
-
-
 def closed_form_conversion(rho_g: DensityMatrix) -> ConversionResult:
     """Exact X conversion for rank-<=2 two-qubit states (no search needed)."""
-    if tuple(rho_g.dims) != (2, 2) or rho_g.mat.ndim != 2:
-        raise DimensionError(f"closed-form conversion requires one [2, 2] state, got dims "
-                             f"{list(rho_g.dims)} and shape {rho_g.mat.shape}")
+    measures.require_single(rho_g, "closed-form conversion", (2, 2))
     R = rho_g.rank()
     if R > 2:
         raise RankError(f"closed-form conversion needs rank <= 2, got rank {R}")
@@ -174,16 +132,9 @@ def closed_form_conversion(rho_g: DensityMatrix) -> ConversionResult:
         raise DomainError(
             f"(C={C:.6f}, P={P:.6f}) lies outside the closed-form region "
             f"P >= (1 + C^2)/2; use find_x_equivalent instead")
-    P = min(max(P, 0.5 * (1.0 + C * C)), 1.0)
-    ex = _closed_form_frame(C, P)
-    eg = linalg.eig_hermitian(rho_g.mat).vectors
-    U = ex @ eg.conj().T
-    out = _conjugate(rho_g, U)
-    c_out = measures.concurrence(out)
-    return ConversionResult(
-        converted=out, unitary=U, attempts=0, delta_c=abs(c_out - C),
-        anti_x=measures.anti_x_measure(out),
-        input_concurrence=C, output_concurrence=c_out)
+    # Any eigenbasis of the target maps rho_g's equal spectrum onto it.
+    ex = linalg.eig_hermitian(closed_form_x(C, P).mat).vectors
+    return _onto_frame(rho_g, linalg.eig_hermitian(rho_g.mat).vectors, ex, C, attempts=0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +254,7 @@ def is_epu_for(U: np.ndarray, rho: DensityMatrix, tol: float = 1e-10) -> bool:
     unit_err = float(np.max(np.abs(U @ U.conj().T - np.eye(rho.n))))
     if unit_err > 1e-10:
         raise DomainError(f"matrix is not unitary (error {unit_err:.3e})")
-    if tuple(rho.dims) == (2, 2):
-        measure = measures.concurrence
-    elif tuple(rho.dims) == (2, 3):
-        measure = measures.negativity_e
-    else:
-        raise DimensionError(f"no entanglement measure for dims {list(rho.dims)}")
-    return abs(measure(_conjugate(rho, U)) - measure(rho)) <= tol
+    return abs(measures.entanglement(_conjugate(rho, U)) - measures.entanglement(rho)) <= tol
 
 
 def x_transform_unconstrained(rho_g: DensityMatrix, x_unitary_params) -> DensityMatrix:

@@ -70,16 +70,22 @@ def eig_hermitian(M: np.ndarray) -> EigenSystem:
     return EigenSystem(values=w.reshape(H.shape[:-1]), vectors=vt.mT.reshape(H.shape))
 
 
+def _psd_eig(M: np.ndarray, tol: float) -> EigenSystem:
+    """eig_hermitian(M), rejecting any matrix whose smallest eigenvalue is below -tol."""
+    es = eig_hermitian(M)
+    low = es.values[..., -1]
+    if (low < -tol).any():
+        raise DomainError(f"matrix is not PSD: smallest eigenvalue {low.min():.3e}")
+    return es
+
+
 def sqrt_psd(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Hermitian square root of a PSD matrix.
 
     Eigenvalues in [-tol, 0) are clamped to zero; anything below -tol is a
     genuine PSD violation and raises.
     """
-    vals, vecs = eig_hermitian(M)
-    low = vals[..., -1]
-    if (low < -tol).any():
-        raise DomainError(f"matrix is not PSD: smallest eigenvalue {low.min():.3e}")
+    vals, vecs = _psd_eig(M, tol)
     vals = np.maximum(vals, 0.0)
     return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().mT
 
@@ -93,12 +99,10 @@ def trace_norm(M: np.ndarray):
 def numerical_rank(M: np.ndarray, tol: float | None = None):
     """Count of eigenvalues above `tol` for a Hermitian PSD matrix.
 
-    Default tolerance is 1e-10 times the largest eigenvalue of each matrix.
+    Default tolerance is 1e-10 times the largest eigenvalue of each matrix;
+    an eigenvalue below -1e-10 is a PSD violation and raises.
     """
-    vals, _ = eig_hermitian(M)
-    top = vals[..., :1]
-    if (top < -1e-10).any():
-        raise DomainError("matrix is not PSD")
+    vals, _ = _psd_eig(M, 1e-10)
     if tol is None:
-        tol = 1e-10 * np.maximum(top, 0.0)
+        tol = 1e-10 * np.maximum(vals[..., :1], 0.0)
     return scalar((vals > tol).sum(axis=-1))

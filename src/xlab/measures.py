@@ -35,6 +35,20 @@ def _require_dims(rho: DensityMatrix, dims: tuple[int, ...], what: str):
         raise DimensionError(f"{what} requires dims {list(dims)}, got {list(rho.dims)}")
 
 
+def require_single(rho, what: str, dims: tuple[int, ...] | None = None) -> np.ndarray:
+    """The one matrix of `rho` (a DensityMatrix or an array) for `what`.
+
+    A (B, n, n) stack, or a DensityMatrix whose dims differ from `dims`
+    when given, is a DimensionError.
+    """
+    m = _as_mat(rho)
+    if m.ndim != 2:
+        raise DimensionError(f"{what} takes one matrix, not a stack of shape {m.shape}")
+    if dims is not None:
+        _require_dims(rho, dims, what)
+    return m
+
+
 def purity(rho):
     """tr(rho^2); ranges from 1/n (maximally mixed) to 1 (pure)."""
     m = _as_mat(rho)
@@ -78,7 +92,7 @@ def concurrence_x(rho, tol: float = 1e-10) -> float:
     2 max(0, |rho32| - sqrt(rho44 rho11), |rho41| - sqrt(rho33 rho22)).
     Rejects input whose anti-X measure exceeds `tol`.
     """
-    m = _as_mat(rho)
+    m = require_single(rho, "concurrence_x")
     a = anti_x_measure(m)
     if a > tol:
         raise DomainError(f"state is not X-shaped: anti-X measure {a:.3e} > {tol}")
@@ -93,6 +107,7 @@ def concurrence_x(rho, tol: float = 1e-10) -> float:
 
 def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     """Reduction to subsystem `keep` (1-based), tracing out the others."""
+    require_single(rho, "partial_trace")
     dims = rho.dims
     if not 1 <= keep <= len(dims):
         raise DimensionError(f"subsystem index {keep} invalid for dims {list(dims)}")
@@ -131,6 +146,15 @@ def negativity_e(rho: DensityMatrix):
     _require_dims(rho, (2, 3), "negativity_e")
     e = linalg.trace_norm(partial_transpose(rho, 1)) - 1.0
     return linalg.scalar(np.minimum(np.maximum(e, 0.0), 1.0 + 1e-9))
+
+
+def entanglement(rho: DensityMatrix):
+    """`concurrence` of a 2x2 state, `negativity_e` of a 2x3 state; other dims raise."""
+    if tuple(rho.dims) == (2, 2):
+        return concurrence(rho)
+    if tuple(rho.dims) == (2, 3):
+        return negativity_e(rho)
+    raise DimensionError(f"no entanglement measure for dims {list(rho.dims)}")
 
 
 def mems_boundary_2x2(P: float) -> float:

@@ -172,33 +172,22 @@ def rank_x_state(R: int, thetas: Sequence[float], probs: Sequence[float]) -> Den
     Raises RankError if any probability vanishes or the constituents
     coincide so that the numerical rank falls below R.
     """
-    if R not in _RANK_X_CONSTITUENTS:
-        raise DomainError(f"rank must be in 1..4, got {R}")
-    thetas = list(thetas)
-    probs = np.asarray(probs, dtype=float)
-    if len(thetas) != R or len(probs) != R:
-        raise DimensionError(f"need {R} thetas and {R} probabilities for rank {R}")
-    if np.any(probs <= 0.0):
-        raise RankError("all mixing probabilities must be strictly positive")
-    if abs(probs.sum() - 1.0) > 1e-12:
-        raise DomainError(f"probabilities sum to {probs.sum()}, not 1")
-    mat = np.zeros((4, 4), dtype=complex)
-    for p, th, (fam, sign) in zip(probs, thetas, _RANK_X_CONSTITUENTS[R]):
-        mat += p * theta_state(fam, th, 0.0 if sign > 0 else math.pi).mat
-    out = DensityMatrix(mat, (2, 2))
-    if out.rank() != R:
-        raise RankError(f"constituents are degenerate: numerical rank {out.rank()} != {R}")
-    return out
-
-
-def _mems_b(P: float) -> float:
-    # Radial coefficient of the low-purity diagonal MEMS branch, fixed so
-    # that the purity round-trip is exact: b=1 at P=1/4, b=5/3 at P=1/3.
-    return 1.0 + 4.0 * math.sqrt(max(P - 0.25, 0.0) / 3.0)
+    return _mix(_RANK_X_CONSTITUENTS, R, thetas, probs, theta_state, (2, 2))
 
 
 def _diag_dm(entries, dims) -> DensityMatrix:
     return DensityMatrix(np.diag(np.asarray(entries, dtype=complex)), dims)
+
+
+def _separable_diag(P: float) -> DensityMatrix:
+    """Diagonal C = 0 state at purity P in [1/4, 1/3], shared by MEMS and H states.
+
+    Its radial coefficient b is fixed so that the purity round-trip is
+    exact: b = 1 at P = 1/4, b = 5/3 at P = 1/3.
+    """
+    b = 1.0 + 4.0 * math.sqrt(max(P - 0.25, 0.0) / 3.0)
+    d = (1.0 + b) / 8.0
+    return _diag_dm([d, d, (5.0 - 3.0 * b) / 8.0, d], (2, 2))
 
 
 def mems_2x2(P: float) -> DensityMatrix:
@@ -211,9 +200,7 @@ def mems_2x2(P: float) -> DensityMatrix:
         raise DomainError(f"purity {P} outside [1/4, 1]")
     P = min(max(P, 0.25), 1.0)
     if P < 1.0 / 3.0:
-        b = _mems_b(P)
-        d = (1.0 + b) / 8.0
-        return _diag_dm([d, d, (5.0 - 3.0 * b) / 8.0, d], (2, 2))
+        return _separable_diag(P)
     if P < 5.0 / 9.0:
         r = math.sqrt(2.0 * (P - 1.0 / 3.0))
         mat = r * bell_state().mat
@@ -225,39 +212,51 @@ def mems_2x2(P: float) -> DensityMatrix:
     return DensityMatrix(mat, (2, 2))
 
 
+def closed_form_x(C: float, P: float) -> DensityMatrix:
+    """Rank-<=2 X state with concurrence C and purity P, P >= (1+C^2)/2."""
+    if not -_EPS <= C <= 1.0 + _EPS:
+        raise DomainError(f"concurrence {C} outside [0, 1]")
+    C = min(max(C, 0.0), 1.0)
+    lo = 0.5 * (1.0 + C * C)
+    if not lo - 1e-9 <= P <= 1.0 + _EPS:
+        raise DomainError(f"purity {P} outside [{lo}, 1] for concurrence {C}")
+    B = math.sqrt(max(2.0 * min(P, 1.0) - 1.0 - C * C, 0.0))
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[0, 0] = (1.0 + B) / 2.0
+    mat[3, 3] = (1.0 - B) / 2.0
+    mat[0, 3] = mat[3, 0] = C / 2.0
+    return DensityMatrix(mat, (2, 2))
+
+
+def h_purity_floor(C: float) -> float:
+    """Smallest purity `h_state` accepts at concurrence C in [0, 1]."""
+    if C == 0.0:
+        return 0.25
+    if C < 2.0 / 3.0:
+        return 1.0 / 3.0 + 0.5 * C * C
+    return 0.5 * (1.0 + (2.0 * C - 1.0) ** 2)
+
+
 def h_state(C: float, P: float) -> DensityMatrix:
     """Two-qubit state with independently specified concurrence and purity.
 
     Three branches cover the physical (C, P) region: a diagonal branch for
     the sub-separable-ball purities (C = 0 only), a rank-3-shaped middle
-    branch, and a rank-<=2 X-state branch at high purity.  Inputs outside
-    the region raise DomainError naming the violated bound.
+    branch, and the rank-<=2 `closed_form_x` branch at high purity.  Inputs
+    outside the region raise DomainError naming the violated bound.
     """
-    slack = _EPS
-    if not (-slack <= C <= 1.0 + slack):
+    if not (-_EPS <= C <= 1.0 + _EPS):
         raise DomainError(f"concurrence {C} outside [0, 1]")
     C = min(max(C, 0.0), 1.0)
-    if P > 1.0 + slack:
+    if P > 1.0 + _EPS:
         raise DomainError(f"purity {P} exceeds 1")
-    hi = 0.5 * (1.0 + C * C)
-    if P >= hi - slack:
-        # High-purity branch: the closed-form rank-<=2 X state.
-        B = math.sqrt(max(2.0 * P - 1.0 - C * C, 0.0))
-        mat = np.zeros((4, 4), dtype=complex)
-        mat[0, 0] = (1.0 + B) / 2.0
-        mat[3, 3] = (1.0 - B) / 2.0
-        mat[0, 3] = mat[3, 0] = C / 2.0
-        return DensityMatrix(mat, (2, 2))
+    if P >= 0.5 * (1.0 + C * C) - _EPS:
+        return closed_form_x(C, P)
+    lo = h_purity_floor(C)
+    if P < lo - _EPS:
+        raise DomainError(f"(C={C}, P={P}) below the purity floor {lo:.6f}")
     if C == 0.0 and P < 1.0 / 3.0:
-        if P < 0.25 - slack:
-            raise DomainError(f"purity {P} below the two-qubit floor 1/4")
-        b = _mems_b(max(P, 0.25))
-        d = (1.0 + b) / 8.0
-        return _diag_dm([d, d, (5.0 - 3.0 * b) / 8.0, d], (2, 2))
-    lo = (1.0 / 3.0 + 0.5 * C * C) if C < 2.0 / 3.0 else 0.5 * (1.0 + (2.0 * C - 1.0) ** 2)
-    if P < lo - slack:
-        raise DomainError(
-            f"(C={C}, P={P}) below the middle-branch purity floor {lo:.6f}")
+        return _separable_diag(P)
     s = math.sqrt(max(6.0 * P - 2.0 - 3.0 * C * C, 0.0))
     mat = np.zeros((4, 4), dtype=complex)
     mat[0, 0] = mat[3, 3] = (2.0 + s) / 6.0
@@ -329,7 +328,8 @@ def mems_2x3(P: float) -> DensityMatrix:
     return DensityMatrix(mat, (2, 3))
 
 
-# Rank-specific constituent lists for 2x3, as (builder, index, sign) rows.
+# Rank-specific constituent lists for 2x3: (index, sign) rows for literal-X
+# states, (family, index, sign) rows for TGX states.
 _LX_RANK_CONSTITUENTS = {
     1: [(1, +1)],
     2: [(1, +1), (2, +1)],
@@ -349,7 +349,25 @@ _TGX_RANK_CONSTITUENTS = {
 }
 
 
-def _mix_2x3(terms, thetas, probs, R, build):
+def lx_rank_state(R: int, thetas: Sequence[float], probs: Sequence[float]) -> DensityMatrix:
+    """Rank-R literal-X state in 2x3 (R in 1..6)."""
+    return _mix(_LX_RANK_CONSTITUENTS, R, thetas, probs, l_state, (2, 3))
+
+
+def tgx_rank_state(R: int, thetas: Sequence[float], probs: Sequence[float]) -> DensityMatrix:
+    """Rank-R true-generalized-X state in 2x3 (R in 1..6)."""
+    return _mix(_TGX_RANK_CONSTITUENTS, R, thetas, probs, meb_state_2x3, (2, 3))
+
+
+def _mix(table, R, thetas, probs, build, dims) -> DensityMatrix:
+    """Mixture sum_k p_k build(*term_k, theta_k, phase_k) of the rank-R terms in
+    `table`, each term ending in a sign: phase 0 for +1, pi for -1.
+
+    Raises RankError if any probability vanishes or the numerical rank is
+    not R.
+    """
+    if R not in table:
+        raise DomainError(f"rank must be in 1..{len(table)}, got {R}")
     thetas = list(thetas)
     probs = np.asarray(probs, dtype=float)
     if len(thetas) != R or len(probs) != R:
@@ -358,37 +376,14 @@ def _mix_2x3(terms, thetas, probs, R, build):
         raise RankError("all mixing probabilities must be strictly positive")
     if abs(probs.sum() - 1.0) > 1e-12:
         raise DomainError(f"probabilities sum to {probs.sum()}, not 1")
-    mat = np.zeros((6, 6), dtype=complex)
-    for p, th, term in zip(probs, thetas, terms):
-        mat += p * build(term, th).mat
-    out = DensityMatrix(mat, (2, 3))
+    n = math.prod(dims)
+    mat = np.zeros((n, n), dtype=complex)
+    for p, th, (*args, sign) in zip(probs, thetas, table[R]):
+        mat += p * build(*args, th, 0.0 if sign > 0 else math.pi).mat
+    out = DensityMatrix(mat, dims)
     if out.rank() != R:
         raise RankError(f"constituents are degenerate: numerical rank {out.rank()} != {R}")
     return out
-
-
-def lx_rank_state(R: int, thetas: Sequence[float], probs: Sequence[float]) -> DensityMatrix:
-    """Rank-R literal-X state in 2x3 (R in 1..6)."""
-    if R not in _LX_RANK_CONSTITUENTS:
-        raise DomainError(f"rank must be in 1..6, got {R}")
-
-    def build(term, th):
-        index, sign = term
-        return l_state(index, th, 0.0 if sign > 0 else math.pi)
-
-    return _mix_2x3(_LX_RANK_CONSTITUENTS[R], thetas, probs, R, build)
-
-
-def tgx_rank_state(R: int, thetas: Sequence[float], probs: Sequence[float]) -> DensityMatrix:
-    """Rank-R true-generalized-X state in 2x3 (R in 1..6)."""
-    if R not in _TGX_RANK_CONSTITUENTS:
-        raise DomainError(f"rank must be in 1..6, got {R}")
-
-    def build(term, th):
-        fam, index, sign = term
-        return meb_state_2x3(fam, index, th, 0.0 if sign > 0 else math.pi)
-
-    return _mix_2x3(_TGX_RANK_CONSTITUENTS[R], thetas, probs, R, build)
 
 
 # ---------------------------------------------------------------------------

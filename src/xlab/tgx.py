@@ -127,6 +127,7 @@ def is_simple_me_state(psi: DensityMatrix, tol: float = 1e-12) -> bool:
     eigenvalues and they are all equal within tol (maximally mixed on its
     support, which may be a proper subspace).
     """
+    measures.require_single(psi, "is_simple_me_state")
     if measures.purity(psi) < 1.0 - max(tol, 1e-12):
         raise RankError("input must be a pure state (rank 1)")
     if np.any(np.abs(psi.mat[anti_x_mask(psi.dims).grid]) > tol):
@@ -184,8 +185,7 @@ def basis_resolution(members) -> tuple:
 def _pure_from_support(n, dims, support, coeffs) -> DensityMatrix:
     v = np.zeros(n, dtype=complex)
     v[list(support)] = coeffs
-    v /= np.linalg.norm(v)
-    return DensityMatrix(np.outer(v, v.conj()), dims)
+    return states._pure(v, dims)
 
 
 def meb_basis_2x3(family: str) -> list:

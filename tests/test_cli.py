@@ -113,6 +113,52 @@ def test_emit_output_csv_and_json(tmp_path):
     assert data[0]["sample_index"] == 0
 
 
+def _g(x):
+    return format(x, ".17g")
+
+
+_SCATTER_FIELDS = ("entanglement", "purity", "rank", "family", "sample_index")
+_CAMPAIGN_FIELDS = ("sample_index", "rank", "purity", "input_concurrence",
+                    "output_concurrence", "attempts", "delta_c", "anti_x", "success")
+
+
+@pytest.mark.parametrize("family,system", [("general", (2, 2)), ("tgx", (2, 3))])
+def test_main_scatter_record_bytes(tmp_path, family, system):
+    argv = ["scatter", "--family", family, "--system", "x".join(map(str, system)),
+            "--samples", "30", "--seed", "4"]
+    records = cli.run_scatter(cli.ExperimentConfig(system=system, family=family,
+                                                   samples=30, seed=4))
+    csv_text = "".join(
+        f"{_g(r.entanglement)},{_g(r.purity)},{r.rank},{r.family},{r.sample_index}\n"
+        for r in records)
+    json_text = json.dumps([{k: getattr(r, k) for k in _SCATTER_FIELDS} for r in records],
+                           indent=2) + "\n"
+    for fmt, want in (("csv", ",".join(_SCATTER_FIELDS) + "\n" + csv_text),
+                      ("json", json_text)):
+        out = tmp_path / f"s.{fmt}"
+        assert cli.main(argv + ["--format", fmt, "--out", str(out)]) == 0
+        assert out.read_text() == want
+
+
+def test_main_convert_record_bytes(tmp_path):
+    summary = cli.run_conversion_campaign(cli.ExperimentConfig(samples=12, seed=78))
+    rows = "".join(
+        f"{r.sample_index},{r.rank},{_g(r.purity)},{_g(r.input_concurrence)},"
+        f"{_g(r.output_concurrence)},{r.attempts},{_g(r.delta_c)},{_g(r.anti_x)},"
+        f"{int(r.success)}\n" for r in summary.records)
+    json_text = json.dumps({
+        "samples": summary.samples, "successes": summary.successes,
+        "max_delta_c": summary.max_delta_c, "max_anti_x": summary.max_anti_x,
+        "attempt_histogram": summary.attempt_histogram,
+        "records": [{k: getattr(r, k) for k in _CAMPAIGN_FIELDS} for r in summary.records],
+    }, indent=2) + "\n"
+    for fmt, want in (("csv", ",".join(_CAMPAIGN_FIELDS) + "\n" + rows), ("json", json_text)):
+        out = tmp_path / f"c.{fmt}"
+        assert cli.main(["convert", "--samples", "12", "--seed", "78", "--format", fmt,
+                         "--out", str(out)]) == 0
+        assert out.read_text() == want
+
+
 def test_emit_output_rejects_empty():
     with pytest.raises(ConfigError):
         cli.emit_output([], fmt="csv")
@@ -255,7 +301,9 @@ def test_main_bad_input_is_one_line_error(tmp_path, monkeypatch, capsys,
     (["scatter", "--samples", "2"], {"tol": 1e-3}, "tol"),
     (["mems-curve"], {"format": "csv"}, "format"),
     (["scatter", "--samples", "2"], {"config": "other.json"}, "config"),
-], ids=["removed-and-typo", "other-command", "flag-not-dest", "config"])
+    (["mems-curve"], {"seed": 1, "threads": 2}, "seed, threads"),
+], ids=["removed-and-typo", "other-command", "flag-not-dest", "config",
+        "mems-curve-unseeded"])
 def test_main_unknown_config_key_is_error(tmp_path, capsys, argv, config, names):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xlab import linalg
+from xlab import linalg, states
 from xlab.errors import DomainError
 
 
@@ -81,3 +81,15 @@ def test_numerical_rank_tolerance_is_per_matrix():
     stack = np.stack([np.diag([1.0, 1e-12, 0.0, 0.0]), np.diag([1e-3, 1e-12, 0.0, 0.0])])
     assert linalg.numerical_rank(stack).tolist() == [1, 2]
     assert [linalg.numerical_rank(m) for m in stack] == [1, 2]
+
+
+def test_numerical_rank_rejects_a_negative_smallest_eigenvalue():
+    # The largest eigenvalue is positive, so a check of it alone passes.
+    bad = np.diag([0.5, 0.5, 0.25, -0.25])
+    stack = np.stack([np.eye(4) / 4] * 3)
+    stack[1] = bad
+    for m in (bad, stack):
+        with pytest.raises(DomainError):
+            linalg.numerical_rank(m)
+        with pytest.raises(DomainError):
+            states.DensityMatrix(m, (2, 2)).rank()

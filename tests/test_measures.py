@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlab import linalg, measures, states
+from xlab import convert, linalg, measures, states, tgx
 from xlab.errors import DimensionError, DomainError
 from xlab.states import DensityMatrix
 
@@ -192,3 +192,14 @@ def test_stacked_measures_check_every_matrix():
     stack[2, 0, 5] = 0.1
     with pytest.raises(DomainError):
         measures.negativity_e(DensityMatrix(stack, (2, 3)))
+
+
+@pytest.mark.parametrize("single", [
+    lambda rho: measures.partial_trace(rho, 1), measures.concurrence_x,
+    tgx.is_simple_me_state, convert.find_x_equivalent, convert.closed_form_conversion,
+], ids=["partial_trace", "concurrence_x", "is_simple_me_state", "find_x_equivalent",
+        "closed_form_conversion"])
+def test_single_matrix_functions_reject_stacks(single):
+    stack = DensityMatrix(np.stack([states.bell_state().mat, np.eye(4) / 4]), (2, 2))
+    with pytest.raises(DimensionError, match="stack"):
+        single(stack)

@@ -95,6 +95,22 @@ def test_h_state_round_trip():
     assert worst <= 1e-8
 
 
+def test_h_state_high_purity_branch_is_closed_form_x():
+    # 33/99 is a grid concurrence of `xlab scatter --family h` whose grid
+    # purity lands one ulp below the branch point 5/9.
+    for C in (0.0, 0.3, 33 / 99, 2 / 3, 0.9, 1.0):
+        edge = 0.5 * (1.0 + C * C)
+        for P in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, 2.0), 0.5 * (edge + 1.0),
+                  1.0):
+            assert np.array_equal(states.h_state(C, float(P)).mat,
+                                  states.closed_form_x(C, float(P)).mat), (C, P)
+
+
+def test_h_state_separable_branch_is_mems():
+    for P in [*np.linspace(0.25, 1 / 3, 9, endpoint=False), np.nextafter(1 / 3, 0.0)]:
+        assert np.array_equal(states.h_state(0.0, float(P)).mat, states.mems_2x2(float(P)).mat)
+
+
 def test_h_state_rejects_below_floor():
     with pytest.raises(DomainError):
         states.h_state(0.9, 0.4)
