@@ -5,9 +5,9 @@ Subcommands: `scatter` (entanglement-purity samples of a state family),
 masks), `mems-curve` (boundary curves), `verify` (fast invariant checks).
 
 Every sample derives its own RNG statelessly from (seed, sample_index), and
-`run_scatter` measures blocks of `_BLOCK` samples with stacked kernels, so
-output is byte-identical for any block size.  `--threads` is validated but
-has no effect.
+`run_scatter` draws (`x` with a rank, `lx`, `tgx`) and measures blocks of
+`_BLOCK` samples with stacked kernels, so output is byte-identical for any
+block size.  `--threads` is validated but has no effect.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import convert, measures, states, tgx
-from .errors import ConfigError, RankError, XLabError
+from .errors import ConfigError, XLabError
 
 _SYSTEMS = ((2, 2), (2, 3))
 # Purity of the maximally mixed state: the left end of each purity axis.
@@ -30,7 +30,9 @@ _P_MIN = {(2, 2): 0.25, (2, 3): 1.0 / 6.0}
 # A converted state with a larger anti-X measure is not an X state.
 _ANTI_X_TOL = 1e-10
 _FAMILIES = ("general", "x", "lx", "tgx", "mems", "h")
-_BLOCK = measures.BLOCK  # samples per stacked measurement in run_scatter
+_BLOCK = measures.BLOCK  # samples per stacked draw and measurement in run_scatter
+# Rank-specific families (x only with --rank), drawn a block at a time.
+_RANK_FAMILIES = {"x": states.RANK_X, "lx": states.LX_RANK, "tgx": states.TGX_RANK}
 
 
 @dataclass
@@ -63,7 +65,7 @@ class ExperimentConfig:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        n = int(np.prod(self.system))
+        n = math.prod(self.system)
         if self.rank is not None and not 1 <= self.rank <= n:
             raise ConfigError(f"rank {self.rank} invalid for system {list(self.system)}")
         if self.family in ("lx", "tgx") and tuple(self.system) != (2, 3):
@@ -84,65 +86,75 @@ def _sample_rng(seed: int, index: int) -> np.random.Generator:
 def _draw_rank(cfg: ExperimentConfig, rng: np.random.Generator) -> int:
     if cfg.rank is not None:
         return cfg.rank
-    return int(rng.integers(1, int(np.prod(cfg.system)) + 1))
-
-
-def _random_hyper_probs(R: int, rng: np.random.Generator) -> np.ndarray:
-    if R == 1:
-        return np.array([1.0])
-    return states.hyperspherical_probs(rng.uniform(0.0, math.pi / 2.0, R - 1))
+    return int(rng.integers(1, math.prod(cfg.system) + 1))
 
 
 def _draw_family_state(cfg: ExperimentConfig, rng: np.random.Generator, index: int):
-    n = int(np.prod(cfg.system))
+    n = math.prod(cfg.system)
     fam = cfg.family
     if fam == "general":
         return states.random_mixed(n, _draw_rank(cfg, rng), rng, tuple(cfg.system))
     if fam == "x":
-        if cfg.rank is None:
-            params = states.XParams(
-                probability_angles=rng.uniform(0.0, math.pi / 2.0, 3),
-                superposition_angles=rng.uniform(0.0, math.pi / 2.0, 4),
-                phases=rng.uniform(0.0, 2.0 * math.pi, 4))
-            return states.general_x_state(params)
-        builder = states.rank_x_state
-    elif fam == "lx":
-        builder = states.lx_rank_state
-    elif fam == "tgx":
-        builder = states.tgx_rank_state
-    elif fam == "mems":
+        params = states.XParams(
+            probability_angles=rng.uniform(0.0, math.pi / 2.0, 3),
+            superposition_angles=rng.uniform(0.0, math.pi / 2.0, 4),
+            phases=rng.uniform(0.0, 2.0 * math.pi, 4))
+        return states.general_x_state(params)
+    if fam == "mems":
         p_min = _P_MIN[tuple(cfg.system)]
         P = p_min + (1.0 - p_min) * (index / max(cfg.samples - 1, 1))
         return (states.mems_2x2 if tuple(cfg.system) == (2, 2) else states.mems_2x3)(P)
-    elif fam == "h":
+    if fam == "h":
         side = max(int(math.ceil(math.sqrt(cfg.samples))), 2)
         C = (index % side) / (side - 1)
         lo = states.h_purity_floor(C)
         P = lo + (1.0 - lo) * ((index // side) % side) / (side - 1)
         return states.h_state(C, min(P, 1.0))
-    else:  # pragma: no cover
-        raise ConfigError(f"unhandled family {fam!r}")
-    R = _draw_rank(cfg, rng)
+    raise ConfigError(f"unhandled family {fam!r}")  # pragma: no cover
+
+
+def _draw_rank_block(cfg: ExperimentConfig, family, block: range):
+    """The rank-specific states of `block` as one stack, and their ranks.
+
+    Each sample draws its rank, R thetas and R - 1 probability angles from
+    its own stream, and draws again from it, up to 64 tries, while its
+    numerical rank falls short or a probability is <= 0.
+    """
+    rngs = [_sample_rng(cfg.seed, i) for i in block]
+    R = np.array([_draw_rank(cfg, rng) for rng in rngs])
+    # Wide enough for an out-of-table rank, so that rank_states reports it.
+    thetas, angles = np.zeros((2, len(R), max(len(family.lo), R.max())))
+    mats = np.empty((len(R),) + (math.prod(family.dims),) * 2, dtype=complex)
+    todo = np.arange(len(R))
     for _ in range(64):
-        try:
-            return builder(R, rng.uniform(0.0, math.pi / 2.0, R),
-                           _random_hyper_probs(R, rng))
-        except RankError:
-            continue
-    raise ConfigError(f"could not draw a rank-{R} {fam} state after 64 tries")
+        for j, r in zip(todo.tolist(), R[todo].tolist()):
+            thetas[j, :r] = rngs[j].uniform(0.0, math.pi / 2.0, r)
+            angles[j, :r - 1] = rngs[j].uniform(0.0, math.pi / 2.0, r - 1)
+        probs = states.hyperspherical_probs(angles[todo, :-1])
+        rho, ranks = states.rank_states(family, R[todo], thetas[todo], probs)
+        mats[todo] = rho.mat
+        todo = todo[(ranks != R[todo]) | ((probs > 0.0).sum(axis=1) < R[todo])]
+        if not todo.size:
+            return states.DensityMatrix(mats, cfg.system), R
+    raise ConfigError(f"could not draw a rank-{R[todo[0]]} {cfg.family} state after 64 tries")
 
 
 def run_scatter(cfg: ExperimentConfig) -> list:
     """Draw, measure, and record `samples` states of the configured family."""
     cfg.validate()
+    family = None if cfg.family == "x" and cfg.rank is None else _RANK_FAMILIES.get(cfg.family)
     records = []
     for lo in range(0, cfg.samples, _BLOCK):
         block = range(lo, min(lo + _BLOCK, cfg.samples))
-        batch = states.DensityMatrix(np.stack([
-            _draw_family_state(cfg, _sample_rng(cfg.seed, i), i).mat for i in block]),
-            cfg.system)
+        if family is not None:
+            batch, ranks = _draw_rank_block(cfg, family, block)
+        else:
+            batch = states.DensityMatrix(np.stack([
+                _draw_family_state(cfg, _sample_rng(cfg.seed, i), i).mat for i in block]),
+                cfg.system)
+            ranks = batch.rank()
         records += map(SampleRecord, measures.entanglement(batch).tolist(),
-                       measures.purity(batch).tolist(), batch.rank().tolist(),
+                       measures.purity(batch).tolist(), ranks.tolist(),
                        [cfg.family] * len(block), block)
     return records
 
@@ -480,7 +492,7 @@ def _cmd_mems_curve(args) -> int:
     m = _merge_config(args)
     serialize = _serializer(m.get("fmt", "csv"), {"csv": _curve_csv})
     system = _parse_system(str(m.get("system", "2x2")))
-    samples = _get(m, "samples", int, 500)
+    samples = ExperimentConfig(system, samples=_get(m, "samples", int, 500)).validate().samples
     _write(serialize(system, samples), _path(m, "out"))
     return 0
 

@@ -90,9 +90,9 @@ def find_x_equivalent(rho: DensityMatrix) -> ConversionResult:
     when C = 0.  U maps rho's eigenframe onto that X eigenframe.
     """
     measures.require_single(rho, "X conversion", (2, 2))
-    vals, eg = linalg.eig_hermitian(rho.mat)
-    l1, l2, l3, l4 = np.clip(vals, 0.0, None)
-    c_in = measures.concurrence(rho)
+    es = linalg.psd_eig(rho.mat)
+    l1, l2, l3, l4 = np.clip(es.values, 0.0, None)
+    c_in = measures.concurrence(rho, es)
     a = 0.0
     if c_in > 0.0 and l1 > l3:
         a = 0.5 * math.asin(min(1.0, (c_in + 2.0 * math.sqrt(l2 * l4)) / (l1 - l3)))
@@ -102,7 +102,7 @@ def find_x_equivalent(rho: DensityMatrix) -> ConversionResult:
     ex[1, 1] = 1.0
     ex[0, 2], ex[3, 2] = -math.sin(a), math.cos(a)
     ex[2, 3] = 1.0
-    return _onto_frame(rho, eg, ex, c_in, attempts=1)
+    return _onto_frame(rho, es.vectors, ex, c_in, attempts=1)
 
 
 def _onto_frame(rho: DensityMatrix, eg: np.ndarray, ex: np.ndarray, c_in: float,

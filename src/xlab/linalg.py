@@ -70,7 +70,7 @@ def eig_hermitian(M: np.ndarray) -> EigenSystem:
     return EigenSystem(values=w.reshape(H.shape[:-1]), vectors=vt.mT.reshape(H.shape))
 
 
-def _psd_eig(M: np.ndarray, tol: float) -> EigenSystem:
+def psd_eig(M: np.ndarray, tol: float = 1e-10) -> EigenSystem:
     """eig_hermitian(M), rejecting any matrix whose smallest eigenvalue is below -tol."""
     es = eig_hermitian(M)
     low = es.values[..., -1]
@@ -79,13 +79,14 @@ def _psd_eig(M: np.ndarray, tol: float) -> EigenSystem:
     return es
 
 
-def sqrt_psd(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def sqrt_psd(M: np.ndarray, tol: float = 1e-10, es: EigenSystem | None = None) -> np.ndarray:
     """Hermitian square root of a PSD matrix.
 
     Eigenvalues in [-tol, 0) are clamped to zero; anything below -tol is a
-    genuine PSD violation and raises.
+    genuine PSD violation and raises.  A caller that already holds
+    `psd_eig(M)` passes it as `es` to skip the eigendecomposition.
     """
-    vals, vecs = _psd_eig(M, tol)
+    vals, vecs = psd_eig(M, tol) if es is None else es
     vals = np.maximum(vals, 0.0)
     return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().mT
 
@@ -102,7 +103,7 @@ def numerical_rank(M: np.ndarray, tol: float | None = None):
     Default tolerance is 1e-10 times the largest eigenvalue of each matrix;
     an eigenvalue below -1e-10 is a PSD violation and raises.
     """
-    vals, _ = _psd_eig(M, 1e-10)
+    vals, _ = psd_eig(M, 1e-10)
     if tol is None:
         tol = 1e-10 * np.maximum(vals[..., :1], 0.0)
     return scalar((vals > tol).sum(axis=-1))

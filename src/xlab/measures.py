@@ -55,15 +55,16 @@ def purity(rho):
     return linalg.scalar((np.abs(m) ** 2).sum(axis=(-2, -1)))
 
 
-def concurrence(rho: DensityMatrix):
+def concurrence(rho: DensityMatrix, es: linalg.EigenSystem | None = None):
     """Wootters concurrence of a two-qubit state.
 
     Uses the Hermitian route: descending eigenvalues lam_k of
     R = sqrt(sqrt(rho) rho~ sqrt(rho)) with the spin-flipped
     rho~ = (s2 x s2) rho* (s2 x s2); C = max(0, lam1 - lam2 - lam3 - lam4).
+    `es`, when given, is rho's `linalg.psd_eig` eigensystem, reused for sqrt(rho).
     """
     _require_dims(rho, (2, 2), "concurrence")
-    s = linalg.sqrt_psd(rho.mat)
+    s = linalg.sqrt_psd(rho.mat, es=es)
     # The eigenvalues of R are the singular values of sqrt(rho) sqrt(rho~):
     # (A A')^(1/2) with A = s st.  Computing them by SVD keeps the small
     # lam_k accurate to ~eps absolute; squaring into s rho~ s and taking an
@@ -200,27 +201,3 @@ class _Boundary2x3:
 
 
 mems_boundary_2x3 = _Boundary2x3()
-
-
-def pure_companion(C: float) -> DensityMatrix:
-    """Pure two-qubit state with the given concurrence (theta state)."""
-    if not -1e-12 <= C <= 1.0 + 1e-12:
-        raise DomainError(f"concurrence {C} outside [0, 1]")
-    C = min(max(C, 0.0), 1.0)
-    return states.theta_state(states.PHI, 0.5 * math.asin(C), 0.0)
-
-
-def mems_companion(C: float) -> DensityMatrix:
-    """MEMS with the given concurrence (inverts the boundary curve).
-
-    Branch selection pivots at C = 2/3, the concurrence at the P = 5/9
-    branch point of the boundary.
-    """
-    if not -1e-12 <= C <= 1.0 + 1e-12:
-        raise DomainError(f"concurrence {C} outside [0, 1]")
-    C = min(max(C, 0.0), 1.0)
-    if C <= 2.0 / 3.0:
-        P = 0.5 * C * C + 1.0 / 3.0
-    else:
-        P = 0.5 * ((2.0 * C - 1.0) ** 2 + 1.0)
-    return states.mems_2x2(P)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ class DensityMatrix:
         self.dims = tuple(int(d) for d in self.dims)
         if any(d < 2 for d in self.dims):
             raise DimensionError(f"all subsystem dimensions must be >= 2, got {self.dims}")
-        n = int(np.prod(self.dims))
+        n = math.prod(self.dims)
         if self.mat.shape[-2:] != (n, n) or self.mat.ndim not in (2, 3):
             raise DimensionError(
                 f"matrix shape {self.mat.shape} does not match dims {self.dims} (n={n})")
@@ -60,18 +60,36 @@ class DensityMatrix:
         return linalg.numerical_rank(self.mat, tol)
 
 
-def _pure(vec: np.ndarray, dims) -> DensityMatrix:
-    vec = np.asarray(vec, dtype=complex)
-    vec = vec / np.linalg.norm(vec)
-    return DensityMatrix(np.outer(vec, vec.conj()), dims)
+def _theta_kets(n: int, lo, hi, thetas, phases) -> np.ndarray:
+    """Kets cos(theta)|lo> + phase sin(theta)|hi> in an n-dim space, one per
+    entry of `thetas`; lo, hi and phases broadcast against it."""
+    thetas = np.asarray(thetas, dtype=float)
+    kets = np.zeros(thetas.shape + (n,), dtype=complex)
+    at = np.indices(thetas.shape, sparse=True)
+    kets[(*at, lo)] = np.cos(thetas)
+    kets[(*at, hi)] = np.sin(thetas) * phases
+    return kets
 
 
-def _support_theta(n: int, a: int, b: int, theta: float, phi: float) -> np.ndarray:
-    """Ket cos(theta)|a> + e^{i phi} sin(theta)|b> in an n-dim space."""
-    v = np.zeros(n, dtype=complex)
-    v[a] = math.cos(theta)
-    v[b] = math.sin(theta) * np.exp(1j * phi)
-    return v
+def _projectors(kets: np.ndarray) -> np.ndarray:
+    """|v><v| for each ket v on the last axis, scaled to unit norm by the
+    sqrt(re.re + im.im) that np.linalg.norm computes: one state and a stack
+    of them go through the same arithmetic and agree bit for bit."""
+    norms = np.sqrt(np.vecdot(kets.real, kets.real) + np.vecdot(kets.imag, kets.imag))
+    kets = kets / norms[..., None]
+    return kets[..., :, None] * kets.conj()[..., None, :]
+
+
+def _mixture(probs: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """sum_k probs[..., k] |v_k><v_k| over kets[..., k, :], added from zero in k order."""
+    mat = np.zeros(kets.shape[:-2] + kets.shape[-1:] * 2, dtype=complex)
+    for k in range(kets.shape[-2]):
+        mat += probs[..., k, None, None] * _projectors(kets[..., k, :])
+    return mat
+
+
+def _pure(vec, dims) -> DensityMatrix:
+    return DensityMatrix(_projectors(np.asarray(vec, dtype=complex)), dims)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +112,7 @@ def theta_state(family: str, theta: float, phi: float) -> DensityMatrix:
     if family not in _THETA_SUPPORT:
         raise DomainError(f"family must be 'phi' or 'psi', got {family!r}")
     a, b = _THETA_SUPPORT[family]
-    return _pure(_support_theta(4, a, b, theta, phi), (2, 2))
+    return _pure(_theta_kets(4, a, b, theta, np.exp(1j * phi)), (2, 2))
 
 
 def bell_state(family: str = PHI, sign: int = +1) -> DensityMatrix:
@@ -106,18 +124,15 @@ def hyperspherical_probs(angles: Sequence[float]) -> np.ndarray:
     """Probability vector of length len(angles)+1 in hyperspherical form.
 
     p_1 = cos^2 t_1, p_2 = sin^2 t_1 cos^2 t_2, ..., p_last picks up all
-    the sin^2 factors.  Always sums to 1.
+    the sin^2 factors.  Always sums to 1.  Works row by row on the last
+    axis; zero angles after a row's own ones pad its vector with zeros.
     """
     angles = np.asarray(angles, dtype=float)
-    c2 = np.cos(angles) ** 2
-    s2 = np.sin(angles) ** 2
-    probs = np.empty(len(angles) + 1)
-    running = 1.0
-    for k, (c, s) in enumerate(zip(c2, s2)):
-        probs[k] = running * c
-        running *= s
-    probs[-1] = running
-    return probs
+    ones = np.ones(angles.shape[:-1] + (1,))
+    # running[k] = prod_{j<k} sin^2 t_j, multiplied in order.
+    running = np.cumprod(np.concatenate((ones, np.sin(angles) ** 2), axis=-1), axis=-1)
+    running[..., :-1] *= np.cos(angles) ** 2
+    return running
 
 
 @dataclass
@@ -143,17 +158,12 @@ def general_x_state(params: XParams, mode: str = "reduced-9") -> DensityMatrix:
     """
     if mode not in ("full-11", "reduced-9"):
         raise DomainError(f"unknown mode {mode!r}")
-    probs = hyperspherical_probs(params.probability_angles)
-    thetas = params.superposition_angles
-    phases = list(params.phases)
+    phases = np.array(params.phases, dtype=float)
     if mode == "reduced-9":
-        phases[0] = 0.0
-        phases[2] = 0.0
-    fams = (PHI, PHI, PSI, PSI)
-    mat = np.zeros((4, 4), dtype=complex)
-    for p, fam, th, ph in zip(probs, fams, thetas, phases):
-        mat += p * theta_state(fam, th, ph).mat
-    return DensityMatrix(mat, (2, 2))
+        phases[[0, 2]] = 0.0
+    lo, hi = zip(*(_THETA_SUPPORT[fam] for fam in (PHI, PHI, PSI, PSI)))
+    kets = _theta_kets(4, lo, hi, params.superposition_angles, np.exp(1j * phases))
+    return DensityMatrix(_mixture(hyperspherical_probs(params.probability_angles), kets), (2, 2))
 
 
 # Constituents of the canonical minimal (real-valued) rank-specific X states:
@@ -172,7 +182,7 @@ def rank_x_state(R: int, thetas: Sequence[float], probs: Sequence[float]) -> Den
     Raises RankError if any probability vanishes or the constituents
     coincide so that the numerical rank falls below R.
     """
-    return _mix(_RANK_X_CONSTITUENTS, R, thetas, probs, theta_state, (2, 2))
+    return _rank_state(RANK_X, R, thetas, probs)
 
 
 def _diag_dm(entries, dims) -> DensityMatrix:
@@ -291,7 +301,7 @@ def meb_state_2x3(family: str, index: int, theta: float, phi: float) -> DensityM
     if index not in (1, 2, 3):
         raise DomainError(f"index must be 1..3, got {index}")
     a, b = _MEB_SUPPORT_2X3[family][index - 1]
-    return _pure(_support_theta(6, a, b, theta, phi), (2, 3))
+    return _pure(_theta_kets(6, a, b, theta, np.exp(1j * phi)), (2, 3))
 
 
 def l_state(index: int, theta: float, phi: float) -> DensityMatrix:
@@ -299,7 +309,7 @@ def l_state(index: int, theta: float, phi: float) -> DensityMatrix:
     if index not in _LX_SUPPORT:
         raise DomainError(f"index must be 1..3, got {index}")
     a, b = _LX_SUPPORT[index]
-    return _pure(_support_theta(6, a, b, theta, phi), (2, 3))
+    return _pure(_theta_kets(6, a, b, theta, np.exp(1j * phi)), (2, 3))
 
 
 def mems_2x3(P: float) -> DensityMatrix:
@@ -351,39 +361,90 @@ _TGX_RANK_CONSTITUENTS = {
 
 def lx_rank_state(R: int, thetas: Sequence[float], probs: Sequence[float]) -> DensityMatrix:
     """Rank-R literal-X state in 2x3 (R in 1..6)."""
-    return _mix(_LX_RANK_CONSTITUENTS, R, thetas, probs, l_state, (2, 3))
+    return _rank_state(LX_RANK, R, thetas, probs)
 
 
 def tgx_rank_state(R: int, thetas: Sequence[float], probs: Sequence[float]) -> DensityMatrix:
     """Rank-R true-generalized-X state in 2x3 (R in 1..6)."""
-    return _mix(_TGX_RANK_CONSTITUENTS, R, thetas, probs, meb_state_2x3, (2, 3))
+    return _rank_state(TGX_RANK, R, thetas, probs)
 
 
-def _mix(table, R, thetas, probs, build, dims) -> DensityMatrix:
-    """Mixture sum_k p_k build(*term_k, theta_k, phase_k) of the rank-R terms in
-    `table`, each term ending in a sign: phase 0 for +1, pi for -1.
+class RankFamily(NamedTuple):
+    """A constituent table as arrays: term k of the rank-R state is the ket
+    cos(theta_k)|lo[R-1, k]> + phase[R-1, k] sin(theta_k)|hi[R-1, k]>."""
 
-    Raises RankError if any probability vanishes or the numerical rank is
-    not R.
+    dims: tuple
+    lo: np.ndarray
+    hi: np.ndarray
+    phase: np.ndarray
+
+
+def _rank_family(table, support, dims) -> RankFamily:
+    """The RankFamily of `table`, whose rows are a `support` key and a sign.
+
+    Sign +1 is phase e^{i0} and -1 is e^{i pi}, with the 1.2e-16 imaginary
+    part np.exp gives it.  Past a row's rank the terms are |0>, which
+    `rank_states` gives weight 0.
     """
-    if R not in table:
-        raise DomainError(f"rank must be in 1..{len(table)}, got {R}")
-    thetas = list(thetas)
-    probs = np.asarray(probs, dtype=float)
+    lo, hi = np.zeros((2, len(table), len(table)), dtype=int) + [[[0]], [[1]]]
+    phase = np.ones(lo.shape, dtype=complex)
+    for R, rows in table.items():
+        for k, (*key, sign) in enumerate(rows):
+            lo[R - 1, k], hi[R - 1, k] = support(*key)
+            phase[R - 1, k] = np.exp(1j * (0.0 if sign > 0 else math.pi))
+    return RankFamily(dims, lo, hi, phase)
+
+
+RANK_X = _rank_family(_RANK_X_CONSTITUENTS, _THETA_SUPPORT.get, (2, 2))
+LX_RANK = _rank_family(_LX_RANK_CONSTITUENTS, _LX_SUPPORT.get, (2, 3))
+TGX_RANK = _rank_family(_TGX_RANK_CONSTITUENTS,
+                        lambda fam, index: _MEB_SUPPORT_2X3[fam][index - 1], (2, 3))
+
+
+def _check_ranks(family: RankFamily, ranks) -> np.ndarray:
+    ranks = np.asarray(ranks)
+    bad = ~np.isin(ranks, np.arange(1, len(family.lo) + 1))
+    if bad.any():
+        raise DomainError(f"rank must be in 1..{len(family.lo)}, got {ranks[bad].flat[0]}")
+    return ranks.astype(int)
+
+
+def rank_states(family: RankFamily, ranks, thetas, probs):
+    """A (B, n, n) stack of rank-specific states and each one's numerical rank.
+
+    Row b mixes the first ranks[b] terms of `family` at angles thetas[b] with
+    weights probs[b], (B, max rank) arrays that are zero past the row's rank.
+    Raises DomainError for a rank outside the table or weights not summing to 1.
+    """
+    at = _check_ranks(family, ranks) - 1
+    thetas, probs = np.asarray(thetas, dtype=float), np.asarray(probs, dtype=float)
+    shape = family.lo[at].shape
+    if not thetas.shape == probs.shape == shape:
+        raise DimensionError(f"thetas {thetas.shape} and probs {probs.shape} are not {shape}")
+    sums = probs.sum(axis=1)
+    off = np.abs(sums - 1.0) > 1e-12
+    if off.any():
+        raise DomainError(f"probabilities sum to {sums[off][0]}, not 1")
+    kets = _theta_kets(math.prod(family.dims), family.lo[at], family.hi[at], thetas,
+                       family.phase[at])
+    mat = _mixture(probs, kets)
+    return DensityMatrix(mat, family.dims), linalg.numerical_rank(mat)
+
+
+def _rank_state(family: RankFamily, R: int, thetas, probs) -> DensityMatrix:
+    """The rank-R state of `family` from a one-row `rank_states` call; RankError
+    if any probability vanishes or the numerical rank is not R."""
+    R = int(_check_ranks(family, R))
     if len(thetas) != R or len(probs) != R:
         raise DimensionError(f"need {R} thetas and {R} probabilities for rank {R}")
-    if np.any(probs <= 0.0):
+    if np.any(np.asarray(probs, dtype=float) <= 0.0):
         raise RankError("all mixing probabilities must be strictly positive")
-    if abs(probs.sum() - 1.0) > 1e-12:
-        raise DomainError(f"probabilities sum to {probs.sum()}, not 1")
-    n = math.prod(dims)
-    mat = np.zeros((n, n), dtype=complex)
-    for p, th, (*args, sign) in zip(probs, thetas, table[R]):
-        mat += p * build(*args, th, 0.0 if sign > 0 else math.pi).mat
-    out = DensityMatrix(mat, dims)
-    if out.rank() != R:
-        raise RankError(f"constituents are degenerate: numerical rank {out.rank()} != {R}")
-    return out
+    rows = np.zeros((2, 1, len(family.lo)))
+    rows[:, 0, :R] = thetas, probs
+    rho, rank = rank_states(family, [R], *rows)
+    if rank[0] != R:
+        raise RankError(f"constituents are degenerate: numerical rank {rank[0]} != {R}")
+    return DensityMatrix(rho.mat[0], family.dims)
 
 
 # ---------------------------------------------------------------------------

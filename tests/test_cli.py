@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import xlab
-from xlab import cli
-from xlab.errors import ConfigError
+from xlab import cli, measures, states
+from xlab.errors import ConfigError, RankError
 
 
 def test_config_validation():
@@ -64,6 +65,66 @@ def test_run_scatter_block_invariance(monkeypatch, family, system):
     # families draw the same states in a shorter run.
     if family not in ("mems", "h"):
         assert cli.run_scatter(cli.ExperimentConfig(samples=9, **cfg)) == default[:9]
+
+
+def _one_state_loop(cfg):
+    """Records of a rank-specific scatter built one state at a time: each
+    sample draws from its own stream and draws again on RankError."""
+    builder = {"x": states.rank_x_state, "lx": states.lx_rank_state,
+               "tgx": states.tgx_rank_state}[cfg.family]
+    mats, redraws = [], 0
+    for i in range(cfg.samples):
+        rng = np.random.default_rng([cfg.seed, i])
+        R = cfg.rank or int(rng.integers(1, math.prod(cfg.system) + 1))
+        while True:
+            thetas = rng.uniform(0.0, math.pi / 2, R)
+            probs = states.hyperspherical_probs(rng.uniform(0.0, math.pi / 2, R - 1))
+            try:
+                rho = builder(R, thetas, probs)
+                break
+            except RankError:
+                redraws += 1
+        mats.append(rho.mat)
+    rho = states.DensityMatrix(np.stack(mats), cfg.system)
+    records = list(zip(measures.entanglement(rho).tolist(), measures.purity(rho).tolist(),
+                       rho.rank().tolist()))
+    return records, redraws
+
+
+# Seeds whose first 40 samples include a redraw (sample 2, 2 and 15).
+@pytest.mark.parametrize("family,system,rank,seed", [
+    ("tgx", (2, 3), None, 3), ("lx", (2, 3), None, 3), ("x", (2, 2), 3, 24)])
+def test_run_scatter_rank_families_match_one_state_loop(family, system, rank, seed):
+    cfg = cli.ExperimentConfig(system=system, family=family, rank=rank, samples=40, seed=seed)
+    expected, redraws = _one_state_loop(cfg)
+    assert redraws >= 1
+    records = cli.run_scatter(cfg)
+    assert [(r.entanglement, r.purity, r.rank) for r in records] == expected
+
+
+def test_run_scatter_gives_up_after_64_degenerate_draws(monkeypatch):
+    calls, build = [], states.rank_states
+
+    def always_short(family, ranks, thetas, probs):
+        calls.append(len(ranks))
+        rho, got = build(family, ranks, thetas, probs)
+        return rho, got - 1
+
+    monkeypatch.setattr(cli.states, "rank_states", always_short)
+    cfg = cli.ExperimentConfig(system=(2, 3), family="tgx", rank=4, samples=5, seed=1)
+    with pytest.raises(ConfigError, match="could not draw a rank-4 tgx state after 64 tries"):
+        cli.run_scatter(cfg)
+    assert calls == [5] * 64
+
+
+@pytest.mark.parametrize("rank,message", [
+    ("3", "error: matrix shape (4, 4, 4) does not match dims (2, 3) (n=6)"),
+    ("5", "error: rank must be in 1..4, got 5")])
+def test_main_scatter_x_states_do_not_fit_2x3(capsys, rank, message):
+    argv = ["scatter", "--family", "x", "--system", "2x3", "--rank", rank, "--samples", "4"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"
 
 
 def test_main_scatter_threads_do_not_change_bytes(tmp_path):
@@ -278,9 +339,12 @@ def test_main_bad_config_exits_1(capsys):
     (["scatter", "--samples", "2"], {"plot": True}, None),
     (["convert", "--samples", "2"], {"out": 1}, None),
     (["mems-curve", "--samples", "2"], {"out": ["a.csv"]}, None),
+    (["mems-curve", "--samples", "0"], None, None),
+    (["mems-curve", "--samples", "-3"], None, None),
 ], ids=["samples-abc", "tol-list", "threads-env-abc", "fmt-xml",
         "mems-curve-json", "negative-seed", "scatter-out-int", "scatter-plot-bool",
-        "convert-out-int", "mems-curve-out-list"])
+        "convert-out-int", "mems-curve-out-list", "mems-curve-samples-0",
+        "mems-curve-samples-negative"])
 def test_main_bad_input_is_one_line_error(tmp_path, monkeypatch, capsys,
                                           argv, config, env):
     if config is not None:

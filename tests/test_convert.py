@@ -103,6 +103,32 @@ def test_find_x_equivalent_properties(rho):
     assert np.max(np.abs(U @ U.conj().T - np.eye(4))) <= 1e-10
 
 
+def test_find_x_equivalent_eigendecomposes_each_state_once(monkeypatch):
+    # One eigh of rho serves the frame and the input concurrence; the other
+    # is the converted state's, inside measures.concurrence.
+    calls, eig = [], linalg.eig_hermitian
+
+    def counting(M):
+        calls.append(M)
+        return eig(M)
+
+    rng = np.random.default_rng(12)
+    for R in (1, 2, 3, 4):
+        rho = states.random_mixed(4, R, rng, (2, 2))
+        monkeypatch.setattr(linalg, "eig_hermitian", counting)
+        res = convert.find_x_equivalent(rho)
+        monkeypatch.setattr(linalg, "eig_hermitian", eig)
+        assert len(calls) == 2
+        assert np.array_equal(calls[0], rho.mat) and np.array_equal(calls[1], res.converted.mat)
+        assert res.input_concurrence == measures.concurrence(rho)
+        calls.clear()
+
+
+def test_find_x_equivalent_rejects_non_psd():
+    with pytest.raises(DomainError, match="not PSD"):
+        convert.find_x_equivalent(DensityMatrix(np.diag([0.5, 0.5, 0.25, -0.25]), (2, 2)))
+
+
 def test_find_x_equivalent_rejects_other_dims():
     with pytest.raises(DimensionError):
         convert.find_x_equivalent(states.mems_2x3(0.5))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlab import measures, states
+from xlab import linalg, measures, states
 from xlab.errors import DimensionError, DomainError, RankError
 
 
@@ -146,6 +146,87 @@ def test_rank_specific_2x3_families():
             r = builder(R, rng.uniform(0.2, 1.3, R), np.full(R, 1.0 / R))
             assert r.rank() == R
             r.validate()
+
+
+# (family, one-state builder, constituent table, support of a table key)
+_RANK_FAMILIES = [
+    (states.RANK_X, states.rank_x_state, states._RANK_X_CONSTITUENTS,
+     states._THETA_SUPPORT.get),
+    (states.LX_RANK, states.lx_rank_state, states._LX_RANK_CONSTITUENTS,
+     states._LX_SUPPORT.get),
+    (states.TGX_RANK, states.tgx_rank_state, states._TGX_RANK_CONSTITUENTS,
+     lambda fam, index: states._MEB_SUPPORT_2X3[fam][index - 1]),
+]
+
+
+def _per_term_mixture(table, support, n, R, thetas, probs):
+    """sum_k p_k |v_k><v_k| one term at a time, with np.linalg.norm and np.outer."""
+    mat = np.zeros((n, n), dtype=complex)
+    for p, th, (*key, sign) in zip(probs, thetas, table[R]):
+        a, b = support(*key)
+        v = np.zeros(n, dtype=complex)
+        v[a] = math.cos(th)
+        v[b] = math.sin(th) * np.exp(1j * (0.0 if sign > 0 else math.pi))
+        v = v / np.linalg.norm(v)
+        mat += p * np.outer(v, v.conj())
+    return mat
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2), st.integers(0, 2**32 - 1), st.integers(0, 10),
+       st.booleans())
+def test_rank_states_rows_equal_one_state_builds(which, seed, extra, zero_weight):
+    family, builder, table, support = _RANK_FAMILIES[which]
+    width, n = len(family.lo), math.prod(family.dims)
+    rng = np.random.default_rng(seed)
+    # Every rank once, then `extra` random ones.  A first angle of 0 gives
+    # every later term weight 0, so those rows of rank >= 2 fall short.
+    ranks = np.concatenate([np.arange(1, width + 1), rng.integers(1, width + 1, extra)])
+    thetas, angles = np.zeros((2, len(ranks), width))
+    for b, r in enumerate(ranks):
+        thetas[b, :r] = rng.uniform(0.0, math.pi / 2, r)
+        angles[b, :r - 1] = rng.uniform(0.0, math.pi / 2, r - 1)
+        if zero_weight and b % 2:
+            angles[b, 0] = 0.0
+    probs = states.hyperspherical_probs(angles[:, :-1])
+    rho, got = states.rank_states(family, ranks, thetas, probs)
+    assert rho.mat.shape == (len(ranks), n, n) and rho.dims == family.dims
+    assert got.tolist() == [linalg.numerical_rank(m) for m in rho.mat]
+    assert (got < ranks).any() or not zero_weight
+    for b, r in enumerate(ranks):
+        reference = _per_term_mixture(table, support, n, r, thetas[b, :r], probs[b, :r])
+        assert rho.mat[b].tobytes() == reference.tobytes()
+        if got[b] != r:
+            with pytest.raises(RankError):
+                builder(r, thetas[b, :r], probs[b, :r])
+            continue
+        assert np.array_equal(builder(r, thetas[b, :r], probs[b, :r]).mat, rho.mat[b])
+
+
+def test_rank_states_rejects_bad_input():
+    ok = np.zeros((1, 6))
+    ok[0, 0] = 1.0
+    with pytest.raises(DomainError, match="rank must be in 1..6, got 7"):
+        states.rank_states(states.TGX_RANK, [7], ok, ok)
+    with pytest.raises(DomainError, match="got 0"):
+        states.rank_states(states.LX_RANK, [1, 0], np.zeros((2, 6)), np.vstack([ok, ok]))
+    with pytest.raises(DimensionError):
+        states.rank_states(states.RANK_X, [1], ok, ok)
+    with pytest.raises(DimensionError):
+        states.rank_states(states.TGX_RANK, [1, 1], ok, ok)
+    with pytest.raises(DomainError, match="sum to 0.5"):
+        states.rank_states(states.TGX_RANK, [1], ok, 0.5 * ok)
+
+
+def test_hyperspherical_probs_rows_pad_with_zeros():
+    rng = np.random.default_rng(2)
+    angles = np.zeros((5, 5))
+    for r in range(5):
+        angles[r, :r] = rng.uniform(0.0, math.pi / 2, r)
+    rows = states.hyperspherical_probs(angles)
+    for r in range(5):
+        assert rows[r, :r + 1].tobytes() == states.hyperspherical_probs(angles[r, :r]).tobytes()
+        assert not rows[r, r + 1:].any()
 
 
 def test_random_ensembles():
