@@ -25,12 +25,12 @@ from . import convert, measures, states, tgx
 from .errors import ConfigError, XLabError
 
 _SYSTEMS = ((2, 2), (2, 3))
-# Purity of the maximally mixed state: the left end of each purity axis.
-_P_MIN = {(2, 2): 0.25, (2, 3): 1.0 / 6.0}
 # A converted state with a larger anti-X measure is not an X state.
 _ANTI_X_TOL = 1e-10
 _FAMILIES = ("general", "x", "lx", "tgx", "mems", "h")
-_BLOCK = measures.BLOCK  # samples per stacked draw and measurement in run_scatter
+# Samples per stacked draw and measurement in run_scatter: enough to amortise
+# numpy's per-call overhead, few enough to keep temporaries small.
+_BLOCK = 256
 # Rank-specific families (x only with --rank), drawn a block at a time.
 _RANK_FAMILIES = {"x": states.RANK_X, "lx": states.LX_RANK, "tgx": states.TGX_RANK}
 
@@ -101,7 +101,7 @@ def _draw_family_state(cfg: ExperimentConfig, rng: np.random.Generator, index: i
             phases=rng.uniform(0.0, 2.0 * math.pi, 4))
         return states.general_x_state(params)
     if fam == "mems":
-        p_min = _P_MIN[tuple(cfg.system)]
+        p_min = 1.0 / n
         P = p_min + (1.0 - p_min) * (index / max(cfg.samples - 1, 1))
         return (states.mems_2x2 if tuple(cfg.system) == (2, 2) else states.mems_2x3)(P)
     if fam == "h":
@@ -255,10 +255,9 @@ def _campaign_json(summary: CampaignSummary) -> str:
 
 
 def _curve_csv(system, samples: int) -> str:
-    p_min = _P_MIN[system]
-    boundary = _boundary_for(system)
-    grid = (p_min + (1.0 - p_min) * i / max(samples - 1, 1) for i in range(samples))
-    return _csv(("purity", "entanglement"), ((P, boundary(P)) for P in grid))
+    p_min = 1.0 / math.prod(system)  # the maximally mixed state's purity
+    grid = [p_min + (1.0 - p_min) * i / max(samples - 1, 1) for i in range(samples)]
+    return _csv(("purity", "entanglement"), zip(grid, _boundary_for(system)(grid).tolist()))
 
 
 def _boundary_for(system):
@@ -269,7 +268,7 @@ def _boundary_for(system):
 def _scatter_svg(records, system) -> str:
     """Standalone SVG scatter with the MEMS boundary polyline overlaid."""
     W, H, M = 640, 480, 50
-    p_min = _P_MIN[tuple(system)]
+    p_min = 1.0 / math.prod(system)
 
     def sx(p):
         return M + (p - p_min) / (1.0 - p_min) * (W - 2 * M)
@@ -277,10 +276,8 @@ def _scatter_svg(records, system) -> str:
     def sy(e):
         return H - M - e * (H - 2 * M)
 
-    boundary = _boundary_for(system)
-    pts = []
-    for p in np.linspace(p_min, 1.0, 500):
-        pts.append(f"{sx(p):.2f},{sy(boundary(float(p))):.2f}")
+    ps = np.linspace(p_min, 1.0, 500)
+    pts = [f"{sx(p):.2f},{sy(e):.2f}" for p, e in zip(ps, _boundary_for(system)(ps))]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}">',
         f'<rect width="{W}" height="{H}" fill="white"/>',

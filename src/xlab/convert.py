@@ -5,8 +5,7 @@ spectrum-preserving unitary that maps any two-qubit state, of any rank, to
 an X state of the same concurrence.  `closed_form_conversion` maps rank-<=2
 states onto the `closed_form_x` family instead.  Also here:
 diagonal-unitary factorizability tests, X-preserving and subspace-rotation
-unitaries, candidate EPU assembly, and spectrum-based concurrence
-estimation against the fixed-concurrence/fixed-purity state family.
+unitaries and candidate EPU assembly.
 """
 
 from __future__ import annotations
@@ -14,11 +13,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import linalg, measures, states
+from . import linalg, measures
 from .errors import DimensionError, DomainError, RankError, SpectralMismatchError
 from .states import DensityMatrix, closed_form_x
 
@@ -46,11 +45,6 @@ class ConversionResult:
     output_concurrence: float
 
 
-def _spectrum(mat: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of a Hermitian matrix."""
-    return np.linalg.eigvalsh(linalg.hermitize(mat))[::-1]
-
-
 def conversion_unitary(rho_g: DensityMatrix, rho_x: DensityMatrix) -> np.ndarray:
     """Unitary U = eps_X eps_G+ mapping rho_g onto rho_x's eigenframe.
 
@@ -60,17 +54,14 @@ def conversion_unitary(rho_g: DensityMatrix, rho_x: DensityMatrix) -> np.ndarray
     if rho_g.dims != rho_x.dims:
         raise DimensionError(
             f"dims differ: {list(rho_g.dims)} vs {list(rho_x.dims)}")
-    sg = _spectrum(rho_g.mat)
-    sx = _spectrum(rho_x.mat)
-    gap = float(np.max(np.abs(sg - sx)))
+    eg, ex = linalg.eig_hermitian(rho_g.mat), linalg.eig_hermitian(rho_x.mat)
+    gap = float(np.max(np.abs(eg.values - ex.values)))
     if gap > 1e-8:
         raise SpectralMismatchError(
             f"spectra differ by {gap:.3e}; states cannot be unitarily equivalent")
     if gap > 1e-10:
         warnings.warn(f"spectra differ by {gap:.3e}; conversion will be approximate")
-    eg = linalg.eig_hermitian(rho_g.mat).vectors
-    ex = linalg.eig_hermitian(rho_x.mat).vectors
-    return ex @ eg.conj().T
+    return ex.vectors @ eg.vectors.conj().T
 
 
 def _conjugate(rho: DensityMatrix, U: np.ndarray) -> DensityMatrix:
@@ -120,10 +111,11 @@ def _onto_frame(rho: DensityMatrix, eg: np.ndarray, ex: np.ndarray, c_in: float,
 def closed_form_conversion(rho_g: DensityMatrix) -> ConversionResult:
     """Exact X conversion for rank-<=2 two-qubit states (no search needed)."""
     measures.require_single(rho_g, "closed-form conversion", (2, 2))
-    R = rho_g.rank()
+    es = linalg.psd_eig(rho_g.mat)
+    R = linalg.numerical_rank(rho_g.mat, es=es)
     if R > 2:
         raise RankError(f"closed-form conversion needs rank <= 2, got rank {R}")
-    C = measures.concurrence(rho_g)
+    C = measures.concurrence(rho_g, es)
     P = measures.purity(rho_g)
     if 2.0 * P - 1.0 - C * C < -1e-9:
         # Rank <= 2 alone is not enough: no rank-<=2 X state with this
@@ -134,7 +126,7 @@ def closed_form_conversion(rho_g: DensityMatrix) -> ConversionResult:
             f"P >= (1 + C^2)/2; use find_x_equivalent instead")
     # Any eigenbasis of the target maps rho_g's equal spectrum onto it.
     ex = linalg.eig_hermitian(closed_form_x(C, P).mat).vectors
-    return _onto_frame(rho_g, linalg.eig_hermitian(rho_g.mat).vectors, ex, C, attempts=0)
+    return _onto_frame(rho_g, es.vectors, ex, C, attempts=0)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +257,7 @@ def x_transform_unconstrained(rho_g: DensityMatrix, x_unitary_params) -> Density
     concurrence generally changes.  `x_unitary_params` is either a 4x4
     X-shaped unitary or the 6 angles of `x_preserving_unitary`.
     """
-    if tuple(rho_g.dims) != (2, 2):
-        raise DimensionError(f"requires dims [2, 2], got {list(rho_g.dims)}")
+    measures.require_single(rho_g, "X transform", (2, 2))
     UX = np.asarray(x_unitary_params, dtype=complex) \
         if np.ndim(x_unitary_params) == 2 else x_preserving_unitary(*x_unitary_params)
     eg = linalg.eig_hermitian(rho_g.mat).vectors
@@ -276,8 +267,7 @@ def x_transform_unconstrained(rho_g: DensityMatrix, x_unitary_params) -> Density
 def local_doubly_stochastic(rho: DensityMatrix,
                             terms: Sequence[tuple]) -> DensityMatrix:
     """Mixture of local-unitary conjugations: sum_k p_k (U1 x U2) rho (.)^dagger."""
-    if tuple(rho.dims) != (2, 2):
-        raise DimensionError(f"requires dims [2, 2], got {list(rho.dims)}")
+    measures.require_single(rho, "local doubly stochastic map", (2, 2))
     probs = np.array([t[0] for t in terms], dtype=float)
     if np.any(probs < -1e-15) or abs(probs.sum() - 1.0) > 1e-12:
         raise DomainError(f"probabilities must be in [0,1] and sum to 1, got {probs}")
@@ -290,46 +280,3 @@ def local_doubly_stochastic(rho: DensityMatrix,
         L = np.kron(np.asarray(U1, dtype=complex), np.asarray(U2, dtype=complex))
         out += p * (L @ rho.mat @ L.conj().T)
     return DensityMatrix(out, (2, 2))
-
-
-class HMatchResult(NamedTuple):
-    """Spectrum-matched concurrence estimate and its max-norm residual."""
-
-    concurrence: float
-    residual: float
-
-
-def h_match(rho: DensityMatrix, grid_step: float = 1e-3) -> HMatchResult:
-    """Estimate concurrence by matching rho's spectrum against h_state spectra.
-
-    Scans C at fixed P = purity(rho) and returns the best spectral match.
-    Only meaningful when rho's rank equals the matching candidate's rank;
-    otherwise a RankError explains the limitation.
-    """
-    if tuple(rho.dims) != (2, 2):
-        raise DimensionError(f"requires dims [2, 2], got {list(rho.dims)}")
-    P = measures.purity(rho)
-    spec = _spectrum(rho.mat)
-    best = None  # (residual, entry_residual, C, candidate)
-    for C in np.arange(0.0, 1.0 + grid_step / 2, grid_step):
-        try:
-            cand = states.h_state(float(C), P)
-        except DomainError:
-            continue
-        residual = float(np.max(np.abs(_spectrum(cand.mat) - spec)))
-        # The rank-2 branch's spectrum does not depend on C, so spectral ties
-        # are broken by entry-wise distance; this pins down C for inputs that
-        # are themselves members of the family and is harmless otherwise.
-        entry_residual = float(np.max(np.abs(cand.mat - rho.mat)))
-        if best is None or residual < best[0] - 1e-12 or (
-                residual <= best[0] + 1e-12 and entry_residual < best[1]):
-            best = (residual, entry_residual, float(C), cand)
-    if best is None:
-        raise DomainError(f"no candidate state exists at purity {P}")
-    residual, _, C, cand = best
-    if cand.rank() != rho.rank():
-        raise RankError(
-            f"input rank {rho.rank()} differs from the candidate family rank "
-            f"{cand.rank()} at purity {P:.6f}; spectrum matching only "
-            f"identifies concurrence for rank-matched inputs")
-    return HMatchResult(concurrence=C, residual=residual)

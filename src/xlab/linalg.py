@@ -97,13 +97,14 @@ def trace_norm(M: np.ndarray):
     return scalar(np.abs(np.linalg.eigvalsh(H)).sum(axis=-1))
 
 
-def numerical_rank(M: np.ndarray, tol: float | None = None):
+def numerical_rank(M: np.ndarray, tol: float | None = None, es: EigenSystem | None = None):
     """Count of eigenvalues above `tol` for a Hermitian PSD matrix.
 
     Default tolerance is 1e-10 times the largest eigenvalue of each matrix;
-    an eigenvalue below -1e-10 is a PSD violation and raises.
+    an eigenvalue below -1e-10 is a PSD violation and raises.  A caller that
+    already holds `psd_eig(M)` passes it as `es` to skip the eigendecomposition.
     """
-    vals, _ = psd_eig(M, 1e-10)
+    vals = (psd_eig(M, 1e-10) if es is None else es).values
     if tol is None:
         tol = 1e-10 * np.maximum(vals[..., :1], 0.0)
     return scalar((vals > tol).sum(axis=-1))

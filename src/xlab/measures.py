@@ -2,7 +2,8 @@
 
 Concurrence (general and X-form), purity, the anti-X measure, partial
 trace / partial transpose, the rescaled-negativity measure for 2x3, and
-the maximally-entangled-mixed-state boundary curves.
+the maximally-entangled-mixed-state boundary curves in closed form, which
+take a purity or an array of purities.
 """
 
 from __future__ import annotations
@@ -11,13 +12,9 @@ import math
 
 import numpy as np
 
-from . import linalg, states
+from . import linalg
 from .errors import DimensionError, DomainError
 from .states import DensityMatrix
-
-# Matrices per stacked call when a long sequence is measured in blocks: enough
-# to amortise numpy's per-call overhead, few enough to keep temporaries small.
-BLOCK = 256
 
 _SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA2, _SIGMA2)
@@ -158,46 +155,39 @@ def entanglement(rho: DensityMatrix):
     raise DimensionError(f"no entanglement measure for dims {list(rho.dims)}")
 
 
-def mems_boundary_2x2(P: float) -> float:
-    """Maximal two-qubit concurrence at purity P (piecewise closed form)."""
-    if not (0.25 - 1e-12 <= P <= 1.0 + 1e-12):
-        raise DomainError(f"purity {P} outside [1/4, 1]")
-    P = min(max(P, 0.25), 1.0)
-    if P <= 1.0 / 3.0:
-        return 0.0
-    if P <= 5.0 / 9.0:
-        return math.sqrt(2.0 * (P - 1.0 / 3.0))
-    return (1.0 + math.sqrt(2.0 * P - 1.0)) / 2.0
+def _purities(P, lo: float, name: str) -> np.ndarray:
+    """P (a float or an array) clamped to [lo, 1]; a value further than
+    1e-12 outside that range is a DomainError."""
+    P = np.asarray(P, dtype=float)
+    bad = ~((lo - 1e-12 <= P) & (P <= 1.0 + 1e-12))
+    if bad.any():
+        raise DomainError(f"purity {P[bad].flat[0]} outside [{name}, 1]")
+    return np.clip(P, lo, 1.0)
 
 
-class _Boundary2x3:
-    """Tabulated E_T1-vs-purity curve of the 2x3 MEMS family.
+def mems_boundary_2x2(P):
+    """Maximal two-qubit concurrence at purity P (piecewise closed form).
 
-    No closed form exists; the curve is sampled once on a uniform grid and
-    linearly interpolated afterwards.  The (grid, values) table is published
-    in one assignment, so a concurrent caller never sees half of it.
+    P is a float or an array; a float gives a float.
     """
-
-    GRID_POINTS = 1000
-
-    def __init__(self):
-        self._table = None
-
-    def _build(self):
-        ps = np.linspace(1.0 / 6.0, 1.0, self.GRID_POINTS)
-        vals = np.concatenate([
-            negativity_e(DensityMatrix(
-                np.stack([states.mems_2x3(p).mat for p in ps[lo:lo + BLOCK]]), (2, 3)))
-            for lo in range(0, len(ps), BLOCK)])
-        self._table = ps, vals
-        return self._table
-
-    def __call__(self, P: float) -> float:
-        if not (1.0 / 6.0 - 1e-12 <= P <= 1.0 + 1e-12):
-            raise DomainError(f"purity {P} outside [1/6, 1]")
-        grid, vals = self._table or self._build()
-        P = min(max(P, 1.0 / 6.0), 1.0)
-        return float(np.interp(P, grid, vals))
+    P = _purities(P, 0.25, "1/4")
+    mid = np.sqrt(np.maximum(2.0 * (P - 1.0 / 3.0), 0.0))
+    high = (1.0 + np.sqrt(np.maximum(2.0 * P - 1.0, 0.0))) / 2.0
+    return linalg.scalar(np.where(P <= 1.0 / 3.0, 0.0, np.where(P <= 5.0 / 9.0, mid, high)))
 
 
-mems_boundary_2x3 = _Boundary2x3()
+def mems_boundary_2x3(P):
+    """negativity_e of `states.mems_2x3(P)` in closed form; P a float or an array.
+
+    In each purity branch of that family only the partial-transpose block on
+    |0,2>, |1,0> can go negative.  It is [[beta, g/2], [g/2, 0]] with
+    g = sqrt(10/7 (P - 1/5)) and beta = (1 - 2g)/5 for 1/5 <= P < 3/8, and
+    [[0, w/2], [w/2, 0]] with w = (1 + sqrt(6 (P - 1/3)))/3 above, so
+    E = sqrt(beta^2 + g^2) - beta, then E = w; E = 0 for P < 1/5.
+    """
+    P = _purities(P, 1.0 / 6.0, "1/6")
+    g = np.sqrt(np.maximum((10.0 / 7.0) * (P - 0.2), 0.0))
+    beta = (1.0 - 2.0 * g) / 5.0
+    high = (1.0 + np.sqrt(np.maximum(6.0 * (P - 1.0 / 3.0), 0.0))) / 3.0
+    mid = np.sqrt(beta * beta + g * g) - beta
+    return linalg.scalar(np.where(P < 0.2, 0.0, np.where(P < 3.0 / 8.0, mid, high)))

@@ -304,6 +304,16 @@ def test_main_mems_curve(capsys):
     assert lines[0] == "purity,entanglement"
     assert len(lines) == 6
 
+    def boundary(P):  # the two-qubit MEMS concurrence, branch by branch
+        if P <= 1 / 3:
+            return 0.0
+        if P <= 5 / 9:
+            return math.sqrt(2 * (P - 1 / 3))
+        return (1 + math.sqrt(2 * P - 1)) / 2
+
+    grid = [0.25 + 0.75 * i / 4 for i in range(5)]
+    assert lines[1:] == [f"{format(P, '.17g')},{format(boundary(P), '.17g')}" for P in grid]
+
 
 def test_main_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

@@ -103,25 +103,41 @@ def test_find_x_equivalent_properties(rho):
     assert np.max(np.abs(U @ U.conj().T - np.eye(4))) <= 1e-10
 
 
-def test_find_x_equivalent_eigendecomposes_each_state_once(monkeypatch):
-    # One eigh of rho serves the frame and the input concurrence; the other
-    # is the converted state's, inside measures.concurrence.
+def _eig_calls(monkeypatch, conversion, rho):
+    """The conversion of rho and the matrices linalg.eig_hermitian saw meanwhile."""
     calls, eig = [], linalg.eig_hermitian
 
     def counting(M):
         calls.append(M)
         return eig(M)
 
+    monkeypatch.setattr(linalg, "eig_hermitian", counting)
+    res = conversion(rho)
+    monkeypatch.setattr(linalg, "eig_hermitian", eig)
+    assert np.array_equal(calls[0], rho.mat) and np.array_equal(calls[-1], res.converted.mat)
+    assert res.input_concurrence == measures.concurrence(rho)
+    return res, calls
+
+
+def test_find_x_equivalent_eigendecomposes_each_state_once(monkeypatch):
+    # One eigh of rho serves the frame and the input concurrence; the other
+    # is the converted state's, inside measures.concurrence.
     rng = np.random.default_rng(12)
     for R in (1, 2, 3, 4):
         rho = states.random_mixed(4, R, rng, (2, 2))
-        monkeypatch.setattr(linalg, "eig_hermitian", counting)
-        res = convert.find_x_equivalent(rho)
-        monkeypatch.setattr(linalg, "eig_hermitian", eig)
+        _, calls = _eig_calls(monkeypatch, convert.find_x_equivalent, rho)
         assert len(calls) == 2
-        assert np.array_equal(calls[0], rho.mat) and np.array_equal(calls[1], res.converted.mat)
-        assert res.input_concurrence == measures.concurrence(rho)
-        calls.clear()
+
+
+def test_closed_form_conversion_eigendecomposes_each_state_once(monkeypatch):
+    # One eigh of rho serves the rank check, the input concurrence and the
+    # frame; the others are the target's frame and the converted state's
+    # concurrence.
+    rng = np.random.default_rng(14)
+    cases = [states.random_mixed(4, 1, rng, (2, 2)) for _ in range(3)]
+    for rho in cases + [states.closed_form_x(0.55, 0.8), states.bell_state()]:
+        _, calls = _eig_calls(monkeypatch, convert.closed_form_conversion, rho)
+        assert len(calls) == 3
 
 
 def test_find_x_equivalent_rejects_non_psd():
@@ -301,16 +317,3 @@ def test_local_channel_generally_not_epu():
     terms = [(0.5, haar_unitary(2, rng), haar_unitary(2, rng)) for _ in range(2)]
     out = convert.local_doubly_stochastic(states.bell_state(), terms)
     assert measures.concurrence(out) < 1.0 - 0.01
-
-
-def test_h_match_recovers_family_members():
-    res = convert.h_match(states.h_state(0.4, 0.7))
-    assert abs(res.concurrence - 0.4) <= 1.5e-3
-    res = convert.h_match(convert.closed_form_x(0.55, 0.8))
-    assert abs(res.concurrence - 0.55) <= 1.5e-3
-
-
-def test_h_match_rank_mismatch():
-    rng = np.random.default_rng(20)
-    with pytest.raises(RankError):
-        convert.h_match(states.random_mixed(4, 4, rng, (2, 2)))

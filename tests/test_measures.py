@@ -126,12 +126,30 @@ def test_mems_boundary_anchors():
     assert abs(measures.mems_boundary_2x3(1.0) - 1.0) <= 1e-9
 
 
+def _boundary_grid(lo):
+    """Purities from lo to 1 with each branch point and one ulp either side."""
+    ends = np.array([1 / 5, 3 / 8, 1 / 3, 5 / 9, 1 / 2])
+    edges = np.concatenate([ends, np.nextafter(ends, 0.0), np.nextafter(ends, 1.0)])
+    return np.concatenate([np.linspace(lo, 1.0, 40), edges[edges >= lo]])
+
+
 def test_mems_boundary_2x3_matches_family():
-    for P in np.linspace(1 / 6, 1.0, 40):
+    for P in _boundary_grid(1 / 6):
         r = states.mems_2x3(float(P))
-        # Interpolation error grows near the square-root branch points.
         assert abs(measures.mems_boundary_2x3(float(P))
-                   - measures.negativity_e(r)) <= 1e-5
+                   - measures.negativity_e(r)) <= 1e-12
+
+
+@pytest.mark.parametrize("boundary, lo", [
+    (measures.mems_boundary_2x2, 1 / 4), (measures.mems_boundary_2x3, 1 / 6)],
+    ids=["2x2", "2x3"])
+def test_mems_boundary_array_equals_scalar_calls(boundary, lo):
+    grid = _boundary_grid(lo)
+    looped = [boundary(float(P)) for P in grid]
+    assert all(type(e) is float for e in looped)
+    assert np.array_equal(boundary(grid), np.array(looped))
+    with pytest.raises(DomainError, match="purity 1.5 outside"):
+        boundary(np.append(grid, 1.5))
 
 
 def test_measure_dimension_checks():
@@ -197,8 +215,10 @@ def test_stacked_measures_check_every_matrix():
 @pytest.mark.parametrize("single", [
     lambda rho: measures.partial_trace(rho, 1), measures.concurrence_x,
     tgx.is_simple_me_state, convert.find_x_equivalent, convert.closed_form_conversion,
+    lambda rho: convert.x_transform_unconstrained(rho, np.eye(4)),
+    lambda rho: convert.local_doubly_stochastic(rho, [(1.0, np.eye(2), np.eye(2))]),
 ], ids=["partial_trace", "concurrence_x", "is_simple_me_state", "find_x_equivalent",
-        "closed_form_conversion"])
+        "closed_form_conversion", "x_transform_unconstrained", "local_doubly_stochastic"])
 def test_single_matrix_functions_reject_stacks(single):
     stack = DensityMatrix(np.stack([states.bell_state().mat, np.eye(4) / 4]), (2, 2))
     with pytest.raises(DimensionError, match="stack"):
