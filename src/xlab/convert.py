@@ -33,7 +33,8 @@ class ConversionResult:
     builds its one candidate in closed form, so it reports 1;
     `closed_form_conversion` reports 0.  `input_concurrence` and
     `output_concurrence` are the concurrences of the input and of
-    `converted`; `delta_c` is their absolute difference.
+    `converted`; `delta_c` is their absolute difference.  For a stacked
+    input, `converted` and `unitary` are stacks and the measures arrays.
     """
 
     converted: DensityMatrix
@@ -65,7 +66,7 @@ def conversion_unitary(rho_g: DensityMatrix, rho_x: DensityMatrix) -> np.ndarray
 
 
 def _conjugate(rho: DensityMatrix, U: np.ndarray) -> DensityMatrix:
-    return DensityMatrix(U @ rho.mat @ U.conj().T, rho.dims)
+    return DensityMatrix(U @ rho.mat @ U.conj().mT, rho.dims)
 
 
 def find_x_equivalent(rho: DensityMatrix) -> ConversionResult:
@@ -78,28 +79,31 @@ def find_x_equivalent(rho: DensityMatrix) -> ConversionResult:
     can have (Verstraete, Audenaert & De Moor, PRA 64, 012316 (2001);
     Ishizaka & Hiroshima, PRA 62, 022310 (2000)), so
     sin 2a = (C + 2 sqrt(l2 l4)) / (l1 - l3) is always solvable, with a = 0
-    when C = 0.  U maps rho's eigenframe onto that X eigenframe.
+    when C = 0 or l1 = l3.  U maps rho's eigenframe onto that X eigenframe.
+
+    `rho` is one state or a (B, 4, 4) stack, with one eigendecomposition per
+    stack; a stack's result fields equal a per-state loop bit for bit.
     """
-    measures.require_single(rho, "X conversion", (2, 2))
+    measures.require_dims(rho, (2, 2), "X conversion")
     es = linalg.psd_eig(rho.mat)
-    l1, l2, l3, l4 = np.clip(es.values, 0.0, None)
+    l1, l2, l3, l4 = np.moveaxis(np.clip(es.values, 0.0, None), -1, 0)
     c_in = measures.concurrence(rho, es)
-    a = 0.0
-    if c_in > 0.0 and l1 > l3:
-        a = 0.5 * math.asin(min(1.0, (c_in + 2.0 * math.sqrt(l2 * l4)) / (l1 - l3)))
+    turn = (c_in > 0.0) & (l1 > l3)
+    s = np.minimum(1.0, (c_in + 2.0 * np.sqrt(l2 * l4)) / np.where(turn, l1 - l3, 1.0))
+    # math.asin row by row: np.arcsin differs from it in the last bit.
+    a = np.where(turn, 0.5 * np.vectorize(math.asin, otypes=[float])(s), 0.0)
     # Column k is the X state's eigenvector for l_(k+1).
-    ex = np.zeros((4, 4), dtype=complex)
-    ex[0, 0], ex[3, 0] = math.cos(a), math.sin(a)
-    ex[1, 1] = 1.0
-    ex[0, 2], ex[3, 2] = -math.sin(a), math.cos(a)
-    ex[2, 3] = 1.0
+    ca, sa = np.cos(a), np.sin(a)
+    ex = np.zeros(a.shape + (4, 4), dtype=complex)
+    ex[..., 0, 0], ex[..., 3, 0], ex[..., 0, 2], ex[..., 3, 2] = ca, sa, -sa, ca
+    ex[..., 1, 1] = ex[..., 2, 3] = 1.0
     return _onto_frame(rho, es.vectors, ex, c_in, attempts=1)
 
 
-def _onto_frame(rho: DensityMatrix, eg: np.ndarray, ex: np.ndarray, c_in: float,
+def _onto_frame(rho: DensityMatrix, eg: np.ndarray, ex: np.ndarray, c_in,
                 attempts: int) -> ConversionResult:
     """Conjugate rho by U = ex eg+, which maps its eigenframe eg onto ex."""
-    U = ex @ eg.conj().T
+    U = ex @ eg.conj().mT
     out = _conjugate(rho, U)
     c_out = measures.concurrence(out)
     return ConversionResult(

@@ -27,7 +27,8 @@ def _as_mat(rho) -> np.ndarray:
     return rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
 
 
-def _require_dims(rho: DensityMatrix, dims: tuple[int, ...], what: str):
+def require_dims(rho: DensityMatrix, dims: tuple[int, ...], what: str):
+    """A DimensionError unless `rho` has subsystem dims `dims`."""
     if tuple(rho.dims) != dims:
         raise DimensionError(f"{what} requires dims {list(dims)}, got {list(rho.dims)}")
 
@@ -42,7 +43,7 @@ def require_single(rho, what: str, dims: tuple[int, ...] | None = None) -> np.nd
     if m.ndim != 2:
         raise DimensionError(f"{what} takes one matrix, not a stack of shape {m.shape}")
     if dims is not None:
-        _require_dims(rho, dims, what)
+        require_dims(rho, dims, what)
     return m
 
 
@@ -60,7 +61,7 @@ def concurrence(rho: DensityMatrix, es: linalg.EigenSystem | None = None):
     rho~ = (s2 x s2) rho* (s2 x s2); C = max(0, lam1 - lam2 - lam3 - lam4).
     `es`, when given, is rho's `linalg.psd_eig` eigensystem, reused for sqrt(rho).
     """
-    _require_dims(rho, (2, 2), "concurrence")
+    require_dims(rho, (2, 2), "concurrence")
     s = linalg.sqrt_psd(rho.mat, es=es)
     # The eigenvalues of R are the singular values of sqrt(rho) sqrt(rho~):
     # (A A')^(1/2) with A = s st.  Computing them by SVD keeps the small
@@ -117,7 +118,7 @@ def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
         if sub == m:
             continue
         t = np.trace(t, axis1=sub, axis2=sub + (t.ndim // 2))
-    return DensityMatrix(t.reshape(d, d), (d,) if d >= 2 else (d,))
+    return DensityMatrix(t.reshape(d, d), (d,))
 
 
 def partial_transpose(rho: DensityMatrix, sub: int) -> np.ndarray:
@@ -141,7 +142,7 @@ def negativity_e(rho: DensityMatrix):
 
     Normalized so a maximally entangled 2x3 state scores exactly 1.
     """
-    _require_dims(rho, (2, 3), "negativity_e")
+    require_dims(rho, (2, 3), "negativity_e")
     e = linalg.trace_norm(partial_transpose(rho, 1)) - 1.0
     return linalg.scalar(np.minimum(np.maximum(e, 0.0), 1.0 + 1e-9))
 

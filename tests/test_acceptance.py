@@ -34,17 +34,15 @@ def _random_stacks(rng, dims, count=100_000, block=10_000):
 
 def test_01_conversion_campaign_1000_consecutive():
     t0 = time.time()
-    worst_dc = worst_ax = worst_spec = 0.0
+    mats = []
     for k in range(1000):
         rng = np.random.default_rng([7, k])
-        R = int(rng.integers(1, 5))
-        rho = states.random_mixed(4, R, rng, (2, 2))
-        res = convert.find_x_equivalent(rho)
-        worst_dc = max(worst_dc, res.delta_c)
-        worst_ax = max(worst_ax, res.anti_x)
-        worst_spec = max(worst_spec, float(np.max(np.abs(
-            np.sort(np.linalg.eigvalsh(res.converted.mat))
-            - np.sort(np.linalg.eigvalsh(rho.mat))))))
+        mats.append(states.random_mixed(4, int(rng.integers(1, 5)), rng, (2, 2)).mat)
+    rho = DensityMatrix(np.stack(mats), (2, 2))
+    res = convert.find_x_equivalent(rho)
+    worst_dc, worst_ax = float(res.delta_c.max()), float(res.anti_x.max())
+    worst_spec = float(np.max(np.abs(np.linalg.eigvalsh(res.converted.mat)
+                                     - np.linalg.eigvalsh(rho.mat))))
     dt = time.time() - t0
     ok = worst_dc <= 1e-3 and worst_ax <= 1e-10 and worst_spec <= 1e-10 and dt < 300
     _report("01 conversion campaign", ok,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -25,6 +26,10 @@ def test_config_validation():
         cli.ExperimentConfig(system=(2, 3), family="h").validate()
     with pytest.raises(ConfigError):
         cli.ExperimentConfig(rank=5).validate()
+    for tol in (float("nan"), float("inf"), -1e-3):
+        with pytest.raises(ConfigError, match="tol must be"):
+            cli.ExperimentConfig(tol=tol).validate()
+    cli.ExperimentConfig(tol=0.0).validate()
     cli.ExperimentConfig(system=(2, 3), family="tgx", rank=6).validate()
 
 
@@ -148,6 +153,37 @@ def test_run_conversion_campaign():
     assert sum(summary.attempt_histogram.values()) == 6
 
 
+def test_run_conversion_campaign_block_invariance(monkeypatch):
+    # Blocks of 7 and a one-state-at-a-time loop give the default records.
+    cfg = dict(seed=8, samples=20)
+    default = cli.run_conversion_campaign(cli.ExperimentConfig(**cfg)).records
+    monkeypatch.setattr(cli, "_BLOCK", 7)
+    assert cli.run_conversion_campaign(cli.ExperimentConfig(**cfg)).records == default
+    looped = []
+    for i in range(20):
+        rng = np.random.default_rng([8, i])
+        R = int(rng.integers(1, 5))
+        rho = states.random_mixed(4, R, rng, (2, 2))
+        res = cli.convert.find_x_equivalent(rho)
+        looped.append(cli.CampaignRecord(
+            i, R, measures.purity(rho), res.input_concurrence, res.output_concurrence,
+            res.attempts, res.delta_c, res.anti_x, res.delta_c <= 1e-3 and res.anti_x <= 1e-10))
+    assert looped == default
+
+
+def test_run_conversion_campaign_eigendecomposes_per_block(monkeypatch):
+    # Two eighs per block of _BLOCK states: the input stack and the converted one.
+    calls, eig = [], cli.convert.linalg.eig_hermitian
+
+    def counting(M):
+        calls.append(M.shape)
+        return eig(M)
+
+    monkeypatch.setattr(cli.convert.linalg, "eig_hermitian", counting)
+    cli.run_conversion_campaign(cli.ExperimentConfig(samples=cli._BLOCK + 3, seed=1))
+    assert calls == [(cli._BLOCK, 4, 4)] * 2 + [(3, 4, 4)] * 2
+
+
 def test_convert_success_means_x_state(tmp_path):
     # Sample 3 of this seed once came out of a search with anti-X 1.75e-4
     # and was still reported as a success.
@@ -218,6 +254,18 @@ def test_main_convert_record_bytes(tmp_path):
         assert cli.main(["convert", "--samples", "12", "--seed", "78", "--format", fmt,
                          "--out", str(out)]) == 0
         assert out.read_text() == want
+
+
+def test_main_convert_output_digest(tmp_path):
+    # SHA-256 of the bytes `xlab convert` wrote before conversion was stacked
+    # (numpy 2.4, x86-64): two blocks, the second one partial.
+    digests = {"csv": "abc80eedfa58a13ddb49123e1bc9492416fb3c063db3da9cc0e59c08da80af4b",
+               "json": "bb0c93e6f98bed7f2a625740b6e752f2cf5b66a724554b762f55a62a364d8a9d"}
+    for fmt, digest in digests.items():
+        out = tmp_path / f"c.{fmt}"
+        assert cli.main(["convert", "--samples", "300", "--seed", "78", "--format", fmt,
+                         "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_emit_output_rejects_empty():
@@ -351,10 +399,12 @@ def test_main_bad_config_exits_1(capsys):
     (["mems-curve", "--samples", "2"], {"out": ["a.csv"]}, None),
     (["mems-curve", "--samples", "0"], None, None),
     (["mems-curve", "--samples", "-3"], None, None),
+    (["convert", "--samples", "2", "--tol", "nan"], None, None),
+    (["convert", "--samples", "2", "--tol", "-1"], None, None),
 ], ids=["samples-abc", "tol-list", "threads-env-abc", "fmt-xml",
         "mems-curve-json", "negative-seed", "scatter-out-int", "scatter-plot-bool",
         "convert-out-int", "mems-curve-out-list", "mems-curve-samples-0",
-        "mems-curve-samples-negative"])
+        "mems-curve-samples-negative", "tol-nan", "tol-negative"])
 def test_main_bad_input_is_one_line_error(tmp_path, monkeypatch, capsys,
                                           argv, config, env):
     if config is not None:
@@ -385,6 +435,31 @@ def test_main_unknown_config_key_is_error(tmp_path, capsys, argv, config, names)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: unknown config key(s) for {argv[0]}: {names}\n"
+
+
+def test_main_builds_the_parser_once(capsys):
+    # The parser is cached for the process; no call leaves anything behind
+    # for the next one: neither its flags nor an argparse exit.
+    argv = ["convert", "--samples", "3", "--seed", "5"]
+    cli._build_parser.cache_clear()
+    def ranks(text):
+        return {row["rank"] for row in csv.DictReader(text.splitlines())}
+
+    assert cli.main(argv) == 0
+    fresh = capsys.readouterr().out
+    assert ranks(fresh) != {"2"}
+    assert cli.main(argv + ["--tol", "0.5", "--rank", "2"]) == 0
+    assert ranks(capsys.readouterr().out) == {"2"}
+    args = cli._build_parser().parse_args(argv)
+    assert args.tol is None and args.rank is None
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == fresh
+    with pytest.raises(SystemExit):
+        cli.main(["convert", "--tol"])
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == fresh
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_threads_env_var(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,7 +116,7 @@ def _eig_calls(monkeypatch, conversion, rho):
     res = conversion(rho)
     monkeypatch.setattr(linalg, "eig_hermitian", eig)
     assert np.array_equal(calls[0], rho.mat) and np.array_equal(calls[-1], res.converted.mat)
-    assert res.input_concurrence == measures.concurrence(rho)
+    assert np.array_equal(res.input_concurrence, measures.concurrence(rho))
     return res, calls
 
 
@@ -127,6 +128,17 @@ def test_find_x_equivalent_eigendecomposes_each_state_once(monkeypatch):
         rho = states.random_mixed(4, R, rng, (2, 2))
         _, calls = _eig_calls(monkeypatch, convert.find_x_equivalent, rho)
         assert len(calls) == 2
+
+
+@pytest.mark.parametrize("B", [1, 3, 256])
+def test_find_x_equivalent_eigendecomposes_each_block_once(monkeypatch, B):
+    # A (B, 4, 4) stack takes one eigh of the input stack and one of the
+    # converted stack, whatever B is.
+    rng = np.random.default_rng(20)
+    rho = DensityMatrix(np.stack([states.random_mixed(4, 1 + k % 4, rng).mat
+                                  for k in range(B)]), (2, 2))
+    res, calls = _eig_calls(monkeypatch, convert.find_x_equivalent, rho)
+    assert len(calls) == 2 and res.converted.mat.shape == (B, 4, 4)
 
 
 def test_closed_form_conversion_eigendecomposes_each_state_once(monkeypatch):
@@ -141,17 +153,62 @@ def test_closed_form_conversion_eigendecomposes_each_state_once(monkeypatch):
 
 
 def test_find_x_equivalent_rejects_non_psd():
+    bad = np.diag([0.5, 0.5, 0.25, -0.25])
     with pytest.raises(DomainError, match="not PSD"):
-        convert.find_x_equivalent(DensityMatrix(np.diag([0.5, 0.5, 0.25, -0.25]), (2, 2)))
+        convert.find_x_equivalent(DensityMatrix(bad, (2, 2)))
+    # One bad matrix in a stack is enough.
+    stack = np.stack([np.eye(4) / 4, bad, states.bell_state().mat])
+    with pytest.raises(DomainError, match="not PSD"):
+        convert.find_x_equivalent(DensityMatrix(stack, (2, 2)))
 
 
 def test_find_x_equivalent_rejects_other_dims():
-    with pytest.raises(DimensionError):
-        convert.find_x_equivalent(states.mems_2x3(0.5))
-    stack = states.DensityMatrix(np.stack([np.eye(4) / 4] * 2), (2, 2))
-    for conversion in (convert.find_x_equivalent, convert.closed_form_conversion):
+    for rho in (states.mems_2x3(0.5),
+                DensityMatrix(np.stack([states.mems_2x3(0.5).mat] * 2), (2, 3))):
         with pytest.raises(DimensionError):
-            conversion(stack)
+            convert.find_x_equivalent(rho)
+    # closed_form_conversion stays single-matrix.
+    with pytest.raises(DimensionError):
+        convert.closed_form_conversion(DensityMatrix(np.stack([np.eye(4) / 4] * 2), (2, 2)))
+
+
+def _rotated_diag(spectrum, seed):
+    # A Haar rotation of diag(spectrum); l1 == l3 when the top three are equal.
+    V = haar_unitary(4, np.random.default_rng(seed))
+    return DensityMatrix(V @ np.diag(spectrum) @ V.conj().T, (2, 2))
+
+
+_STACK_ROWS = st.one_of(
+    st.builds(_ginibre, st.integers(0, 2**32 - 1), st.integers(1, 4)),
+    st.just(DEGENERATE["maximally mixed"]),
+    st.builds(_rotated_diag, st.sampled_from([(1 / 3, 1 / 3, 1 / 3, 0.0),
+                                              (0.3, 0.3, 0.3, 0.1)]),
+              st.integers(0, 2**32 - 1)),
+    st.just(DensityMatrix(np.diag([0.3, 0.3, 0.3, 0.1]), (2, 2))),
+    st.builds(_locally_rotated, st.sampled_from(sorted(DEGENERATE)),
+              st.integers(0, 2**32 - 1)))
+
+_SCALAR_FIELDS = ("delta_c", "anti_x", "input_concurrence", "output_concurrence")
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(_STACK_ROWS, min_size=1, max_size=12))
+@example([DEGENERATE["maximally mixed"], _ginibre(1, 1), _ginibre(2, 2), _ginibre(3, 3),
+          _ginibre(4, 4), DensityMatrix(np.diag([0.3, 0.3, 0.3, 0.1]), (2, 2))])
+def test_find_x_equivalent_stack_equals_loop(rows):
+    # Every field of a stacked conversion equals the per-state loop bit for
+    # bit, a single state gets Python floats, and the l1 == l3 and C = 0
+    # rows raise no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = convert.find_x_equivalent(DensityMatrix(np.stack([r.mat for r in rows]), (2, 2)))
+        looped = [convert.find_x_equivalent(r) for r in rows]
+    assert np.array_equal(res.converted.mat, np.stack([x.converted.mat for x in looped]))
+    assert np.array_equal(res.unitary, np.stack([x.unitary for x in looped]))
+    for name in _SCALAR_FIELDS:
+        assert np.array_equal(getattr(res, name), [getattr(x, name) for x in looped]), name
+        assert all(type(getattr(x, name)) is float for x in looped), name
+    assert res.attempts == 1 and all(x.attempts == 1 for x in looped)
 
 
 def test_closed_form_x_anchors():
