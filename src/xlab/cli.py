@@ -4,11 +4,14 @@ Subcommands: `scatter` (entanglement-purity samples of a state family),
 `convert` (consecutive X-conversion campaign), `mask` (TGX/anti-X element
 masks), `mems-curve` (boundary curves), `verify` (fast invariant checks).
 
-Every sample derives its own RNG statelessly from (seed, sample_index);
-`run_scatter` draws (`x` with a rank, `lx`, `tgx`) and measures, and
-`run_conversion_campaign` converts, blocks of `_BLOCK` samples with stacked
-kernels, so output is byte-identical for any block size.  `--threads` is
-validated but has no effect.  The argument parser is built once per process.
+Sample i draws from its own stream, the one np.random.default_rng([seed, i])
+starts.  `_sample_rngs` seeds the streams of a block of `_BLOCK` samples in
+one pass: it replays numpy's SeedSequence hashing as uint32 array
+operations over the block, and is tested against default_rng([seed, index]).
+`run_scatter` draws and measures, and `run_conversion_campaign` converts, a
+block at a time with stacked kernels, so output is byte-identical for any
+block size.  `--threads` is validated but has no effect.  The argument
+parser is built once per process.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from . import convert, measures, states, tgx
 from .errors import ConfigError, XLabError
@@ -63,8 +68,9 @@ class ExperimentConfig:
             raise ConfigError(f"system must be 2x2 or 2x3, got {list(self.system)}")
         if self.family not in _FAMILIES:
             raise ConfigError(f"family must be one of {_FAMILIES}, got {self.family!r}")
-        if self.samples < 1:
-            raise ConfigError(f"samples must be >= 1, got {self.samples}")
+        if not 1 <= self.samples <= 2**32:
+            # Sample indices must fit in one 32-bit seed word (see _sample_rngs).
+            raise ConfigError(f"samples must be in 1..2**32, got {self.samples}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         n = math.prod(self.system)
@@ -81,10 +87,112 @@ class ExperimentConfig:
         return self
 
 
-def _sample_rng(seed: int, index: int) -> np.random.Generator:
-    # Stateless per-sample stream: the seed sequence hashes (seed, index),
-    # so any blocking of the samples reproduces the same draws.
-    return np.random.default_rng([seed, index])
+# numpy's SeedSequence with its default pool of 4 words.  Hash call k xors a
+# word with A_k = _INIT_A * _MULT_A**k and multiplies it by A_(k+1); output
+# word k does the same with _INIT_B and _MULT_B; mix(x, y) is
+# _MIX_L * x - _MIX_R * y.  Each ends with v ^= v >> 16, all mod 2**32.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+
+
+def _powers(init: int, mult: int, count: int) -> list:
+    """init * mult**k mod 2**32 for k in 0..count."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return out
+
+
+# The pool's hash calls in the order a block runs them: calls 0-3 hash the
+# entropy into pool words 0-3; mixing step s then runs calls 4 + 3s to
+# 6 + 3s on source word s, one per other word in ascending order (word d is
+# other word d if d < s, else d - 1), listed here for words s + 1, s + 2,
+# s + 3 (mod 4).
+_CALLS = [0, 1, 2, 3] + [4 + 3 * s + (d if d < s else d - 1)
+                         for s in range(4) for d in ((s + 1) % 4, (s + 2) % 4, (s + 3) % 4)]
+_HASH, _OUT = _powers(_INIT_A, _MULT_A, 16), _powers(_INIT_B, _MULT_B, 8)
+# One constant per row: the xor (rows 0-15) and multiply (16-31) constants
+# of _CALLS, those of the 8 output calls (32-39, 40-47), then _MIX_L and
+# _MIX_R for a mixing step's 3 words (48-50, 51-53) and the shift (54-61).
+# A block repeats each row across its samples, so that all but one
+# operation per step is between arrays of one shape, which numpy runs at
+# about half the cost of a broadcast.
+_TABLE = np.array([*(_HASH[k] for k in _CALLS), *(_HASH[k + 1] for k in _CALLS),
+                   *_OUT[:8], *_OUT[1:], *[_MIX_L] * 3, *[_MIX_R] * 3, *[_SHIFT] * 8],
+                  dtype=np.uint32)[:, None]
+
+
+def _hash(words: np.ndarray, xor: np.ndarray, mul: np.ndarray, shift=_SHIFT) -> np.ndarray:
+    """SeedSequence's hash of `words` by the calls whose constants are xor and
+    mul, as a new array of their broadcast shape."""
+    h = words ^ xor
+    h *= mul
+    h ^= h >> shift
+    return h
+
+
+def _mix_into(x: np.ndarray, y: np.ndarray, mix_l=_MIX_L, mix_r=_MIX_R, shift=_SHIFT) -> None:
+    """x = mix(x, y) in place; y is overwritten.  The constants may be
+    arrays of x's shape, which numpy applies faster than scalars."""
+    x *= mix_l
+    y *= mix_r
+    x -= y
+    x ^= x >> shift
+
+
+class _Words(ISeedSequence):
+    """A seed sequence that hands PCG64 four precomputed uint64 words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"only 4 uint64 words are stored, not {n_words} {np.dtype(dtype)}")
+        return self.words
+
+
+def _sample_rngs(seed: int, block: range) -> list:
+    """One Generator per index in `block`, each in the state that
+    np.random.default_rng([seed, index]) starts in (indices < 2**32).
+
+    SeedSequence's hashing runs once for the whole block, as uint32 array
+    operations with one column per index; PCG64 then seeds itself from the
+    four words of each.  A stream depends on (seed, index) alone, so any
+    blocking of the samples draws the same states.
+    """
+    # entropy[k] is word k of each sample's entropy: the seed's little-endian
+    # 32-bit words, then the index, then zeros up to the pool size.
+    n_words = max(-(-seed.bit_length() // 32), 1)
+    entropy = np.zeros((max(n_words + 1, 4), len(block)), dtype=np.uint32)
+    entropy[:n_words] = np.frombuffer(seed.to_bytes(4 * n_words, "little"), "<u4")[:, None]
+    entropy[n_words] = np.arange(block.start, block.stop, block.step)
+    table = np.repeat(_TABLE, len(block), axis=1)
+    xor, mul, shift = table[:16], table[16:32], table[54:62]
+    mix_l, mix_r, shift3 = table[48:51], table[51:54], shift[:3]
+    # Mixing step s works on ring[s:s + 4], which holds pool words s, s + 1,
+    # s + 2, s + 3 (mod 4); copying word s to ring[s + 4] after the step
+    # slides the window on, and leaves the pool in ring[4:].
+    ring = np.empty((8, len(block)), dtype=np.uint32)
+    ring[:4] = _hash(entropy[:4], xor[:4], mul[:4], shift[:4])
+    for s in range(4):
+        calls = slice(4 + 3 * s, 7 + 3 * s)
+        h = _hash(ring[s], xor[calls], mul[calls], shift3)
+        _mix_into(ring[s + 1:s + 4], h, mix_l, mix_r, shift3)
+        ring[s + 4] = ring[s]
+    # Entropy past the pool (seeds of 96 bits and more) mixes into every word.
+    if len(entropy) > 4:
+        more = np.array(_powers(_INIT_A, _MULT_A, 4 * len(entropy)), dtype=np.uint32)[:, None]
+        for k in range(16, 4 * len(entropy), 4):
+            _mix_into(ring[4:], _hash(entropy[k // 4], more[k:k + 4], more[k + 1:k + 5]))
+    # The 8 output calls cycle the pool twice.  Sample b's output words are
+    # one C-contiguous run, read as 4 little-endian uint64s.
+    ring[:4] = ring[4:]
+    state = np.empty((len(block), 8), dtype="<u4")
+    state.T[:] = _hash(ring, table[32:40], table[40:48], shift)
+    state = state.view("<u8").astype(np.uint64, copy=False)
+    return [Generator(PCG64(_Words(row))) for row in state]
 
 
 def _draw_rank(cfg: ExperimentConfig, rng: np.random.Generator) -> int:
@@ -96,8 +204,6 @@ def _draw_rank(cfg: ExperimentConfig, rng: np.random.Generator) -> int:
 def _draw_family_state(cfg: ExperimentConfig, rng: np.random.Generator, index: int):
     n = math.prod(cfg.system)
     fam = cfg.family
-    if fam == "general":
-        return states.random_mixed(n, _draw_rank(cfg, rng), rng, tuple(cfg.system))
     if fam == "x":
         params = states.XParams(
             probability_angles=rng.uniform(0.0, math.pi / 2.0, 3),
@@ -117,14 +223,13 @@ def _draw_family_state(cfg: ExperimentConfig, rng: np.random.Generator, index: i
     raise ConfigError(f"unhandled family {fam!r}")  # pragma: no cover
 
 
-def _draw_rank_block(cfg: ExperimentConfig, family, block: range):
-    """The rank-specific states of `block` as one stack, and their ranks.
+def _draw_rank_block(cfg: ExperimentConfig, family, rngs: list):
+    """The rank-specific states drawn from `rngs` as one stack, and their ranks.
 
     Each sample draws its rank, R thetas and R - 1 probability angles from
     its own stream, and draws again from it, up to 64 tries, while its
     numerical rank falls short or a probability is <= 0.
     """
-    rngs = [_sample_rng(cfg.seed, i) for i in block]
     R = np.array([_draw_rank(cfg, rng) for rng in rngs])
     # Wide enough for an out-of-table rank, so that rank_states reports it.
     thetas, angles = np.zeros((2, len(R), max(len(family.lo), R.max())))
@@ -150,12 +255,18 @@ def run_scatter(cfg: ExperimentConfig) -> list:
     records = []
     for lo in range(0, cfg.samples, _BLOCK):
         block = range(lo, min(lo + _BLOCK, cfg.samples))
+        rngs = _sample_rngs(cfg.seed, block)
         if family is not None:
-            batch, ranks = _draw_rank_block(cfg, family, block)
+            batch, ranks = _draw_rank_block(cfg, family, rngs)
         else:
-            batch = states.DensityMatrix(np.stack([
-                _draw_family_state(cfg, _sample_rng(cfg.seed, i), i).mat for i in block]),
-                cfg.system)
+            if cfg.family == "general":
+                batch = states.random_mixed(math.prod(cfg.system),
+                                            [_draw_rank(cfg, rng) for rng in rngs], rngs,
+                                            cfg.system)
+            else:
+                batch = states.DensityMatrix(np.stack([
+                    _draw_family_state(cfg, rng, i).mat for rng, i in zip(rngs, block)]),
+                    cfg.system)
             ranks = batch.rank()
         records += map(SampleRecord, measures.entanglement(batch).tolist(),
                        measures.purity(batch).tolist(), ranks.tolist(),
@@ -199,10 +310,9 @@ def run_conversion_campaign(cfg: ExperimentConfig) -> CampaignSummary:
     records = []
     for lo in range(0, cfg.samples, _BLOCK):
         block = range(lo, min(lo + _BLOCK, cfg.samples))
-        rngs = [_sample_rng(cfg.seed, i) for i in block]
+        rngs = _sample_rngs(cfg.seed, block)
         ranks = [_draw_rank(cfg, rng) for rng in rngs]
-        rho = states.DensityMatrix(np.stack([states.random_mixed(4, R, rng).mat
-                                             for R, rng in zip(ranks, rngs)]), (2, 2))
+        rho = states.random_mixed(4, ranks, rngs, (2, 2))
         res = convert.find_x_equivalent(rho)
         ok = (res.delta_c <= cfg.tol) & (res.anti_x <= _ANTI_X_TOL)
         records += map(CampaignRecord, block, ranks, measures.purity(rho).tolist(),
@@ -422,14 +532,18 @@ def _get(m, key: str, kind, default=None):
     """m[key] converted by `kind`, or `default` when it is absent, null or empty.
 
     Config files and the environment can hold values of any type, so one
-    that `kind` cannot convert is a ConfigError, not a traceback.
+    that `kind` cannot convert is a ConfigError, not a traceback.  A bool is
+    not a number, and an int key takes no fractional float.
     """
     value = m.get(key)
     if value is None or value == "":
         return default
     try:
+        if isinstance(value, bool) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            raise TypeError
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from None
 
 
@@ -518,8 +632,8 @@ def _cmd_verify(args) -> int:
     masks = [(tgx.anti_x_mask(d).grid, tgx.tgx_mask(d).grid)
              for d in ((2, 2), (2, 3), (2, 2, 2), (3, 3))]
     check("mask partition", all(not np.any(a & t) and np.all(a | t) for a, t in masks))
-    res = convert.find_x_equivalent(states.DensityMatrix(np.stack([
-        states.random_mixed(4, 1 + k % 4, rng, (2, 2)).mat for k in range(10)]), (2, 2)))
+    res = convert.find_x_equivalent(
+        states.random_mixed(4, 1 + np.arange(10) % 4, [rng] * 10, (2, 2)))
     ok = np.all(res.delta_c <= convert.DEFAULT_TOL_C) and np.all(res.anti_x <= _ANTI_X_TOL)
     check("x conversion sample", ok)
     u = tgx.meb_union_mask(

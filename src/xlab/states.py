@@ -459,11 +459,32 @@ def random_pure(n: int, rng: np.random.Generator, dims=None) -> DensityMatrix:
     return _pure(vec, dims if dims is not None else (n,))
 
 
-def random_mixed(n: int, R: int, rng: np.random.Generator, dims=None) -> DensityMatrix:
-    """Rank-R mixed state from the Ginibre-induced measure: GG+/tr(GG+)."""
-    if not 1 <= R <= n:
-        raise DomainError(f"rank must be in 1..{n}, got {R}")
-    G = rng.standard_normal((n, R)) + 1j * rng.standard_normal((n, R))
-    W = G @ G.conj().T
-    W /= np.trace(W).real
-    return DensityMatrix(W, dims if dims is not None else (n,))
+def random_mixed(n: int, R, rng, dims=None) -> DensityMatrix:
+    """Rank-R mixed state from the Ginibre-induced measure: GG+/tr(GG+).
+
+    R may be an array of ranks and rng a matching sequence of generators;
+    the result is then a (B, n, n) stack.  Row b draws the real, then the
+    imaginary part of its (n, R[b]) G from its generator, rows in order, so
+    a block equals a loop of single draws, also when generators repeat.
+    """
+    ranks = np.asarray(R)
+    rngs = [rng] if ranks.ndim == 0 else list(rng)
+    flat = ranks.reshape(-1).tolist()
+    if ranks.ndim > 1 or len(rngs) != len(flat):
+        raise DimensionError(f"need one rank per generator, got {ranks.shape} and {len(rngs)}")
+    bad = [r for r in flat if not 1 <= r <= n]
+    if bad:
+        raise DomainError(f"rank must be in 1..{n}, got {bad[0]}")
+    # One stack and one product per rank: a zero-padded G would change the
+    # last bits.  rows[r] lists the samples whose draws fill G[r] in order.
+    G = {r: np.empty((flat.count(r), 2, n, r)) for r in set(flat)}
+    rows = {r: [] for r in G}
+    for b, (g, r) in enumerate(zip(rngs, flat)):
+        g.standard_normal(out=G[r][len(rows[r])])
+        rows[r].append(b)
+    W = np.empty((len(flat), n, n), dtype=complex)
+    for r, at in rows.items():
+        Gr = G[r][:, 0] + 1j * G[r][:, 1]
+        W[at] = Gr @ Gr.conj().mT
+    W /= np.trace(W, axis1=-2, axis2=-1).real[:, None, None]
+    return DensityMatrix(W if ranks.ndim else W[0], dims if dims is not None else (n,))

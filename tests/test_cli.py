@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xlab
 from xlab import cli, measures, states
@@ -30,7 +32,41 @@ def test_config_validation():
         with pytest.raises(ConfigError, match="tol must be"):
             cli.ExperimentConfig(tol=tol).validate()
     cli.ExperimentConfig(tol=0.0).validate()
+    for samples in (0, 2**32 + 1):
+        with pytest.raises(ConfigError, match="samples must be"):
+            cli.ExperimentConfig(samples=samples).validate()
+    cli.ExperimentConfig(samples=2**32).validate()
     cli.ExperimentConfig(system=(2, 3), family="tgx", rank=6).validate()
+
+
+def _assert_numpy_streams(seed, block):
+    rngs = cli._sample_rngs(seed, block)
+    assert len(rngs) == len(block)
+    for rng, i in zip(rngs, block):
+        oracle = np.random.default_rng([seed, i])
+        assert rng.bit_generator.state == oracle.bit_generator.state, (seed, i)
+        assert rng.integers(0, 2**63, 3).tolist() == oracle.integers(0, 2**63, 3).tolist()
+        assert rng.standard_normal(4).tolist() == oracle.standard_normal(4).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
+def test_sample_rngs_match_numpy_default_rng(seed):
+    for block in (range(0, 1), range(250, 260), range(2**32 - 3, 2**32)):
+        _assert_numpy_streams(seed, block)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**260), st.integers(0, 2**32 - 1), st.integers(1, 9))
+def test_sample_rngs_match_numpy_default_rng_property(seed, start, size):
+    _assert_numpy_streams(seed, range(start, min(start + size, 2**32)))
+
+
+def test_sample_rng_words_serve_pcg64_only():
+    words = cli._sample_rngs(5, range(1))[0].bit_generator.seed_seq
+    assert words.generate_state(4, np.uint64) is words.words
+    for n_words, dtype in ((4, np.uint32), (8, np.uint64), (2, np.uint64)):
+        with pytest.raises(ValueError, match="only 4 uint64 words"):
+            words.generate_state(n_words, dtype)
 
 
 _SCATTER_CASES = [
@@ -268,6 +304,47 @@ def test_main_convert_output_digest(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of the bytes `xlab scatter` wrote before each block's streams were
+# seeded in one pass (numpy 2.4, x86-64): 600 general states are three blocks,
+# the last one partial; 300 states of the other families are two.
+_SCATTER_DIGESTS = {
+    ("general", "2x2", "600", "csv"):
+        "13f1117cc1b66768717d6be46bd4b80b536e41752ba692a3d48fa948e0130682",
+    ("general", "2x3", "300", "csv"):
+        "52871799cf07815123c340f0b9d7dae91df87c38cd1ce3334b5acdb46e9a823a",
+    ("tgx", "2x3", "300", "json"):
+        "d2dc606469c6a04d5c7d233152fae3f3c20e3726d0a217bc8c0e31400bfde2c7",
+    ("lx", "2x3", "300", "csv"):
+        "0497eed7cded72aec48e77ea6733f7118b0e201dd79d76f61f8cf4b11e1ea953",
+    ("x", "2x2", "300", "csv"):
+        "780423c1e1a443c2d82c0a16b99309dcfcd6046ba06414818883db3a3c82113b",
+    ("mems", "2x2", "300", "csv"):
+        "2abbde05216777b41192379787966241b2097df99c8703bd40da4cb66c4c5425",
+    ("mems", "2x3", "300", "csv"):
+        "2606d76f0237cddd822f41b5b41357b2b1ada08f86c0f1a973a9546d96d71c6e",
+    ("h", "2x2", "300", "csv"):
+        "026cc387944f0598659524b5567095590bc609ca000892e88bdcfea24ed98e43",
+}
+
+
+def test_main_scatter_output_digest(tmp_path):
+    def sha(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    out, plot = tmp_path / "s.out", tmp_path / "s.svg"
+    for (family, system, samples, fmt), digest in _SCATTER_DIGESTS.items():
+        assert cli.main(["scatter", "--family", family, "--system", system, "--samples",
+                         samples, "--seed", "78", "--format", fmt, "--out", str(out)]) == 0
+        assert sha(out) == digest, (family, system)
+    assert cli.main(["scatter", "--family", "x", "--rank", "3", "--samples", "300",
+                     "--seed", "78", "--out", str(out)]) == 0
+    assert sha(out) == "50b600a304b49a6680fc95aefe40133bdc3ed43cfeec328cc7a84a5adea9b0e5"
+    assert cli.main(["scatter", "--family", "tgx", "--system", "2x3", "--samples", "300",
+                     "--seed", "78", "--format", "json", "--out", str(out),
+                     "--plot", str(plot)]) == 0
+    assert sha(plot) == "32b7d15ef246581e7b9c356f1c4bd8e3d5090a0c725583048f756144ef01606f"
+
+
 def test_emit_output_rejects_empty():
     with pytest.raises(ConfigError):
         cli.emit_output([], fmt="csv")
@@ -401,10 +478,21 @@ def test_main_bad_config_exits_1(capsys):
     (["mems-curve", "--samples", "-3"], None, None),
     (["convert", "--samples", "2", "--tol", "nan"], None, None),
     (["convert", "--samples", "2", "--tol", "-1"], None, None),
+    (["scatter", "--samples", str(2**32 + 1)], None, None),
+    (["scatter"], {"samples": 2.9, "seed": True}, None),
+    (["scatter", "--samples", "2"], {"seed": True}, None),
+    (["scatter", "--samples", "2"], {"seed": 1.5}, None),
+    (["scatter", "--samples", "2", "--family", "x"], {"rank": True}, None),
+    (["scatter"], {"samples": float("inf")}, None),
+    (["scatter", "--samples", "2"], {"threads": True}, None),
+    (["convert", "--samples", "2"], {"tol": True}, None),
+    (["convert"], {"samples": True}, None),
 ], ids=["samples-abc", "tol-list", "threads-env-abc", "fmt-xml",
         "mems-curve-json", "negative-seed", "scatter-out-int", "scatter-plot-bool",
         "convert-out-int", "mems-curve-out-list", "mems-curve-samples-0",
-        "mems-curve-samples-negative", "tol-nan", "tol-negative"])
+        "mems-curve-samples-negative", "tol-nan", "tol-negative", "samples-over-2^32",
+        "samples-fraction-seed-bool", "seed-bool", "seed-fraction", "rank-bool",
+        "samples-inf", "threads-bool", "tol-bool", "convert-samples-bool"])
 def test_main_bad_input_is_one_line_error(tmp_path, monkeypatch, capsys,
                                           argv, config, env):
     if config is not None:
@@ -460,6 +548,17 @@ def test_main_builds_the_parser_once(capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == fresh
     assert cli._build_parser.cache_info().misses == 1
+
+
+def test_main_config_numbers_keep_their_value(tmp_path, capsys):
+    # An integral float is an int; a string number stays valid in a config.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"samples": 3.0, "seed": "9", "tol": 1, "threads": 2.0}))
+    assert cli.main(["convert", "--config", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert cli.main(["convert", "--samples", "3", "--seed", "9", "--tol", "1"]) == 0
+    assert capsys.readouterr().out == text
+    assert len(text.splitlines()) == 4
 
 
 def test_threads_env_var(monkeypatch, capsys):

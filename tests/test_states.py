@@ -240,6 +240,46 @@ def test_random_ensembles():
     assert p.rank() == 1
 
 
+def _one_random_mixed(n, R, rng):
+    """A Ginibre state drawn and normalised one matrix at a time."""
+    G = rng.standard_normal((n, R)) + 1j * rng.standard_normal((n, R))
+    W = G @ G.conj().T
+    return W / np.trace(W).real
+
+
+@pytest.mark.parametrize("n,dims", [(4, (2, 2)), (6, (2, 3))])
+def test_random_mixed_block_equals_one_state_loop(n, dims):
+    ranks = np.tile(np.arange(1, n + 1), 5)[np.random.default_rng(n).permutation(5 * n)]
+    rngs = [np.random.default_rng([n, i]) for i in range(len(ranks))]
+    block = states.random_mixed(n, ranks, rngs, dims)
+    assert block.mat.shape == (len(ranks), n, n) and block.dims == dims
+    want = [_one_random_mixed(n, int(R), np.random.default_rng([n, i]))
+            for i, R in enumerate(ranks)]
+    assert np.array_equal(block.mat, np.stack(want))
+    assert block.rank().tolist() == ranks.tolist()
+    for i, R in enumerate(ranks[:2 * n].tolist()):
+        one = states.random_mixed(n, R, np.random.default_rng([n, i]), dims)
+        assert one.mat.shape == (n, n) and np.array_equal(one.mat, want[i])
+    # One generator for every row draws the rows in order.
+    shared, loop = np.random.default_rng(n + 1), np.random.default_rng(n + 1)
+    want = np.stack([_one_random_mixed(n, int(R), loop) for R in ranks])
+    assert np.array_equal(states.random_mixed(n, ranks, [shared] * len(ranks)).mat, want)
+
+
+def test_random_mixed_rejects_bad_ranks():
+    rng = np.random.default_rng(0)
+    for R in (0, 5, -1):
+        with pytest.raises(DomainError, match="rank must be in 1..4"):
+            states.random_mixed(4, R, rng)
+    for R in ([1, 2, 5], [0, 3]):
+        with pytest.raises(DomainError, match="rank must be in 1..4"):
+            states.random_mixed(4, R, [rng] * len(R))
+    with pytest.raises(DimensionError):
+        states.random_mixed(4, [1, 2, 3], [rng, rng])
+    with pytest.raises(DimensionError):
+        states.random_mixed(4, [[1, 2]], [rng, rng])
+
+
 def test_density_matrix_shape_check():
     with pytest.raises(DimensionError):
         states.DensityMatrix(np.eye(3), (2, 2))
