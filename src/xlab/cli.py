@@ -5,13 +5,15 @@ Subcommands: `scatter` (entanglement-purity samples of a state family),
 masks), `mems-curve` (boundary curves), `verify` (fast invariant checks).
 
 Sample i draws from its own stream, the one np.random.default_rng([seed, i])
-starts.  `_sample_rngs` seeds the streams of a block of `_BLOCK` samples in
-one pass: it replays numpy's SeedSequence hashing as uint32 array
-operations over the block, and is tested against default_rng([seed, index]).
-`run_scatter` draws and measures, and `run_conversion_campaign` converts, a
-block at a time with stacked kernels, so output is byte-identical for any
-block size.  `--threads` is validated but has no effect.  The argument
-parser is built once per process.
+starts.  `_sample_rngs` seeds the streams of a block of samples at once with
+a plain transcription of numpy's SeedSequence on uint32 arrays, one column
+per sample; it is tested, and checked by `verify`, against
+default_rng([seed, index]).  `run_scatter` draws and measures, and
+`run_conversion_campaign` converts, the blocks of `_sample_blocks` with
+stacked kernels, so output is byte-identical for any block size; the grid
+families (`mems`, `h`) get no streams.  `--threads` is validated but has no
+effect.  The argument parser is built once per process, and `_write` is the
+one writer of a command's data output.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ _SYSTEMS = ((2, 2), (2, 3))
 # A converted state with a larger anti-X measure is not an X state.
 _ANTI_X_TOL = 1e-10
 _FAMILIES = ("general", "x", "lx", "tgx", "mems", "h")
+# Families whose states lie on a grid over the sample index and draw nothing.
+_GRID_FAMILIES = ("mems", "h")
 # Samples per stacked draw and measurement in run_scatter: enough to amortise
 # numpy's per-call overhead, few enough to keep temporaries small.
 _BLOCK = 256
@@ -87,58 +91,38 @@ class ExperimentConfig:
         return self
 
 
-# numpy's SeedSequence with its default pool of 4 words.  Hash call k xors a
-# word with A_k = _INIT_A * _MULT_A**k and multiplies it by A_(k+1); output
-# word k does the same with _INIT_B and _MULT_B; mix(x, y) is
-# _MIX_L * x - _MIX_R * y.  Each ends with v ^= v >> 16, all mod 2**32.
+# numpy's SeedSequence constants for its default pool of 4 words.  Hash
+# call k xors a word with init * mult**k and multiplies it by
+# init * mult**(k + 1); all arithmetic is mod 2**32.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
-def _powers(init: int, mult: int, count: int) -> list:
-    """init * mult**k mod 2**32 for k in 0..count."""
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & 0xFFFFFFFF)
-    return out
+@functools.cache
+def _hash_consts(calls: range, init: int, mult: int) -> tuple:
+    """The xor and multiply constants of hash calls `calls`, as columns."""
+    a = np.array([init * pow(mult, k, 2**32) % 2**32
+                  for k in range(calls.start, calls.stop + 1)], dtype=np.uint32)[:, None]
+    a.flags.writeable = False  # shared by every call through the cache
+    return a[:-1], a[1:]
 
 
-# The pool's hash calls in the order a block runs them: calls 0-3 hash the
-# entropy into pool words 0-3; mixing step s then runs calls 4 + 3s to
-# 6 + 3s on source word s, one per other word in ascending order (word d is
-# other word d if d < s, else d - 1), listed here for words s + 1, s + 2,
-# s + 3 (mod 4).
-_CALLS = [0, 1, 2, 3] + [4 + 3 * s + (d if d < s else d - 1)
-                         for s in range(4) for d in ((s + 1) % 4, (s + 2) % 4, (s + 3) % 4)]
-_HASH, _OUT = _powers(_INIT_A, _MULT_A, 16), _powers(_INIT_B, _MULT_B, 8)
-# One constant per row: the xor (rows 0-15) and multiply (16-31) constants
-# of _CALLS, those of the 8 output calls (32-39, 40-47), then _MIX_L and
-# _MIX_R for a mixing step's 3 words (48-50, 51-53) and the shift (54-61).
-# A block repeats each row across its samples, so that all but one
-# operation per step is between arrays of one shape, which numpy runs at
-# about half the cost of a broadcast.
-_TABLE = np.array([*(_HASH[k] for k in _CALLS), *(_HASH[k + 1] for k in _CALLS),
-                   *_OUT[:8], *_OUT[1:], *[_MIX_L] * 3, *[_MIX_R] * 3, *[_SHIFT] * 8],
-                  dtype=np.uint32)[:, None]
-
-
-def _hash(words: np.ndarray, xor: np.ndarray, mul: np.ndarray, shift=_SHIFT) -> np.ndarray:
-    """SeedSequence's hash of `words` by the calls whose constants are xor and
-    mul, as a new array of their broadcast shape."""
+def _hashmix(words: np.ndarray, calls: range, init=_INIT_A, mult=_MULT_A) -> np.ndarray:
+    """SeedSequence's hash of `words` by hash calls `calls`, one call per row
+    of the result; `words` broadcasts against the calls."""
+    xor, mul = _hash_consts(calls, init, mult)
     h = words ^ xor
     h *= mul
-    h ^= h >> shift
+    h ^= h >> 16
     return h
 
 
-def _mix_into(x: np.ndarray, y: np.ndarray, mix_l=_MIX_L, mix_r=_MIX_R, shift=_SHIFT) -> None:
-    """x = mix(x, y) in place; y is overwritten.  The constants may be
-    arrays of x's shape, which numpy applies faster than scalars."""
-    x *= mix_l
-    y *= mix_r
-    x -= y
-    x ^= x >> shift
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of x with y."""
+    m = x * _MIX_L - y * _MIX_R
+    m ^= m >> 16
+    return m
 
 
 class _Words(ISeedSequence):
@@ -157,10 +141,10 @@ def _sample_rngs(seed: int, block: range) -> list:
     """One Generator per index in `block`, each in the state that
     np.random.default_rng([seed, index]) starts in (indices < 2**32).
 
-    SeedSequence's hashing runs once for the whole block, as uint32 array
-    operations with one column per index; PCG64 then seeds itself from the
-    four words of each.  A stream depends on (seed, index) alone, so any
-    blocking of the samples draws the same states.
+    A plain transcription of numpy's SeedSequence (pool of 4 words) on
+    (k, len(block)) uint32 rows, one column per index; PCG64 then seeds
+    itself from the four uint64 words of each column.  A stream depends on
+    (seed, index) alone, so any blocking of the samples draws the same states.
     """
     # entropy[k] is word k of each sample's entropy: the seed's little-endian
     # 32-bit words, then the index, then zeros up to the pool size.
@@ -168,31 +152,32 @@ def _sample_rngs(seed: int, block: range) -> list:
     entropy = np.zeros((max(n_words + 1, 4), len(block)), dtype=np.uint32)
     entropy[:n_words] = np.frombuffer(seed.to_bytes(4 * n_words, "little"), "<u4")[:, None]
     entropy[n_words] = np.arange(block.start, block.stop, block.step)
-    table = np.repeat(_TABLE, len(block), axis=1)
-    xor, mul, shift = table[:16], table[16:32], table[54:62]
-    mix_l, mix_r, shift3 = table[48:51], table[51:54], shift[:3]
-    # Mixing step s works on ring[s:s + 4], which holds pool words s, s + 1,
-    # s + 2, s + 3 (mod 4); copying word s to ring[s + 4] after the step
-    # slides the window on, and leaves the pool in ring[4:].
-    ring = np.empty((8, len(block)), dtype=np.uint32)
-    ring[:4] = _hash(entropy[:4], xor[:4], mul[:4], shift[:4])
-    for s in range(4):
-        calls = slice(4 + 3 * s, 7 + 3 * s)
-        h = _hash(ring[s], xor[calls], mul[calls], shift3)
-        _mix_into(ring[s + 1:s + 4], h, mix_l, mix_r, shift3)
-        ring[s + 4] = ring[s]
-    # Entropy past the pool (seeds of 96 bits and more) mixes into every word.
-    if len(entropy) > 4:
-        more = np.array(_powers(_INIT_A, _MULT_A, 4 * len(entropy)), dtype=np.uint32)[:, None]
-        for k in range(16, 4 * len(entropy), 4):
-            _mix_into(ring[4:], _hash(entropy[k // 4], more[k:k + 4], more[k + 1:k + 5]))
-    # The 8 output calls cycle the pool twice.  Sample b's output words are
+    pool = _hashmix(entropy[:4], range(4))
+    # Each source word's 3 hashes mix into the other words in ascending order.
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], range(4 + 3 * src, 7 + 3 * src)))
+    # Each entropy word past the pool mixes into every pool word.
+    for k, word in enumerate(entropy[4:]):
+        pool = _mix(pool, _hashmix(word, range(16 + 4 * k, 20 + 4 * k)))
+    # The 8 output calls cycle the pool twice; sample b's output words are
     # one C-contiguous run, read as 4 little-endian uint64s.
-    ring[:4] = ring[4:]
     state = np.empty((len(block), 8), dtype="<u4")
-    state.T[:] = _hash(ring, table[32:40], table[40:48], shift)
+    state.T[:] = _hashmix(np.concatenate([pool, pool]), range(8), _INIT_B, _MULT_B)
     state = state.view("<u8").astype(np.uint64, copy=False)
     return [Generator(PCG64(_Words(row))) for row in state]
+
+
+def _sample_blocks(cfg: ExperimentConfig):
+    """(block, rngs) for each block of `_BLOCK` consecutive sample indices:
+    rngs holds each sample's stream from `_sample_rngs`, or None for each
+    sample of a grid family."""
+    for lo in range(0, cfg.samples, _BLOCK):
+        block = range(lo, min(lo + _BLOCK, cfg.samples))
+        if cfg.family in _GRID_FAMILIES:
+            yield block, [None] * len(block)
+        else:
+            yield block, _sample_rngs(cfg.seed, block)
 
 
 def _draw_rank(cfg: ExperimentConfig, rng: np.random.Generator) -> int:
@@ -253,9 +238,7 @@ def run_scatter(cfg: ExperimentConfig) -> list:
     cfg.validate()
     family = None if cfg.family == "x" and cfg.rank is None else _RANK_FAMILIES.get(cfg.family)
     records = []
-    for lo in range(0, cfg.samples, _BLOCK):
-        block = range(lo, min(lo + _BLOCK, cfg.samples))
-        rngs = _sample_rngs(cfg.seed, block)
+    for block, rngs in _sample_blocks(cfg):
         if family is not None:
             batch, ranks = _draw_rank_block(cfg, family, rngs)
         else:
@@ -307,10 +290,11 @@ def run_conversion_campaign(cfg: ExperimentConfig) -> CampaignSummary:
     """Convert `samples` consecutive random two-qubit states to X form, a
     stacked block of `_BLOCK` states per `find_x_equivalent` call."""
     cfg.validate()
+    if cfg.family != "general" or tuple(cfg.system) != (2, 2):
+        raise ConfigError(f"convert draws general 2x2 states, not {cfg.family} "
+                          f"{'x'.join(map(str, cfg.system))}")
     records = []
-    for lo in range(0, cfg.samples, _BLOCK):
-        block = range(lo, min(lo + _BLOCK, cfg.samples))
-        rngs = _sample_rngs(cfg.seed, block)
+    for block, rngs in _sample_blocks(cfg):
         ranks = [_draw_rank(cfg, rng) for rng in rngs]
         rho = states.random_mixed(4, ranks, rngs, (2, 2))
         res = convert.find_x_equivalent(rho)
@@ -422,17 +406,13 @@ def _write(text: str, path=None) -> None:
         sys.stdout.write(text)
 
 
-def emit_output(records, fmt: str = "csv", out=None, plot=None, system=(2, 2)) -> str:
-    """Serialize scatter records; optionally write an SVG scatter plot.
-
-    Returns the serialized text; writes it to `out` when given.
-    """
+def emit_output(records, fmt: str = "csv", plot=None, system=(2, 2)) -> str:
+    """Serialize scatter records, and write an SVG scatter plot to `plot`
+    when given.  Returns the serialized text."""
     records = list(records)
     if not records:
         raise ConfigError("no records to emit")
     text = _serializer(fmt, {"csv": _records_csv, "json": _records_json})(records)
-    if out:
-        _write(text, out)
     if plot:
         _write(_scatter_svg(records, system), plot)
     return text
@@ -639,6 +619,10 @@ def _cmd_verify(args) -> int:
     u = tgx.meb_union_mask(
         tgx.meb_basis_2x3(states.PHI) + tgx.meb_basis_2x3(states.PSI), (2, 3))
     check("2x3 MEB union = TGX mask", u == tgx.tgx_mask((2, 3)))
+    # _sample_rngs transcribes a numpy internal; this catches numpy changing it.
+    check("sample streams", all(
+        r.bit_generator.state == np.random.default_rng([seed, i]).bit_generator.state
+        for i, r in enumerate(_sample_rngs(seed, range(3)))))
     return 0 if all(ok for _, ok in checks) else 1
 
 

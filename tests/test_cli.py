@@ -49,7 +49,9 @@ def _assert_numpy_streams(seed, block):
         assert rng.standard_normal(4).tolist() == oracle.standard_normal(4).tolist()
 
 
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3,
+                                  # The entropy fills the pool, then runs 1 and 2 words past it.
+                                  2**96 - 1, 2**96, 2**128 + 1])
 def test_sample_rngs_match_numpy_default_rng(seed):
     for block in (range(0, 1), range(250, 260), range(2**32 - 3, 2**32)):
         _assert_numpy_streams(seed, block)
@@ -85,6 +87,18 @@ def test_run_scatter_families(family, system):
         assert 0.0 <= r.entanglement <= 1.0 + 1e-9
         assert 0.0 <= r.purity <= 1.0 + 1e-9
         assert r.family == family
+
+
+@pytest.mark.parametrize("family,system", [("mems", (2, 2)), ("mems", (2, 3)), ("h", (2, 2))])
+def test_run_scatter_grid_families_build_no_streams(monkeypatch, family, system):
+    def no_draws(seed, block):
+        raise AssertionError("sample streams were built")
+
+    monkeypatch.setattr(cli, "_sample_rngs", no_draws)
+    cfg = cli.ExperimentConfig(system=system, family=family, samples=cli._BLOCK + 3, seed=4)
+    assert len(cli.run_scatter(cfg)) == cli._BLOCK + 3
+    with pytest.raises(AssertionError, match="were built"):
+        cli.run_scatter(cli.ExperimentConfig(samples=2, seed=4))
 
 
 def test_run_scatter_thread_invariance():
@@ -187,6 +201,9 @@ def test_run_conversion_campaign():
     assert summary.max_delta_c <= cli.convert.DEFAULT_TOL_C
     assert summary.max_anti_x <= 1e-10
     assert sum(summary.attempt_histogram.values()) == 6
+    for other in (dict(family="mems"), dict(system=(2, 3))):
+        with pytest.raises(ConfigError, match="convert draws general 2x2 states"):
+            cli.run_conversion_campaign(cli.ExperimentConfig(samples=2, **other))
 
 
 def test_run_conversion_campaign_block_invariance(monkeypatch):
@@ -234,11 +251,9 @@ def test_convert_success_means_x_state(tmp_path):
         assert float(row["delta_c"]) <= 1e-7
 
 
-def test_emit_output_csv_and_json(tmp_path):
+def test_emit_output_csv_and_json():
     records = cli.run_scatter(cli.ExperimentConfig(samples=5, seed=3))
-    out = tmp_path / "r.csv"
-    text = cli.emit_output(records, fmt="csv", out=str(out))
-    assert out.read_text() == text
+    text = cli.emit_output(records, fmt="csv")
     assert text.splitlines()[0] == "entanglement,purity,rank,family,sample_index"
     assert len(text.splitlines()) == 6
     data = json.loads(cli.emit_output(records, fmt="json"))
@@ -493,8 +508,14 @@ def test_main_bad_config_exits_1(capsys):
         "mems-curve-samples-negative", "tol-nan", "tol-negative", "samples-over-2^32",
         "samples-fraction-seed-bool", "seed-bool", "seed-fraction", "rank-bool",
         "samples-inf", "threads-bool", "tol-bool", "convert-samples-bool"])
-def test_main_bad_input_is_one_line_error(tmp_path, monkeypatch, capsys,
+def test_main_bad_input_is_one_line_error(tmp_path, monkeypatch, capsys, request,
                                           argv, config, env):
+    if request.node.callspec.id == "samples-over-2^32":
+        # Without the samples bound this run would draw for hours; fail at once.
+        def no_draws(seed, block):
+            raise AssertionError("the run got as far as drawing samples")
+
+        monkeypatch.setattr(cli, "_sample_rngs", no_draws)
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
