@@ -8,12 +8,14 @@ Sample i draws from its own stream, the one np.random.default_rng([seed, i])
 starts.  `_sample_rngs` seeds the streams of a block of samples at once with
 a plain transcription of numpy's SeedSequence on uint32 arrays, one column
 per sample; it is tested, and checked by `verify`, against
-default_rng([seed, index]).  `run_scatter` draws and measures, and
-`run_conversion_campaign` converts, the blocks of `_sample_blocks` with
-stacked kernels, so output is byte-identical for any block size; the grid
-families (`mems`, `h`) get no streams.  `--threads` is validated but has no
-effect.  The argument parser is built once per process, and `_write` is the
-one writer of a command's data output.
+default_rng([seed, index]).  `run_scatter` builds each block of
+`_sample_blocks` with one call of its family's stacked builder and measures
+it with stacked kernels, and `run_conversion_campaign` converts the blocks
+with stacked kernels, so output is byte-identical for any block size.  The
+grid families (`mems`, `h`) get no streams: their states are built from the
+block's index range.  `--threads` is validated but has no effect.  The
+argument parser is built once per process, and `_write` is the one writer
+of a command's data output.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ _GRID_FAMILIES = ("mems", "h")
 _BLOCK = 256
 # Rank-specific families (x only with --rank), drawn a block at a time.
 _RANK_FAMILIES = {"x": states.RANK_X, "lx": states.LX_RANK, "tgx": states.TGX_RANK}
+# uniform()'s scales of an `x` sample's 3 + 4 angles and 4 phases (no --rank).
+_X_SCALE = np.array([math.pi / 2.0] * 7 + [2.0 * math.pi] * 4)
 
 
 @dataclass
@@ -80,10 +84,12 @@ class ExperimentConfig:
         n = math.prod(self.system)
         if self.rank is not None and not 1 <= self.rank <= n:
             raise ConfigError(f"rank {self.rank} invalid for system {list(self.system)}")
+        if self.rank is not None and self.family in _GRID_FAMILIES:
+            raise ConfigError(f"family {self.family!r} takes no rank")
         if self.family in ("lx", "tgx") and tuple(self.system) != (2, 3):
             raise ConfigError(f"family {self.family!r} requires system 2x3")
-        if self.family == "h" and tuple(self.system) != (2, 2):
-            raise ConfigError("family 'h' requires system 2x2")
+        if self.family in ("x", "h") and tuple(self.system) != (2, 2):
+            raise ConfigError(f"family {self.family!r} requires system 2x2")
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise ConfigError(f"tol must be finite and >= 0, got {self.tol}")
         if self.threads < 1:
@@ -170,42 +176,17 @@ def _sample_rngs(seed: int, block: range) -> list:
 
 def _sample_blocks(cfg: ExperimentConfig):
     """(block, rngs) for each block of `_BLOCK` consecutive sample indices:
-    rngs holds each sample's stream from `_sample_rngs`, or None for each
-    sample of a grid family."""
+    rngs holds each sample's stream from `_sample_rngs`, or is None for a
+    grid family, whose states depend on the sample index alone."""
     for lo in range(0, cfg.samples, _BLOCK):
         block = range(lo, min(lo + _BLOCK, cfg.samples))
-        if cfg.family in _GRID_FAMILIES:
-            yield block, [None] * len(block)
-        else:
-            yield block, _sample_rngs(cfg.seed, block)
+        yield block, None if cfg.family in _GRID_FAMILIES else _sample_rngs(cfg.seed, block)
 
 
 def _draw_rank(cfg: ExperimentConfig, rng: np.random.Generator) -> int:
     if cfg.rank is not None:
         return cfg.rank
     return int(rng.integers(1, math.prod(cfg.system) + 1))
-
-
-def _draw_family_state(cfg: ExperimentConfig, rng: np.random.Generator, index: int):
-    n = math.prod(cfg.system)
-    fam = cfg.family
-    if fam == "x":
-        params = states.XParams(
-            probability_angles=rng.uniform(0.0, math.pi / 2.0, 3),
-            superposition_angles=rng.uniform(0.0, math.pi / 2.0, 4),
-            phases=rng.uniform(0.0, 2.0 * math.pi, 4))
-        return states.general_x_state(params)
-    if fam == "mems":
-        p_min = 1.0 / n
-        P = p_min + (1.0 - p_min) * (index / max(cfg.samples - 1, 1))
-        return (states.mems_2x2 if tuple(cfg.system) == (2, 2) else states.mems_2x3)(P)
-    if fam == "h":
-        side = max(int(math.ceil(math.sqrt(cfg.samples))), 2)
-        C = (index % side) / (side - 1)
-        lo = states.h_purity_floor(C)
-        P = lo + (1.0 - lo) * ((index // side) % side) / (side - 1)
-        return states.h_state(C, min(P, 1.0))
-    raise ConfigError(f"unhandled family {fam!r}")  # pragma: no cover
 
 
 def _draw_rank_block(cfg: ExperimentConfig, family, rngs: list):
@@ -233,24 +214,39 @@ def _draw_rank_block(cfg: ExperimentConfig, family, rngs: list):
     raise ConfigError(f"could not draw a rank-{R[todo[0]]} {cfg.family} state after 64 tries")
 
 
+def _build_block(cfg: ExperimentConfig, block: range, rngs):
+    """The states of `block` as one stack from one call of the family's
+    stacked builder, and their ranks.  `mems` walks purities from 1/n to 1,
+    `h` a side x side grid of concurrences, each with purities from its
+    `h_purity_floor` to 1."""
+    fam, index = cfg.family, np.arange(block.start, block.stop)
+    if fam in _RANK_FAMILIES and (fam != "x" or cfg.rank is not None):
+        return _draw_rank_block(cfg, _RANK_FAMILIES[fam], rngs)
+    if fam == "general":
+        batch = states.random_mixed(math.prod(cfg.system),
+                                    [_draw_rank(cfg, rng) for rng in rngs], rngs, cfg.system)
+    elif fam == "x":
+        u = np.stack([rng.random(11) for rng in rngs]) * _X_SCALE
+        batch = states.general_x_state(states.XParams(u[:, :3], u[:, 3:7], u[:, 7:]))
+    elif fam == "mems":
+        p_min = 1.0 / math.prod(cfg.system)
+        P = p_min + (1.0 - p_min) * (index / max(cfg.samples - 1, 1))
+        batch = (states.mems_2x2 if tuple(cfg.system) == (2, 2) else states.mems_2x3)(P)
+    else:
+        side = max(math.ceil(math.sqrt(cfg.samples)), 2)
+        C = (index % side) / (side - 1)
+        lo = states.h_purity_floor(C)
+        P = lo + (1.0 - lo) * ((index // side) % side) / (side - 1)
+        batch = states.h_state(C, np.minimum(P, 1.0))
+    return batch, batch.rank()
+
+
 def run_scatter(cfg: ExperimentConfig) -> list:
     """Draw, measure, and record `samples` states of the configured family."""
     cfg.validate()
-    family = None if cfg.family == "x" and cfg.rank is None else _RANK_FAMILIES.get(cfg.family)
     records = []
     for block, rngs in _sample_blocks(cfg):
-        if family is not None:
-            batch, ranks = _draw_rank_block(cfg, family, rngs)
-        else:
-            if cfg.family == "general":
-                batch = states.random_mixed(math.prod(cfg.system),
-                                            [_draw_rank(cfg, rng) for rng in rngs], rngs,
-                                            cfg.system)
-            else:
-                batch = states.DensityMatrix(np.stack([
-                    _draw_family_state(cfg, rng, i).mat for rng, i in zip(rngs, block)]),
-                    cfg.system)
-            ranks = batch.rank()
+        batch, ranks = _build_block(cfg, block, rngs)
         records += map(SampleRecord, measures.entanglement(batch).tolist(),
                        measures.purity(batch).tolist(), ranks.tolist(),
                        [cfg.family] * len(block), block)

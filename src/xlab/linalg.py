@@ -34,6 +34,23 @@ def scalar(x):
     return x.item() if x.ndim == 0 else x
 
 
+def reject(bad, message: str, *values) -> None:
+    """A DomainError if any entry of `bad` holds: `message` formatted with
+    the first such entry of each of `values`, which broadcast against `bad`."""
+    bad = np.asarray(bad)
+    if bad.any():
+        raise DomainError(message.format(
+            *(np.broadcast_to(v, bad.shape).flat[bad.argmax()].item() for v in values)))
+
+
+def clamped(x, lo: float, hi: float, message: str) -> np.ndarray:
+    """x (a float or an array) as floats clipped to [lo, hi]; an entry
+    further than 1e-12 outside that range is rejected with `message`."""
+    x = np.asarray(x, dtype=float)
+    reject(~((lo - 1e-12 <= x) & (x <= hi + 1e-12)), message, x)
+    return np.clip(x, lo, hi)
+
+
 def hermitize(M: np.ndarray, tol: float = HERM_DRIFT_TOL) -> np.ndarray:
     """Return (M + M†)/2, rejecting input that is not Hermitian within `tol`.
 

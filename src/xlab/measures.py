@@ -8,12 +8,10 @@ take a purity or an array of purities.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, DomainError
+from .errors import DimensionError
 from .states import DensityMatrix
 
 _SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -85,23 +83,19 @@ def anti_x_measure(rho):
     return linalg.scalar(4.0 * (np.abs(m[..., _ANTI_X_ROWS, _ANTI_X_COLS]) ** 2).sum(axis=-1))
 
 
-def concurrence_x(rho, tol: float = 1e-10) -> float:
-    """Closed-form concurrence for a two-qubit X state.
+def concurrence_x(rho, tol: float = 1e-10):
+    """Closed-form concurrence for a two-qubit X state or a stack of them.
 
     2 max(0, |rho32| - sqrt(rho44 rho11), |rho41| - sqrt(rho33 rho22)).
-    Rejects input whose anti-X measure exceeds `tol`.
+    Rejects input any of whose matrices has an anti-X measure above `tol`.
     """
-    m = require_single(rho, "concurrence_x")
+    m = _as_mat(rho)
     a = anti_x_measure(m)
-    if a > tol:
-        raise DomainError(f"state is not X-shaped: anti-X measure {a:.3e} > {tol}")
-    d = np.abs(np.diag(m).real)
-    c = 2.0 * max(
-        0.0,
-        abs(m[2, 1]) - math.sqrt(d[3] * d[0]),
-        abs(m[3, 0]) - math.sqrt(d[2] * d[1]),
-    )
-    return float(c)
+    linalg.reject(a > tol, f"state is not X-shaped: anti-X measure {{:.3e}} > {tol}", a)
+    d = np.abs(np.diagonal(m, axis1=-2, axis2=-1).real)
+    c = np.maximum(np.abs(m[..., 2, 1]) - np.sqrt(d[..., 3] * d[..., 0]),
+                   np.abs(m[..., 3, 0]) - np.sqrt(d[..., 2] * d[..., 1]))
+    return linalg.scalar(2.0 * np.maximum(c, 0.0))
 
 
 def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
@@ -156,22 +150,12 @@ def entanglement(rho: DensityMatrix):
     raise DimensionError(f"no entanglement measure for dims {list(rho.dims)}")
 
 
-def _purities(P, lo: float, name: str) -> np.ndarray:
-    """P (a float or an array) clamped to [lo, 1]; a value further than
-    1e-12 outside that range is a DomainError."""
-    P = np.asarray(P, dtype=float)
-    bad = ~((lo - 1e-12 <= P) & (P <= 1.0 + 1e-12))
-    if bad.any():
-        raise DomainError(f"purity {P[bad].flat[0]} outside [{name}, 1]")
-    return np.clip(P, lo, 1.0)
-
-
 def mems_boundary_2x2(P):
     """Maximal two-qubit concurrence at purity P (piecewise closed form).
 
     P is a float or an array; a float gives a float.
     """
-    P = _purities(P, 0.25, "1/4")
+    P = linalg.clamped(P, 0.25, 1.0, "purity {} outside [1/4, 1]")
     mid = np.sqrt(np.maximum(2.0 * (P - 1.0 / 3.0), 0.0))
     high = (1.0 + np.sqrt(np.maximum(2.0 * P - 1.0, 0.0))) / 2.0
     return linalg.scalar(np.where(P <= 1.0 / 3.0, 0.0, np.where(P <= 5.0 / 9.0, mid, high)))
@@ -186,7 +170,7 @@ def mems_boundary_2x3(P):
     [[0, w/2], [w/2, 0]] with w = (1 + sqrt(6 (P - 1/3)))/3 above, so
     E = sqrt(beta^2 + g^2) - beta, then E = w; E = 0 for P < 1/5.
     """
-    P = _purities(P, 1.0 / 6.0, "1/6")
+    P = linalg.clamped(P, 1.0 / 6.0, 1.0, "purity {} outside [1/6, 1]")
     g = np.sqrt(np.maximum((10.0 / 7.0) * (P - 0.2), 0.0))
     beta = (1.0 - 2.0 * g) / 5.0
     high = (1.0 + np.sqrt(np.maximum(6.0 * (P - 1.0 / 3.0), 0.0))) / 3.0

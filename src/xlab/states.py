@@ -141,7 +141,8 @@ class XParams:
 
     probability_angles: three hyperspherical angles in [0, pi/2] giving the
     four mixing probabilities; superposition_angles: four theta angles in
-    [0, pi/2]; phases: four phase angles in [0, 2 pi).
+    [0, pi/2]; phases: four phase angles in [0, 2 pi).  Each may also be a
+    (B, 3) or (B, 4) array, one row per state.
     """
 
     probability_angles: tuple[float, float, float]
@@ -155,12 +156,14 @@ def general_x_state(params: XParams, mode: str = "reduced-9") -> DensityMatrix:
     mode "full-11" uses all four phases; "reduced-9" forces the first and
     third phases to zero (the minimal parameterization; consecutive pure
     terms share off-diagonal support, so one phase per pair suffices).
+    Parameter arrays with B rows give a (B, 4, 4) stack whose matrix b is
+    the state of row b.
     """
     if mode not in ("full-11", "reduced-9"):
         raise DomainError(f"unknown mode {mode!r}")
     phases = np.array(params.phases, dtype=float)
     if mode == "reduced-9":
-        phases[[0, 2]] = 0.0
+        phases[..., [0, 2]] = 0.0
     lo, hi = zip(*(_THETA_SUPPORT[fam] for fam in (PHI, PHI, PSI, PSI)))
     kets = _theta_kets(4, lo, hi, params.superposition_angles, np.exp(1j * phases))
     return DensityMatrix(_mixture(hyperspherical_probs(params.probability_angles), kets), (2, 2))
@@ -185,94 +188,99 @@ def rank_x_state(R: int, thetas: Sequence[float], probs: Sequence[float]) -> Den
     return _rank_state(RANK_X, R, thetas, probs)
 
 
-def _diag_dm(entries, dims) -> DensityMatrix:
-    return DensityMatrix(np.diag(np.asarray(entries, dtype=complex)), dims)
+# The grid families below build every branch for every entry of their array
+# arguments, then select each entry's, so a stack equals one-state builds.
+
+def _diag(*entries) -> np.ndarray:
+    """(..., n, n) complex matrices with diagonal `entries` (floats or arrays
+    that broadcast together) and zeros elsewhere."""
+    diag = np.stack(np.broadcast_arrays(*entries), axis=-1).astype(complex)
+    mat = np.zeros(diag.shape + diag.shape[-1:], dtype=complex)
+    at = np.arange(diag.shape[-1])
+    mat[..., at, at] = diag
+    return mat
 
 
-def _separable_diag(P: float) -> DensityMatrix:
-    """Diagonal C = 0 state at purity P in [1/4, 1/3], shared by MEMS and H states.
+def _x_mat(diag, corner) -> np.ndarray:
+    """(..., 4, 4) matrices with diagonal `diag` and `corner` at (0, 3) and (3, 0)."""
+    mat = _diag(*diag)
+    mat[..., 0, 3] = mat[..., 3, 0] = corner
+    return mat
+
+
+def _separable_diag(P) -> tuple:
+    """Diagonal of the C = 0 state at purity P in [1/4, 1/3], shared by MEMS and H states.
 
     Its radial coefficient b is fixed so that the purity round-trip is
     exact: b = 1 at P = 1/4, b = 5/3 at P = 1/3.
     """
-    b = 1.0 + 4.0 * math.sqrt(max(P - 0.25, 0.0) / 3.0)
+    b = 1.0 + 4.0 * np.sqrt(np.maximum(P - 0.25, 0.0) / 3.0)
     d = (1.0 + b) / 8.0
-    return _diag_dm([d, d, (5.0 - 3.0 * b) / 8.0, d], (2, 2))
+    return d, d, (5.0 - 3.0 * b) / 8.0, d
 
 
-def mems_2x2(P: float) -> DensityMatrix:
+def mems_2x2(P) -> DensityMatrix:
     """Two-qubit maximally entangled mixed state at purity P in [1/4, 1].
 
     Three purity branches; boundary points use the higher-purity branch.
-    Concurrence equals the MEMS boundary curve at P.
+    Concurrence equals the MEMS boundary curve at P.  An array of purities
+    gives a stack of states; an entry outside the range is a DomainError.
     """
-    if not (0.25 - _EPS <= P <= 1.0 + _EPS):
-        raise DomainError(f"purity {P} outside [1/4, 1]")
-    P = min(max(P, 0.25), 1.0)
-    if P < 1.0 / 3.0:
-        return _separable_diag(P)
-    if P < 5.0 / 9.0:
-        r = math.sqrt(2.0 * (P - 1.0 / 3.0))
-        mat = r * bell_state().mat
-        mat += np.diag([1.0 / 3.0 - r / 2.0, 1.0 / 3.0, 0.0, 1.0 / 3.0 - r / 2.0]).astype(complex)
-        return DensityMatrix(mat, (2, 2))
-    x = (1.0 + math.sqrt(2.0 * P - 1.0)) / 2.0
-    mat = x * bell_state().mat
-    mat[1, 1] += 1.0 - x
-    return DensityMatrix(mat, (2, 2))
+    P = linalg.clamped(P, 0.25, 1.0, "purity {} outside [1/4, 1]")
+    bell = bell_state().mat
+    r = np.sqrt(np.maximum(2.0 * (P - 1.0 / 3.0), 0.0))
+    mid = r[..., None, None] * bell + _diag(1.0 / 3.0 - r / 2.0, 1.0 / 3.0, 0.0,
+                                           1.0 / 3.0 - r / 2.0)
+    x = (1.0 + np.sqrt(np.maximum(2.0 * P - 1.0, 0.0))) / 2.0
+    high = x[..., None, None] * bell
+    high[..., 1, 1] += 1.0 - x
+    at = P[..., None, None]
+    return DensityMatrix(np.select([at < 1.0 / 3.0, at < 5.0 / 9.0],
+                                   [_diag(*_separable_diag(P)), mid], high), (2, 2))
 
 
-def closed_form_x(C: float, P: float) -> DensityMatrix:
-    """Rank-<=2 X state with concurrence C and purity P, P >= (1+C^2)/2."""
-    if not -_EPS <= C <= 1.0 + _EPS:
-        raise DomainError(f"concurrence {C} outside [0, 1]")
-    C = min(max(C, 0.0), 1.0)
+def closed_form_x(C, P) -> DensityMatrix:
+    """Rank-<=2 X state with concurrence C and purity P, P >= (1+C^2)/2;
+    arrays of C and P give a stack, and an entry outside is a DomainError."""
+    C = linalg.clamped(C, 0.0, 1.0, "concurrence {} outside [0, 1]")
+    P = np.asarray(P, dtype=float)
     lo = 0.5 * (1.0 + C * C)
-    if not lo - 1e-9 <= P <= 1.0 + _EPS:
-        raise DomainError(f"purity {P} outside [{lo}, 1] for concurrence {C}")
-    B = math.sqrt(max(2.0 * min(P, 1.0) - 1.0 - C * C, 0.0))
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[0, 0] = (1.0 + B) / 2.0
-    mat[3, 3] = (1.0 - B) / 2.0
-    mat[0, 3] = mat[3, 0] = C / 2.0
-    return DensityMatrix(mat, (2, 2))
+    linalg.reject(~((lo - 1e-9 <= P) & (P <= 1.0 + _EPS)),
+                  "purity {} outside [{}, 1] for concurrence {}", P, lo, C)
+    B = np.sqrt(np.maximum(2.0 * np.minimum(P, 1.0) - 1.0 - C * C, 0.0))
+    return DensityMatrix(_x_mat(((1.0 + B) / 2.0, 0.0, 0.0, (1.0 - B) / 2.0), C / 2.0), (2, 2))
 
 
-def h_purity_floor(C: float) -> float:
-    """Smallest purity `h_state` accepts at concurrence C in [0, 1]."""
-    if C == 0.0:
-        return 0.25
-    if C < 2.0 / 3.0:
-        return 1.0 / 3.0 + 0.5 * C * C
-    return 0.5 * (1.0 + (2.0 * C - 1.0) ** 2)
+def h_purity_floor(C):
+    """Smallest purity `h_state` accepts at concurrence C in [0, 1] (a float or an array)."""
+    C = np.asarray(C, dtype=float)
+    return linalg.scalar(np.select([C == 0.0, C < 2.0 / 3.0], [0.25, 1.0 / 3.0 + 0.5 * C * C],
+                                   0.5 * (1.0 + (2.0 * C - 1.0) ** 2)))
 
 
-def h_state(C: float, P: float) -> DensityMatrix:
+def h_state(C, P) -> DensityMatrix:
     """Two-qubit state with independently specified concurrence and purity.
 
     Three branches cover the physical (C, P) region: a diagonal branch for
     the sub-separable-ball purities (C = 0 only), a rank-3-shaped middle
-    branch, and the rank-<=2 `closed_form_x` branch at high purity.  Inputs
-    outside the region raise DomainError naming the violated bound.
+    branch, and the rank-<=2 `closed_form_x` branch at high purity.  Arrays
+    of C and P give a stack of states.  Inputs outside the region raise
+    DomainError naming the violated bound and the first entry outside it.
     """
-    if not (-_EPS <= C <= 1.0 + _EPS):
-        raise DomainError(f"concurrence {C} outside [0, 1]")
-    C = min(max(C, 0.0), 1.0)
-    if P > 1.0 + _EPS:
-        raise DomainError(f"purity {P} exceeds 1")
-    if P >= 0.5 * (1.0 + C * C) - _EPS:
-        return closed_form_x(C, P)
+    C = linalg.clamped(C, 0.0, 1.0, "concurrence {} outside [0, 1]")
+    P = np.asarray(P, dtype=float)
+    linalg.reject(P > 1.0 + _EPS, "purity {} exceeds 1", P)
+    high = P >= 0.5 * (1.0 + C * C) - _EPS
     lo = h_purity_floor(C)
-    if P < lo - _EPS:
-        raise DomainError(f"(C={C}, P={P}) below the purity floor {lo:.6f}")
-    if C == 0.0 and P < 1.0 / 3.0:
-        return _separable_diag(P)
-    s = math.sqrt(max(6.0 * P - 2.0 - 3.0 * C * C, 0.0))
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[0, 0] = mat[3, 3] = (2.0 + s) / 6.0
-    mat[1, 1] = (1.0 - s) / 3.0
-    mat[0, 3] = mat[3, 0] = C / 2.0
-    return DensityMatrix(mat, (2, 2))
+    linalg.reject(~high & (P < lo - _EPS), "(C={}, P={}) below the purity floor {:.6f}",
+                  C, P, lo)
+    s = np.sqrt(np.maximum(6.0 * P - 2.0 - 3.0 * C * C, 0.0))
+    mid = _x_mat(((2.0 + s) / 6.0, (1.0 - s) / 3.0, 0.0, (2.0 + s) / 6.0), C / 2.0)
+    separable = (C == 0.0) & (P < 1.0 / 3.0)
+    # P = 1, which closed_form_x takes at every C, stands in off its branch.
+    top = closed_form_x(C, np.where(high, P, 1.0)).mat
+    return DensityMatrix(np.select([high[..., None, None], separable[..., None, None]],
+                                   [top, _diag(*_separable_diag(P))], mid), (2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -312,30 +320,27 @@ def l_state(index: int, theta: float, phi: float) -> DensityMatrix:
     return _pure(_theta_kets(6, a, b, theta, np.exp(1j * phi)), (2, 3))
 
 
-def mems_2x3(P: float) -> DensityMatrix:
-    """Candidate 2x3 maximally entangled mixed state at purity P in [1/6, 1]."""
-    if not (1.0 / 6.0 - _EPS <= P <= 1.0 + _EPS):
-        raise DomainError(f"purity {P} outside [1/6, 1]")
-    P = min(max(P, 1.0 / 6.0), 1.0)
-    if P < 0.2:
-        f = math.sqrt(30.0 * (P - 1.0 / 6.0))
-        d = f / 5.0 + (1.0 - f) / 6.0
-        return _diag_dm([d, d, d, (1.0 - f) / 6.0, d, d], (2, 3))
+def mems_2x3(P) -> DensityMatrix:
+    """Candidate 2x3 maximally entangled mixed state at purity P in [1/6, 1].
+
+    An array of purities gives a stack of states, as `mems_2x2` does.
+    """
+    P = linalg.clamped(P, 1.0 / 6.0, 1.0, "purity {} outside [1/6, 1]")
+    f = np.sqrt(30.0 * (P - 1.0 / 6.0))
+    d = f / 5.0 + (1.0 - f) / 6.0
     phi1 = meb_state_2x3(PHI, 1, math.pi / 4, 0.0).mat
-    if P < 3.0 / 8.0:
-        g = math.sqrt((10.0 / 7.0) * (P - 0.2))
-        mat = g * phi1
-        alpha = (1.0 + g / 2.0) / 5.0
-        beta = (1.0 - 2.0 * g) / 5.0
-        mat += np.diag([beta, alpha, beta, 0.0, alpha, beta]).astype(complex)
-        return DensityMatrix(mat, (2, 3))
-    h = math.sqrt(6.0 * (P - 1.0 / 3.0))
-    w = (1.0 + h) / 3.0
-    mat = w * phi1
+    g = np.sqrt(np.maximum((10.0 / 7.0) * (P - 0.2), 0.0))
+    alpha = (1.0 + g / 2.0) / 5.0
+    beta = (1.0 - 2.0 * g) / 5.0
+    mid = g[..., None, None] * phi1 + _diag(beta, alpha, beta, 0.0, alpha, beta)
+    w = (1.0 + np.sqrt(np.maximum(6.0 * (P - 1.0 / 3.0), 0.0))) / 3.0
+    high = w[..., None, None] * phi1
     half_rest = 0.5 * (1.0 - w)
-    mat[1, 1] += half_rest
-    mat[4, 4] += half_rest
-    return DensityMatrix(mat, (2, 3))
+    high[..., 1, 1] += half_rest
+    high[..., 4, 4] += half_rest
+    at = P[..., None, None]
+    return DensityMatrix(np.select([at < 0.2, at < 3.0 / 8.0],
+                                   [_diag(d, d, d, (1.0 - f) / 6.0, d, d), mid], high), (2, 3))
 
 
 # Rank-specific constituent lists for 2x3: (index, sign) rows for literal-X
@@ -403,9 +408,8 @@ TGX_RANK = _rank_family(_TGX_RANK_CONSTITUENTS,
 
 def _check_ranks(family: RankFamily, ranks) -> np.ndarray:
     ranks = np.asarray(ranks)
-    bad = ~np.isin(ranks, np.arange(1, len(family.lo) + 1))
-    if bad.any():
-        raise DomainError(f"rank must be in 1..{len(family.lo)}, got {ranks[bad].flat[0]}")
+    linalg.reject(~np.isin(ranks, np.arange(1, len(family.lo) + 1)),
+                  f"rank must be in 1..{len(family.lo)}, got {{}}", ranks)
     return ranks.astype(int)
 
 
@@ -422,9 +426,7 @@ def rank_states(family: RankFamily, ranks, thetas, probs):
     if not thetas.shape == probs.shape == shape:
         raise DimensionError(f"thetas {thetas.shape} and probs {probs.shape} are not {shape}")
     sums = probs.sum(axis=1)
-    off = np.abs(sums - 1.0) > 1e-12
-    if off.any():
-        raise DomainError(f"probabilities sum to {sums[off][0]}, not 1")
+    linalg.reject(np.abs(sums - 1.0) > 1e-12, "probabilities sum to {}, not 1", sums)
     kets = _theta_kets(math.prod(family.dims), family.lo[at], family.hi[at], thetas,
                        family.phase[at])
     mat = _mixture(probs, kets)

@@ -32,6 +32,17 @@ def _random_stacks(rng, dims, count=100_000, block=10_000):
             for _ in range(block)]), dims)
 
 
+# Upper ends of the uniform draws of a general X state: 3 probability and
+# 4 superposition angles in [0, pi/2), then 4 phases in [0, 2 pi).  One
+# (N, 11) draw takes the values of N successive draws of the three groups.
+_X_HIGH = np.array([math.pi / 2] * 7 + [2 * math.pi] * 4)
+
+
+def _x_params(u):
+    """XParams of one X state per row of `u`, from its first 11 columns."""
+    return states.XParams(u[:, :3], u[:, 3:7], u[:, 7:11])
+
+
 def test_01_conversion_campaign_1000_consecutive():
     t0 = time.time()
     mats = []
@@ -81,14 +92,8 @@ def test_02_closed_form_rank2_1000():
 def test_03_concurrence_oracle_equivalence_10k():
     t0 = time.time()
     rng = np.random.default_rng(23)
-    worst = 0.0
-    for _ in range(10_000):
-        params = states.XParams(
-            probability_angles=rng.uniform(0, math.pi / 2, 3),
-            superposition_angles=rng.uniform(0, math.pi / 2, 4),
-            phases=rng.uniform(0, 2 * math.pi, 4))
-        r = states.general_x_state(params)
-        worst = max(worst, abs(measures.concurrence(r) - measures.concurrence_x(r)))
+    r = states.general_x_state(_x_params(rng.uniform(0, _X_HIGH, (10_000, 11))))
+    worst = float(np.max(np.abs(measures.concurrence(r) - measures.concurrence_x(r))))
     dt = time.time() - t0
     ok = worst <= 1e-9 and dt < 60
     _report("03 concurrence oracle equivalence", ok,
@@ -206,16 +211,13 @@ def test_09_diagonal_unitary_checks():
     factorizable, _ = convert.diag_factorizable([0.95, 0.23, 0.61, 0.49], "exact")
     ok &= not factorizable
     rng = np.random.default_rng(37)
-    worst_dc = 0.0
-    for _ in range(10_000):
-        params = states.XParams(rng.uniform(0, math.pi / 2, 3),
-                                rng.uniform(0, math.pi / 2, 4),
-                                rng.uniform(0, 2 * math.pi, 4))
-        rx = states.general_x_state(params)
-        D = convert.diag_unitary(rng.uniform(0, 2 * math.pi, 4))
-        out = DensityMatrix(D @ rx.mat @ D.conj().T, (2, 2))
-        worst_dc = max(worst_dc, abs(measures.concurrence(out)
-                                     - measures.concurrence(rx)))
+    # Per trial: the 11 X-state parameters, then 4 phases of a diagonal unitary.
+    u = rng.uniform(0, np.append(_X_HIGH, [2 * math.pi] * 4), (10_000, 15))
+    rx = states.general_x_state(_x_params(u))
+    D = np.zeros((10_000, 4, 4), dtype=complex)
+    D[:, range(4), range(4)] = np.exp(1j * u[:, 11:])
+    out = DensityMatrix(D @ rx.mat @ D.conj().mT, (2, 2))
+    worst_dc = float(np.max(np.abs(measures.concurrence(out) - measures.concurrence(rx))))
     ok &= worst_dc <= 1e-12
     worst_ax = 0.0
     for _ in range(1000):

@@ -172,16 +172,6 @@ def test_run_scatter_gives_up_after_64_degenerate_draws(monkeypatch):
     assert calls == [5] * 64
 
 
-@pytest.mark.parametrize("rank,message", [
-    ("3", "error: matrix shape (4, 4, 4) does not match dims (2, 3) (n=6)"),
-    ("5", "error: rank must be in 1..4, got 5")])
-def test_main_scatter_x_states_do_not_fit_2x3(capsys, rank, message):
-    argv = ["scatter", "--family", "x", "--system", "2x3", "--rank", rank, "--samples", "4"]
-    assert cli.main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == message + "\n"
-
-
 def test_main_scatter_threads_do_not_change_bytes(tmp_path):
     outputs = []
     for threads in ("1", "3"):
@@ -502,12 +492,21 @@ def test_main_bad_config_exits_1(capsys):
     (["scatter", "--samples", "2"], {"threads": True}, None),
     (["convert", "--samples", "2"], {"tol": True}, None),
     (["convert"], {"samples": True}, None),
+    (["scatter", "--family", "mems", "--rank", "2", "--samples", "3"], None, None),
+    (["scatter", "--family", "h", "--samples", "3"], {"rank": 1}, None),
+    (["scatter", "--family", "x", "--system", "2x3", "--samples", "3"], None, None),
+    (["scatter", "--family", "x", "--system", "2x3", "--rank", "3", "--samples", "4"],
+     None, None),
+    (["scatter", "--family", "x", "--system", "2x3", "--rank", "5", "--samples", "4"],
+     None, None),
 ], ids=["samples-abc", "tol-list", "threads-env-abc", "fmt-xml",
         "mems-curve-json", "negative-seed", "scatter-out-int", "scatter-plot-bool",
         "convert-out-int", "mems-curve-out-list", "mems-curve-samples-0",
         "mems-curve-samples-negative", "tol-nan", "tol-negative", "samples-over-2^32",
         "samples-fraction-seed-bool", "seed-bool", "seed-fraction", "rank-bool",
-        "samples-inf", "threads-bool", "tol-bool", "convert-samples-bool"])
+        "samples-inf", "threads-bool", "tol-bool", "convert-samples-bool",
+        "grid-family-rank", "grid-family-rank-config", "x-on-2x3", "x-on-2x3-rank-3",
+        "x-on-2x3-rank-5"])
 def test_main_bad_input_is_one_line_error(tmp_path, monkeypatch, capsys, request,
                                           argv, config, env):
     if request.node.callspec.id == "samples-over-2^32":

@@ -191,8 +191,11 @@ def test_stacked_kernels_match_per_matrix_calls(seed, dims):
     }
     if dims == (2, 2):
         kernels["anti_x_measure"] = measures.anti_x_measure
+        # The X part of each state, which zeroes its anti-X elements.
+        x_part = ~tgx.anti_x_mask(dims).grid
+        kernels["concurrence_x"] = lambda m: measures.concurrence_x(m * x_part)
     scalar_kernels = {"trace_norm", "numerical_rank", "rank", "purity",
-                      "entanglement", "anti_x_measure"}
+                      "entanglement", "anti_x_measure", "concurrence_x"}
     for name, kernel in kernels.items():
         looped = [kernel(m) for m in stack]
         assert np.array_equal(kernel(stack), np.array(looped)), name
@@ -206,6 +209,10 @@ def test_stacked_measures_check_every_matrix():
     stack[1] = np.diag([0.5, 0.5, 0.25, -0.25])
     with pytest.raises(DomainError):
         measures.concurrence(DensityMatrix(stack, (2, 2)))
+    stack = np.stack([np.eye(4) / 4] * 3)
+    stack[2, 0, 1] = stack[2, 1, 0] = 0.125
+    with pytest.raises(DomainError, match="anti-X measure 6.250e-02"):
+        measures.concurrence_x(DensityMatrix(stack, (2, 2)))
     stack = np.stack([np.eye(6) / 6] * 3)
     stack[2, 0, 5] = 0.1
     with pytest.raises(DomainError):
@@ -213,11 +220,11 @@ def test_stacked_measures_check_every_matrix():
 
 
 @pytest.mark.parametrize("single", [
-    lambda rho: measures.partial_trace(rho, 1), measures.concurrence_x,
+    lambda rho: measures.partial_trace(rho, 1),
     tgx.is_simple_me_state, convert.closed_form_conversion,
     lambda rho: convert.x_transform_unconstrained(rho, np.eye(4)),
     lambda rho: convert.local_doubly_stochastic(rho, [(1.0, np.eye(2), np.eye(2))]),
-], ids=["partial_trace", "concurrence_x", "is_simple_me_state",
+], ids=["partial_trace", "is_simple_me_state",
         "closed_form_conversion", "x_transform_unconstrained", "local_doubly_stochastic"])
 def test_single_matrix_functions_reject_stacks(single):
     stack = DensityMatrix(np.stack([states.bell_state().mat, np.eye(4) / 4]), (2, 2))

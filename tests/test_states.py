@@ -47,6 +47,80 @@ def test_general_x_state_is_valid_x_state(seed):
     assert measures.anti_x_measure(r) <= 1e-14
 
 
+@pytest.mark.parametrize("mode", ["reduced-9", "full-11"])
+def test_general_x_state_stack_equals_row_builds(mode):
+    rng = np.random.default_rng(11)
+    angles = rng.uniform(0, math.pi / 2, (50, 7))
+    phases = rng.uniform(0, 2 * math.pi, (50, 4))
+    stack = states.general_x_state(states.XParams(angles[:, :3], angles[:, 3:], phases), mode)
+    assert stack.mat.shape == (50, 4, 4) and stack.dims == (2, 2)
+    for b in range(50):
+        one = states.general_x_state(
+            states.XParams(tuple(angles[b, :3]), tuple(angles[b, 3:]), tuple(phases[b])), mode)
+        assert one.mat.tobytes() == stack.mat[b].tobytes(), b
+    full = states.general_x_state(states.XParams(angles[:, :3], angles[:, 3:], phases), "full-11")
+    assert (mode == "full-11") == np.array_equal(full.mat, stack.mat)
+    with pytest.raises(DomainError, match="unknown mode 'full-9'"):
+        states.general_x_state(states.XParams(angles[:, :3], angles[:, 3:], phases), "full-9")
+
+
+def _with_neighbours(points):
+    return [float(q) for p in points for q in (np.nextafter(p, 0.0), p, np.nextafter(p, 2.0))]
+
+
+def _h_grid(samples):
+    """The (C, P) grid of `xlab scatter --family h --samples <samples>`."""
+    side = max(math.ceil(math.sqrt(samples)), 2)
+    C = [(i % side) / (side - 1) for i in range(samples)]
+    P = [min(states.h_purity_floor(c) + (1.0 - states.h_purity_floor(c))
+             * ((i // side) % side) / (side - 1), 1.0) for i, c in enumerate(C)]
+    return C, P
+
+
+def test_grid_families_on_arrays_equal_one_state_builds():
+    cases = [(states.mems_2x2, [np.linspace(0.25, 1.0, 41), _with_neighbours([1 / 3, 5 / 9])]),
+             (states.mems_2x3, [np.linspace(1 / 6, 1.0, 41), _with_neighbours([1 / 5, 3 / 8])])]
+    C, P = _h_grid(300)
+    for c in (0.0, 0.3, 33 / 99, 2 / 3, 0.9, 1.0):
+        edge = 0.5 * (1.0 + c * c)
+        C += [c] * 5
+        P += [*_with_neighbours([edge]), 0.5 * (edge + 1.0), 1.0]
+    C += [0.0] * 6
+    P += _with_neighbours([0.25, 1 / 3])
+    for build, arrays in cases:
+        P23 = np.concatenate(arrays)
+        stack = build(P23).mat
+        assert stack.shape[0] == len(P23)
+        for b, p in enumerate(P23):
+            assert build(float(p)).mat.tobytes() == stack[b].tobytes(), (build, p)
+    stack = states.h_state(np.array(C), np.array(P)).mat
+    assert stack.shape == (len(C), 4, 4)
+    for b, (c, p) in enumerate(zip(C, P)):
+        assert states.h_state(c, p).mat.tobytes() == stack[b].tobytes(), (c, p)
+    floors = states.h_purity_floor(np.array(C))
+    assert floors.tolist() == [states.h_purity_floor(c) for c in C]
+    high = np.array(P) >= 0.5 * (1.0 + np.array(C) ** 2)
+    cx = states.closed_form_x(np.array(C)[high], np.array(P)[high]).mat
+    assert all(states.closed_form_x(c, p).mat.tobytes() == m.tobytes()
+               for c, p, m in zip(np.array(C)[high], np.array(P)[high], cx))
+
+
+@pytest.mark.parametrize("build,args,message", [
+    (states.mems_2x2, ([0.5, 0.2, 0.1],), "purity 0.2 outside [1/4, 1]"),
+    (states.mems_2x3, ([0.5, 1.25],), "purity 1.25 outside [1/6, 1]"),
+    (states.h_state, ([0.5, 1.5], [0.9, 0.9]), "concurrence 1.5 outside [0, 1]"),
+    (states.h_state, ([0.5, 0.5], [0.9, 1.5]), "purity 1.5 exceeds 1"),
+    (states.h_state, ([0.5, 0.9, 0.9], [0.9, 0.4, 0.3]),
+     "(C=0.9, P=0.4) below the purity floor 0.820000"),
+    (states.closed_form_x, ([0.0, 0.5], [0.9, 0.6]),
+     "purity 0.6 outside [0.625, 1] for concurrence 0.5"),
+])
+def test_grid_families_name_the_first_entry_outside_the_domain(build, args, message):
+    with pytest.raises(DomainError) as err:
+        build(*map(np.array, args))
+    assert str(err.value) == message
+
+
 def test_rank_x_state_ranks():
     rng = np.random.default_rng(0)
     for R in (1, 2, 3, 4):
