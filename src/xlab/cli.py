@@ -5,17 +5,16 @@ Subcommands: `scatter` (entanglement-purity samples of a state family),
 masks), `mems-curve` (boundary curves), `verify` (fast invariant checks).
 
 Sample i draws from its own stream, the one np.random.default_rng([seed, i])
-starts.  `_sample_rngs` seeds the streams of a block of samples at once with
-a plain transcription of numpy's SeedSequence on uint32 arrays, one column
-per sample; it is tested, and checked by `verify`, against
-default_rng([seed, index]).  `run_scatter` builds each block of
+starts.  `_sample_rngs` seeds a block's streams at once with a plain
+transcription of numpy's SeedSequence on uint32 arrays (tested, and checked
+by `verify`, against numpy).  `run_scatter` builds each block of
 `_sample_blocks` with one call of its family's stacked builder and measures
-it with stacked kernels, and `run_conversion_campaign` converts the blocks
-with stacked kernels, so output is byte-identical for any block size.  The
-grid families (`mems`, `h`) get no streams: their states are built from the
-block's index range.  `--threads` is validated but has no effect.  The
-argument parser is built once per process, and `_write` is the one writer
-of a command's data output.
+it with stacked kernels, as `run_conversion_campaign` converts its blocks,
+so output is byte-identical for any block size; the grid families (`mems`,
+`h`) draw no streams.  `--threads` is validated but has no effect.  The
+parser is built once per process.  `_write` is the one writer of data output;
+`_records_json` renders JSON records (the bytes of json.dumps(indent=2)) from
+one C-encoder call per column, and `_svg_head` caches each boundary polyline.
 """
 
 from __future__ import annotations
@@ -192,9 +191,9 @@ def _draw_rank(cfg: ExperimentConfig, rng: np.random.Generator) -> int:
 def _draw_rank_block(cfg: ExperimentConfig, family, rngs: list):
     """The rank-specific states drawn from `rngs` as one stack, and their ranks.
 
-    Each sample draws its rank, R thetas and R - 1 probability angles from
-    its own stream, and draws again from it, up to 64 tries, while its
-    numerical rank falls short or a probability is <= 0.
+    Each sample draws its rank, then R thetas and R - 1 probability angles as
+    one `random(2R - 1) * pi/2` from its own stream, and draws again, up to
+    64 tries, while its numerical rank falls short or a probability is <= 0.
     """
     R = np.array([_draw_rank(cfg, rng) for rng in rngs])
     # Wide enough for an out-of-table rank, so that rank_states reports it.
@@ -203,8 +202,8 @@ def _draw_rank_block(cfg: ExperimentConfig, family, rngs: list):
     todo = np.arange(len(R))
     for _ in range(64):
         for j, r in zip(todo.tolist(), R[todo].tolist()):
-            thetas[j, :r] = rngs[j].uniform(0.0, math.pi / 2.0, r)
-            angles[j, :r - 1] = rngs[j].uniform(0.0, math.pi / 2.0, r - 1)
+            u = rngs[j].random(2 * r - 1) * (math.pi / 2.0)
+            thetas[j, :r], angles[j, :r - 1] = u[:r], u[r:]
         probs = states.hyperspherical_probs(angles[todo, :-1])
         rho, ranks = states.rank_states(family, R[todo], thetas[todo], probs)
         mats[todo] = rho.mat
@@ -338,13 +337,22 @@ def _records_csv(records) -> str:
     return _csv(vars(records[0]), (vars(r).values() for r in records))
 
 
-def _records_json(records) -> str:
-    return json.dumps([vars(r) for r in records], indent=2) + "\n"
+def _records_json(records, level: int = 1) -> str:
+    """json.dumps([vars(r) for r in records], indent=2) + "\n" for an array at
+    nesting `level`: one C-encoder call per column of scalars, split at its raw
+    newline separator (which no encoded value holds), and a template per record."""
+    pad = "  " * level
+    fields = ",\n".join(f"{pad}  {json.dumps(k)}: {{}}" for k in vars(records[0]))
+    cols = (json.dumps(col, separators=("\n", ":"))[1:-1].split("\n")
+            for col in zip(*map(dict.values, map(vars, records))))
+    rows = map(f"{pad}{{{{\n{fields}\n{pad}}}}}".format, *cols)
+    return "[\n" + ",\n".join(rows) + f"\n{pad[2:]}]\n"
 
 
 def _campaign_json(summary: CampaignSummary) -> str:
-    return json.dumps({**vars(summary), "records": [vars(r) for r in summary.records]},
-                      indent=2) + "\n"
+    # The records come last in vars(summary), so their array ends the text.
+    head = json.dumps({**vars(summary), "records": None}, indent=2)[:-len("null\n}")]
+    return head + _records_json(summary.records, 2) + "}\n"
 
 
 def _curve_csv(system, samples: int) -> str:
@@ -358,30 +366,28 @@ def _boundary_for(system):
             else measures.mems_boundary_2x3)
 
 
+def _svg_points(system, template: str, p, e) -> str:
+    """`template` formatted with each (purity, entanglement)'s 640x480 plot coordinates."""
+    p_min = 1.0 / math.prod(system)
+    return "".join(map(template.format, (50 + (p - p_min) / (1.0 - p_min) * 540).tolist(),
+                       (430 - e * 380).tolist()))
+
+
+@functools.cache
+def _svg_head(system: tuple) -> str:
+    """The SVG's opening through the MEMS boundary polyline of `system`."""
+    ps = np.linspace(1.0 / math.prod(system), 1.0, 500)
+    pts = _svg_points(system, "{:.2f},{:.2f} ", ps, _boundary_for(system)(ps))
+    return ('<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480">\n'
+            '<rect width="640" height="480" fill="white"/>\n<polyline fill="none" '
+            f'stroke="black" stroke-width="1.5" points="{pts[:-1]}"/>\n')
+
+
 def _scatter_svg(records, system) -> str:
     """Standalone SVG scatter with the MEMS boundary polyline overlaid."""
-    W, H, M = 640, 480, 50
-    p_min = 1.0 / math.prod(system)
-
-    def sx(p):
-        return M + (p - p_min) / (1.0 - p_min) * (W - 2 * M)
-
-    def sy(e):
-        return H - M - e * (H - 2 * M)
-
-    ps = np.linspace(p_min, 1.0, 500)
-    pts = [f"{sx(p):.2f},{sy(e):.2f}" for p, e in zip(ps, _boundary_for(system)(ps))]
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}">',
-        f'<rect width="{W}" height="{H}" fill="white"/>',
-        f'<polyline fill="none" stroke="black" stroke-width="1.5" '
-        f'points="{" ".join(pts)}"/>',
-    ]
-    for r in records:
-        parts.append(f'<circle cx="{sx(r.purity):.2f}" cy="{sy(r.entanglement):.2f}" '
-                     f'r="1.5" fill="steelblue" fill-opacity="0.5"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    p, e = np.array([(r.purity, r.entanglement) for r in records]).T
+    dot = '<circle cx="{:.2f}" cy="{:.2f}" r="1.5" fill="steelblue" fill-opacity="0.5"/>\n'
+    return _svg_head(tuple(system)) + _svg_points(system, dot, p, e) + "</svg>\n"
 
 
 def _serializer(fmt, by_format: dict):
@@ -619,6 +625,9 @@ def _cmd_verify(args) -> int:
     check("sample streams", all(
         r.bit_generator.state == np.random.default_rng([seed, i]).bit_generator.state
         for i, r in enumerate(_sample_rngs(seed, range(3)))))
+    # _records_json copies json's formatting; this catches json changing it.
+    recs = [SampleRecord(x, -0.0, 2**70, 'a, "\\\u00e9', 0) for x in (0.1, math.nan, -math.inf)]
+    check("json writer", _records_json(recs) == json.dumps(list(map(vars, recs)), indent=2) + "\n")
     return 0 if all(ok for _, ok in checks) else 1
 
 

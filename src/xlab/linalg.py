@@ -87,13 +87,17 @@ def eig_hermitian(M: np.ndarray) -> EigenSystem:
     return EigenSystem(values=w.reshape(H.shape[:-1]), vectors=vt.mT.reshape(H.shape))
 
 
+def check_psd(values: np.ndarray, tol: float) -> np.ndarray:
+    """`values` (eigenvalues on the last axis, in any order), rejecting any below -tol."""
+    if (values < -tol).any():
+        raise DomainError(f"matrix is not PSD: smallest eigenvalue {values.min():.3e}")
+    return values
+
+
 def psd_eig(M: np.ndarray, tol: float = 1e-10) -> EigenSystem:
     """eig_hermitian(M), rejecting any matrix whose smallest eigenvalue is below -tol."""
-    es = eig_hermitian(M)
-    low = es.values[..., -1]
-    if (low < -tol).any():
-        raise DomainError(f"matrix is not PSD: smallest eigenvalue {low.min():.3e}")
-    return es
+    w, v = eig_hermitian(M)
+    return EigenSystem(check_psd(w, tol), v)
 
 
 def sqrt_psd(M: np.ndarray, tol: float = 1e-10, es: EigenSystem | None = None) -> np.ndarray:
@@ -110,18 +114,17 @@ def sqrt_psd(M: np.ndarray, tol: float = 1e-10, es: EigenSystem | None = None) -
 
 def trace_norm(M: np.ndarray):
     """Sum of absolute eigenvalues of a Hermitian matrix (Manhattan/1-norm)."""
-    H = hermitize(M)
-    return scalar(np.abs(np.linalg.eigvalsh(H)).sum(axis=-1))
+    return scalar(np.abs(np.linalg.eigvalsh(hermitize(M))).sum(axis=-1))
 
 
 def numerical_rank(M: np.ndarray, tol: float | None = None, es: EigenSystem | None = None):
     """Count of eigenvalues above `tol` for a Hermitian PSD matrix.
 
-    Default tolerance is 1e-10 times the largest eigenvalue of each matrix;
-    an eigenvalue below -1e-10 is a PSD violation and raises.  A caller that
-    already holds `psd_eig(M)` passes it as `es` to skip the eigendecomposition.
+    Computes eigenvalues only (eigvalsh), or reuses `es`, the `psd_eig(M)` a
+    caller already holds.  Default tolerance is 1e-10 times the largest
+    eigenvalue of each matrix; an eigenvalue below -1e-10 raises (not PSD).
     """
-    vals = (psd_eig(M, 1e-10) if es is None else es).values
+    vals = check_psd(np.linalg.eigvalsh(hermitize(M)) if es is None else es.values, 1e-10)
     if tol is None:
-        tol = 1e-10 * np.maximum(vals[..., :1], 0.0)
+        tol = 1e-10 * np.maximum(vals.max(axis=-1, keepdims=True), 0.0)
     return scalar((vals > tol).sum(axis=-1))

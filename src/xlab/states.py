@@ -50,9 +50,7 @@ class DensityMatrix:
         tr_err = np.max(np.abs(np.trace(self.mat, axis1=-2, axis2=-1) - 1.0))
         if tr_err > trace_tol:
             raise DomainError(f"trace differs from 1 by {tr_err:.3e}, beyond {trace_tol}")
-        wmin = float(np.min(np.linalg.eigvalsh(0.5 * (self.mat + self.mat.conj().mT))))
-        if wmin < -psd_tol:
-            raise DomainError(f"not PSD: smallest eigenvalue {wmin:.3e}")
+        linalg.check_psd(np.linalg.eigvalsh(0.5 * (self.mat + self.mat.conj().mT)), psd_tol)
         return self
 
     def rank(self, tol: float | None = None):
@@ -269,10 +267,10 @@ def h_state(C, P) -> DensityMatrix:
     """
     C = linalg.clamped(C, 0.0, 1.0, "concurrence {} outside [0, 1]")
     P = np.asarray(P, dtype=float)
-    linalg.reject(P > 1.0 + _EPS, "purity {} exceeds 1", P)
+    linalg.reject(~(P <= 1.0 + _EPS), "purity {} exceeds 1", P)
     high = P >= 0.5 * (1.0 + C * C) - _EPS
     lo = h_purity_floor(C)
-    linalg.reject(~high & (P < lo - _EPS), "(C={}, P={}) below the purity floor {:.6f}",
+    linalg.reject(~high & ~(P >= lo - _EPS), "(C={}, P={}) below the purity floor {:.6f}",
                   C, P, lo)
     s = np.sqrt(np.maximum(6.0 * P - 2.0 - 3.0 * C * C, 0.0))
     mid = _x_mat(((2.0 + s) / 6.0, (1.0 - s) / 3.0, 0.0, (2.0 + s) / 6.0), C / 2.0)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,71 @@ def test_emit_output_rejects_empty():
         cli.emit_output([], fmt="csv")
 
 
+@dataclass
+class _Row:
+    x: float
+    n: int
+    flag: bool
+    label: str
+    anything: object
+
+
+_FLOATS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, -1e308, 0.1])
+_TEXT = st.text() | st.sampled_from(['", "', ", ", 'a\\b', '"q"', "\n", "caf\u00e9 \u2603", "{}"])
+_ROWS = st.lists(st.builds(_Row, _FLOATS, st.integers(-2**80, 2**80), st.booleans(), _TEXT,
+                           st.one_of(_FLOATS, st.integers(), st.booleans(), _TEXT, st.none())),
+                 min_size=1, max_size=6)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_ROWS)
+def test_records_json_equals_json_dumps(rows):
+    want = json.dumps([vars(r) for r in rows], indent=2)
+    assert cli._records_json(rows) == want + "\n"
+    nested = json.dumps({"records": [vars(r) for r in rows]}, indent=2)
+    assert '{\n  "records": ' + cli._records_json(rows, 2) + "}" == nested
+
+
+def _svg_reference(records, system) -> str:
+    """The SVG as one f-string per point, from Python-float coordinates."""
+    W, H, M = 640, 480, 50
+    p_min = 1.0 / math.prod(system)
+
+    def sx(p):
+        return M + (p - p_min) / (1.0 - p_min) * (W - 2 * M)
+
+    def sy(e):
+        return H - M - e * (H - 2 * M)
+
+    ps = np.linspace(p_min, 1.0, 500)
+    bound = (measures.mems_boundary_2x2 if tuple(system) == (2, 2)
+             else measures.mems_boundary_2x3)(ps)
+    pts = [f"{sx(p):.2f},{sy(e):.2f}" for p, e in zip(ps.tolist(), bound.tolist())]
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}">',
+        f'<rect width="{W}" height="{H}" fill="white"/>',
+        f'<polyline fill="none" stroke="black" stroke-width="1.5" '
+        f'points="{" ".join(pts)}"/>',
+    ]
+    for r in records:
+        parts.append(f'<circle cx="{sx(r.purity):.2f}" cy="{sy(r.entanglement):.2f}" '
+                     f'r="1.5" fill="steelblue" fill-opacity="0.5"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from([(2, 2), (2, 3)]),
+       st.lists(st.tuples(st.floats(0.0, 1.0) | _FLOATS, st.floats(0.0, 1.0) | _FLOATS),
+                min_size=1, max_size=20))
+def test_scatter_svg_equals_per_point_reference(system, points):
+    records = [cli.SampleRecord(e, p, 1, "tgx", i) for i, (p, e) in enumerate(points)]
+    with np.errstate(all="ignore"):
+        assert cli._scatter_svg(records, system) == _svg_reference(records, system)
+        assert cli._scatter_svg(records, list(system)) == _svg_reference(records, system)
+
+
 def test_emit_output_svg(tmp_path):
     records = cli.run_scatter(cli.ExperimentConfig(samples=5, seed=3))
     plot = tmp_path / "r.svg"
@@ -594,3 +660,20 @@ def test_threads_env_var(monkeypatch, capsys):
 
 def test_main_verify():
     assert cli.main(["verify"]) == 0
+
+
+def test_main_verify_catches_a_json_writer_drift(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_records_json", lambda records: "[]\n")
+    assert cli.main(["verify"]) == 1
+    assert "FAIL  json writer" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("r", [1, 2, 6])
+def test_one_random_call_draws_the_values_of_two_uniform_calls(r):
+    # _draw_rank_block draws thetas and angles as one random(2r - 1) * pi/2.
+    for seed in range(20):
+        a, b = np.random.default_rng([seed, r]), np.random.default_rng([seed, r])
+        two = np.concatenate([a.uniform(0.0, math.pi / 2.0, r),
+                              a.uniform(0.0, math.pi / 2.0, r - 1)])
+        assert (b.random(2 * r - 1) * (math.pi / 2.0)).tobytes() == two.tobytes()
+        assert a.bit_generator.state == b.bit_generator.state

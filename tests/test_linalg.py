@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xlab import linalg, states
 from xlab.errors import DomainError
@@ -93,3 +95,65 @@ def test_numerical_rank_rejects_a_negative_smallest_eigenvalue():
             linalg.numerical_rank(m)
         with pytest.raises(DomainError):
             states.DensityMatrix(m, (2, 2)).rank()
+
+
+def _with_spectra(spectra, seed: int) -> np.ndarray:
+    """A stack of Hermitian matrices U diag(spectrum) U^dagger, one per
+    spectrum, each with its own Haar-random unitary U."""
+    rng = np.random.default_rng(seed)
+    n = len(spectra[0])
+    g = rng.standard_normal((len(spectra), n, n)) + 1j * rng.standard_normal((len(spectra), n, n))
+    u = np.linalg.qr(g)[0]
+    return (u * np.asarray(spectra)[:, None, :]) @ u.conj().mT
+
+
+# An eigenvalue relative to the largest one, 1: a bulk value, an exact zero,
+# or one a factor of 1.001-3 below or above the 1e-10 rank threshold, far
+# outside the eigensolvers' ~1e-15 rounding.
+_EIGENVALUE = st.one_of(
+    st.floats(1e-3, 1.0), st.just(0.0),
+    st.floats(1.001, 3.0).map(lambda f: 1e-10 / f), st.floats(1.001, 3.0).map(lambda f: 1e-10 * f))
+
+
+@st.composite
+def _spectrum(draw, n: int):
+    """n eigenvalues, some repeated (degenerate), scaled so the largest is 1e-3 to 40."""
+    vals = [1.0] + draw(st.lists(_EIGENVALUE, min_size=n - 1, max_size=n - 1))
+    repeats = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    vals = [vals[min(i, r)] for i, r in enumerate(repeats)]
+    return np.array(vals) * draw(st.sampled_from([1e-3, 0.25, 1.0, 40.0]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_numerical_rank_from_eigenvalues_equals_rank_from_psd_eig(data):
+    n = data.draw(st.sampled_from([2, 4, 6]))
+    spectra = data.draw(st.lists(_spectrum(n), min_size=1, max_size=4))
+    stack = _with_spectra(spectra, data.draw(st.integers(0, 2**32 - 1)))
+    want = [int((lam > 1e-10 * lam.max()).sum()) for lam in spectra]
+    es = linalg.psd_eig(stack)
+    assert linalg.numerical_rank(stack).tolist() == want
+    assert linalg.numerical_rank(stack, es=es).tolist() == want
+    # The tolerance comes from the largest eigenvalue in any sort order.
+    assert linalg.numerical_rank(stack, es=es._replace(values=es.values[:, ::-1])).tolist() == want
+    for M, rank in zip(stack, want):
+        assert linalg.numerical_rank(M) == linalg.numerical_rank(M, es=linalg.psd_eig(M)) == rank
+
+
+# Smallest eigenvalues on either side of -1e-10, each far from the threshold
+# and from a rounding boundary of the message's 4 significant digits.
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([2, 4, 6]), st.sampled_from([-1.5e-10, -2e-10, -3.25e-10, -1e-4]),
+       st.sampled_from([-0.9e-10, -0.5e-10, 0.0]), st.integers(0, 2**32 - 1))
+def test_numerical_rank_and_psd_eig_reject_the_same_negative_eigenvalue(n, bad, ok, seed):
+    spectra = [np.linspace(1.0, 0.0, n), np.linspace(1.0, 0.0, n), np.linspace(1.0, 0.0, n)]
+    spectra[0][-1], spectra[2][-1] = ok, bad
+    stack = _with_spectra(spectra, seed)
+    assert linalg.numerical_rank(stack[:2]).tolist() == [n - 1, n - 1]
+    for M in (stack, stack[2]):
+        with pytest.raises(DomainError) as from_eigh:
+            linalg.psd_eig(M)
+        with pytest.raises(DomainError) as from_eigvalsh:
+            linalg.numerical_rank(M)
+        assert str(from_eigvalsh.value) == str(from_eigh.value)
+        assert str(from_eigh.value) == f"matrix is not PSD: smallest eigenvalue {bad:.3e}"

@@ -190,6 +190,14 @@ def test_h_state_rejects_below_floor():
         states.h_state(0.9, 0.4)
 
 
+def test_h_state_rejects_nan_purity():
+    # NaN compares false both ways, so it must fail the checks, not slip past them.
+    with pytest.raises(DomainError, match="purity nan"):
+        states.h_state(0.5, float("nan"))
+    with pytest.raises(DomainError, match="purity nan"):
+        states.h_state(np.array([0.5, 0.2, 0.9]), np.array([0.9, np.nan, 0.95]))
+
+
 def test_meb_state_2x3_plus_is_maximally_entangled():
     for fam in (states.PHI, states.PSI):
         for idx in (1, 2, 3):
