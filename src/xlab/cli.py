@@ -12,7 +12,10 @@ by `verify`, against numpy).  `run_scatter` builds each block of
 it with stacked kernels, as `run_conversion_campaign` converts its blocks,
 so output is byte-identical for any block size; the grid families (`mems`,
 `h`) draw no streams.  `--threads` is validated but has no effect.  The
-parser is built once per process.  `_write` is the one writer of data output;
+parser, built once per process, only splits argv into strings; one input
+path, `_experiment` with `_choice` and `_parse_dims`, converts and checks
+every value from a flag, a config file or XLAB_THREADS, so any bad input
+ends as a one-line ConfigError.  `_write` is the one writer of data output;
 `_records_json` renders JSON records (the bytes of json.dumps(indent=2)) from
 one C-encoder call per column, and `_svg_head` caches each boundary polyline.
 """
@@ -32,7 +35,7 @@ from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
 from . import convert, measures, states, tgx
-from .errors import ConfigError, XLabError
+from .errors import ConfigError, DimensionError, XLabError
 
 _SYSTEMS = ((2, 2), (2, 3))
 # A converted state with a larger anti-X measure is not an X state.
@@ -196,8 +199,7 @@ def _draw_rank_block(cfg: ExperimentConfig, family, rngs: list):
     64 tries, while its numerical rank falls short or a probability is <= 0.
     """
     R = np.array([_draw_rank(cfg, rng) for rng in rngs])
-    # Wide enough for an out-of-table rank, so that rank_states reports it.
-    thetas, angles = np.zeros((2, len(R), max(len(family.lo), R.max())))
+    thetas, angles = np.zeros((2, len(R), len(family.lo)))
     mats = np.empty((len(R),) + (math.prod(family.dims),) * 2, dtype=complex)
     todo = np.arange(len(R))
     for _ in range(64):
@@ -390,13 +392,11 @@ def _scatter_svg(records, system) -> str:
     return _svg_head(tuple(system)) + _svg_points(system, dot, p, e) + "</svg>\n"
 
 
-def _serializer(fmt, by_format: dict):
-    """The serializer for `fmt`; an unknown format is a ConfigError."""
-    try:
-        return by_format[fmt]
-    except (KeyError, TypeError):
-        raise ConfigError(
-            f"format must be one of {', '.join(by_format)}, got {fmt!r}") from None
+def _choice(what: str, value, options):
+    """`value` if it is one of the strings `options`, else a ConfigError."""
+    if not (isinstance(value, str) and value in options):
+        raise ConfigError(f"{what} must be one of {', '.join(options)}, got {value!r}")
+    return value
 
 
 def _write(text: str, path=None) -> None:
@@ -414,7 +414,8 @@ def emit_output(records, fmt: str = "csv", plot=None, system=(2, 2)) -> str:
     records = list(records)
     if not records:
         raise ConfigError("no records to emit")
-    text = _serializer(fmt, {"csv": _records_csv, "json": _records_json})(records)
+    serialize = {"csv": _records_csv, "json": _records_json}
+    text = serialize[_choice("format", fmt, serialize)](records)
     if plot:
         _write(_scatter_svg(records, system), plot)
     return text
@@ -424,66 +425,73 @@ def emit_output(records, fmt: str = "csv", plot=None, system=(2, 2)) -> str:
 # Argument handling
 # ---------------------------------------------------------------------------
 
-def _parse_system(text: str):
-    dims = _parse_dims(text)
-    if dims not in _SYSTEMS:
-        raise ConfigError(f"unknown system {text!r}; use 2x2 or 2x3")
-    return dims
+# Largest number of states (product of dims) `xlab mask` builds masks for:
+# building them compares every pair of states, so 1000x1000 would need TiBs.
+_MASK_MAX_N = 1024
 
 
-def _parse_dims(text: str):
-    key = text.lower().replace("[", "").replace("]", "").replace(",", "x").replace(" ", "")
+def _parse_dims(text) -> tuple:
+    """Subsystem dims from text such as 2x3 or [2, 3] (or a config list)."""
+    key = str(text).lower().replace("[", "").replace("]", "").replace(",", "x").replace(" ", "")
     try:
-        dims = tuple(int(d) for d in key.split("x"))
+        return tgx._check_dims(int(d) for d in key.split("x"))
     except ValueError:
         raise ConfigError(f"cannot parse dims {text!r}") from None
-    return dims
+    except DimensionError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def _add_common(p, seeded: bool = True):
-    p.add_argument("--samples", type=int, default=None)
+class _Parser(argparse.ArgumentParser):
+    """Splits argv into option strings; a malformed command line is a ConfigError."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _add_common(p, seeded: bool = True, formats: str = "{csv,json}"):
+    p.add_argument("--samples")
     if seeded:
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
-    p.add_argument("--config", default=None, help="JSON file with flag defaults")
+        p.add_argument("--seed")
+        p.add_argument("--threads")
+    p.add_argument("--out")
+    p.add_argument("--format", dest="fmt", metavar=formats)
+    p.add_argument("--config", help="JSON file with flag defaults")
 
 
 @functools.cache
 def _build_parser():
     # Built once per process: parse_args leaves the parser as it found it.
-    parser = argparse.ArgumentParser(
-        prog="xlab",
-        description="Entanglement-purity experiments on X-state structure")
+    # Every option is a string here; _experiment, _choice and _parse_dims
+    # convert and check them, as they do config file values.
+    parser = _Parser(prog="xlab",
+                     description="Entanglement-purity experiments on X-state structure")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scatter", help="sample a state family and record (E, P)")
-    p.add_argument("--system", default=None)
-    p.add_argument("--family", choices=_FAMILIES, default=None)
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--plot", default=None, help="write an SVG scatter here")
+    p.add_argument("--system")
+    p.add_argument("--family", metavar="{" + ",".join(_FAMILIES) + "}")
+    p.add_argument("--rank")
+    p.add_argument("--plot", help="write an SVG scatter here")
     _add_common(p)
 
     p = sub.add_parser("convert", help="consecutive X-conversion campaign")
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None,
-                   help="largest |dC| that counts as a successful conversion")
+    p.add_argument("--rank")
+    p.add_argument("--tol", help="largest |dC| that counts as a successful conversion")
     _add_common(p)
 
     p = sub.add_parser("mask", help="print the TGX / anti-X element masks")
-    p.add_argument("--system", default="2x2", help="dims, e.g. 2x3 or 2x2x2")
-    p.add_argument("--kind", choices=("tgx", "anti"), default="tgx")
-    p.add_argument("--format", dest="fmt", choices=("ascii", "json"), default="ascii")
-    p.add_argument("--out", default=None)
+    p.add_argument("--system", default="2x2",
+                   help=f"dims, e.g. 2x3 or 2x2x2, at most {_MASK_MAX_N} states")
+    p.add_argument("--kind", default="tgx", metavar="{tgx,anti}")
+    p.add_argument("--format", dest="fmt", default="ascii", metavar="{ascii,json}")
+    p.add_argument("--out")
 
     p = sub.add_parser("mems-curve", help="tabulate the MEMS boundary curve")
-    p.add_argument("--system", default="2x2")
-    _add_common(p, seeded=False)
+    p.add_argument("--system")
+    _add_common(p, seeded=False, formats="{csv}")
 
     p = sub.add_parser("verify", help="run fast invariant checks")
-    p.add_argument("--seed", type=int, default=0)
-
+    p.add_argument("--seed")
     return parser
 
 
@@ -502,26 +510,23 @@ def _merge_config(args) -> dict:
         if unknown:
             raise ConfigError(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
         merged.update(loaded)
-    for key, val in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if val is not None:
-            merged[key] = val
+    merged.update((key, val) for key, val in vars(args).items()
+                  if val is not None and key not in ("command", "config"))
     return merged
 
 
-def _get(m, key: str, kind, default=None):
-    """m[key] converted by `kind`, or `default` when it is absent, null or empty.
+def _get(m, key: str, kind):
+    """m[key] converted by `kind`, or None when it is absent, null or empty.
 
-    Config files and the environment can hold values of any type, so one
-    that `kind` cannot convert is a ConfigError, not a traceback.  A bool is
-    not a number, and an int key takes no fractional float.
+    A flag or XLAB_THREADS holds any string and a config file any JSON value,
+    so one that `kind` cannot convert is a ConfigError, not a traceback.  A
+    bool is not a number, and an int key takes no fractional float.
     """
     value = m.get(key)
     if value is None or value == "":
-        return default
+        return None
     try:
-        if isinstance(value, bool) or (
+        if (isinstance(value, bool) and kind in (int, float)) or (
                 kind is int and isinstance(value, float) and not value.is_integer()):
             raise TypeError
         return kind(value)
@@ -536,50 +541,53 @@ def _path(m, key: str):
     return m.get(key)
 
 
-def _threads_from(merged: dict) -> int:
-    threads = _get(merged, "threads", int)
-    return _get(os.environ, "XLAB_THREADS", int, 1) if threads is None else threads
+def _experiment(args, **defaults) -> tuple:
+    """The validated ExperimentConfig of a parsed command line, and its merged
+    options: the one input path of `scatter`, `convert`, `mems-curve` and
+    `verify`.  Each value comes from its flag, else the config file, else (for
+    threads) XLAB_THREADS, else `defaults` or ExperimentConfig's default, and
+    is converted and checked the same way whichever source gave it."""
+    m = _merge_config(args)
+    kinds = {"system": _parse_dims, "rank": int, "samples": int, "seed": int,
+             "tol": float, "threads": int}
+    given = {key: _get(m, key, kind) for key, kind in kinds.items()}
+    given["family"] = m.get("family")  # validate() names the families
+    if given["threads"] is None and "threads" in vars(args):
+        given["threads"] = _get(os.environ, "XLAB_THREADS", int)
+    defaults.update((key, v) for key, v in given.items() if v is not None)
+    return ExperimentConfig(**defaults).validate(), m
 
 
 def _cmd_scatter(args) -> int:
-    m = _merge_config(args)
-    cfg = ExperimentConfig(
-        system=_parse_system(str(m.get("system", "2x2"))),
-        family=m.get("family", "general"),
-        rank=_get(m, "rank", int),
-        samples=_get(m, "samples", int, 10_000),
-        seed=_get(m, "seed", int, 0),
-        threads=_threads_from(m))
-    records = run_scatter(cfg)
-    _write(emit_output(records, fmt=m.get("fmt", "csv"), plot=_path(m, "plot"),
-                       system=cfg.system), _path(m, "out"))
+    cfg, m = _experiment(args)
+    plot, out = _path(m, "plot"), _path(m, "out")
+    _write(emit_output(run_scatter(cfg), fmt=m.get("fmt", "csv"), plot=plot,
+                       system=cfg.system), out)
     return 0
 
 
 def _cmd_convert(args) -> int:
-    m = _merge_config(args)
-    serialize = _serializer(m.get("fmt", "csv"),
-                            {"csv": lambda summary: _records_csv(summary.records),
-                             "json": _campaign_json})
-    cfg = ExperimentConfig(
-        system=(2, 2), family="general", rank=_get(m, "rank", int),
-        samples=_get(m, "samples", int, 100),
-        seed=_get(m, "seed", int, 0),
-        tol=_get(m, "tol", float, convert.DEFAULT_TOL_C),
-        threads=_threads_from(m))
+    cfg, m = _experiment(args, samples=100)
+    serialize = {"csv": lambda summary: _records_csv(summary.records), "json": _campaign_json}
+    fmt, out = _choice("format", m.get("fmt", "csv"), serialize), _path(m, "out")
     summary = run_conversion_campaign(cfg)
-    _write(serialize(summary), _path(m, "out"))
+    _write(serialize[fmt](summary), out)
     return 0 if summary.all_succeeded else 2
 
 
 def _cmd_mask(args) -> int:
+    kind = _choice("kind", args.kind, ("tgx", "anti"))
+    fmt = _choice("format", args.fmt, ("ascii", "json"))
     dims = _parse_dims(args.system)
-    mask = tgx.tgx_mask(dims) if args.kind == "tgx" else tgx.anti_x_mask(dims)
-    if args.fmt == "ascii":
+    if math.prod(dims) > _MASK_MAX_N:
+        raise ConfigError(f"mask system {args.system} has {math.prod(dims)} states; "
+                          f"the limit is {_MASK_MAX_N}")
+    mask = tgx.tgx_mask(dims) if kind == "tgx" else tgx.anti_x_mask(dims)
+    if fmt == "ascii":
         text = mask.to_ascii() + "\n"
     else:
         # The bytes of json.dumps(..., indent=2), without its slow pure-Python encoder.
-        head = json.dumps({"dims": list(dims), "kind": args.kind}, indent=2)[:-2]
+        head = json.dumps({"dims": list(dims), "kind": kind}, indent=2)[:-2]
         rows = ",\n".join(f"    [\n      {i},\n      {j}\n    ]" for i, j in mask.pairs())
         text = f'{head},\n  "pairs": [\n{rows}\n  ]\n}}\n'
     _write(text, args.out)
@@ -587,19 +595,15 @@ def _cmd_mask(args) -> int:
 
 
 def _cmd_mems_curve(args) -> int:
-    m = _merge_config(args)
-    serialize = _serializer(m.get("fmt", "csv"), {"csv": _curve_csv})
-    system = _parse_system(str(m.get("system", "2x2")))
-    samples = ExperimentConfig(system, samples=_get(m, "samples", int, 500)).validate().samples
-    _write(serialize(system, samples), _path(m, "out"))
+    cfg, m = _experiment(args, samples=500)
+    _choice("format", m.get("fmt", "csv"), ("csv",))
+    _write(_curve_csv(cfg.system, cfg.samples), _path(m, "out"))
     return 0
 
 
 def _cmd_verify(args) -> int:
     """Fast invariant spot-checks; exits nonzero on any failure."""
-    seed = args.seed
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    seed = _experiment(args)[0].seed
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -632,15 +636,10 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handlers = {
-        "scatter": _cmd_scatter,
-        "convert": _cmd_convert,
-        "mask": _cmd_mask,
-        "mems-curve": _cmd_mems_curve,
-        "verify": _cmd_verify,
-    }
+    handlers = {"scatter": _cmd_scatter, "convert": _cmd_convert, "mask": _cmd_mask,
+                "mems-curve": _cmd_mems_curve, "verify": _cmd_verify}
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

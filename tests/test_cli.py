@@ -565,6 +565,21 @@ def test_main_bad_config_exits_1(capsys):
      None, None),
     (["scatter", "--family", "x", "--system", "2x3", "--rank", "5", "--samples", "4"],
      None, None),
+    (["scatter", "--samples", "abc"], None, None),
+    (["scatter", "--samples", "2", "--family", "x", "--rank", "x"], None, None),
+    (["convert", "--samples", "2", "--tol", "x"], None, None),
+    (["scatter", "--samples", "2", "--threads", "abc"], None, None),
+    (["convert", "--samples", "2", "--format", "xml"], None, None),
+    (["scatter", "--samples", "2", "--family", "nope"], None, None),
+    ([], None, None),
+    (["scatter", "--bogus", "1"], None, None),
+    (["convert", "--tol"], None, None),
+    (["mask", "--kind", "x"], None, None),
+    (["mask", "--format", "csv"], None, None),
+    (["mask", "--system", "1x2"], None, None),
+    (["mask", "--system", "1000x1000"], None, None),
+    (["verify", "--seed", "abc"], None, None),
+    (["verify", "--seed", "-1"], None, None),
 ], ids=["samples-abc", "tol-list", "threads-env-abc", "fmt-xml",
         "mems-curve-json", "negative-seed", "scatter-out-int", "scatter-plot-bool",
         "convert-out-int", "mems-curve-out-list", "mems-curve-samples-0",
@@ -572,7 +587,10 @@ def test_main_bad_config_exits_1(capsys):
         "samples-fraction-seed-bool", "seed-bool", "seed-fraction", "rank-bool",
         "samples-inf", "threads-bool", "tol-bool", "convert-samples-bool",
         "grid-family-rank", "grid-family-rank-config", "x-on-2x3", "x-on-2x3-rank-3",
-        "x-on-2x3-rank-5"])
+        "x-on-2x3-rank-5", "flag-samples-abc", "flag-rank-x", "flag-tol-x",
+        "flag-threads-abc", "flag-format-xml", "flag-family-nope", "no-command",
+        "unknown-flag", "missing-value", "mask-kind-x", "mask-format-csv", "mask-dims-1x2",
+        "mask-too-large", "verify-seed-abc", "verify-seed-negative"])
 def test_main_bad_input_is_one_line_error(tmp_path, monkeypatch, capsys, request,
                                           argv, config, env):
     if request.node.callspec.id == "samples-over-2^32":
@@ -581,6 +599,12 @@ def test_main_bad_input_is_one_line_error(tmp_path, monkeypatch, capsys, request
             raise AssertionError("the run got as far as drawing samples")
 
         monkeypatch.setattr(cli, "_sample_rngs", no_draws)
+    if request.node.callspec.id == "mask-too-large":
+        # Without the size limit this mask would need TiBs; fail at once.
+        def no_mask(dims):
+            raise AssertionError("the run got as far as building a mask")
+
+        monkeypatch.setattr(cli.tgx, "anti_x_mask", no_mask)
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
@@ -592,6 +616,88 @@ def test_main_bad_input_is_one_line_error(tmp_path, monkeypatch, capsys, request
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,flags,config", [
+    (["scatter"], ["--samples", "abc"], {"samples": "abc"}),
+    (["scatter", "--samples", "2"], ["--rank", "x"], {"rank": "x"}),
+    (["convert", "--samples", "2"], ["--tol", "x"], {"tol": "x"}),
+    (["convert", "--samples", "2"], ["--threads", "abc"], {"threads": "abc"}),
+    (["scatter", "--samples", "2"], ["--threads", "0"], {"threads": 0}),
+    (["convert", "--samples", "2"], ["--format", "xml"], {"fmt": "xml"}),
+    (["scatter", "--samples", "2"], ["--family", "nope"], {"family": "nope"}),
+    (["scatter", "--samples", "2"], ["--system", "3x3"], {"system": "3x3"}),
+    (["scatter", "--samples", "2"], ["--system", "2x"], {"system": "2x"}),
+    (["scatter", "--samples", "2"], ["--seed", "-1"], {"seed": -1}),
+    (["mems-curve", "--samples", "2"], ["--format", "json"], {"fmt": "json"}),
+], ids=["samples", "rank", "tol", "threads", "threads-0", "format", "family",
+        "system", "dims", "seed", "mems-curve-format"])
+def test_main_bad_value_is_one_error_from_flag_and_config(tmp_path, capsys, argv, flags,
+                                                          config):
+    # One converter checks a value, whether a flag or a config file gave it.
+    assert cli.main(argv + flags) == 1
+    from_flag = capsys.readouterr()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(argv + ["--config", str(path)]) == 1
+    from_config = capsys.readouterr()
+    assert from_flag.out == from_config.out == ""
+    assert from_flag.err == from_config.err
+    assert from_flag.err.startswith("error: ") and from_flag.err.count("\n") == 1
+
+
+def test_main_bad_flag_messages(capsys):
+    cases = {
+        ("scatter", "--system", "3x3"): "system must be 2x2 or 2x3, got [3, 3]",
+        ("scatter", "--bogus", "1"): "unrecognized arguments: --bogus 1",
+        ("convert", "--tol"): "argument --tol: expected one argument",
+        ("mask", "--system", "1x2"):
+            "need at least two subsystems of dimension >= 2, got [1, 2]",
+        ("mask", "--system", "1000x1000"):
+            "mask system 1000x1000 has 1000000 states; the limit is 1024",
+        ("mask", "--kind", "x"): "kind must be one of tgx, anti, got 'x'",
+    }
+    for argv, message in cases.items():
+        assert cli.main(list(argv)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_main_mask_size_limit_is_inclusive(capsys):
+    assert cli.main(["mask", "--system", "2x512"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1024
+
+
+def test_main_help_exits_0_and_lists_the_choices(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scatter", "-h"])
+    assert exc.value.code == 0
+    assert "{general,x,lx,tgx,mems,h}" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mask", "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert "{tgx,anti}" in text and "{ascii,json}" in text
+
+
+def test_main_mems_curve_takes_system_from_config(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"system": [2, 3]}))
+    assert cli.main(["mems-curve", "--samples", "4", "--config", str(path)]) == 0
+    from_config = capsys.readouterr().out
+    assert cli.main(["mems-curve", "--samples", "4", "--system", "2x3"]) == 0
+    assert capsys.readouterr().out == from_config
+    assert from_config.splitlines()[1].startswith("0.1666")
+
+
+def test_python_m_xlab_cli_bad_flag_is_one_line_error():
+    src = str(Path(xlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "xlab.cli", "scatter", "--samples", "abc"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: samples must be int, got 'abc'\n"
 
 
 @pytest.mark.parametrize("argv,config,names", [
@@ -613,7 +719,7 @@ def test_main_unknown_config_key_is_error(tmp_path, capsys, argv, config, names)
 
 def test_main_builds_the_parser_once(capsys):
     # The parser is cached for the process; no call leaves anything behind
-    # for the next one: neither its flags nor an argparse exit.
+    # for the next one: neither its flags nor a failed parse.
     argv = ["convert", "--samples", "3", "--seed", "5"]
     cli._build_parser.cache_clear()
     def ranks(text):
@@ -628,8 +734,7 @@ def test_main_builds_the_parser_once(capsys):
     assert args.tol is None and args.rank is None
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == fresh
-    with pytest.raises(SystemExit):
-        cli.main(["convert", "--tol"])
+    assert cli.main(["convert", "--tol"]) == 1
     capsys.readouterr()
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == fresh
