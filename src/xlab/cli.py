@@ -357,6 +357,16 @@ def _campaign_json(summary: CampaignSummary) -> str:
     return head + _records_json(summary.records, 2) + "}\n"
 
 
+def _mask_json(mask, dims, kind: str) -> str:
+    """json.dumps({"dims", "kind", "pairs": mask.pairs()}, indent=2) + "\n", one str.join
+    per matrix row; no row is empty (tgx holds the diagonal, anti sum(d - 1) >= 1 entries)."""
+    nums = np.array(list(map(str, range(mask.n))), dtype=object)
+    rows = ",\n".join(lead + ("\n    ],\n" + lead).join(nums[row]) + "\n    ]" for lead, row
+                      in zip((f"    [\n      {i},\n      " for i in range(mask.n)), mask.grid))
+    head = json.dumps({"dims": list(dims), "kind": kind}, indent=2)[:-2]
+    return f'{head},\n  "pairs": [\n{rows}\n  ]\n}}\n'
+
+
 def _curve_csv(system, samples: int) -> str:
     p_min = 1.0 / math.prod(system)  # the maximally mixed state's purity
     grid = [p_min + (1.0 - p_min) * i / max(samples - 1, 1) for i in range(samples)]
@@ -425,8 +435,7 @@ def emit_output(records, fmt: str = "csv", plot=None, system=(2, 2)) -> str:
 # Argument handling
 # ---------------------------------------------------------------------------
 
-# Largest number of states (product of dims) `xlab mask` builds masks for:
-# building them compares every pair of states, so 1000x1000 would need TiBs.
+# Most states `xlab mask` takes: it builds an n x n int8 count and bool grid, 2 TB at 1000x1000.
 _MASK_MAX_N = 1024
 
 
@@ -583,14 +592,7 @@ def _cmd_mask(args) -> int:
         raise ConfigError(f"mask system {args.system} has {math.prod(dims)} states; "
                           f"the limit is {_MASK_MAX_N}")
     mask = tgx.tgx_mask(dims) if kind == "tgx" else tgx.anti_x_mask(dims)
-    if fmt == "ascii":
-        text = mask.to_ascii() + "\n"
-    else:
-        # The bytes of json.dumps(..., indent=2), without its slow pure-Python encoder.
-        head = json.dumps({"dims": list(dims), "kind": kind}, indent=2)[:-2]
-        rows = ",\n".join(f"    [\n      {i},\n      {j}\n    ]" for i, j in mask.pairs())
-        text = f'{head},\n  "pairs": [\n{rows}\n  ]\n}}\n'
-    _write(text, args.out)
+    _write(mask.to_ascii() + "\n" if fmt == "ascii" else _mask_json(mask, dims, kind), args.out)
     return 0
 
 
@@ -629,9 +631,12 @@ def _cmd_verify(args) -> int:
     check("sample streams", all(
         r.bit_generator.state == np.random.default_rng([seed, i]).bit_generator.state
         for i, r in enumerate(_sample_rngs(seed, range(3)))))
-    # _records_json copies json's formatting; this catches json changing it.
+    # _records_json and _mask_json copy json's formatting; this catches json changing it.
     recs = [SampleRecord(x, -0.0, 2**70, 'a, "\\\u00e9', 0) for x in (0.1, math.nan, -math.inf)]
-    check("json writer", _records_json(recs) == json.dumps(list(map(vars, recs)), indent=2) + "\n")
+    anti = tgx.anti_x_mask((3, 5, 7))  # 105 states, so the indices cross 100
+    check("json writer", _records_json(recs) == json.dumps(list(map(vars, recs)), indent=2) + "\n"
+          and _mask_json(anti, (3, 5, 7), "anti") == json.dumps(
+              {"dims": [3, 5, 7], "kind": "anti", "pairs": anti.pairs()}, indent=2) + "\n")
     return 0 if all(ok for _, ok in checks) else 1
 
 

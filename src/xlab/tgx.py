@@ -70,7 +70,10 @@ class ElementMask:
 
     def to_ascii(self) -> str:
         """Dot/X grid in the paper-style dot notation."""
-        return "\n".join(" ".join(row) for row in np.where(self.grid, "X", ".").tolist())
+        buf = np.full((self.n, 2 * self.n), ord(" "), dtype=np.uint8)  # a byte per char
+        buf[:, ::2] = np.where(self.grid, ord("X"), ord("."))
+        buf[:, -1:] = ord("\n")
+        return buf.tobytes().decode()[:-1]
 
     def union(self, other: "ElementMask") -> "ElementMask":
         if self.n != other.n:
@@ -97,9 +100,11 @@ def anti_x_mask(dims) -> ElementMask:
     """
     dims = _check_dims(dims)
     if dims not in _MASK_CACHE:
-        digits = np.stack(np.unravel_index(np.arange(math.prod(dims)), dims), axis=1)
-        differ = (digits[:, None, :] != digits[None, :, :]).sum(axis=2)
-        _MASK_CACHE[dims] = ElementMask(len(digits), differ == 1)
+        k, n = len(dims), math.prod(dims)
+        count = np.zeros(dims + dims, dtype=np.int8)  # digits of i and j that differ
+        for m, d in enumerate(dims):  # d x d table on axes m and k + m; axes < m broadcast
+            count += ~np.eye(d, dtype=bool).reshape([d] + [1] * (k - 1) + [d] + [1] * (k - 1 - m))
+        _MASK_CACHE[dims] = ElementMask(n, (count == 1).reshape(n, n))
     return _MASK_CACHE[dims]
 
 

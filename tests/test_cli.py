@@ -1,10 +1,13 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -481,6 +484,24 @@ def test_main_mask_golden_bytes(capsys, dims, kind):
     assert capsys.readouterr().out == _digit_rule_ascii(dims, kind)
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.integers(2, 5), min_size=2, max_size=7).filter(lambda d: math.prod(d) <= 256),
+       st.sampled_from(["anti", "tgx"]))
+def test_main_mask_json_equals_json_dumps_on_stdout_and_out(dims, kind):
+    argv = ["mask", "--system", "x".join(map(str, dims)), "--kind", kind, "--format", "json"]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(argv) == 0
+    mask = cli.tgx.anti_x_mask(dims) if kind == "anti" else cli.tgx.tgx_mask(dims)
+    assert stdout.getvalue() == json.dumps(
+        {"dims": dims, "kind": kind, "pairs": mask.pairs()}, indent=2) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "mask.json")
+        assert cli.main(argv + ["--out", out]) == 0
+        with open(out, newline="") as fh:
+            assert fh.read() == stdout.getvalue()
+
+
 def test_python_m_xlab_cli_runs_without_warning():
     src = str(Path(xlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -769,6 +790,12 @@ def test_main_verify():
 
 def test_main_verify_catches_a_json_writer_drift(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_records_json", lambda records: "[]\n")
+    assert cli.main(["verify"]) == 1
+    assert "FAIL  json writer" in capsys.readouterr().out
+
+
+def test_main_verify_catches_a_mask_json_writer_drift(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_mask_json", lambda mask, dims, kind: "{}\n")
     assert cli.main(["verify"]) == 1
     assert "FAIL  json writer" in capsys.readouterr().out
 
