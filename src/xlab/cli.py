@@ -6,18 +6,19 @@ masks), `mems-curve` (boundary curves), `verify` (fast invariant checks).
 
 Sample i draws from its own stream, the one np.random.default_rng([seed, i])
 starts.  `_sample_rngs` seeds a block's streams at once with a plain
-transcription of numpy's SeedSequence on uint32 arrays (tested, and checked
-by `verify`, against numpy).  `run_scatter` builds each block of
-`_sample_blocks` with one call of its family's stacked builder and measures
-it with stacked kernels, as `run_conversion_campaign` converts its blocks,
-so output is byte-identical for any block size; the grid families (`mems`,
-`h`) draw no streams.  `--threads` is validated but has no effect.  The
-parser, built once per process, only splits argv into strings; one input
-path, `_experiment` with `_choice` and `_parse_dims`, converts and checks
-every value from a flag, a config file or XLAB_THREADS, so any bad input
-ends as a one-line ConfigError.  `_write` is the one writer of data output;
-`_records_json` renders JSON records (the bytes of json.dumps(indent=2)) from
-one C-encoder call per column, and `_svg_head` caches each boundary polyline.
+transcription of numpy's SeedSequence on uint32 arrays (tested, and checked by
+`verify`, against numpy).  `run_scatter` builds each block of `_sample_blocks`
+with one call of its family's stacked builder and measures it with stacked
+kernels, as `run_conversion_campaign` converts its blocks, so output is
+byte-identical for any block size; the grid families (`mems`, `h`) draw no
+streams.  One eigendecomposition of each 2x2 block feeds its concurrence and
+its ranks.  `--threads` is validated but has no effect.  The parser, built once
+per process, only splits argv into strings; one input path, `_experiment` with
+`_choice` and `_parse_dims`, converts and checks every value from a flag, a
+config file or XLAB_THREADS, so any bad input ends as a one-line ConfigError.
+`_write` is the one writer of data output; `_records_json` renders JSON records
+(the bytes of json.dumps(indent=2)) from one C-encoder call per column, and
+`_svg_head` caches each boundary polyline.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from . import convert, measures, states, tgx
+from . import convert, linalg, measures, states, tgx
 from .errors import ConfigError, DimensionError, XLabError
 
 _SYSTEMS = ((2, 2), (2, 3))
@@ -217,9 +218,9 @@ def _draw_rank_block(cfg: ExperimentConfig, family, rngs: list):
 
 def _build_block(cfg: ExperimentConfig, block: range, rngs):
     """The states of `block` as one stack from one call of the family's
-    stacked builder, and their ranks.  `mems` walks purities from 1/n to 1,
-    `h` a side x side grid of concurrences, each with purities from its
-    `h_purity_floor` to 1."""
+    stacked builder, and their ranks if the builder checked them, else None.
+    `mems` walks purities from 1/n to 1, `h` a side x side grid of
+    concurrences, each with purities from its `h_purity_floor` to 1."""
     fam, index = cfg.family, np.arange(block.start, block.stop)
     if fam in _RANK_FAMILIES and (fam != "x" or cfg.rank is not None):
         return _draw_rank_block(cfg, _RANK_FAMILIES[fam], rngs)
@@ -239,7 +240,7 @@ def _build_block(cfg: ExperimentConfig, block: range, rngs):
         lo = states.h_purity_floor(C)
         P = lo + (1.0 - lo) * ((index // side) % side) / (side - 1)
         batch = states.h_state(C, np.minimum(P, 1.0))
-    return batch, batch.rank()
+    return batch, None
 
 
 def run_scatter(cfg: ExperimentConfig) -> list:
@@ -248,7 +249,9 @@ def run_scatter(cfg: ExperimentConfig) -> list:
     records = []
     for block, rngs in _sample_blocks(cfg):
         batch, ranks = _build_block(cfg, block, rngs)
-        records += map(SampleRecord, measures.entanglement(batch).tolist(),
+        es = linalg.psd_eig(batch.mat) if batch.dims == (2, 2) else None
+        ranks = batch.rank(es=es) if ranks is None else ranks
+        records += map(SampleRecord, measures.entanglement(batch, es).tolist(),
                        measures.purity(batch).tolist(), ranks.tolist(),
                        [cfg.family] * len(block), block)
     return records

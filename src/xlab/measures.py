@@ -14,8 +14,8 @@ from . import linalg
 from .errors import DimensionError
 from .states import DensityMatrix
 
-_SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SPIN_FLIP = np.kron(_SIGMA2, _SIGMA2)
+# (s2 x s2) M (s2 x s2) is M reversed on both axes times these signs.
+_FLIP_SIGN = np.outer([1, -1, -1, 1], [1, -1, -1, 1])
 
 # Anti-X positions of the two-qubit X pattern (upper triangle).
 _ANTI_X_ROWS, _ANTI_X_COLS = [0, 0, 1, 2], [1, 2, 3, 3]
@@ -65,7 +65,7 @@ def concurrence(rho: DensityMatrix, es: linalg.EigenSystem | None = None):
     # (A A')^(1/2) with A = s st.  Computing them by SVD keeps the small
     # lam_k accurate to ~eps absolute; squaring into s rho~ s and taking an
     # eigenvalue square root would blow eps-level noise up to ~sqrt(eps).
-    st = _SPIN_FLIP @ s.conj() @ _SPIN_FLIP
+    st = s.conj()[..., ::-1, ::-1] * _FLIP_SIGN
     lam = np.linalg.svd(s @ st, compute_uv=False)
     c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
     return linalg.scalar(np.maximum(c, 0.0))
@@ -141,10 +141,10 @@ def negativity_e(rho: DensityMatrix):
     return linalg.scalar(np.minimum(np.maximum(e, 0.0), 1.0 + 1e-9))
 
 
-def entanglement(rho: DensityMatrix):
-    """`concurrence` of a 2x2 state, `negativity_e` of a 2x3 state; other dims raise."""
+def entanglement(rho: DensityMatrix, es: linalg.EigenSystem | None = None):
+    """`concurrence` of a 2x2 state, reusing `es`; `negativity_e` of a 2x3; other dims raise."""
     if tuple(rho.dims) == (2, 2):
-        return concurrence(rho)
+        return concurrence(rho, es)
     if tuple(rho.dims) == (2, 3):
         return negativity_e(rho)
     raise DimensionError(f"no entanglement measure for dims {list(rho.dims)}")

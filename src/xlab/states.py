@@ -53,9 +53,9 @@ class DensityMatrix:
         linalg.check_psd(np.linalg.eigvalsh(0.5 * (self.mat + self.mat.conj().mT)), psd_tol)
         return self
 
-    def rank(self, tol: float | None = None):
-        """Numerical rank: an int, or an int array with one entry per stacked matrix."""
-        return linalg.numerical_rank(self.mat, tol)
+    def rank(self, tol: float | None = None, es: linalg.EigenSystem | None = None):
+        """Numerical rank, an int or one per stacked matrix; `es` reuses `linalg.psd_eig(mat)`."""
+        return linalg.numerical_rank(self.mat, tol, es)
 
 
 def _theta_kets(n: int, lo, hi, thetas, phases) -> np.ndarray:

@@ -88,7 +88,7 @@ def _check_dims(dims) -> tuple:
     return dims
 
 
-_MASK_CACHE: dict = {}  # anti-X mask by dims
+_MASK_CACHE, _TGX_CACHE = {}, {}  # anti-X and TGX masks by dims; their grids are read-only
 
 
 def anti_x_mask(dims) -> ElementMask:
@@ -110,8 +110,10 @@ def anti_x_mask(dims) -> ElementMask:
 
 def tgx_mask(dims) -> ElementMask:
     """Diagonal plus every off-diagonal position that is not anti-X."""
-    anti = anti_x_mask(dims)
-    return ElementMask(anti.n, ~anti.grid)
+    dims = _check_dims(dims)
+    if dims not in _TGX_CACHE:
+        _TGX_CACHE[dims] = ElementMask(math.prod(dims), ~anti_x_mask(dims).grid)
+    return _TGX_CACHE[dims]
 
 
 def project_tgx(rho: DensityMatrix) -> DensityMatrix:

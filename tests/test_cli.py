@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xlab
-from xlab import cli, measures, states
+from xlab import cli, linalg, measures, states
 from xlab.errors import ConfigError, RankError
 
 
@@ -174,6 +174,56 @@ def test_run_scatter_gives_up_after_64_degenerate_draws(monkeypatch):
     with pytest.raises(ConfigError, match="could not draw a rank-4 tgx state after 64 tries"):
         cli.run_scatter(cfg)
     assert calls == [5] * 64
+
+
+def _scatter_linalg_calls(monkeypatch, cfg):
+    """The stack shapes np.linalg.eigh and np.linalg.eigvalsh saw in run_scatter(cfg)."""
+    calls = {"eigh": [], "eigvalsh": []}
+    for name, seen in calls.items():
+        def counting(M, *args, _fn=getattr(np.linalg, name), _seen=seen, **kwargs):
+            _seen.append(M.shape)
+            return _fn(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    cli.run_scatter(cfg)
+    return calls
+
+
+@pytest.mark.parametrize("family,samples", [
+    ("general", 1), ("general", 3), ("general", 256), ("general", 600),
+    ("x", 600), ("mems", 600), ("h", 600)])
+def test_run_scatter_eigendecomposes_each_2x2_block_once(monkeypatch, family, samples):
+    # One eigh per block serves both the concurrence and the ranks.
+    cfg = cli.ExperimentConfig(family=family, samples=samples, seed=8)
+    sizes = [min(cli._BLOCK, samples - start) for start in range(0, samples, cli._BLOCK)]
+    assert _scatter_linalg_calls(monkeypatch, cfg) == {
+        "eigh": [(b, 4, 4) for b in sizes], "eigvalsh": []}
+
+
+def test_run_scatter_2x3_block_keeps_its_eigvalsh_calls(monkeypatch):
+    # A tgx block checks its ranks and takes its negativities with one
+    # eigvalsh each (this seed draws no rank retry) and no eigh.
+    cfg = cli.ExperimentConfig(system=(2, 3), family="tgx", samples=16, seed=1)
+    assert _scatter_linalg_calls(monkeypatch, cfg) == {
+        "eigh": [], "eigvalsh": [(16, 6, 6)] * 2}
+
+
+@pytest.mark.parametrize("family,rank", [("general", R) for R in (None, 1, 2, 3, 4)]
+                         + [("x", R) for R in (None, 1, 2, 3, 4)]
+                         + [("mems", None), ("h", None)])
+def test_rank_from_the_scatter_eigensystem_equals_eigvalsh_rank(family, rank):
+    # mems runs from the maximally mixed state to a pure one and the h grid
+    # ends in pure states; a rank-checked builder's ranks must agree too.
+    cfg = cli.ExperimentConfig(family=family, rank=rank, samples=300, seed=11)
+    cfg.validate()
+    for block, rngs in cli._sample_blocks(cfg):
+        batch, ranks = cli._build_block(cfg, block, rngs)
+        want = batch.rank()
+        assert np.array_equal(batch.rank(es=linalg.psd_eig(batch.mat)), want)
+        assert ranks is None or np.array_equal(ranks, want)
+    for rho, R in [(states.mems_2x2(0.25), 4), (states.mems_2x2(1.0), 1),
+                   (states.bell_state(), 1), (states.closed_form_x(0.0, 1.0), 1)]:
+        assert rho.rank(es=linalg.psd_eig(rho.mat)) == rho.rank() == R
 
 
 def test_main_scatter_threads_do_not_change_bytes(tmp_path):

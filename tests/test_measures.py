@@ -204,6 +204,39 @@ def test_stacked_kernels_match_per_matrix_calls(seed, dims):
             assert all(type(x) in (float, int) for x in looped), name
 
 
+_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+_SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
+
+
+def _flip_cases(seed, B):
+    """(B, 4, 4) stacks: Ginibre states of ranks 1-4, general X states, MEMS
+    with P = 1/4 and 1, H states with C = 0 and 1, and the Bell states."""
+    rng = np.random.default_rng(seed)
+    yield np.stack([states.random_mixed(4, int(R), rng, (2, 2)).mat
+                    for R in rng.integers(1, 5, B)])
+    u = rng.random((B, 11)) * np.r_[[math.pi / 2] * 7, [2 * math.pi] * 4]
+    yield states.general_x_state(states.XParams(u[:, :3], u[:, 3:7], u[:, 7:])).mat
+    yield states.mems_2x2(np.r_[0.25, 1.0, rng.uniform(0.25, 1.0, B)]).mat
+    C = np.r_[0.0, 1.0, 0.0, 1.0, rng.random(B)]
+    lo = states.h_purity_floor(C)
+    u = np.r_[0.0, 0.0, 1.0, 1.0, rng.random(B)]
+    yield states.h_state(C, np.minimum(lo + (1.0 - lo) * u, 1.0)).mat
+    yield np.stack([psi.mat for psi in tgx.bell_basis()])
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_concurrence_spin_flip_is_bit_exact(seed, B):
+    # The signed reversal in measures.concurrence against the literal
+    # (s2 x s2) sqrt(rho)* (s2 x s2), compared byte for byte.
+    for mat in _flip_cases(seed, B):
+        s = linalg.sqrt_psd(mat)
+        lam = np.linalg.svd(s @ (_SPIN_FLIP @ s.conj() @ _SPIN_FLIP), compute_uv=False)
+        want = np.maximum(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0)
+        got = np.asarray(measures.concurrence(DensityMatrix(mat, (2, 2))))
+        assert got.tobytes() == want.tobytes()
+
+
 def test_stacked_measures_check_every_matrix():
     stack = np.stack([np.eye(4) / 4] * 3)
     stack[1] = np.diag([0.5, 0.5, 0.25, -0.25])

@@ -104,6 +104,16 @@ def test_mask_kernel_properties(dims):
         assert t.pairs() == sorted(t.marked)
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2, 4)])
+def test_masks_are_cached_and_read_only(dims):
+    for build in (tgx.anti_x_mask, tgx.tgx_mask):
+        mask = build(dims)
+        assert build(dims) is mask and build(list(dims)) is mask
+        assert not mask.grid.flags.writeable
+        with pytest.raises(ValueError):
+            mask.grid[0, 0] = not mask.grid[0, 0]
+
+
 def test_project_tgx_diagonal_reductions():
     rng = np.random.default_rng(3)
     for dims in [(2, 2), (2, 3), (2, 2, 2)]:
