@@ -11,8 +11,10 @@ transcription of numpy's SeedSequence on uint32 arrays (tested, and checked by
 with one call of its family's stacked builder and measures it with stacked
 kernels, as `run_conversion_campaign` converts its blocks, so output is
 byte-identical for any block size; the grid families (`mems`, `h`) draw no
-streams.  One eigendecomposition of each 2x2 block feeds its concurrence and
-its ranks.  `--threads` is validated but has no effect.  The parser, built once
+streams.  A rank-specific block draws each sample's rank and angles in one
+pass over its streams, then redraws only the rows whose rank falls short.
+One eigendecomposition of each 2x2 block feeds its concurrence and its
+ranks.  `--threads` is validated but has no effect.  The parser, built once
 per process, only splits argv into strings; one input path, `_experiment` with
 `_choice` and `_parse_dims`, converts and checks every value from a flag, a
 config file or XLAB_THREADS, so any bad input ends as a one-line ConfigError.
@@ -198,17 +200,23 @@ def _draw_rank_block(cfg: ExperimentConfig, family, rngs: list):
     Each sample draws its rank, then R thetas and R - 1 probability angles as
     one `random(2R - 1) * pi/2` from its own stream, and draws again, up to
     64 tries, while its numerical rank falls short or a probability is <= 0.
+    The first round draws each sample's rank and angles in one pass; each
+    round fills a zero (rows, 2K) thetas|angles buffer in one masked assignment.
     """
-    R = np.array([_draw_rank(cfg, rng) for rng in rngs])
-    thetas, angles = np.zeros((2, len(R), len(family.lo)))
+    top, K = math.prod(cfg.system) + 1, len(family.lo)
+    R, u = zip(*[(r := cfg.rank or int(rng.integers(1, top)), rng.random(2 * r - 1))
+                 for rng in rngs])
+    R, cols = np.array(R), np.arange(2 * K)
     mats = np.empty((len(R),) + (math.prod(family.dims),) * 2, dtype=complex)
     todo = np.arange(len(R))
-    for _ in range(64):
-        for j, r in zip(todo.tolist(), R[todo].tolist()):
-            u = rngs[j].random(2 * r - 1) * (math.pi / 2.0)
-            thetas[j, :r], angles[j, :r - 1] = u[:r], u[r:]
-        probs = states.hyperspherical_probs(angles[todo, :-1])
-        rho, ranks = states.rank_states(family, R[todo], thetas[todo], probs)
+    for attempt in range(64):
+        if attempt:
+            u = [rngs[j].random(2 * r - 1) for j, r in zip(todo.tolist(), R[todo].tolist())]
+        # A row of rank r fills its first r thetas and its first r - 1 angles.
+        buf = np.zeros((len(todo), 2 * K))
+        buf[cols % K < R[todo, None] - (cols >= K)] = np.concatenate(u) * (math.pi / 2.0)
+        probs = states.hyperspherical_probs(buf[:, K:-1])
+        rho, ranks = states.rank_states(family, R[todo], buf[:, :K], probs)
         mats[todo] = rho.mat
         todo = todo[(ranks != R[todo]) | ((probs > 0.0).sum(axis=1) < R[todo])]
         if not todo.size:
@@ -640,6 +648,15 @@ def _cmd_verify(args) -> int:
     check("json writer", _records_json(recs) == json.dumps(list(map(vars, recs)), indent=2) + "\n"
           and _mask_json(anti, (3, 5, 7), "anti") == json.dumps(
               {"dims": [3, 5, 7], "kind": "anti", "pairs": anti.pairs()}, indent=2) + "\n")
+    # rank_states adds each term's 2x2 block with np.add.at; this catches numpy
+    # changing that add or the norm against a dense sum of each term's projector.
+    fam, R = states.TGX_RANK, 1 + np.arange(60) % 6
+    first, u = np.arange(6) < R[:, None], np.arange(660).reshape(60, 11) * 0.618 % 1.5
+    thetas, probs = u[:, :6] * first, states.hyperspherical_probs(u[:, 6:] * first[:, 1:])
+    kets = states._theta_kets(6, fam.lo[R - 1], fam.hi[R - 1], thetas, fam.phase[R - 1])
+    dense = sum(probs[:, k, None, None] * states._projectors(kets[:, k]) for k in range(6))
+    check("rank-state mixer",
+          states.rank_states(fam, R, thetas, probs)[0].mat.tobytes() == dense.tobytes())
     return 0 if all(ok for _, ok in checks) else 1
 
 

@@ -3,9 +3,10 @@
 The central routine is `find_x_equivalent`, which builds in closed form a
 spectrum-preserving unitary that maps any two-qubit state, of any rank, to
 an X state of the same concurrence.  `closed_form_conversion` maps rank-<=2
-states onto the `closed_form_x` family instead.  Also here:
-diagonal-unitary factorizability tests, X-preserving and subspace-rotation
-unitaries and candidate EPU assembly.
+states onto the `closed_form_x` family instead.  Also here: the unitary
+between two states of one spectrum (`conversion_unitary`), diagonal-unitary
+factorizability tests and the X-preserving unitary with its unconstrained
+X transform.
 """
 
 from __future__ import annotations
@@ -146,11 +147,6 @@ _FACTOR_SYSTEM = np.array([
 ], dtype=float)
 
 
-def diag_unitary(phases: Sequence[float]) -> np.ndarray:
-    """diag(e^{i eta_1}, ..., e^{i eta_n})."""
-    return np.diag(np.exp(1j * np.asarray(phases, dtype=float)))
-
-
 def diag_factor_conditions(phases: Sequence[float]) -> tuple:
     """Necessary-condition pairs for diagonal-unitary factorizability.
 
@@ -211,48 +207,6 @@ def x_preserving_unitary(eps: float, theta: float, alpha: float, beta: float,
     return U
 
 
-def subspace_rotation(n: int, x: int, y: int, theta: float, phi: float) -> np.ndarray:
-    """Two-parameter rotation of basis levels y and x (1-based) in dimension n."""
-    if not (1 <= y < x <= n):
-        raise DimensionError(f"need 1 <= y < x <= n, got x={x}, y={y}, n={n}")
-    ct, st = math.cos(theta), math.sin(theta)
-    U = np.eye(n, dtype=complex)
-    a, b = y - 1, x - 1
-    U[a, a] = ct * np.exp(1j * phi)
-    U[a, b] = st
-    U[b, a] = -st
-    U[b, b] = ct * np.exp(-1j * phi)
-    return U
-
-
-def epu_candidate(subspace_params: Sequence[tuple], diag: Sequence[float]) -> np.ndarray:
-    """Assemble (prod_k U_(x_k, y_k))^dagger D^dagger from rotation parameters.
-
-    Whether the result actually preserves entanglement for a given state
-    must be checked with `is_epu_for`.
-    """
-    eta = np.asarray(diag, dtype=float)
-    n = len(eta)
-    prod = np.eye(n, dtype=complex)
-    for x, y, theta, phi in subspace_params:
-        prod = prod @ subspace_rotation(n, int(x), int(y), theta, phi)
-    return prod.conj().T @ diag_unitary(eta).conj().T
-
-
-def is_epu_for(U: np.ndarray, rho: DensityMatrix, tol: float = 1e-10) -> bool:
-    """Does U preserve the entanglement of rho within tol?
-
-    Concurrence is the measure for [2, 2]; the rescaled negativity for [2, 3].
-    """
-    U = np.asarray(U, dtype=complex)
-    if U.shape != (rho.n, rho.n):
-        raise DimensionError(f"unitary shape {U.shape} does not match state size {rho.n}")
-    unit_err = float(np.max(np.abs(U @ U.conj().T - np.eye(rho.n))))
-    if unit_err > 1e-10:
-        raise DomainError(f"matrix is not unitary (error {unit_err:.3e})")
-    return abs(measures.entanglement(_conjugate(rho, U)) - measures.entanglement(rho)) <= tol
-
-
 def x_transform_unconstrained(rho_g: DensityMatrix, x_unitary_params) -> DensityMatrix:
     """One-shot X transform without entanglement preservation.
 
@@ -267,20 +221,3 @@ def x_transform_unconstrained(rho_g: DensityMatrix, x_unitary_params) -> Density
     eg = linalg.eig_hermitian(rho_g.mat).vectors
     return _conjugate(rho_g, UX @ eg.conj().T)
 
-
-def local_doubly_stochastic(rho: DensityMatrix,
-                            terms: Sequence[tuple]) -> DensityMatrix:
-    """Mixture of local-unitary conjugations: sum_k p_k (U1 x U2) rho (.)^dagger."""
-    measures.require_single(rho, "local doubly stochastic map", (2, 2))
-    probs = np.array([t[0] for t in terms], dtype=float)
-    if np.any(probs < -1e-15) or abs(probs.sum() - 1.0) > 1e-12:
-        raise DomainError(f"probabilities must be in [0,1] and sum to 1, got {probs}")
-    out = np.zeros((4, 4), dtype=complex)
-    for p, U1, U2 in terms:
-        for name, U in (("U1", U1), ("U2", U2)):
-            err = float(np.max(np.abs(np.asarray(U) @ np.asarray(U).conj().T - np.eye(2))))
-            if err > 1e-10:
-                raise DomainError(f"{name} is not unitary (error {err:.3e})")
-        L = np.kron(np.asarray(U1, dtype=complex), np.asarray(U2, dtype=complex))
-        out += p * (L @ rho.mat @ L.conj().T)
-    return DensityMatrix(out, (2, 2))

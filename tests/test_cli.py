@@ -208,6 +208,14 @@ def test_run_scatter_2x3_block_keeps_its_eigvalsh_calls(monkeypatch):
         "eigh": [], "eigvalsh": [(16, 6, 6)] * 2}
 
 
+def test_run_scatter_2x3_retry_round_rebuilds_only_its_rows(monkeypatch):
+    # Two of this seed's 16 tgx rows fall short of their rank once: the retry
+    # round builds and rank-checks those 2 rows alone.
+    cfg = cli.ExperimentConfig(system=(2, 3), family="tgx", samples=16, seed=7)
+    assert _scatter_linalg_calls(monkeypatch, cfg) == {
+        "eigh": [], "eigvalsh": [(16, 6, 6), (2, 6, 6), (16, 6, 6)]}
+
+
 @pytest.mark.parametrize("family,rank", [("general", R) for R in (None, 1, 2, 3, 4)]
                          + [("x", R) for R in (None, 1, 2, 3, 4)]
                          + [("mems", None), ("h", None)])
@@ -848,6 +856,14 @@ def test_main_verify_catches_a_mask_json_writer_drift(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_mask_json", lambda mask, dims, kind: "{}\n")
     assert cli.main(["verify"]) == 1
     assert "FAIL  json writer" in capsys.readouterr().out
+
+
+def test_main_verify_catches_a_rank_state_mixer_drift(monkeypatch, capsys):
+    mixer = states._block_mixture
+    monkeypatch.setattr(states, "_block_mixture", lambda *args: mixer(*args) * (1.0 + 2.0**-52))
+    assert cli.main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  rank-state mixer" in out and out.count("FAIL") == 1
 
 
 @pytest.mark.parametrize("r", [1, 2, 6])

@@ -305,43 +305,20 @@ def test_diag_unitary_preserves_x_concurrence():
                                 rng.uniform(0, np.pi / 2, 4),
                                 rng.uniform(0, 2 * np.pi, 4))
         rx = states.general_x_state(params)
-        D = convert.diag_unitary(rng.uniform(0, 2 * np.pi, 4))
+        D = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
         out = DensityMatrix(D @ rx.mat @ D.conj().T, (2, 2))
         assert abs(measures.concurrence(out) - measures.concurrence(rx)) <= 1e-12
-
-
-def test_subspace_rotation():
-    assert np.max(np.abs(convert.subspace_rotation(4, 3, 1, 0.0, 0.0)
-                         - np.eye(4))) <= 1e-14
-    U = convert.subspace_rotation(4, 3, 1, np.pi / 2, 0.0)
-    assert abs(U[0, 2] - 1) <= 1e-14 and abs(U[2, 0] + 1) <= 1e-14
-    rng = np.random.default_rng(16)
-    prod = np.eye(4, dtype=complex)
-    for (x, y) in [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]:
-        prod = prod @ convert.subspace_rotation(
-            4, x, y, rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi))
-    prod = prod @ convert.diag_unitary(rng.uniform(0, 2 * np.pi, 4))
-    assert np.max(np.abs(prod @ prod.conj().T - np.eye(4))) <= 1e-12
-
-
-def test_epu_candidate_and_check():
-    rng = np.random.default_rng(17)
-    U = convert.epu_candidate([(2, 1, 0.3, 0.5), (4, 3, 0.2, 1.0)],
-                              [0.1, 0.2, 0.3, 0.4])
-    assert np.max(np.abs(U @ U.conj().T - np.eye(4))) <= 1e-12
-    rho = states.random_mixed(4, 3, rng, (2, 2))
-    L = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
-    assert convert.is_epu_for(L, rho, 1e-10)
-    D = convert.diag_unitary(rng.uniform(0, 2 * np.pi, 4))
-    assert convert.is_epu_for(D, X_SAMPLE, 1e-10)
 
 
 def test_entangling_rotation_is_not_epu():
     # A rotation mixing the |0,0>, |1,1> plane on a noisy Bell state changes
     # the concurrence by a macroscopic amount.
     rho = DensityMatrix(0.8 * states.bell_state().mat + 0.2 * np.eye(4) / 4, (2, 2))
-    U = convert.subspace_rotation(4, 4, 1, 0.6, 0.0)
-    assert not convert.is_epu_for(U, rho, 0.01)
+    U = np.eye(4, dtype=complex)
+    U[0, 0] = U[3, 3] = math.cos(0.6)
+    U[0, 3], U[3, 0] = math.sin(0.6), -math.sin(0.6)
+    out = DensityMatrix(U @ rho.mat @ U.conj().T, (2, 2))
+    assert abs(measures.concurrence(out) - measures.concurrence(rho)) > 0.01
 
 
 def test_x_transform_unconstrained():
@@ -357,20 +334,10 @@ def test_x_transform_unconstrained():
         assert abs(measures.purity(out) - measures.purity(r)) <= 1e-12
 
 
-def test_local_doubly_stochastic():
-    rng = np.random.default_rng(19)
-    rho = states.random_mixed(4, 2, rng, (2, 2))
-    out = convert.local_doubly_stochastic(rho, [(1.0, np.eye(2), np.eye(2))])
-    assert np.max(np.abs(out.mat - rho.mat)) <= 1e-14
-    terms = [(0.5, haar_unitary(2, rng), haar_unitary(2, rng)) for _ in range(2)]
-    out = convert.local_doubly_stochastic(states.bell_state(), terms)
-    out.validate()
-    assert measures.purity(out) <= 1.0 + 1e-12
-
-
 def test_local_channel_generally_not_epu():
     # Fixed-seed two-term local mixing of a Bell state loses concurrence.
     rng = np.random.default_rng(21)
-    terms = [(0.5, haar_unitary(2, rng), haar_unitary(2, rng)) for _ in range(2)]
-    out = convert.local_doubly_stochastic(states.bell_state(), terms)
+    local = [np.kron(haar_unitary(2, rng), haar_unitary(2, rng)) for _ in range(2)]
+    bell = states.bell_state().mat
+    out = DensityMatrix(sum(0.5 * L @ bell @ L.conj().T for L in local), (2, 2))
     assert measures.concurrence(out) < 1.0 - 0.01

@@ -256,9 +256,8 @@ def test_stacked_measures_check_every_matrix():
     lambda rho: measures.partial_trace(rho, 1),
     tgx.is_simple_me_state, convert.closed_form_conversion,
     lambda rho: convert.x_transform_unconstrained(rho, np.eye(4)),
-    lambda rho: convert.local_doubly_stochastic(rho, [(1.0, np.eye(2), np.eye(2))]),
-], ids=["partial_trace", "is_simple_me_state",
-        "closed_form_conversion", "x_transform_unconstrained", "local_doubly_stochastic"])
+], ids=["partial_trace", "is_simple_me_state", "closed_form_conversion",
+        "x_transform_unconstrained"])
 def test_single_matrix_functions_reject_stacks(single):
     stack = DensityMatrix(np.stack([states.bell_state().mat, np.eye(4) / 4]), (2, 2))
     with pytest.raises(DimensionError, match="stack"):

@@ -64,6 +64,32 @@ def test_general_x_state_stack_equals_row_builds(mode):
         states.general_x_state(states.XParams(angles[:, :3], angles[:, 3:], phases), "full-9")
 
 
+def _per_term_x_state(angles, thetas, phases, mode):
+    """`general_x_state` one term at a time, with np.linalg.norm and np.outer."""
+    mat = np.zeros((4, 4), dtype=complex)
+    probs = states.hyperspherical_probs(angles)
+    for k, (a, b) in enumerate([(0, 3), (0, 3), (1, 2), (1, 2)]):
+        phase = 0.0 if mode == "reduced-9" and k in (0, 2) else phases[k]
+        v = np.zeros(4, dtype=complex)
+        v[a] = math.cos(thetas[k])
+        v[b] = math.sin(thetas[k]) * np.exp(1j * phase)
+        v = v / np.linalg.norm(v)
+        mat += probs[k] * np.outer(v, v.conj())
+    return mat
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from(["reduced-9", "full-11"]))
+def test_general_x_state_stack_equals_per_term_sum(seed, rows, mode):
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(0, math.pi / 2, (rows, 7))
+    phases = rng.uniform(0, 2 * math.pi, (rows, 4))
+    stack = states.general_x_state(states.XParams(angles[:, :3], angles[:, 3:], phases), mode)
+    for b in range(rows):
+        reference = _per_term_x_state(angles[b, :3], angles[b, 3:], phases[b], mode)
+        assert stack.mat[b].tobytes() == reference.tobytes(), b
+
+
 def _with_neighbours(points):
     return [float(q) for p in points for q in (np.nextafter(p, 0.0), p, np.nextafter(p, 2.0))]
 
