@@ -5,14 +5,19 @@ Subcommands: `scatter` (entanglement-purity samples of a state family),
 masks), `mems-curve` (boundary curves), `verify` (fast invariant checks).
 
 Sample i draws from its own stream, the one np.random.default_rng([seed, i])
-starts.  `_sample_rngs` seeds a block's streams at once with a plain
-transcription of numpy's SeedSequence on uint32 arrays (tested, and checked by
-`verify`, against numpy).  `run_scatter` builds each block of `_sample_blocks`
-with one call of its family's stacked builder and measures it with stacked
-kernels, as `run_conversion_campaign` converts its blocks, so output is
-byte-identical for any block size; the grid families (`mems`, `h`) draw no
-streams.  A rank-specific block draws each sample's rank and angles in one
-pass over its streams, then redraws only the rows whose rank falls short.
+starts.  `_stream_words` seeds a block's streams at once with a plain
+transcription of numpy's SeedSequence on uint32 arrays.  The x, lx and tgx
+families draw from `_raw_words` (every stream's first PCG64 outputs as one
+array) through numpy's next_double and the Lemire step of integers(); a rank
+that step would reject, and every retry round, draws on a Generator instead.
+`general` and `convert` keep Generators for the standard_normal ziggurat, which
+is not transcribed, but take their ranks from one raw word.  The tests and
+`verify` check each transcription against numpy.  `run_scatter` builds each
+block of `_sample_blocks` with one call of its family's stacked builder and
+measures it with stacked kernels, as `run_conversion_campaign` converts its
+blocks, so output is byte-identical for any block size; the grid families
+(`mems`, `h`) draw no streams.  A rank-specific block draws each sample's rank
+and angles in one pass, then redraws only the rows whose rank falls short.
 One eigendecomposition of each 2x2 block feeds its concurrence and its
 ranks.  `--threads` is validated but has no effect.  The parser, built once
 per process, only splits argv into strings; one input path, `_experiment` with
@@ -82,7 +87,7 @@ class ExperimentConfig:
         if self.family not in _FAMILIES:
             raise ConfigError(f"family must be one of {_FAMILIES}, got {self.family!r}")
         if not 1 <= self.samples <= 2**32:
-            # Sample indices must fit in one 32-bit seed word (see _sample_rngs).
+            # Sample indices must fit in one 32-bit seed word (see _stream_words).
             raise ConfigError(f"samples must be in 1..2**32, got {self.samples}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -148,13 +153,13 @@ class _Words(ISeedSequence):
         return self.words
 
 
-def _sample_rngs(seed: int, block: range) -> list:
-    """One Generator per index in `block`, each in the state that
-    np.random.default_rng([seed, index]) starts in (indices < 2**32).
+def _stream_words(seed: int, block: range) -> np.ndarray:
+    """The (len(block), 4) uint64 words from which PCG64 seeds the stream
+    that np.random.default_rng([seed, index]) starts, one row per index in
+    `block` (indices < 2**32).
 
     A plain transcription of numpy's SeedSequence (pool of 4 words) on
-    (k, len(block)) uint32 rows, one column per index; PCG64 then seeds
-    itself from the four uint64 words of each column.  A stream depends on
+    (k, len(block)) uint32 rows, one column per index.  A stream depends on
     (seed, index) alone, so any blocking of the samples draws the same states.
     """
     # entropy[k] is word k of each sample's entropy: the seed's little-endian
@@ -175,68 +180,164 @@ def _sample_rngs(seed: int, block: range) -> list:
     # one C-contiguous run, read as 4 little-endian uint64s.
     state = np.empty((len(block), 8), dtype="<u4")
     state.T[:] = _hashmix(np.concatenate([pool, pool]), range(8), _INIT_B, _MULT_B)
-    state = state.view("<u8").astype(np.uint64, copy=False)
-    return [Generator(PCG64(_Words(row))) for row in state]
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+def _sample_rngs(words: np.ndarray) -> list:
+    """One Generator per row of `_stream_words`, for the draws that the raw
+    words cannot give: standard_normal's ziggurat tables are not transcribed."""
+    return [Generator(PCG64(_Words(row))) for row in words]
+
+
+# numpy's 128-bit PCG64 multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+@functools.cache
+def _jump_consts(k: int) -> np.ndarray:
+    """Rows hi(A), lo(A), hi(B), lo(B) with columns j = 1..k, where
+    A = MULT**(j + 1) and B = MULT**0 + ... + MULT**(j + 1), mod 2**128."""
+    power, total, cols = _PCG_MULT, 1 + _PCG_MULT, []
+    for _ in range(k):
+        power = power * _PCG_MULT % 2**128
+        total = (total + power) % 2**128
+        cols.append((power >> 64, power % 2**64, total >> 64, total % 2**64))
+    c = np.array(cols, dtype=np.uint64).T.copy()
+    c.flags.writeable = False  # shared by every call through the cache
+    return c
+
+
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of each uint64 product a * b, from 32-bit halves."""
+    a0, a1, b0, b1 = a & _LOW32, a >> 32, b & _LOW32, b >> 32
+    t = a1 * b0 + (a0 * b0 >> 32)
+    return a1 * b1 + (t >> 32) + ((t & _LOW32) + a0 * b1 >> 32)
+
+
+def _raw_words(words: np.ndarray, k: int) -> np.ndarray:
+    """The first k outputs, (B, k) uint64, of the PCG64 that seeds itself
+    from each row of `words`: numpy's random_raw(k), for every stream at once.
+
+    PCG64 takes state s = (w0, w1) and increment c = 2(w2, w3) + 1 as 128-bit
+    numbers, steps s -> MULT s + c twice around adding s (pcg64_set_seed), and
+    steps before each output, so output j reads state A s + B c (`_jump_consts`),
+    computed on uint64 halves, and emits its XSL-RR: hi ^ lo rotated right by
+    the top 6 bits.
+    """
+    a_hi, a_lo, b_hi, b_lo = _jump_consts(k)
+    w = words[:, :, None]
+    s_hi, s_lo = w[:, 0], w[:, 1]
+    c_hi, c_lo = w[:, 2] << 1 | w[:, 3] >> 63, w[:, 3] << 1 | 1
+    lo_s = a_lo * s_lo
+    lo = lo_s + b_lo * c_lo
+    hi = (_mulhi(a_lo, s_lo) + a_hi * s_lo + a_lo * s_hi + _mulhi(b_lo, c_lo)
+          + b_hi * c_lo + b_lo * c_hi + (lo < lo_s))
+    x, rot = hi ^ lo, hi >> 58
+    return x >> rot | x << (-rot & 63)
+
+
+def _doubles(raw: np.ndarray) -> np.ndarray:
+    """Generator.random's double of each raw word (numpy's next_double)."""
+    return (raw >> 11) * 2.0**-53
+
+
+def _lemire_threshold(n: int) -> int:
+    """numpy's Lemire step rejects a product whose low 32 bits fall below this."""
+    return (2**32 - n) % n
+
+
+def _lemire(raw: np.ndarray, n: int, words: np.ndarray, gens) -> np.ndarray:
+    """Generator.integers(1, n + 1) of each stream whose first raw word is
+    `raw`: 1 + (low 32 bits of the word) * n >> 32, numpy's Lemire step.
+
+    numpy would redraw a rejected row from the word's buffered high half; such
+    a row (about 1e-9 of them at n = 6) instead draws its rank on a fresh
+    Generator from its `words`, which goes to gens[row] in place of its stream.
+    """
+    m = (raw & _LOW32) * np.uint64(n)
+    ranks = (m >> 32).astype(np.int64) + 1
+    for j in np.flatnonzero((m & _LOW32) < _lemire_threshold(n)).tolist():
+        gens[j] = Generator(PCG64(_Words(words[j])))
+        ranks[j] = gens[j].integers(1, n + 1)
+    return ranks
 
 
 def _sample_blocks(cfg: ExperimentConfig):
-    """(block, rngs) for each block of `_BLOCK` consecutive sample indices:
-    rngs holds each sample's stream from `_sample_rngs`, or is None for a
-    grid family, whose states depend on the sample index alone."""
+    """(block, words) for each block of `_BLOCK` consecutive sample indices:
+    words holds each sample's `_stream_words` row, or is None for a grid
+    family, whose states depend on the sample index alone."""
     for lo in range(0, cfg.samples, _BLOCK):
         block = range(lo, min(lo + _BLOCK, cfg.samples))
-        yield block, None if cfg.family in _GRID_FAMILIES else _sample_rngs(cfg.seed, block)
+        yield block, None if cfg.family in _GRID_FAMILIES else _stream_words(cfg.seed, block)
 
 
-def _draw_rank(cfg: ExperimentConfig, rng: np.random.Generator) -> int:
-    if cfg.rank is not None:
-        return cfg.rank
-    return int(rng.integers(1, math.prod(cfg.system) + 1))
+def _general_block(cfg: ExperimentConfig, words: np.ndarray) -> tuple:
+    """Ginibre states drawn on Generators from `words`, and their ranks.
+
+    A rank not fixed by --rank comes from the stream's first raw word through
+    `_lemire`, as integers() draws it; integers() would also keep the word's
+    other 32-bit half, which standard_normal never reads.
+    """
+    n, rngs = math.prod(cfg.system), _sample_rngs(words)
+    R = [cfg.rank] * len(rngs) if cfg.rank else _lemire(
+        np.array([g.bit_generator.random_raw() for g in rngs], dtype=np.uint64),
+        n, words, rngs).tolist()
+    return states.random_mixed(n, R, rngs, cfg.system), R
 
 
-def _draw_rank_block(cfg: ExperimentConfig, family, rngs: list):
-    """The rank-specific states drawn from `rngs` as one stack, and their ranks.
+def _draw_rank_block(cfg: ExperimentConfig, family, words: np.ndarray):
+    """The rank-specific states drawn from the streams of `words` as one
+    stack, and their ranks.
 
-    Each sample draws its rank, then R thetas and R - 1 probability angles as
-    one `random(2R - 1) * pi/2` from its own stream, and draws again, up to
-    64 tries, while its numerical rank falls short or a probability is <= 0.
-    The first round draws each sample's rank and angles in one pass; each
-    round fills a zero (rows, 2K) thetas|angles buffer in one masked assignment.
+    Each sample draws its rank (unless --rank fixes it), then R thetas and
+    R - 1 probability angles as one `random(2R - 1) * pi/2` from its own
+    stream, and draws again, up to 64 tries, while its numerical rank falls
+    short or a probability is <= 0.  The first round reads every stream's
+    leading words at once from `_raw_words`; a row that `_lemire` hands to a
+    Generator, and every retried row, draws on a Generator at its stream's
+    position.  Each round fills a zero (rows, 2K) thetas|angles buffer in one
+    masked assignment.
     """
     top, K = math.prod(cfg.system) + 1, len(family.lo)
-    R, u = zip(*[(r := cfg.rank or int(rng.integers(1, top)), rng.random(2 * r - 1))
-                 for rng in rngs])
-    R, cols = np.array(R), np.arange(2 * K)
+    used, gens = int(not cfg.rank), {}  # words a rank takes; rows drawn on a Generator
+    raw = _raw_words(words, used + 2 * K - 1)
+    R = np.full(len(words), cfg.rank) if cfg.rank else _lemire(raw[:, 0], top - 1, words, gens)
+    u = _doubles(raw[:, used:])
+    for j, g in gens.items():
+        u[j, :2 * R[j] - 1] = g.random(2 * R[j] - 1)
+    u, cols = u[np.arange(2 * K - 1) < 2 * R[:, None] - 1], np.arange(2 * K)
     mats = np.empty((len(R),) + (math.prod(family.dims),) * 2, dtype=complex)
     todo = np.arange(len(R))
-    for attempt in range(64):
-        if attempt:
-            u = [rngs[j].random(2 * r - 1) for j, r in zip(todo.tolist(), R[todo].tolist())]
+    for _ in range(64):
         # A row of rank r fills its first r thetas and its first r - 1 angles.
         buf = np.zeros((len(todo), 2 * K))
-        buf[cols % K < R[todo, None] - (cols >= K)] = np.concatenate(u) * (math.pi / 2.0)
+        buf[cols % K < R[todo, None] - (cols >= K)] = u * (math.pi / 2.0)
         probs = states.hyperspherical_probs(buf[:, K:-1])
         rho, ranks = states.rank_states(family, R[todo], buf[:, :K], probs)
         mats[todo] = rho.mat
         todo = todo[(ranks != R[todo]) | ((probs > 0.0).sum(axis=1) < R[todo])]
         if not todo.size:
             return states.DensityMatrix(mats, cfg.system), R
+        for j in set(todo.tolist()) - gens.keys():  # past the rank and first round
+            gens[j] = Generator(PCG64(_Words(words[j])).advance(used + 2 * int(R[j]) - 1))
+        u = np.concatenate([gens[j].random(2 * r - 1)
+                            for j, r in zip(todo.tolist(), R[todo].tolist())])
     raise ConfigError(f"could not draw a rank-{R[todo[0]]} {cfg.family} state after 64 tries")
 
 
-def _build_block(cfg: ExperimentConfig, block: range, rngs):
+def _build_block(cfg: ExperimentConfig, block: range, words):
     """The states of `block` as one stack from one call of the family's
     stacked builder, and their ranks if the builder checked them, else None.
     `mems` walks purities from 1/n to 1, `h` a side x side grid of
     concurrences, each with purities from its `h_purity_floor` to 1."""
     fam, index = cfg.family, np.arange(block.start, block.stop)
     if fam in _RANK_FAMILIES and (fam != "x" or cfg.rank is not None):
-        return _draw_rank_block(cfg, _RANK_FAMILIES[fam], rngs)
+        return _draw_rank_block(cfg, _RANK_FAMILIES[fam], words)
     if fam == "general":
-        batch = states.random_mixed(math.prod(cfg.system),
-                                    [_draw_rank(cfg, rng) for rng in rngs], rngs, cfg.system)
+        batch = _general_block(cfg, words)[0]
     elif fam == "x":
-        u = np.stack([rng.random(11) for rng in rngs]) * _X_SCALE
+        u = _doubles(_raw_words(words, 11)) * _X_SCALE
         batch = states.general_x_state(states.XParams(u[:, :3], u[:, 3:7], u[:, 7:]))
     elif fam == "mems":
         p_min = 1.0 / math.prod(cfg.system)
@@ -255,8 +356,8 @@ def run_scatter(cfg: ExperimentConfig) -> list:
     """Draw, measure, and record `samples` states of the configured family."""
     cfg.validate()
     records = []
-    for block, rngs in _sample_blocks(cfg):
-        batch, ranks = _build_block(cfg, block, rngs)
+    for block, words in _sample_blocks(cfg):
+        batch, ranks = _build_block(cfg, block, words)
         es = linalg.psd_eig(batch.mat) if batch.dims == (2, 2) else None
         ranks = batch.rank(es=es) if ranks is None else ranks
         records += map(SampleRecord, measures.entanglement(batch, es).tolist(),
@@ -302,9 +403,8 @@ def run_conversion_campaign(cfg: ExperimentConfig) -> CampaignSummary:
         raise ConfigError(f"convert draws general 2x2 states, not {cfg.family} "
                           f"{'x'.join(map(str, cfg.system))}")
     records = []
-    for block, rngs in _sample_blocks(cfg):
-        ranks = [_draw_rank(cfg, rng) for rng in rngs]
-        rho = states.random_mixed(4, ranks, rngs, (2, 2))
+    for block, words in _sample_blocks(cfg):
+        rho, ranks = _general_block(cfg, words)
         res = convert.find_x_equivalent(rho)
         ok = (res.delta_c <= cfg.tol) & (res.anti_x <= _ANTI_X_TOL)
         records += map(CampaignRecord, block, ranks, measures.purity(rho).tolist(),
@@ -638,10 +738,19 @@ def _cmd_verify(args) -> int:
     u = tgx.meb_union_mask(
         tgx.meb_basis_2x3(states.PHI) + tgx.meb_basis_2x3(states.PSI), (2, 3))
     check("2x3 MEB union = TGX mask", u == tgx.tgx_mask((2, 3)))
-    # _sample_rngs transcribes a numpy internal; this catches numpy changing it.
+    # _stream_words transcribes a numpy internal; this catches numpy changing it.
     check("sample streams", all(
         r.bit_generator.state == np.random.default_rng([seed, i]).bit_generator.state
-        for i, r in enumerate(_sample_rngs(seed, range(3)))))
+        for i, r in enumerate(_sample_rngs(_stream_words(seed, range(3))))))
+    # _raw_words, _doubles and _lemire transcribe PCG64 and two Generator draws,
+    # on streams and on rows whose 128-bit arithmetic carries through every limb.
+    words = np.vstack([_stream_words(seed, range(6)), np.uint64([[0] * 4, [2**64 - 1] * 4])])
+    raw = _raw_words(words, 12)
+    check("raw stream words",
+          raw.tolist() == [g.bit_generator.random_raw(12).tolist() for g in _sample_rngs(words)]
+          and _doubles(raw).tolist() == [g.random(12).tolist() for g in _sample_rngs(words)]
+          and all(_lemire(raw[:, 0], n, words, {}).tolist()
+                  == [g.integers(1, n + 1) for g in _sample_rngs(words)] for n in (4, 6)))
     # _records_json and _mask_json copy json's formatting; this catches json changing it.
     recs = [SampleRecord(x, -0.0, 2**70, 'a, "\\\u00e9', 0) for x in (0.1, math.nan, -math.inf)]
     anti = tgx.anti_x_mask((3, 5, 7))  # 105 states, so the indices cross 100

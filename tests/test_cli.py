@@ -44,7 +44,7 @@ def test_config_validation():
 
 
 def _assert_numpy_streams(seed, block):
-    rngs = cli._sample_rngs(seed, block)
+    rngs = cli._sample_rngs(cli._stream_words(seed, block))
     assert len(rngs) == len(block)
     for rng, i in zip(rngs, block):
         oracle = np.random.default_rng([seed, i])
@@ -68,11 +68,78 @@ def test_sample_rngs_match_numpy_default_rng_property(seed, start, size):
 
 
 def test_sample_rng_words_serve_pcg64_only():
-    words = cli._sample_rngs(5, range(1))[0].bit_generator.seed_seq
+    words = cli._sample_rngs(cli._stream_words(5, range(1)))[0].bit_generator.seed_seq
     assert words.generate_state(4, np.uint64) is words.words
     for n_words, dtype in ((4, np.uint32), (8, np.uint64), (2, np.uint64)):
         with pytest.raises(ValueError, match="only 4 uint64 words"):
             words.generate_state(n_words, dtype)
+
+
+def _oracles(words):
+    return [np.random.Generator(np.random.PCG64(cli._Words(w))) for w in words]
+
+
+# Rows with limbs of 0 and 2**64 - 1 run every carry of the 128-bit jump.
+_WORD_ROWS = st.lists(st.lists(st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]),
+                                         st.integers(0, 2**64 - 1)), min_size=4, max_size=4),
+                      min_size=1, max_size=6)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_WORD_ROWS, st.integers(1, 12))
+def test_raw_words_match_pcg64_random_raw(rows, k):
+    words = np.array(rows, dtype=np.uint64)
+    raw = cli._raw_words(words, k)
+    assert raw.dtype == np.uint64 and raw.shape == (len(rows), k)
+    assert raw.tolist() == [g.bit_generator.random_raw(k).tolist() for g in _oracles(words)]
+    assert cli._doubles(raw).tolist() == [g.random(k).tolist() for g in _oracles(words)]
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_lemire_ranks_match_generator_integers(n):
+    words = cli._stream_words(17, range(10_000))
+    gens = {}
+    ranks = cli._lemire(cli._raw_words(words, 1)[:, 0], n, words, gens)
+    assert ranks.tolist() == [g.integers(1, n + 1) for g in _oracles(words)]
+    assert gens == {} and set(ranks.tolist()) == set(range(1, n + 1))
+
+
+def _words_with_first_state(state, w2, w3):
+    """Seed words whose PCG64 holds the 128-bit `state` at its first output."""
+    mult, inc = cli._PCG_MULT, (w2 << 65 | w3 << 1 | 1) % 2**128
+    jump, total = mult**2 % 2**128, (1 + mult + mult**2) % 2**128
+    seed = (state - total * inc) * pow(jump, -1, 2**128) % 2**128
+    return [seed >> 64, seed % 2**64, w2, w3]
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_lemire_rejected_row_draws_on_a_generator(n):
+    # State 0 outputs word 0, whose halves numpy's Lemire step rejects at
+    # n = 6 (twice, so the rank comes from the second word); n = 4 never rejects.
+    words = np.array([_words_with_first_state(0, 5, 2**64 - 1)] + cli._stream_words(
+        3, range(5)).tolist(), dtype=np.uint64)
+    raw = cli._raw_words(words, 2)
+    assert raw[0, 0] == 0
+    gens = {}
+    assert (cli._lemire(raw[:, 0], n, words, gens).tolist()
+            == [g.integers(1, n + 1) for g in _oracles(words)])
+    assert list(gens) == ([0] if n == 6 else [])
+    if n == 6:
+        oracle = _oracles(words[:1])[0]
+        oracle.integers(1, 7)
+        assert gens[0].random(5).tolist() == oracle.random(5).tolist()
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_random_raw_rank_leaves_standard_normal_unchanged(n):
+    # _general_block draws a rank from random_raw(), where numpy draws
+    # integers(1, n + 1); standard_normal reads whole words after either.
+    words = cli._stream_words(23, range(50))
+    for i, g in enumerate(_oracles(words)):
+        oracle = np.random.default_rng([23, i])
+        raw = np.array([g.bit_generator.random_raw()], dtype=np.uint64)
+        assert cli._lemire(raw, n, words[i:i + 1], {}).tolist() == [oracle.integers(1, n + 1)]
+        assert g.standard_normal(8).tolist() == oracle.standard_normal(8).tolist()
 
 
 _SCATTER_CASES = [
@@ -95,9 +162,11 @@ def test_run_scatter_families(family, system):
 
 @pytest.mark.parametrize("family,system", [("mems", (2, 2)), ("mems", (2, 3)), ("h", (2, 2))])
 def test_run_scatter_grid_families_build_no_streams(monkeypatch, family, system):
-    def no_draws(seed, block):
+    def no_draws(*args):
         raise AssertionError("sample streams were built")
 
+    # Streams start from either entry point: seed words, or Generators on them.
+    monkeypatch.setattr(cli, "_stream_words", no_draws)
     monkeypatch.setattr(cli, "_sample_rngs", no_draws)
     cfg = cli.ExperimentConfig(system=system, family=family, samples=cli._BLOCK + 3, seed=4)
     assert len(cli.run_scatter(cfg)) == cli._BLOCK + 3
@@ -394,22 +463,43 @@ _SCATTER_DIGESTS = {
 }
 
 
-def test_main_scatter_output_digest(tmp_path):
-    def sha(path):
-        return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
-    out, plot = tmp_path / "s.out", tmp_path / "s.svg"
+
+def _assert_scatter_digests(out):
     for (family, system, samples, fmt), digest in _SCATTER_DIGESTS.items():
         assert cli.main(["scatter", "--family", family, "--system", system, "--samples",
                          samples, "--seed", "78", "--format", fmt, "--out", str(out)]) == 0
-        assert sha(out) == digest, (family, system)
+        assert _sha(out) == digest, (family, system)
+
+
+def test_main_scatter_output_digest(tmp_path):
+    out, plot = tmp_path / "s.out", tmp_path / "s.svg"
+    _assert_scatter_digests(out)
     assert cli.main(["scatter", "--family", "x", "--rank", "3", "--samples", "300",
                      "--seed", "78", "--out", str(out)]) == 0
-    assert sha(out) == "50b600a304b49a6680fc95aefe40133bdc3ed43cfeec328cc7a84a5adea9b0e5"
+    assert _sha(out) == "50b600a304b49a6680fc95aefe40133bdc3ed43cfeec328cc7a84a5adea9b0e5"
     assert cli.main(["scatter", "--family", "tgx", "--system", "2x3", "--samples", "300",
                      "--seed", "78", "--format", "json", "--out", str(out),
                      "--plot", str(plot)]) == 0
-    assert sha(plot) == "32b7d15ef246581e7b9c356f1c4bd8e3d5090a0c725583048f756144ef01606f"
+    assert _sha(plot) == "32b7d15ef246581e7b9c356f1c4bd8e3d5090a0c725583048f756144ef01606f"
+
+
+def test_lemire_fallback_keeps_scatter_digests(tmp_path, monkeypatch):
+    # Every drawn rank takes the Generator path, as a rejected row does.
+    built = []
+
+    def generator(bitgen):
+        built.append(bitgen)
+        return np.random.Generator(bitgen)
+
+    monkeypatch.setattr(cli, "_lemire_threshold", lambda n: 2**32)
+    monkeypatch.setattr(cli, "Generator", generator)
+    _assert_scatter_digests(tmp_path / "s.out")
+    # A general sample builds its stream and a fresh one for the rank; a tgx or
+    # lx sample builds one for its rank (x draws no rank).
+    assert len(built) == 2 * (600 + 300) + 300 + 300
 
 
 def test_emit_output_rejects_empty():
@@ -674,9 +764,10 @@ def test_main_bad_input_is_one_line_error(tmp_path, monkeypatch, capsys, request
                                           argv, config, env):
     if request.node.callspec.id == "samples-over-2^32":
         # Without the samples bound this run would draw for hours; fail at once.
-        def no_draws(seed, block):
+        def no_draws(*args):
             raise AssertionError("the run got as far as drawing samples")
 
+        monkeypatch.setattr(cli, "_stream_words", no_draws)
         monkeypatch.setattr(cli, "_sample_rngs", no_draws)
     if request.node.callspec.id == "mask-too-large":
         # Without the size limit this mask would need TiBs; fail at once.
@@ -864,6 +955,20 @@ def test_main_verify_catches_a_rank_state_mixer_drift(monkeypatch, capsys):
     assert cli.main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  rank-state mixer" in out and out.count("FAIL") == 1
+
+
+def test_main_verify_catches_a_raw_word_drift(monkeypatch, capsys):
+    raw_words = cli._raw_words
+
+    def flipped(words, k):
+        raw = raw_words(words, k)
+        raw[-1, -1] ^= np.uint64(1 << 40)
+        return raw
+
+    monkeypatch.setattr(cli, "_raw_words", flipped)
+    assert cli.main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  raw stream words" in out and out.count("FAIL") == 1
 
 
 @pytest.mark.parametrize("r", [1, 2, 6])
