@@ -46,8 +46,6 @@ from . import convert, linalg, measures, states, tgx
 from .errors import ConfigError, DimensionError, XLabError
 
 _SYSTEMS = ((2, 2), (2, 3))
-# A converted state with a larger anti-X measure is not an X state.
-_ANTI_X_TOL = 1e-10
 _FAMILIES = ("general", "x", "lx", "tgx", "mems", "h")
 # Families whose states lie on a grid over the sample index and draw nothing.
 _GRID_FAMILIES = ("mems", "h")
@@ -299,10 +297,10 @@ def _draw_rank_block(cfg: ExperimentConfig, family, words: np.ndarray):
     position.  Each round fills a zero (rows, 2K) thetas|angles buffer in one
     masked assignment.
     """
-    top, K = math.prod(cfg.system) + 1, len(family.lo)
+    K = len(family.lo)  # the family's top rank, n, which _lemire draws up to
     used, gens = int(not cfg.rank), {}  # words a rank takes; rows drawn on a Generator
     raw = _raw_words(words, used + 2 * K - 1)
-    R = np.full(len(words), cfg.rank) if cfg.rank else _lemire(raw[:, 0], top - 1, words, gens)
+    R = np.full(len(words), cfg.rank) if cfg.rank else _lemire(raw[:, 0], K, words, gens)
     u = _doubles(raw[:, used:])
     for j, g in gens.items():
         u[j, :2 * R[j] - 1] = g.random(2 * R[j] - 1)
@@ -406,7 +404,7 @@ def run_conversion_campaign(cfg: ExperimentConfig) -> CampaignSummary:
     for block, words in _sample_blocks(cfg):
         rho, ranks = _general_block(cfg, words)
         res = convert.find_x_equivalent(rho)
-        ok = (res.delta_c <= cfg.tol) & (res.anti_x <= _ANTI_X_TOL)
+        ok = (res.delta_c <= cfg.tol) & (res.anti_x <= linalg.ANTI_X_TOL)
         records += map(CampaignRecord, block, ranks, measures.purity(rho).tolist(),
                        res.input_concurrence.tolist(), res.output_concurrence.tolist(),
                        [res.attempts] * len(block), res.delta_c.tolist(),
@@ -733,7 +731,7 @@ def _cmd_verify(args) -> int:
     check("mask partition", all(not np.any(a & t) and np.all(a | t) for a, t in masks))
     res = convert.find_x_equivalent(
         states.random_mixed(4, 1 + np.arange(10) % 4, [rng] * 10, (2, 2)))
-    ok = np.all(res.delta_c <= convert.DEFAULT_TOL_C) and np.all(res.anti_x <= _ANTI_X_TOL)
+    ok = np.all(res.delta_c <= convert.DEFAULT_TOL_C) and np.all(res.anti_x <= linalg.ANTI_X_TOL)
     check("x conversion sample", ok)
     u = tgx.meb_union_mask(
         tgx.meb_basis_2x3(states.PHI) + tgx.meb_basis_2x3(states.PSI), (2, 3))

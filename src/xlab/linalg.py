@@ -6,6 +6,10 @@ and every check covers every matrix.  Eigendecompositions use a
 deterministic gauge (descending eigenvalues, largest-magnitude component of
 each eigenvector made real and positive) so that downstream conversion
 unitaries are reproducible.
+
+Every tolerance is one of the *_TOL constants below; no call takes its own.
+Each check fails on NaN, so a NaN or infinite entry raises DomainError, never
+numpy's LinAlgError or a nan result.
 """
 
 from __future__ import annotations
@@ -16,7 +20,12 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 
-HERM_DRIFT_TOL = 1e-8
+HERM_DRIFT_TOL = 1e-8  # how far `hermitize` may move an entry
+HERM_TOL = 1e-10  # largest |M - M+| entry `DensityMatrix.validate` accepts
+TRACE_TOL = 1e-12  # largest |tr M - 1| `DensityMatrix.validate` accepts
+PSD_TOL = 1e-10  # how far below 0 an eigenvalue of a PSD matrix may lie
+RANK_TOL = 1e-10  # the rank counts eigenvalues above RANK_TOL times the largest
+ANTI_X_TOL = 1e-10  # largest anti-X measure of an X state
 
 
 class EigenSystem(NamedTuple):
@@ -51,19 +60,20 @@ def clamped(x, lo: float, hi: float, message: str) -> np.ndarray:
     return np.clip(x, lo, hi)
 
 
-def hermitize(M: np.ndarray, tol: float = HERM_DRIFT_TOL) -> np.ndarray:
-    """Return (M + M†)/2, rejecting input that is not Hermitian within `tol`.
+def hermitize(M: np.ndarray) -> np.ndarray:
+    """Return (M + M†)/2, rejecting input that is not Hermitian within HERM_DRIFT_TOL.
 
     The drift check guards against silent accumulation errors in long
-    pipelines: symmetrizing must not change any entry by more than `tol`.
+    pipelines.  A NaN or infinite entry makes the drift NaN, which fails it too.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise DimensionError(f"expected a square matrix or a stack of them, got shape {M.shape}")
     H = 0.5 * (M + M.conj().mT)
     drift = np.abs(H - M).max()
-    if drift > tol:
-        raise DomainError(f"matrix is not Hermitian: symmetrization moved an entry by {drift:.3e}")
+    if not drift <= HERM_DRIFT_TOL:
+        raise DomainError("matrix has a non-finite entry" if np.isnan(drift) else
+                          f"matrix is not Hermitian: symmetrization moved an entry by {drift:.3e}")
     return H
 
 
@@ -87,27 +97,27 @@ def eig_hermitian(M: np.ndarray) -> EigenSystem:
     return EigenSystem(values=w.reshape(H.shape[:-1]), vectors=vt.mT.reshape(H.shape))
 
 
-def check_psd(values: np.ndarray, tol: float) -> np.ndarray:
-    """`values` (eigenvalues on the last axis, in any order), rejecting any below -tol."""
-    if (values < -tol).any():
+def check_psd(values: np.ndarray) -> np.ndarray:
+    """`values` (eigenvalues on the last axis, any order), rejecting NaN or any below -PSD_TOL."""
+    if not (values >= -PSD_TOL).all():
         raise DomainError(f"matrix is not PSD: smallest eigenvalue {values.min():.3e}")
     return values
 
 
-def psd_eig(M: np.ndarray, tol: float = 1e-10) -> EigenSystem:
-    """eig_hermitian(M), rejecting any matrix whose smallest eigenvalue is below -tol."""
+def psd_eig(M: np.ndarray) -> EigenSystem:
+    """eig_hermitian(M), rejecting any matrix whose smallest eigenvalue is below -PSD_TOL."""
     w, v = eig_hermitian(M)
-    return EigenSystem(check_psd(w, tol), v)
+    return EigenSystem(check_psd(w), v)
 
 
-def sqrt_psd(M: np.ndarray, tol: float = 1e-10, es: EigenSystem | None = None) -> np.ndarray:
+def sqrt_psd(M: np.ndarray, es: EigenSystem | None = None) -> np.ndarray:
     """Hermitian square root of a PSD matrix.
 
-    Eigenvalues in [-tol, 0) are clamped to zero; anything below -tol is a
-    genuine PSD violation and raises.  A caller that already holds
+    Eigenvalues in [-PSD_TOL, 0) are clamped to zero; anything below -PSD_TOL
+    is a genuine PSD violation and raises.  A caller that already holds
     `psd_eig(M)` passes it as `es` to skip the eigendecomposition.
     """
-    vals, vecs = psd_eig(M, tol) if es is None else es
+    vals, vecs = psd_eig(M) if es is None else es
     vals = np.maximum(vals, 0.0)
     return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().mT
 
@@ -117,14 +127,13 @@ def trace_norm(M: np.ndarray):
     return scalar(np.abs(np.linalg.eigvalsh(hermitize(M))).sum(axis=-1))
 
 
-def numerical_rank(M: np.ndarray, tol: float | None = None, es: EigenSystem | None = None):
-    """Count of eigenvalues above `tol` for a Hermitian PSD matrix.
+def numerical_rank(M: np.ndarray, es: EigenSystem | None = None):
+    """Count of eigenvalues above RANK_TOL times the largest, per matrix, of a
+    Hermitian PSD matrix; an eigenvalue below -PSD_TOL raises (not PSD).
 
     Computes eigenvalues only (eigvalsh), or reuses `es`, the `psd_eig(M)` a
-    caller already holds.  Default tolerance is 1e-10 times the largest
-    eigenvalue of each matrix; an eigenvalue below -1e-10 raises (not PSD).
+    caller already holds.
     """
-    vals = check_psd(np.linalg.eigvalsh(hermitize(M)) if es is None else es.values, 1e-10)
-    if tol is None:
-        tol = 1e-10 * np.maximum(vals.max(axis=-1, keepdims=True), 0.0)
-    return scalar((vals > tol).sum(axis=-1))
+    vals = check_psd(np.linalg.eigvalsh(hermitize(M)) if es is None else es.values)
+    return scalar((vals > RANK_TOL * np.maximum(vals.max(axis=-1, keepdims=True), 0.0))
+                  .sum(axis=-1))

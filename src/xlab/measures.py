@@ -83,15 +83,17 @@ def anti_x_measure(rho):
     return linalg.scalar(4.0 * (np.abs(m[..., _ANTI_X_ROWS, _ANTI_X_COLS]) ** 2).sum(axis=-1))
 
 
-def concurrence_x(rho, tol: float = 1e-10):
+def concurrence_x(rho):
     """Closed-form concurrence for a two-qubit X state or a stack of them.
 
     2 max(0, |rho32| - sqrt(rho44 rho11), |rho41| - sqrt(rho33 rho22)).
-    Rejects input any of whose matrices has an anti-X measure above `tol`.
+    Rejects a matrix with a non-finite entry or an anti-X measure above linalg.ANTI_X_TOL.
     """
     m = _as_mat(rho)
-    a = anti_x_measure(m)
-    linalg.reject(a > tol, f"state is not X-shaped: anti-X measure {{:.3e}} > {tol}", a)
+    linalg.reject(~np.isfinite(m).all(), "state has a non-finite entry")
+    a = np.asarray(anti_x_measure(m))
+    linalg.reject(~(a <= linalg.ANTI_X_TOL),
+                  f"state is not X-shaped: anti-X measure {{:.3e}} > {linalg.ANTI_X_TOL}", a)
     d = np.abs(np.diagonal(m, axis1=-2, axis2=-1).real)
     c = np.maximum(np.abs(m[..., 2, 1]) - np.sqrt(d[..., 3] * d[..., 0]),
                    np.abs(m[..., 3, 0]) - np.sqrt(d[..., 2] * d[..., 1]))
@@ -132,9 +134,9 @@ def partial_transpose(rho: DensityMatrix, sub: int) -> np.ndarray:
 
 
 def negativity_e(rho: DensityMatrix):
-    """Rescaled negativity for 2x3: ||rho^T1||_1 - 1, clamped to [0, 1].
+    """Rescaled negativity for 2x3: ||rho^T1||_1 - 1, clamped to [0, 1 + 1e-9].
 
-    Normalized so a maximally entangled 2x3 state scores exactly 1.
+    Normalized so a maximally entangled 2x3 state scores 1 up to rounding.
     """
     require_dims(rho, (2, 3), "negativity_e")
     e = linalg.trace_norm(partial_transpose(rho, 1)) - 1.0

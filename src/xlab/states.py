@@ -41,21 +41,21 @@ class DensityMatrix:
     def n(self) -> int:
         return self.mat.shape[-1]
 
-    def validate(self, herm_tol: float = 1e-10, trace_tol: float = 1e-12,
-                 psd_tol: float = 1e-10) -> "DensityMatrix":
-        """Check Hermiticity, unit trace, and positivity of every matrix; return self."""
+    def validate(self) -> "DensityMatrix":
+        """Check Hermiticity, unit trace and positivity of every matrix, within
+        linalg.HERM_TOL, TRACE_TOL and PSD_TOL; return self."""
         drift = np.max(np.abs(self.mat - self.mat.conj().mT))
-        if drift > herm_tol:
-            raise DomainError(f"not Hermitian within {herm_tol} (drift {drift:.3e})")
+        if not drift <= linalg.HERM_TOL:
+            raise DomainError(f"not Hermitian within {linalg.HERM_TOL} (drift {drift:.3e})")
         tr_err = np.max(np.abs(np.trace(self.mat, axis1=-2, axis2=-1) - 1.0))
-        if tr_err > trace_tol:
-            raise DomainError(f"trace differs from 1 by {tr_err:.3e}, beyond {trace_tol}")
-        linalg.check_psd(np.linalg.eigvalsh(0.5 * (self.mat + self.mat.conj().mT)), psd_tol)
+        if not tr_err <= linalg.TRACE_TOL:
+            raise DomainError(f"trace differs from 1 by {tr_err:.3e}, beyond {linalg.TRACE_TOL}")
+        linalg.check_psd(np.linalg.eigvalsh(0.5 * (self.mat + self.mat.conj().mT)))
         return self
 
-    def rank(self, tol: float | None = None, es: linalg.EigenSystem | None = None):
+    def rank(self, es: linalg.EigenSystem | None = None):
         """Numerical rank, an int or one per stacked matrix; `es` reuses `linalg.psd_eig(mat)`."""
-        return linalg.numerical_rank(self.mat, tol, es)
+        return linalg.numerical_rank(self.mat, es)
 
 
 def _theta_kets(n: int, lo, hi, thetas, phases) -> np.ndarray:
@@ -432,7 +432,7 @@ def rank_states(family: RankFamily, ranks, thetas, probs):
 
     Row b mixes the first ranks[b] terms of `family` at angles thetas[b] with
     weights probs[b], (B, max rank) arrays that are zero past the row's rank.
-    Raises DomainError for a rank outside the table or weights not summing to 1.
+    Raises DomainError for a bad rank, a non-finite angle or weights not summing to 1.
     """
     at = _check_ranks(family, ranks) - 1
     thetas, probs = np.asarray(thetas, dtype=float), np.asarray(probs, dtype=float)
@@ -440,7 +440,8 @@ def rank_states(family: RankFamily, ranks, thetas, probs):
     if not thetas.shape == probs.shape == shape:
         raise DimensionError(f"thetas {thetas.shape} and probs {probs.shape} are not {shape}")
     sums = probs.sum(axis=1)
-    linalg.reject(np.abs(sums - 1.0) > 1e-12, "probabilities sum to {}, not 1", sums)
+    linalg.reject(~(np.abs(sums - 1.0) <= 1e-12), "probabilities sum to {}, not 1", sums)
+    linalg.reject(~np.isfinite(thetas), "theta {} is not finite", thetas)
     mat = _block_mixture(math.prod(family.dims), family.lo[at], family.hi[at], thetas,
                          family.phase[at], probs)
     return DensityMatrix(mat, family.dims), linalg.numerical_rank(mat)

@@ -14,9 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import measures, states
+from . import linalg, measures, states
 from .errors import DimensionError, DomainError, RankError
 from .states import DensityMatrix
+
+# At most _ZERO_TOL counts as zero, and eigenvalues within _FLAT_TOL as equal.
+_ZERO_TOL, _FLAT_TOL = 1e-12, 1e-9
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -126,24 +129,24 @@ def project_tgx(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(rho.mat * tgx_mask(rho.dims).grid, rho.dims)
 
 
-def is_simple_me_state(psi: DensityMatrix, tol: float = 1e-12) -> bool:
+def is_simple_me_state(psi: DensityMatrix) -> bool:
     """Is psi a 'simple' maximally entangled pure state?
 
-    Simple: every anti-X matrix element vanishes (within tol).  Maximally
-    entangled: each single-site reduction has at least two nonzero
-    eigenvalues and they are all equal within tol (maximally mixed on its
-    support, which may be a proper subspace).
+    Simple: every anti-X matrix element vanishes (within _ZERO_TOL).
+    Maximally entangled: each single-site reduction has at least two nonzero
+    eigenvalues and they are all equal within _FLAT_TOL (maximally mixed on
+    its support, which may be a proper subspace).  A non-finite entry raises.
     """
     measures.require_single(psi, "is_simple_me_state")
-    if measures.purity(psi) < 1.0 - max(tol, 1e-12):
+    linalg.reject(~np.isfinite(psi.mat).all(), "state has a non-finite entry")
+    if not measures.purity(psi) >= 1.0 - _ZERO_TOL:
         raise RankError("input must be a pure state (rank 1)")
-    if np.any(np.abs(psi.mat[anti_x_mask(psi.dims).grid]) > tol):
+    if not (np.abs(psi.mat[anti_x_mask(psi.dims).grid]) <= _ZERO_TOL).all():
         return False
     for m in range(1, len(psi.dims) + 1):
-        red = measures.partial_trace(psi, m)
-        w = np.linalg.eigvalsh(red.mat)
-        nz = w[w > max(tol, 1e-12)]
-        if len(nz) < 2 or np.max(nz) - np.min(nz) > max(tol, 1e-9):
+        w = np.linalg.eigvalsh(measures.partial_trace(psi, m).mat)
+        nz = w[w > _ZERO_TOL]
+        if len(nz) < 2 or not nz.max() - nz.min() <= _FLAT_TOL:
             return False
     return True
 
@@ -158,7 +161,7 @@ def meb_union_mask(members, dims) -> ElementMask:
             raise DimensionError(f"member {k} has dims {list(psi.dims)}, expected {list(dims)}")
         if not is_simple_me_state(psi):
             raise DomainError(f"member {k} is not a simple maximally entangled state")
-        grid |= np.abs(psi.mat) > 1e-12
+        grid |= np.abs(psi.mat) > _ZERO_TOL
     return ElementMask(n, grid)
 
 
@@ -199,12 +202,8 @@ def meb_basis_2x3(family: str) -> list:
     """Six-state complete MEB in 2x3: the +/- pair for each support pair."""
     if family not in (states.PHI, states.PSI):
         raise DomainError(f"family must be 'phi' or 'psi', got {family!r}")
-    out = []
-    for index in (1, 2, 3):
-        for sign in (+1, -1):
-            out.append(states.meb_state_2x3(
-                family, index, math.pi / 4, 0.0 if sign > 0 else math.pi))
-    return out
+    return [states.meb_state_2x3(family, index, math.pi / 4, phi)
+            for index in (1, 2, 3) for phi in (0.0, math.pi)]
 
 
 # Three-qubit pairwise MEB: each member superposes a basis ket with its
@@ -219,20 +218,14 @@ _QUAD_SIGNS_3QUBIT = [(1, 1, 1, 1), (1, -1, -1, 1), (1, -1, 1, -1), (1, 1, -1, -
 
 def meb_basis_3qubit_pairs() -> list:
     """Eight-state complete MEB in 2x2x2 with literal-X footprint."""
-    out = []
-    for a, b in _PAIRS_3QUBIT:
-        for sign in (1.0, -1.0):
-            out.append(_pure_from_support(8, (2, 2, 2), (a, b), (1.0, sign)))
-    return out
+    return [_pure_from_support(8, (2, 2, 2), pair, (1.0, sign))
+            for pair in _PAIRS_3QUBIT for sign in (1.0, -1.0)]
 
 
 def meb_basis_3qubit_quads() -> list:
     """Eight-state complete MEB in 2x2x2 with four-term members."""
-    out = []
-    for support in _QUAD_SUPPORTS_3QUBIT:
-        for signs in _QUAD_SIGNS_3QUBIT:
-            out.append(_pure_from_support(8, (2, 2, 2), support, signs))
-    return out
+    return [_pure_from_support(8, (2, 2, 2), support, signs)
+            for support in _QUAD_SUPPORTS_3QUBIT for signs in _QUAD_SIGNS_3QUBIT]
 
 
 # 3x3 overcomplete MEB: six three-term supports; the phase pair (a, b)
@@ -251,10 +244,7 @@ def meb_basis_3x3(a: int = 1, b: int = 1) -> list:
 
 def meb_basis_3x3_full() -> list:
     """All 24 members: the 3x3 family over all four sign pairs (overcomplete)."""
-    out = []
-    for a, b in _SIGN_PAIRS_3X3:
-        out.extend(meb_basis_3x3(a, b))
-    return out
+    return [psi for a, b in _SIGN_PAIRS_3X3 for psi in meb_basis_3x3(a, b)]
 
 
 def bell_basis() -> list:

@@ -1,9 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlab import linalg, states
+from xlab import linalg, measures, states, tgx
 from xlab.errors import DomainError
 
 
@@ -157,3 +159,26 @@ def test_numerical_rank_and_psd_eig_reject_the_same_negative_eigenvalue(n, bad, 
             linalg.numerical_rank(M)
         assert str(from_eigvalsh.value) == str(from_eigh.value)
         assert str(from_eigh.value) == f"matrix is not PSD: smallest eigenvalue {bad:.3e}"
+
+
+def _public_callables(module):
+    """(name, callable) for each public function and class of `module`, and
+    each public method of those classes."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj) or isinstance(obj, type):
+            yield name, obj
+        if isinstance(obj, type):
+            yield from ((f"{name}.{k}", v) for k, v in vars(obj).items()
+                        if not k.startswith("_") and inspect.isfunction(v))
+
+
+def test_no_public_callable_takes_a_tolerance():
+    # Tolerances are the module constants of xlab.linalg (and tgx's own two).
+    params = {f"{m.__name__}.{name}": inspect.signature(f).parameters
+              for m in (linalg, states, measures, tgx) for name, f in _public_callables(m)}
+    assert {"xlab.linalg.numerical_rank", "xlab.states.DensityMatrix.validate",
+            "xlab.measures.concurrence_x", "xlab.tgx.is_simple_me_state"} <= params.keys()
+    assert [f"{name}({p})" for name, ps in params.items() for p in ps
+            if p.endswith("tol")] == []

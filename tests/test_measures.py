@@ -262,3 +262,52 @@ def test_single_matrix_functions_reject_stacks(single):
     stack = DensityMatrix(np.stack([states.bell_state().mat, np.eye(4) / 4]), (2, 2))
     with pytest.raises(DimensionError, match="stack"):
         single(stack)
+
+
+def _spoiled(n: int, value: float) -> list:
+    """The maximally mixed n x n state with `value` at one diagonal entry, at
+    one off-diagonal entry and at every entry, each alone and as the middle
+    matrix of a stack of three."""
+    out = []
+    for at in ((0, 0), (0, 1), (slice(None), slice(None))):
+        m = np.eye(n, dtype=complex) / n
+        m[at] = value
+        out += [m, np.stack([np.eye(n) / n, m, np.eye(n) / n])]
+    return out
+
+
+# name: (dims, kernel, takes a stack)
+_NON_FINITE_KERNELS = {
+    "validate": ((2, 2), DensityMatrix.validate, True),
+    "rank": ((2, 3), DensityMatrix.rank, True),
+    "psd_eig": ((2, 2), lambda rho: linalg.psd_eig(rho.mat), True),
+    "numerical_rank": ((2, 3), lambda rho: linalg.numerical_rank(rho.mat), True),
+    "sqrt_psd": ((2, 2), lambda rho: linalg.sqrt_psd(rho.mat), True),
+    "trace_norm": ((2, 3), lambda rho: linalg.trace_norm(rho.mat), True),
+    "concurrence": ((2, 2), measures.concurrence, True),
+    "concurrence_x": ((2, 2), measures.concurrence_x, True),
+    "negativity_e": ((2, 3), measures.negativity_e, True),
+    "find_x_equivalent": ((2, 2), convert.find_x_equivalent, True),
+    "is_simple_me_state": ((2, 3), tgx.is_simple_me_state, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_FINITE_KERNELS))
+def test_non_finite_input_raises_domain_error(name):
+    # Not numpy's LinAlgError, and not a nan result.
+    dims, kernel, stacks = _NON_FINITE_KERNELS[name]
+    for value in (np.nan, np.inf, -np.inf):
+        for m in _spoiled(math.prod(dims), value):
+            if m.ndim == 3 and not stacks:
+                continue
+            with np.errstate(invalid="ignore"), pytest.raises(DomainError) as err:
+                kernel(DensityMatrix(m, dims))
+            assert "\n" not in str(err.value)
+
+
+def test_nan_eigenvalues_fail_the_psd_check():
+    m = np.eye(4) / 4
+    es = linalg.psd_eig(m)._replace(values=np.array([0.5, 0.5, np.nan, 0.0]))
+    for kernel in (lambda: linalg.check_psd(es.values), lambda: linalg.numerical_rank(m, es=es)):
+        with pytest.raises(DomainError, match="smallest eigenvalue nan"):
+            kernel()

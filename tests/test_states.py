@@ -326,6 +326,20 @@ def test_rank_states_rejects_bad_input():
         states.rank_states(states.TGX_RANK, [1], ok, 0.5 * ok)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_rank_states_reject_non_finite_parameters(value):
+    for k, what in ((0, "theta"), (1, "probabilities sum")):
+        rows = [np.array([[0.3, 0.4, 0.0, 0.0]]), np.array([[0.5, 0.5, 0.0, 0.0]])]
+        rows[k][0, 0] = value
+        with pytest.raises(DomainError, match=what):
+            states.rank_states(states.RANK_X, [2], *rows)
+    with pytest.raises(DomainError, match="theta"):
+        states.rank_x_state(2, [value, 0.4], [0.5, 0.5])
+    # A probability of -inf is <= 0, which rank_x_state calls a RankError.
+    with pytest.raises(RankError if value < 0 else DomainError):
+        states.rank_x_state(2, [0.3, 0.4], [value, 1.0])
+
+
 def test_hyperspherical_probs_rows_pad_with_zeros():
     rng = np.random.default_rng(2)
     angles = np.zeros((5, 5))
@@ -391,6 +405,32 @@ def test_random_mixed_rejects_bad_ranks():
 def test_density_matrix_shape_check():
     with pytest.raises(DimensionError):
         states.DensityMatrix(np.eye(3), (2, 2))
+
+
+def _validate_cases(scale: float) -> list:
+    """(matrix, message if rejected) for each bound of DensityMatrix.validate
+    crossed by `scale` times its value: Hermiticity 1e-10, trace 1e-12, PSD 1e-10."""
+    drift = np.eye(4, dtype=complex) / 4
+    drift[0, 1] = 1j * scale * 1e-10
+    return [(drift, f"not Hermitian within 1e-10 (drift {scale * 1e-10:.3e})"),
+            (np.diag([0.25 + scale * 1e-12, 0.25, 0.25, 0.25]),
+             f"trace differs from 1 by {scale * 1e-12:.3e}, beyond 1e-12"),
+            (np.diag([0.5 + scale * 1e-10, 0.25, 0.25, -scale * 1e-10]),
+             f"matrix is not PSD: smallest eigenvalue {-scale * 1e-10:.3e}")]
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_validate_bounds(stacked):
+    ok = np.eye(4) / 4
+    for scale in (0.9, 1.1):
+        for m, message in _validate_cases(scale):
+            rho = states.DensityMatrix(np.stack([ok, m, ok]) if stacked else m, (2, 2))
+            if scale < 1.0:
+                assert rho.validate() is rho
+                continue
+            with pytest.raises(DomainError) as err:
+                rho.validate()
+            assert str(err.value) == message
 
 
 def test_density_matrix_stack():
