@@ -356,7 +356,7 @@ def run_scatter(cfg: ExperimentConfig) -> list:
     records = []
     for block, words in _sample_blocks(cfg):
         batch, ranks = _build_block(cfg, block, words)
-        es = linalg.psd_eig(batch.mat) if batch.dims == (2, 2) else None
+        es = linalg.eig_hermitian(batch.mat) if batch.dims == (2, 2) else None
         ranks = batch.rank(es=es) if ranks is None else ranks
         records += map(SampleRecord, measures.entanglement(batch, es).tolist(),
                        measures.purity(batch).tolist(), ranks.tolist(),

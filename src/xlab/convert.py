@@ -86,7 +86,7 @@ def find_x_equivalent(rho: DensityMatrix) -> ConversionResult:
     stack; a stack's result fields equal a per-state loop bit for bit.
     """
     measures.require_dims(rho, (2, 2), "X conversion")
-    es = linalg.psd_eig(rho.mat)
+    es = linalg.eig_hermitian(rho.mat)
     l1, l2, l3, l4 = np.moveaxis(np.clip(es.values, 0.0, None), -1, 0)
     c_in = measures.concurrence(rho, es)
     turn = (c_in > 0.0) & (l1 > l3)
@@ -116,7 +116,7 @@ def _onto_frame(rho: DensityMatrix, eg: np.ndarray, ex: np.ndarray, c_in,
 def closed_form_conversion(rho_g: DensityMatrix) -> ConversionResult:
     """Exact X conversion for rank-<=2 two-qubit states (no search needed)."""
     measures.require_single(rho_g, "closed-form conversion", (2, 2))
-    es = linalg.psd_eig(rho_g.mat)
+    es = linalg.eig_hermitian(rho_g.mat)
     R = linalg.numerical_rank(rho_g.mat, es=es)
     if R > 2:
         raise RankError(f"closed-form conversion needs rank <= 2, got rank {R}")
@@ -147,6 +147,13 @@ _FACTOR_SYSTEM = np.array([
 ], dtype=float)
 
 
+def _four_phases(phases: Sequence[float]) -> np.ndarray:
+    eta = np.asarray(phases, dtype=float)
+    if eta.shape != (4,):
+        raise DimensionError(f"need 4 phases, got shape {eta.shape}")
+    return eta
+
+
 def diag_factor_conditions(phases: Sequence[float]) -> tuple:
     """Necessary-condition pairs for diagonal-unitary factorizability.
 
@@ -154,9 +161,7 @@ def diag_factor_conditions(phases: Sequence[float]) -> tuple:
     diagonal factors into a tensor product of 2x2 diagonals only if each
     pair is equal.
     """
-    eta = np.asarray(phases, dtype=float)
-    if eta.shape != (4,):
-        raise DimensionError(f"need 4 phases, got shape {eta.shape}")
+    eta = _four_phases(phases)
     return ((float(eta[3] - eta[2]), float(eta[1] - eta[0])),
             (float(eta[3] - eta[1]), float(eta[2] - eta[0])))
 
@@ -168,25 +173,19 @@ def diag_factorizable(phases: Sequence[float], mode: str = "exact"):
     "mod-global-phase" only requires eta1 + eta4 = eta2 + eta3 mod 2 pi.
     Returns (ok, witness) where witness = (a1, a2, b1, b2) on success.
     """
-    eta = np.asarray(phases, dtype=float)
-    if eta.shape != (4,):
-        raise DimensionError(f"need 4 phases, got shape {eta.shape}")
+    eta = _four_phases(phases)
     if mode == "exact":
         sol, *_ = np.linalg.lstsq(_FACTOR_SYSTEM, eta, rcond=None)
         residual = float(np.max(np.abs(_FACTOR_SYSTEM @ sol - eta)))
-        if residual <= 1e-10:
-            return True, tuple(sol)
-        return False, None
+        return (True, tuple(sol)) if residual <= 1e-10 else (False, None)
     if mode == "mod-global-phase":
-        gap = (eta[0] + eta[3] - eta[1] - eta[2]) % (2.0 * math.pi)
-        gap = min(gap, 2.0 * math.pi - gap)
-        if gap <= 1e-10:
-            # Absorb the global phase, then solve exactly.
-            shifted = eta.copy()
-            shifted[3] -= eta[0] + eta[3] - eta[1] - eta[2]
-            sol, *_ = np.linalg.lstsq(_FACTOR_SYSTEM, shifted, rcond=None)
-            return True, tuple(sol)
-        return False, None
+        excess = eta[0] + eta[3] - eta[1] - eta[2]
+        gap = excess % (2.0 * math.pi)
+        if not min(gap, 2.0 * math.pi - gap) <= 1e-10:
+            return False, None
+        # Absorb the global phase, then solve exactly.
+        sol, *_ = np.linalg.lstsq(_FACTOR_SYSTEM, eta - [0.0, 0.0, 0.0, excess], rcond=None)
+        return True, tuple(sol)
     raise DomainError(f"unknown mode {mode!r}")
 
 

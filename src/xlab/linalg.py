@@ -8,8 +8,9 @@ each eigenvector made real and positive) so that downstream conversion
 unitaries are reproducible.
 
 Every tolerance is one of the *_TOL constants below; no call takes its own.
-Each check fails on NaN, so a NaN or infinite entry raises DomainError, never
-numpy's LinAlgError or a nan result.
+A NaN or infinite entry is rejected with `check_finite`'s one message and no
+numpy warning.  `check_psd` runs where a spectrum is used as PSD, so an
+eigensystem a caller passes in as `es` is checked like one computed here.
 """
 
 from __future__ import annotations
@@ -60,20 +61,27 @@ def clamped(x, lo: float, hi: float, message: str) -> np.ndarray:
     return np.clip(x, lo, hi)
 
 
+def check_finite(M: np.ndarray) -> None:
+    """Reject a NaN or infinite entry of M: the one non-finite message."""
+    reject(~np.isfinite(M).all(), "matrix has a non-finite entry")
+
+
 def hermitize(M: np.ndarray) -> np.ndarray:
     """Return (M + M†)/2, rejecting input that is not Hermitian within HERM_DRIFT_TOL.
 
     The drift check guards against silent accumulation errors in long
-    pipelines.  A NaN or infinite entry makes the drift NaN, which fails it too.
+    pipelines.  A NaN or infinite entry makes the drift NaN (inf - inf, with
+    the warning silenced), which `check_finite` then rejects.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise DimensionError(f"expected a square matrix or a stack of them, got shape {M.shape}")
-    H = 0.5 * (M + M.conj().mT)
-    drift = np.abs(H - M).max()
+    with np.errstate(invalid="ignore"):
+        H = 0.5 * (M + M.conj().mT)
+        drift = np.abs(H - M).max()
     if not drift <= HERM_DRIFT_TOL:
-        raise DomainError("matrix has a non-finite entry" if np.isnan(drift) else
-                          f"matrix is not Hermitian: symmetrization moved an entry by {drift:.3e}")
+        check_finite(M)
+        raise DomainError(f"matrix is not Hermitian: symmetrization moved an entry by {drift:.3e}")
     return H
 
 
@@ -104,21 +112,15 @@ def check_psd(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def psd_eig(M: np.ndarray) -> EigenSystem:
-    """eig_hermitian(M), rejecting any matrix whose smallest eigenvalue is below -PSD_TOL."""
-    w, v = eig_hermitian(M)
-    return EigenSystem(check_psd(w), v)
-
-
 def sqrt_psd(M: np.ndarray, es: EigenSystem | None = None) -> np.ndarray:
     """Hermitian square root of a PSD matrix.
 
-    Eigenvalues in [-PSD_TOL, 0) are clamped to zero; anything below -PSD_TOL
-    is a genuine PSD violation and raises.  A caller that already holds
-    `psd_eig(M)` passes it as `es` to skip the eigendecomposition.
+    Eigenvalues in [-PSD_TOL, 0) are clamped to zero; `check_psd` rejects a
+    NaN or anything below.  A caller that already holds `eig_hermitian(M)`
+    passes it as `es` to skip the eigendecomposition, not the check.
     """
-    vals, vecs = psd_eig(M) if es is None else es
-    vals = np.maximum(vals, 0.0)
+    vals, vecs = eig_hermitian(M) if es is None else es
+    vals = np.maximum(check_psd(vals), 0.0)
     return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().mT
 
 
@@ -129,10 +131,10 @@ def trace_norm(M: np.ndarray):
 
 def numerical_rank(M: np.ndarray, es: EigenSystem | None = None):
     """Count of eigenvalues above RANK_TOL times the largest, per matrix, of a
-    Hermitian PSD matrix; an eigenvalue below -PSD_TOL raises (not PSD).
+    Hermitian PSD matrix; a NaN or an eigenvalue below -PSD_TOL raises (not PSD).
 
-    Computes eigenvalues only (eigvalsh), or reuses `es`, the `psd_eig(M)` a
-    caller already holds.
+    Computes eigenvalues only (eigvalsh), or reuses `es`, the `eig_hermitian(M)`
+    a caller already holds, whose eigenvalues get the same check.
     """
     vals = check_psd(np.linalg.eigvalsh(hermitize(M)) if es is None else es.values)
     return scalar((vals > RANK_TOL * np.maximum(vals.max(axis=-1, keepdims=True), 0.0))

@@ -57,7 +57,7 @@ def concurrence(rho: DensityMatrix, es: linalg.EigenSystem | None = None):
     Uses the Hermitian route: descending eigenvalues lam_k of
     R = sqrt(sqrt(rho) rho~ sqrt(rho)) with the spin-flipped
     rho~ = (s2 x s2) rho* (s2 x s2); C = max(0, lam1 - lam2 - lam3 - lam4).
-    `es`, when given, is rho's `linalg.psd_eig` eigensystem, reused for sqrt(rho).
+    `es` reuses rho's `linalg.eig_hermitian` for sqrt(rho), which checks it is PSD.
     """
     require_dims(rho, (2, 2), "concurrence")
     s = linalg.sqrt_psd(rho.mat, es=es)
@@ -90,7 +90,7 @@ def concurrence_x(rho):
     Rejects a matrix with a non-finite entry or an anti-X measure above linalg.ANTI_X_TOL.
     """
     m = _as_mat(rho)
-    linalg.reject(~np.isfinite(m).all(), "state has a non-finite entry")
+    linalg.check_finite(m)
     a = np.asarray(anti_x_measure(m))
     linalg.reject(~(a <= linalg.ANTI_X_TOL),
                   f"state is not X-shaped: anti-X measure {{:.3e}} > {linalg.ANTI_X_TOL}", a)

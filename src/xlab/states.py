@@ -42,19 +42,20 @@ class DensityMatrix:
         return self.mat.shape[-1]
 
     def validate(self) -> "DensityMatrix":
-        """Check Hermiticity, unit trace and positivity of every matrix, within
-        linalg.HERM_TOL, TRACE_TOL and PSD_TOL; return self."""
+        """Check finiteness, then Hermiticity, unit trace and positivity of every
+        matrix, within linalg.HERM_TOL, TRACE_TOL and PSD_TOL; return self."""
+        linalg.check_finite(self.mat)
         drift = np.max(np.abs(self.mat - self.mat.conj().mT))
         if not drift <= linalg.HERM_TOL:
             raise DomainError(f"not Hermitian within {linalg.HERM_TOL} (drift {drift:.3e})")
         tr_err = np.max(np.abs(np.trace(self.mat, axis1=-2, axis2=-1) - 1.0))
         if not tr_err <= linalg.TRACE_TOL:
             raise DomainError(f"trace differs from 1 by {tr_err:.3e}, beyond {linalg.TRACE_TOL}")
-        linalg.check_psd(np.linalg.eigvalsh(0.5 * (self.mat + self.mat.conj().mT)))
+        linalg.check_psd(np.linalg.eigvalsh(linalg.hermitize(self.mat)))
         return self
 
     def rank(self, es: linalg.EigenSystem | None = None):
-        """Numerical rank, an int or one per stacked matrix; `es` reuses `linalg.psd_eig(mat)`."""
+        """`linalg.numerical_rank(mat, es)`: an int, or one per stacked matrix."""
         return linalg.numerical_rank(self.mat, es)
 
 
@@ -122,7 +123,7 @@ def theta_state(family: str, theta: float, phi: float) -> DensityMatrix:
     Separable at theta in {0, pi/2}, maximally entangled at theta = pi/4
     (Bell states when phi is 0 or pi).  Concurrence is |sin 2 theta|.
     """
-    if family not in _THETA_SUPPORT:
+    if family not in (PHI, PSI):
         raise DomainError(f"family must be 'phi' or 'psi', got {family!r}")
     a, b = _THETA_SUPPORT[family]
     return _pure(_theta_kets(4, a, b, theta, np.exp(1j * phi)), (2, 2))
@@ -318,7 +319,7 @@ def meb_state_2x3(family: str, index: int, theta: float, phi: float) -> DensityM
     At theta = pi/4, phi = 0 this is the '+' basis state itself; phi = pi
     gives the '-' state.
     """
-    if family not in _MEB_SUPPORT_2X3:
+    if family not in (PHI, PSI):
         raise DomainError(f"family must be 'phi' or 'psi', got {family!r}")
     if index not in (1, 2, 3):
         raise DomainError(f"index must be 1..3, got {index}")
@@ -488,9 +489,7 @@ def random_mixed(n: int, R, rng, dims=None) -> DensityMatrix:
     flat = ranks.reshape(-1).tolist()
     if ranks.ndim > 1 or len(rngs) != len(flat):
         raise DimensionError(f"need one rank per generator, got {ranks.shape} and {len(rngs)}")
-    bad = [r for r in flat if not 1 <= r <= n]
-    if bad:
-        raise DomainError(f"rank must be in 1..{n}, got {bad[0]}")
+    linalg.reject(~((1 <= ranks) & (ranks <= n)), f"rank must be in 1..{n}, got {{}}", ranks)
     # One stack and one product per rank: a zero-padded G would change the
     # last bits.  rows[r] lists the samples whose draws fill G[r] in order.
     G = {r: np.empty((flat.count(r), 2, n, r)) for r in set(flat)}

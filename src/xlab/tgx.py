@@ -138,7 +138,7 @@ def is_simple_me_state(psi: DensityMatrix) -> bool:
     its support, which may be a proper subspace).  A non-finite entry raises.
     """
     measures.require_single(psi, "is_simple_me_state")
-    linalg.reject(~np.isfinite(psi.mat).all(), "state has a non-finite entry")
+    linalg.check_finite(psi.mat)
     if not measures.purity(psi) >= 1.0 - _ZERO_TOL:
         raise RankError("input must be a pure state (rank 1)")
     if not (np.abs(psi.mat[anti_x_mask(psi.dims).grid]) <= _ZERO_TOL).all():
@@ -200,8 +200,6 @@ def _pure_from_support(n, dims, support, coeffs) -> DensityMatrix:
 
 def meb_basis_2x3(family: str) -> list:
     """Six-state complete MEB in 2x3: the +/- pair for each support pair."""
-    if family not in (states.PHI, states.PSI):
-        raise DomainError(f"family must be 'phi' or 'psi', got {family!r}")
     return [states.meb_state_2x3(family, index, math.pi / 4, phi)
             for index in (1, 2, 3) for phi in (0.0, math.pi)]
 

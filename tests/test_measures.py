@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -279,12 +280,14 @@ def _spoiled(n: int, value: float) -> list:
 # name: (dims, kernel, takes a stack)
 _NON_FINITE_KERNELS = {
     "validate": ((2, 2), DensityMatrix.validate, True),
+    "validate_2x3": ((2, 3), DensityMatrix.validate, True),
     "rank": ((2, 3), DensityMatrix.rank, True),
-    "psd_eig": ((2, 2), lambda rho: linalg.psd_eig(rho.mat), True),
+    "eig_hermitian": ((2, 2), lambda rho: linalg.eig_hermitian(rho.mat), True),
     "numerical_rank": ((2, 3), lambda rho: linalg.numerical_rank(rho.mat), True),
     "sqrt_psd": ((2, 2), lambda rho: linalg.sqrt_psd(rho.mat), True),
     "trace_norm": ((2, 3), lambda rho: linalg.trace_norm(rho.mat), True),
     "concurrence": ((2, 2), measures.concurrence, True),
+    "entanglement": ((2, 3), measures.entanglement, True),
     "concurrence_x": ((2, 2), measures.concurrence_x, True),
     "negativity_e": ((2, 3), measures.negativity_e, True),
     "find_x_equivalent": ((2, 2), convert.find_x_equivalent, True),
@@ -294,20 +297,40 @@ _NON_FINITE_KERNELS = {
 
 @pytest.mark.parametrize("name", sorted(_NON_FINITE_KERNELS))
 def test_non_finite_input_raises_domain_error(name):
-    # Not numpy's LinAlgError, and not a nan result.
+    # One message, with no numpy warning before it: not numpy's LinAlgError,
+    # not a nan result, and not a Hermiticity or PSD message (an infinite
+    # off-diagonal entry makes validate's |rho - rho+| inf, not nan).
     dims, kernel, stacks = _NON_FINITE_KERNELS[name]
     for value in (np.nan, np.inf, -np.inf):
         for m in _spoiled(math.prod(dims), value):
             if m.ndim == 3 and not stacks:
                 continue
-            with np.errstate(invalid="ignore"), pytest.raises(DomainError) as err:
-                kernel(DensityMatrix(m, dims))
-            assert "\n" not in str(err.value)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError) as err:
+                    kernel(DensityMatrix(m, dims))
+            assert str(err.value) == "matrix has a non-finite entry"
 
 
 def test_nan_eigenvalues_fail_the_psd_check():
-    m = np.eye(4) / 4
-    es = linalg.psd_eig(m)._replace(values=np.array([0.5, 0.5, np.nan, 0.0]))
-    for kernel in (lambda: linalg.check_psd(es.values), lambda: linalg.numerical_rank(m, es=es)):
-        with pytest.raises(DomainError, match="smallest eigenvalue nan"):
-            kernel()
+    # An eigensystem passed in as `es`, with a NaN or a -0.2 eigenvalue, is
+    # checked where it is used as PSD: never an SVD that does not converge, a
+    # clamp to 0 or a rank that counts it.
+    rho = DensityMatrix(np.stack([np.eye(4) / 4] * 3), (2, 2))
+    one = DensityMatrix(rho.mat[1], (2, 2))
+    for bad, shown in ((np.nan, "nan"), (-0.2, "-2.000e-01")):
+        values, vectors = linalg.eig_hermitian(rho.mat)
+        values[1, 2] = bad
+        es, es1 = linalg.EigenSystem(values, vectors), linalg.EigenSystem(values[1], vectors[1])
+        for kernel in (lambda: linalg.check_psd(es.values),
+                       lambda: linalg.numerical_rank(rho.mat, es=es),
+                       lambda: linalg.sqrt_psd(rho.mat, es=es),
+                       lambda: linalg.sqrt_psd(one.mat, es=es1),
+                       lambda: measures.concurrence(rho, es),
+                       lambda: measures.concurrence(one, es1),
+                       lambda: measures.entanglement(rho, es),
+                       lambda: measures.entanglement(one, es1),
+                       lambda: rho.rank(es=es),
+                       lambda: one.rank(es=es1)):
+            with pytest.raises(DomainError, match=f"^matrix is not PSD: smallest eigenvalue {shown}$"):
+                kernel()

@@ -151,6 +151,17 @@ def test_is_simple_me_state():
         tgx.is_simple_me_state(states.random_mixed(4, 2, rng, (2, 2)))
 
 
+@pytest.mark.parametrize("family", ["chi", ["phi"], None])
+def test_a_bad_family_is_one_domain_error(family):
+    # meb_basis_2x3 leaves the check to its first meb_state_2x3 call.
+    for build in (lambda: tgx.meb_basis_2x3(family),
+                  lambda: states.meb_state_2x3(family, 1, 0.3, 0.0),
+                  lambda: states.theta_state(family, 0.3, 0.0)):
+        with pytest.raises(DomainError) as err:
+            build()
+        assert str(err.value) == f"family must be 'phi' or 'psi', got {family!r}"
+
+
 def test_meb_union_masks():
     u = tgx.meb_union_mask(
         tgx.meb_basis_2x3(states.PHI) + tgx.meb_basis_2x3(states.PSI), (2, 3))
