@@ -4,9 +4,9 @@ The central routine is `find_x_equivalent`, which builds in closed form a
 spectrum-preserving unitary that maps any two-qubit state, of any rank, to
 an X state of the same concurrence.  `closed_form_conversion` maps rank-<=2
 states onto the `closed_form_x` family instead.  Also here: the unitary
-between two states of one spectrum (`conversion_unitary`), diagonal-unitary
-factorizability tests and the X-preserving unitary with its unconstrained
-X transform.
+between two states of one spectrum (`conversion_unitary`), the closed-form
+diagonal-unitary factorizability test and the X-preserving unitary with its
+unconstrained X transform.
 """
 
 from __future__ import annotations
@@ -138,22 +138,6 @@ def closed_form_conversion(rho_g: DensityMatrix) -> ConversionResult:
 # Diagonal unitaries and factorizability
 # ---------------------------------------------------------------------------
 
-# Rows express eta_k = a_i + b_j for the 2x2 tensor ordering.
-_FACTOR_SYSTEM = np.array([
-    [1, 0, 1, 0],
-    [1, 0, 0, 1],
-    [0, 1, 1, 0],
-    [0, 1, 0, 1],
-], dtype=float)
-
-
-def _four_phases(phases: Sequence[float]) -> np.ndarray:
-    eta = np.asarray(phases, dtype=float)
-    if eta.shape != (4,):
-        raise DimensionError(f"need 4 phases, got shape {eta.shape}")
-    return eta
-
-
 def diag_factor_conditions(phases: Sequence[float]) -> tuple:
     """Necessary-condition pairs for diagonal-unitary factorizability.
 
@@ -161,32 +145,37 @@ def diag_factor_conditions(phases: Sequence[float]) -> tuple:
     diagonal factors into a tensor product of 2x2 diagonals only if each
     pair is equal.
     """
-    eta = _four_phases(phases)
-    return ((float(eta[3] - eta[2]), float(eta[1] - eta[0])),
-            (float(eta[3] - eta[1]), float(eta[2] - eta[0])))
+    eta = np.asarray(phases, dtype=float)
+    if eta.shape != (4,):
+        raise DimensionError(f"need 4 phases, got shape {eta.shape}")
+    e1, e2, e3, e4 = eta.tolist()  # Python floats: a non-finite phase gives nan, no warning
+    return (e4 - e3, e2 - e1), (e4 - e2, e3 - e1)
 
 
 def diag_factorizable(phases: Sequence[float], mode: str = "exact"):
     """Can diag(e^{i eta}) be written as a tensor product of 2x2 diagonals?
 
-    "exact" demands eta_k = a_i + b_j exactly (linear-system consistency);
-    "mod-global-phase" only requires eta1 + eta4 = eta2 + eta3 mod 2 pi.
-    Returns (ok, witness) where witness = (a1, a2, b1, b2) on success.
+    Both modes test the excess eta1 + eta4 - eta2 - eta3, the gap between the
+    first pair of `diag_factor_conditions`: "exact" (eta_k = a_i + b_j) accepts
+    |excess| / 4 <= 1e-10; "mod-global-phase" accepts excess = 0 mod 2 pi within
+    1e-10, then takes it off eta4.  Returns (ok, witness); witness = (a1, a2, b1, b2)
+    is the least-norm least-squares fit: the row and column means of eta as a
+    2x2 grid, each less half the grid's mean.
     """
-    eta = _four_phases(phases)
+    (left, right), _ = diag_factor_conditions(phases)
+    excess = left - right
     if mode == "exact":
-        sol, *_ = np.linalg.lstsq(_FACTOR_SYSTEM, eta, rcond=None)
-        residual = float(np.max(np.abs(_FACTOR_SYSTEM @ sol - eta)))
-        return (True, tuple(sol)) if residual <= 1e-10 else (False, None)
-    if mode == "mod-global-phase":
-        excess = eta[0] + eta[3] - eta[1] - eta[2]
+        ok, shift = abs(excess) / 4.0 <= 1e-10, 0.0
+    elif mode == "mod-global-phase":
         gap = excess % (2.0 * math.pi)
-        if not min(gap, 2.0 * math.pi - gap) <= 1e-10:
-            return False, None
-        # Absorb the global phase, then solve exactly.
-        sol, *_ = np.linalg.lstsq(_FACTOR_SYSTEM, eta - [0.0, 0.0, 0.0, excess], rcond=None)
-        return True, tuple(sol)
-    raise DomainError(f"unknown mode {mode!r}")
+        ok, shift = min(gap, 2.0 * math.pi - gap) <= 1e-10, excess
+    else:
+        raise DomainError(f"unknown mode {mode!r}")
+    if not ok:
+        return False, None
+    grid = (np.asarray(phases, dtype=float) - [0.0, 0.0, 0.0, shift]).reshape(2, 2)
+    half = grid.mean() / 2.0
+    return True, (*(grid.mean(axis=1) - half), *(grid.mean(axis=0) - half))
 
 
 def x_preserving_unitary(eps: float, theta: float, alpha: float, beta: float,

@@ -112,14 +112,21 @@ def check_psd(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _given(M, es: EigenSystem) -> EigenSystem:
+    """`es` passed as `eig_hermitian(M)`: a DimensionError unless its vectors have M's shape."""
+    if es.vectors.shape != np.shape(M):
+        raise DimensionError(f"eigensystem of shape {es.vectors.shape} for a {np.shape(M)} matrix")
+    return es
+
+
 def sqrt_psd(M: np.ndarray, es: EigenSystem | None = None) -> np.ndarray:
     """Hermitian square root of a PSD matrix.
 
     Eigenvalues in [-PSD_TOL, 0) are clamped to zero; `check_psd` rejects a
     NaN or anything below.  A caller that already holds `eig_hermitian(M)`
-    passes it as `es` to skip the eigendecomposition, not the check.
+    passes it as `es` to skip the eigendecomposition, not the checks.
     """
-    vals, vecs = eig_hermitian(M) if es is None else es
+    vals, vecs = eig_hermitian(M) if es is None else _given(M, es)
     vals = np.maximum(check_psd(vals), 0.0)
     return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().mT
 
@@ -136,6 +143,6 @@ def numerical_rank(M: np.ndarray, es: EigenSystem | None = None):
     Computes eigenvalues only (eigvalsh), or reuses `es`, the `eig_hermitian(M)`
     a caller already holds, whose eigenvalues get the same check.
     """
-    vals = check_psd(np.linalg.eigvalsh(hermitize(M)) if es is None else es.values)
+    vals = check_psd(np.linalg.eigvalsh(hermitize(M)) if es is None else _given(M, es).values)
     return scalar((vals > RANK_TOL * np.maximum(vals.max(axis=-1, keepdims=True), 0.0))
                   .sum(axis=-1))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg
+from . import linalg, states
 from .errors import DimensionError
 from .states import DensityMatrix
 
@@ -157,24 +157,19 @@ def mems_boundary_2x2(P):
 
     P is a float or an array; a float gives a float.
     """
-    P = linalg.clamped(P, 0.25, 1.0, "purity {} outside [1/4, 1]")
-    mid = np.sqrt(np.maximum(2.0 * (P - 1.0 / 3.0), 0.0))
-    high = (1.0 + np.sqrt(np.maximum(2.0 * P - 1.0, 0.0))) / 2.0
-    return linalg.scalar(np.where(P <= 1.0 / 3.0, 0.0, np.where(P <= 5.0 / 9.0, mid, high)))
+    P, r, x = states._mems_branches_2x2(P)
+    return linalg.scalar(np.where(P <= 1.0 / 3.0, 0.0, np.where(P <= 5.0 / 9.0, r, x)))
 
 
 def mems_boundary_2x3(P):
     """negativity_e of `states.mems_2x3(P)` in closed form; P a float or an array.
 
     In each purity branch of that family only the partial-transpose block on
-    |0,2>, |1,0> can go negative.  It is [[beta, g/2], [g/2, 0]] with
-    g = sqrt(10/7 (P - 1/5)) and beta = (1 - 2g)/5 for 1/5 <= P < 3/8, and
-    [[0, w/2], [w/2, 0]] with w = (1 + sqrt(6 (P - 1/3)))/3 above, so
-    E = sqrt(beta^2 + g^2) - beta, then E = w; E = 0 for P < 1/5.
+    |0,2>, |1,0> can go negative.  It is [[beta, g/2], [g/2, 0]] for
+    1/5 <= P < 3/8 and [[0, w/2], [w/2, 0]] above, with the family's branch
+    parameters g, beta and w, so E = sqrt(beta^2 + g^2) - beta, then E = w;
+    E = 0 for P < 1/5.
     """
-    P = linalg.clamped(P, 1.0 / 6.0, 1.0, "purity {} outside [1/6, 1]")
-    g = np.sqrt(np.maximum((10.0 / 7.0) * (P - 0.2), 0.0))
-    beta = (1.0 - 2.0 * g) / 5.0
-    high = (1.0 + np.sqrt(np.maximum(6.0 * (P - 1.0 / 3.0), 0.0))) / 3.0
+    P, g, beta, w = states._mems_branches_2x3(P)
     mid = np.sqrt(beta * beta + g * g) - beta
-    return linalg.scalar(np.where(P < 0.2, 0.0, np.where(P < 3.0 / 8.0, mid, high)))
+    return linalg.scalar(np.where(P < 0.2, 0.0, np.where(P < 3.0 / 8.0, mid, w)))

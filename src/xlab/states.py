@@ -234,6 +234,13 @@ def _separable_diag(P) -> tuple:
     return d, d, (5.0 - 3.0 * b) / 8.0, d
 
 
+def _mems_branches_2x2(P) -> tuple:
+    """P clamped to [1/4, 1] and the middle and high MEMS branch concurrences r, x."""
+    P = linalg.clamped(P, 0.25, 1.0, "purity {} outside [1/4, 1]")
+    return (P, np.sqrt(np.maximum(2.0 * (P - 1.0 / 3.0), 0.0)),
+            (1.0 + np.sqrt(np.maximum(2.0 * P - 1.0, 0.0))) / 2.0)
+
+
 def mems_2x2(P) -> DensityMatrix:
     """Two-qubit maximally entangled mixed state at purity P in [1/4, 1].
 
@@ -241,12 +248,10 @@ def mems_2x2(P) -> DensityMatrix:
     Concurrence equals the MEMS boundary curve at P.  An array of purities
     gives a stack of states; an entry outside the range is a DomainError.
     """
-    P = linalg.clamped(P, 0.25, 1.0, "purity {} outside [1/4, 1]")
+    P, r, x = _mems_branches_2x2(P)
     bell = bell_state().mat
-    r = np.sqrt(np.maximum(2.0 * (P - 1.0 / 3.0), 0.0))
     mid = r[..., None, None] * bell + _diag(1.0 / 3.0 - r / 2.0, 1.0 / 3.0, 0.0,
                                            1.0 / 3.0 - r / 2.0)
-    x = (1.0 + np.sqrt(np.maximum(2.0 * P - 1.0, 0.0))) / 2.0
     high = x[..., None, None] * bell
     high[..., 1, 1] += 1.0 - x
     at = P[..., None, None]
@@ -335,24 +340,27 @@ def l_state(index: int, theta: float, phi: float) -> DensityMatrix:
     return _pure(_theta_kets(6, a, b, theta, np.exp(1j * phi)), (2, 3))
 
 
+def _mems_branches_2x3(P) -> tuple:
+    """P clamped to [1/6, 1] and the middle and high branch parameters g, beta, w."""
+    P = linalg.clamped(P, 1.0 / 6.0, 1.0, "purity {} outside [1/6, 1]")
+    g = np.sqrt(np.maximum((10.0 / 7.0) * (P - 0.2), 0.0))
+    return (P, g, (1.0 - 2.0 * g) / 5.0,
+            (1.0 + np.sqrt(np.maximum(6.0 * (P - 1.0 / 3.0), 0.0))) / 3.0)
+
+
 def mems_2x3(P) -> DensityMatrix:
     """Candidate 2x3 maximally entangled mixed state at purity P in [1/6, 1].
 
     An array of purities gives a stack of states, as `mems_2x2` does.
     """
-    P = linalg.clamped(P, 1.0 / 6.0, 1.0, "purity {} outside [1/6, 1]")
+    P, g, beta, w = _mems_branches_2x3(P)
     f = np.sqrt(30.0 * (P - 1.0 / 6.0))
     d = f / 5.0 + (1.0 - f) / 6.0
     phi1 = meb_state_2x3(PHI, 1, math.pi / 4, 0.0).mat
-    g = np.sqrt(np.maximum((10.0 / 7.0) * (P - 0.2), 0.0))
     alpha = (1.0 + g / 2.0) / 5.0
-    beta = (1.0 - 2.0 * g) / 5.0
     mid = g[..., None, None] * phi1 + _diag(beta, alpha, beta, 0.0, alpha, beta)
-    w = (1.0 + np.sqrt(np.maximum(6.0 * (P - 1.0 / 3.0), 0.0))) / 3.0
     high = w[..., None, None] * phi1
-    half_rest = 0.5 * (1.0 - w)
-    high[..., 1, 1] += half_rest
-    high[..., 4, 4] += half_rest
+    high[..., [1, 4], [1, 4]] += 0.5 * (1.0 - w)[..., None]
     at = P[..., None, None]
     return DensityMatrix(np.select([at < 0.2, at < 3.0 / 8.0],
                                    [_diag(d, d, d, (1.0 - f) / 6.0, d, d), mid], high), (2, 3))

@@ -25,23 +25,16 @@ _ZERO_TOL, _FLAT_TOL = 1e-12, 1e-9
 @dataclass(frozen=True, init=False, eq=False)
 class ElementMask:
     """Symmetric marked (row, col) positions of an n x n matrix, held as one
-    read-only boolean array `grid`; built from such an array or from pairs."""
+    read-only boolean array `grid`; built from a copy of such an array."""
 
     n: int
     grid: np.ndarray
 
-    def __init__(self, n: int, marked):
+    def __init__(self, n: int, marked: np.ndarray):
         n = int(n)
-        if not isinstance(marked, np.ndarray):
-            pos = np.array(list(marked), dtype=np.int64).reshape(-1, 2)
-            bad = pos[((pos < 0) | (pos >= n)).any(axis=1)]
-            if len(bad):
-                raise DimensionError(f"position ({bad[0, 0]},{bad[0, 1]}) out of range for n={n}")
-            marked = np.zeros((n, n), dtype=bool)
-            marked[pos[:, 0], pos[:, 1]] = True
-        elif marked.shape != (n, n):
-            raise DimensionError(f"mask shape {marked.shape} is not ({n}, {n})")
-        grid = marked.astype(bool)
+        grid = np.array(marked)
+        if grid.shape != (n, n) or grid.dtype != bool:
+            raise DimensionError(f"mask shape {grid.shape} ({grid.dtype}) is not ({n}, {n}) bool")
         lone = np.argwhere(grid & ~grid.T)
         if len(lone):
             i, j = lone[0]
@@ -60,16 +53,9 @@ class ElementMask:
     def __hash__(self) -> int:
         return hash(self.grid.tobytes())
 
-    def __contains__(self, pos) -> bool:
-        i, j = pos
-        return 0 <= i < self.n and 0 <= j < self.n and bool(self.grid[i, j])
-
     def pairs(self) -> list:
         """Sorted 0-based (row, col) list."""
         return list(zip(*(axis.tolist() for axis in np.nonzero(self.grid))))
-
-    def to_bool(self) -> np.ndarray:
-        return self.grid.copy()
 
     def to_ascii(self) -> str:
         """Dot/X grid in the paper-style dot notation."""

@@ -680,6 +680,17 @@ def test_main_mems_curve(capsys):
     assert lines[1:] == [f"{format(P, '.17g')},{format(boundary(P), '.17g')}" for P in grid]
 
 
+@pytest.mark.parametrize("system,digest", [
+    ("2x2", "8f0bf45d0bf9a747490c67973b3f3cfb8600ca29696b0943662a4b4ac3abe184"),
+    ("2x3", "24262d03adf6aec3c3f76d5577680427d6f0984200258ca3a91dd6b862688b4f"),
+])
+def test_main_mems_curve_output_digest(capsys, system, digest):
+    # SHA-256 of the stdout of `xlab mems-curve --samples 500` before the MEMS
+    # branch parameters moved into one helper per system (numpy 2.4, x86-64).
+    assert cli.main(["mems-curve", "--system", system, "--samples", "500"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_main_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": "mems", "samples": 4, "seed": 0}))

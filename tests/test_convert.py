@@ -288,6 +288,62 @@ def test_diag_factorizable_mod_global_phase():
     assert not ok
 
 
+# Rows express eta_k = a_i + b_j for the 2x2 tensor ordering.
+_FACTOR_SYSTEM = np.array([[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1]], dtype=float)
+
+
+def _lstsq_factorizable(eta, mode):
+    """The least-squares reference: (decision, witness, the phases the witness
+    rebuilds, how far the tested number lies from its 1e-10 bound)."""
+    eta = np.array(eta, dtype=float)
+    if mode == "mod-global-phase":
+        excess = eta[0] + eta[3] - eta[1] - eta[2]
+        gap = excess % (2.0 * math.pi)
+        tested = min(gap, 2.0 * math.pi - gap)
+        eta[3] -= excess  # absorb the global phase, then solve exactly
+    sol = np.linalg.lstsq(_FACTOR_SYSTEM, eta, rcond=None)[0]
+    if mode == "exact":
+        tested = np.max(np.abs(_FACTOR_SYSTEM @ sol - eta))
+    return tested <= 1e-10, sol, eta, tested - 1e-10
+
+
+_SHIFTS = st.sampled_from([0.0, 1e-11, 9.9e-11, -1.01e-10, -3.9e-10, 4.1e-10, 1e-6, 0.5]) \
+    | st.floats(-1.0, 1.0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+       st.sampled_from([0.0, 2.0 * math.pi, -4.0 * math.pi]), _SHIFTS)
+@example([0.0] * 4, 0.0, 0.0)
+@example([0.3, 1.1, -0.2, 0.7], 2.0 * math.pi, 0.0)
+def test_diag_factorizable_matches_a_lstsq_oracle(ab, turns, shift):
+    a1, a2, b1, b2 = ab
+    eta = [a1 + b1, a1 + b2, a2 + b1, a2 + b2 + turns + shift]
+    (l1, r1), (l2, r2) = convert.diag_factor_conditions(eta)
+    # Both pairs differ by the excess eta1 + eta4 - eta2 - eta3.
+    assert abs((l1 - r1) - (l2 - r2)) <= 1e-13
+    for mode in ("exact", "mod-global-phase"):
+        ok, witness = convert.diag_factorizable(eta, mode)
+        want, sol, rebuilt, edge = _lstsq_factorizable(eta, mode)
+        if abs(edge) <= 1e-13:
+            continue
+        assert ok == want, (mode, edge)
+        if mode == "exact":
+            # The pairs are equal (to the exact bound on their gap) just when exact accepts.
+            assert ok == (max(abs(l1 - r1), abs(l2 - r2)) / 4.0 <= 1e-10)
+        if not ok:
+            assert witness is None
+            continue
+        w = np.array(witness)
+        assert np.max(np.abs(w - sol)) <= 1e-12
+        assert np.max(np.abs(_FACTOR_SYSTEM @ w - rebuilt)) <= 1e-10 + 1e-12
+        # The witness's diagonal equals diag(e^{i eta}) up to the absorbed 2 pi turns.
+        assert np.max(np.abs(np.exp(1j * (_FACTOR_SYSTEM @ w)) - np.exp(1j * np.array(eta)))) \
+            <= 1e-9
+    with pytest.raises(DomainError, match="unknown mode 'exactly'"):
+        convert.diag_factorizable(eta, "exactly")
+
+
 def test_x_preserving_unitary():
     assert np.max(np.abs(convert.x_preserving_unitary(0, 0, 0, 0, 0, 0)
                          - np.eye(4))) <= 1e-14

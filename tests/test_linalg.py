@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlab import linalg, measures, states, tgx
+from xlab import convert, linalg, measures, states, tgx
 from xlab.errors import DomainError
 
 
@@ -196,10 +196,13 @@ def _public_callables(module):
 
 
 def test_no_public_callable_takes_a_tolerance():
-    # Tolerances are the module constants of xlab.linalg (and tgx's own two).
+    # Tolerances are module constants: xlab.linalg's, tgx's own two and the
+    # fixed bounds of convert's checks.
     params = {f"{m.__name__}.{name}": inspect.signature(f).parameters
-              for m in (linalg, states, measures, tgx) for name, f in _public_callables(m)}
+              for m in (linalg, states, measures, tgx, convert)
+              for name, f in _public_callables(m)}
     assert {"xlab.linalg.numerical_rank", "xlab.states.DensityMatrix.validate",
-            "xlab.measures.concurrence_x", "xlab.tgx.is_simple_me_state"} <= params.keys()
+            "xlab.measures.concurrence_x", "xlab.tgx.is_simple_me_state",
+            "xlab.convert.diag_factorizable", "xlab.convert.find_x_equivalent"} <= params.keys()
     assert [f"{name}({p})" for name, ps in params.items() for p in ps
             if p.endswith("tol")] == []

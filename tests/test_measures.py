@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -334,3 +335,24 @@ def test_nan_eigenvalues_fail_the_psd_check():
                        lambda: one.rank(es=es1)):
             with pytest.raises(DomainError, match=f"^matrix is not PSD: smallest eigenvalue {shown}$"):
                 kernel()
+
+
+def test_an_eigensystem_of_another_shape_is_rejected():
+    # `es` must be the eigensystem of the matrix it is passed with; one of
+    # another size or stack depth is a one-line DimensionError, not a rank or
+    # a square root of the wrong matrix.
+    one = DensityMatrix(np.eye(4) / 4, (2, 2))
+    stack = DensityMatrix(np.stack([np.eye(4) / 4] * 3), (2, 2))
+    for rho, other in ((one, np.eye(6) / 6), (one, stack.mat), (stack, one.mat),
+                       (stack, stack.mat[:2]), (stack, np.stack([np.eye(6) / 6] * 3))):
+        es = linalg.eig_hermitian(other)
+        shown = re.escape(f"eigensystem of shape {other.shape} for a {rho.mat.shape} matrix")
+        for kernel in (lambda: linalg.sqrt_psd(rho.mat, es),
+                       lambda: linalg.numerical_rank(rho.mat, es),
+                       lambda: measures.concurrence(rho, es),
+                       lambda: rho.rank(es=es)):
+            with pytest.raises(DimensionError, match=f"^{shown}$"):
+                kernel()
+    for rho in (one, stack):  # an eigensystem of the matrix itself still works
+        es = linalg.eig_hermitian(rho.mat)
+        assert np.all(rho.rank(es=es) == 4) and np.all(measures.concurrence(rho, es) == 0.0)
