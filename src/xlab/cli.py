@@ -291,11 +291,11 @@ def _draw_rank_block(cfg: ExperimentConfig, family, words: np.ndarray):
     Each sample draws its rank (unless --rank fixes it), then R thetas and
     R - 1 probability angles as one `random(2R - 1) * pi/2` from its own
     stream, and draws again, up to 64 tries, while its numerical rank falls
-    short or a probability is <= 0.  The first round reads every stream's
-    leading words at once from `_raw_words`; a row that `_lemire` hands to a
-    Generator, and every retried row, draws on a Generator at its stream's
-    position.  Each round fills a zero (rows, 2K) thetas|angles buffer in one
-    masked assignment.
+    short, as it does when a used probability is 0.  The first round reads
+    every stream's leading words at once from `_raw_words`; a row that
+    `_lemire` hands to a Generator, and every retried row, draws on a
+    Generator at its stream's position.  Each round fills a zero (rows, 2K)
+    thetas|angles buffer in one masked assignment.
     """
     K = len(family.lo)  # the family's top rank, n, which _lemire draws up to
     used, gens = int(not cfg.rank), {}  # words a rank takes; rows drawn on a Generator
@@ -314,7 +314,7 @@ def _draw_rank_block(cfg: ExperimentConfig, family, words: np.ndarray):
         probs = states.hyperspherical_probs(buf[:, K:-1])
         rho, ranks = states.rank_states(family, R[todo], buf[:, :K], probs)
         mats[todo] = rho.mat
-        todo = todo[(ranks != R[todo]) | ((probs > 0.0).sum(axis=1) < R[todo])]
+        todo = todo[ranks != R[todo]]
         if not todo.size:
             return states.DensityMatrix(mats, cfg.system), R
         for j in set(todo.tolist()) - gens.keys():  # past the rank and first round
@@ -385,7 +385,6 @@ class CampaignSummary:
     successes: int
     max_delta_c: float
     max_anti_x: float
-    attempt_histogram: dict = field(default_factory=dict)
     records: list = field(default_factory=list)
 
     @property
@@ -409,17 +408,11 @@ def run_conversion_campaign(cfg: ExperimentConfig) -> CampaignSummary:
                        res.input_concurrence.tolist(), res.output_concurrence.tolist(),
                        [res.attempts] * len(block), res.delta_c.tolist(),
                        res.anti_x.tolist(), ok.tolist())
-    hist: dict = {}
-    for r in records:
-        # Bucket attempts by decade for a compact histogram.
-        bucket = "0" if r.attempts == 0 else f"1e{int(math.floor(math.log10(r.attempts)))}"
-        hist[bucket] = hist.get(bucket, 0) + 1
     return CampaignSummary(
         samples=len(records),
         successes=sum(r.success for r in records),
         max_delta_c=max(r.delta_c for r in records),
         max_anti_x=max(r.anti_x for r in records),
-        attempt_histogram=dict(sorted(hist.items())),
         records=records)
 
 

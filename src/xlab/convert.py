@@ -2,11 +2,11 @@
 
 The central routine is `find_x_equivalent`, which builds in closed form a
 spectrum-preserving unitary that maps any two-qubit state, of any rank, to
-an X state of the same concurrence.  `closed_form_conversion` maps rank-<=2
-states onto the `closed_form_x` family instead.  Also here: the unitary
-between two states of one spectrum (`conversion_unitary`), the closed-form
-diagonal-unitary factorizability test and the X-preserving unitary with its
-unconstrained X transform.
+an X state of the same concurrence.  `closed_form_conversion` rotates the
+l1, l2 plane of a rank-<=2 state instead, onto `closed_form_x`.  Also here:
+the unitary between two states of one spectrum (`conversion_unitary`), the
+closed-form diagonal-unitary factorizability test and the X-preserving
+unitary with its unconstrained X transform.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg, measures
 from .errors import DimensionError, DomainError, RankError, SpectralMismatchError
-from .states import DensityMatrix, closed_form_x
+from .states import _RANK2_SLACK, DensityMatrix, closed_form_x
 
 # |dC| up to which a conversion counts as concurrence-preserving.
 DEFAULT_TOL_C = 1e-3
@@ -87,18 +87,23 @@ def find_x_equivalent(rho: DensityMatrix) -> ConversionResult:
     """
     measures.require_dims(rho, (2, 2), "X conversion")
     es = linalg.eig_hermitian(rho.mat)
-    l1, l2, l3, l4 = np.moveaxis(np.clip(es.values, 0.0, None), -1, 0)
-    c_in = measures.concurrence(rho, es)
-    turn = (c_in > 0.0) & (l1 > l3)
-    s = np.minimum(1.0, (c_in + 2.0 * np.sqrt(l2 * l4)) / np.where(turn, l1 - l3, 1.0))
+    return _x_frame(rho, es, measures.concurrence(rho, es), pair=2, attempts=1)
+
+
+def _x_frame(rho: DensityMatrix, es, c_in, pair: int, attempts: int) -> ConversionResult:
+    """`find_x_equivalent`'s frame, with l_(pair+1) beside l1 and the other two on |01>, |10>."""
+    u, v = (k for k in (1, 2, 3) if k != pair)
+    l1, lp, lu, lv = np.moveaxis(np.clip(es.values, 0.0, None)[..., [0, pair, u, v]], -1, 0)
+    turn = (c_in > 0.0) & (l1 > lp)
+    s = np.minimum(1.0, (c_in + 2.0 * np.sqrt(lu * lv)) / np.where(turn, l1 - lp, 1.0))
     # math.asin row by row: np.arcsin differs from it in the last bit.
     a = np.where(turn, 0.5 * np.vectorize(math.asin, otypes=[float])(s), 0.0)
     # Column k is the X state's eigenvector for l_(k+1).
     ca, sa = np.cos(a), np.sin(a)
     ex = np.zeros(a.shape + (4, 4), dtype=complex)
-    ex[..., 0, 0], ex[..., 3, 0], ex[..., 0, 2], ex[..., 3, 2] = ca, sa, -sa, ca
-    ex[..., 1, 1] = ex[..., 2, 3] = 1.0
-    return _onto_frame(rho, es.vectors, ex, c_in, attempts=1)
+    ex[..., 0, 0], ex[..., 3, 0], ex[..., 0, pair], ex[..., 3, pair] = ca, sa, -sa, ca
+    ex[..., 1, u] = ex[..., 2, v] = 1.0
+    return _onto_frame(rho, es.vectors, ex, c_in, attempts)
 
 
 def _onto_frame(rho: DensityMatrix, eg: np.ndarray, ex: np.ndarray, c_in,
@@ -114,24 +119,20 @@ def _onto_frame(rho: DensityMatrix, eg: np.ndarray, ex: np.ndarray, c_in,
 
 
 def closed_form_conversion(rho_g: DensityMatrix) -> ConversionResult:
-    """Exact X conversion for rank-<=2 two-qubit states (no search needed)."""
+    """Exact X conversion of one rank-<=2 two-qubit state: l1 and l2 share
+    the rotated plane, sin 2a = C / (l1 - l2), so C > l1 - l2 + `_RANK2_SLACK`,
+    which is P < (1 + C^2)/2, is a DomainError."""
     measures.require_single(rho_g, "closed-form conversion", (2, 2))
     es = linalg.eig_hermitian(rho_g.mat)
     R = linalg.numerical_rank(rho_g.mat, es=es)
     if R > 2:
         raise RankError(f"closed-form conversion needs rank <= 2, got rank {R}")
     C = measures.concurrence(rho_g, es)
-    P = measures.purity(rho_g)
-    if 2.0 * P - 1.0 - C * C < -1e-9:
-        # Rank <= 2 alone is not enough: no rank-<=2 X state with this
-        # (C, P) pair exists, so an exact concurrence-preserving target is
-        # out of reach for this closed form (find_x_equivalent still applies).
+    if C - (es.values[0] - es.values[1]) > _RANK2_SLACK:
         raise DomainError(
-            f"(C={C:.6f}, P={P:.6f}) lies outside the closed-form region "
-            f"P >= (1 + C^2)/2; use find_x_equivalent instead")
-    # Any eigenbasis of the target maps rho_g's equal spectrum onto it.
-    ex = linalg.eig_hermitian(closed_form_x(C, P).mat).vectors
-    return _onto_frame(rho_g, es.vectors, ex, C, attempts=0)
+            f"(C={C:.6f}, P={measures.purity(rho_g):.6f}) lies outside the closed-form "
+            f"region P >= (1 + C^2)/2; use find_x_equivalent instead")
+    return _x_frame(rho_g, es, C, pair=1, attempts=0)
 
 
 # ---------------------------------------------------------------------------

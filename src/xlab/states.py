@@ -18,6 +18,7 @@ from . import linalg
 from .errors import DimensionError, DomainError, RankError
 
 _EPS = 1e-12
+_RANK2_SLACK = 1e-9  # slack of P >= (1 + C^2)/2, i.e. of C <= l1 - l2 at rank <= 2
 
 
 @dataclass
@@ -265,7 +266,7 @@ def closed_form_x(C, P) -> DensityMatrix:
     C = linalg.clamped(C, 0.0, 1.0, "concurrence {} outside [0, 1]")
     P = np.asarray(P, dtype=float)
     lo = 0.5 * (1.0 + C * C)
-    linalg.reject(~((lo - 1e-9 <= P) & (P <= 1.0 + _EPS)),
+    linalg.reject(~((lo - _RANK2_SLACK <= P) & (P <= 1.0 + _EPS)),
                   "purity {} outside [{}, 1] for concurrence {}", P, lo, C)
     B = np.sqrt(np.maximum(2.0 * np.minimum(P, 1.0) - 1.0 - C * C, 0.0))
     return DensityMatrix(_x_mat(((1.0 + B) / 2.0, 0.0, 0.0, (1.0 - B) / 2.0), C / 2.0), (2, 2))
@@ -290,7 +291,7 @@ def h_state(C, P) -> DensityMatrix:
     C = linalg.clamped(C, 0.0, 1.0, "concurrence {} outside [0, 1]")
     P = np.asarray(P, dtype=float)
     linalg.reject(~(P <= 1.0 + _EPS), "purity {} exceeds 1", P)
-    high = P >= 0.5 * (1.0 + C * C) - _EPS
+    high = P >= 0.5 * (1.0 + C * C) - _RANK2_SLACK
     lo = h_purity_floor(C)
     linalg.reject(~high & ~(P >= lo - _EPS), "(C={}, P={}) below the purity floor {:.6f}",
                   C, P, lo)

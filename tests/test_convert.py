@@ -142,14 +142,13 @@ def test_find_x_equivalent_eigendecomposes_each_block_once(monkeypatch, B):
 
 
 def test_closed_form_conversion_eigendecomposes_each_state_once(monkeypatch):
-    # One eigh of rho serves the rank check, the input concurrence and the
-    # frame; the others are the target's frame and the converted state's
-    # concurrence.
+    # One eigh of rho serves the rank check, the input concurrence, the reach
+    # test and the frame; the other is the converted state's concurrence.
     rng = np.random.default_rng(14)
     cases = [states.random_mixed(4, 1, rng, (2, 2)) for _ in range(3)]
     for rho in cases + [states.closed_form_x(0.55, 0.8), states.bell_state()]:
         _, calls = _eig_calls(monkeypatch, convert.closed_form_conversion, rho)
-        assert len(calls) == 3
+        assert len(calls) == 2
 
 
 def test_find_x_equivalent_rejects_non_psd():
@@ -252,6 +251,31 @@ def test_closed_form_conversion_in_region():
         assert np.max(np.abs(res.converted.mat - target.mat)) <= 1e-9
         assert res.delta_c <= 1e-10
         assert res.anti_x <= 1e-12
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.floats(0.5 + 1e-8, 1.0 - 1e-6), st.sampled_from([-2.0, -0.5, 0.5, 2.0]))
+@example(0.5 + 1e-8, -2.0)
+@example(0.5 + 1e-8, 2.0)
+@example(1.0 - 1e-6, 2.0)
+def test_closed_form_conversion_converts_just_where_the_rotation_reaches_c(l1, k):
+    # At k times the rank-<=2 slack from C = l1 - l2, the rank-2 state
+    # l1 |psi><psi| + (1 - l1) |01><01| with psi = cos t |00> + sin t |11>
+    # and C = l1 sin 2t converts exactly when C <= l1 - l2 + slack: at
+    # k = +-2 exactly when C <= l1 - l2.  Its concurrence measures to
+    # ~1e-15; a general rotation of it would blur that to ~1e-8 (the sqrt
+    # of the eps-level eigenvalues in sqrt(rho)).
+    C = (2.0 * l1 - 1.0) + k * states._RANK2_SLACK
+    t = 0.5 * math.asin(C / l1)
+    psi = np.array([math.cos(t), 0.0, 0.0, math.sin(t)])
+    rho = DensityMatrix(l1 * np.outer(psi, psi) + np.diag([0.0, 1.0 - l1, 0.0, 0.0]), (2, 2))
+    assert abs(measures.concurrence(rho) - C) <= 1e-12
+    if k > 1:
+        with pytest.raises(DomainError, match="outside the closed-form region"):
+            convert.closed_form_conversion(rho)
+        return
+    res = convert.closed_form_conversion(rho)
+    assert res.delta_c <= max(k, 0.0) * states._RANK2_SLACK + 1e-12 and res.anti_x <= 1e-12
 
 
 def test_closed_form_conversion_rejects_rank3():

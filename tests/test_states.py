@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from xlab import linalg, measures, states
@@ -204,6 +205,31 @@ def test_h_state_high_purity_branch_is_closed_form_x():
                   1.0):
             assert np.array_equal(states.h_state(C, float(P)).mat,
                                   states.closed_form_x(C, float(P)).mat), (C, P)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.floats(0.0, 1.0), st.sampled_from([-2.0, -0.5, 0.5, 2.0]))
+@example(0.0, -2.0)
+@example(2.0 / 3.0, -0.5)
+@example(1.0, -2.0)
+def test_closed_form_x_accepts_just_where_h_state_goes_high(C, k):
+    # At k times the rank-<=2 slack from P = (1 + C^2)/2, closed_form_x
+    # accepts (C, P) exactly when h_state hands it P on its high branch (off
+    # it, h_state passes P = 1 or rejects first), and both read one slack.
+    P = 0.5 * (1.0 + C * C) + k * states._RANK2_SLACK
+    assume(P <= 1.0)
+    try:
+        states.closed_form_x(C, P)
+        accepts = True
+    except DomainError:
+        accepts = False
+    with mock.patch.object(states, "closed_form_x", wraps=states.closed_form_x) as spy:
+        try:
+            states.h_state(C, P)
+        except DomainError:
+            pass  # below the purity floor
+    high = spy.called and float(spy.call_args.args[1]) == P
+    assert accepts == high == (k > -1)
 
 
 def test_h_state_separable_branch_is_mems():
