@@ -611,9 +611,9 @@ def _merge_config(args) -> dict:
     merged = {}
     if getattr(args, "config", None):
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")

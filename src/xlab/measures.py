@@ -58,6 +58,8 @@ def concurrence(rho: DensityMatrix, es: linalg.EigenSystem | None = None):
     R = sqrt(sqrt(rho) rho~ sqrt(rho)) with the spin-flipped
     rho~ = (s2 x s2) rho* (s2 x s2); C = max(0, lam1 - lam2 - lam3 - lam4).
     `es` reuses rho's `linalg.eig_hermitian` for sqrt(rho), which checks it is PSD.
+    A rank-deficient rho measures only to about 1e-8: sqrt(rho) takes the
+    square root of its zero eigenspace's eps-level eigenvalues.
     """
     require_dims(rho, (2, 2), "concurrence")
     s = linalg.sqrt_psd(rho.mat, es=es)

@@ -10,6 +10,7 @@ projects states onto TGX form, validates simple maximally entangled basis
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,10 +72,12 @@ class ElementMask:
 
 
 def _check_dims(dims) -> tuple:
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(dims)
+    if not all(isinstance(d, numbers.Integral) for d in dims):
+        raise DimensionError(f"dimensions must be integers, got {list(dims)}")
     if len(dims) < 2 or any(d < 2 for d in dims):
         raise DimensionError(f"need at least two subsystems of dimension >= 2, got {list(dims)}")
-    return dims
+    return tuple(map(int, dims))
 
 
 _MASK_CACHE, _TGX_CACHE = {}, {}  # anti-X and TGX masks by dims; their grids are read-only

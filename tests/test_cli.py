@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import xlab
 from xlab import cli, linalg, measures, states
-from xlab.errors import ConfigError, RankError
+from xlab.errors import ConfigError
 
 
 def test_config_validation():
@@ -196,23 +196,23 @@ def test_run_scatter_block_invariance(monkeypatch, family, system):
 
 
 def _one_state_loop(cfg):
-    """Records of a rank-specific scatter built one state at a time: each
-    sample draws from its own stream and draws again on RankError."""
-    builder = {"x": states.rank_x_state, "lx": states.lx_rank_state,
-               "tgx": states.tgx_rank_state}[cfg.family]
+    """Records of a rank-specific scatter built one state at a time by one-row
+    `rank_states` calls: each sample draws from its own stream and draws
+    again while its numerical rank falls short."""
+    family = {"x": states.RANK_X, "lx": states.LX_RANK, "tgx": states.TGX_RANK}[cfg.family]
     mats, redraws = [], 0
     for i in range(cfg.samples):
         rng = np.random.default_rng([cfg.seed, i])
         R = cfg.rank or int(rng.integers(1, math.prod(cfg.system) + 1))
         while True:
-            thetas = rng.uniform(0.0, math.pi / 2, R)
-            probs = states.hyperspherical_probs(rng.uniform(0.0, math.pi / 2, R - 1))
-            try:
-                rho = builder(R, thetas, probs)
+            rows = np.zeros((2, 1, len(family.lo)))
+            rows[0, 0, :R] = rng.uniform(0.0, math.pi / 2, R)
+            rows[1, 0, :R] = states.hyperspherical_probs(rng.uniform(0.0, math.pi / 2, R - 1))
+            rho, rank = states.rank_states(family, [R], *rows)
+            if rank[0] == R:
                 break
-            except RankError:
-                redraws += 1
-        mats.append(rho.mat)
+            redraws += 1
+        mats.append(rho.mat[0])
     rho = states.DensityMatrix(np.stack(mats), cfg.system)
     records = list(zip(measures.entanglement(rho).tolist(), measures.purity(rho).tolist(),
                        rho.rank().tolist()))
@@ -712,6 +712,16 @@ def test_main_flag_overrides_config(tmp_path, capsys):
 def test_main_bad_config_exits_1(capsys):
     assert cli.main(["scatter", "--family", "lx"]) == 1
     assert cli.main(["scatter", "--config", "/nonexistent.json"]) == 1
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf-8", "nested-100000-deep"])
+def test_main_unreadable_config_is_one_line_error(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    assert cli.main(["scatter", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {path}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv,config,env", [

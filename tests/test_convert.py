@@ -27,9 +27,16 @@ def test_conversion_unitary_self():
     assert np.max(np.abs(U @ X_SAMPLE.mat @ U.conj().T - X_SAMPLE.mat)) <= 1e-10
 
 
+def _rank_x(thetas, probs):
+    """The rank-len(thetas) X state from a one-row `rank_states` call."""
+    rows = np.zeros((2, 1, 4))
+    rows[:, 0, :len(thetas)] = thetas, probs
+    return DensityMatrix(states.rank_states(states.RANK_X, [len(thetas)], *rows)[0].mat[0], (2, 2))
+
+
 def test_conversion_unitary_round_trip():
     rng = np.random.default_rng(42)
-    rho_x = states.rank_x_state(4, [0.3, 0.7, 1.0, 0.2], [0.4, 0.3, 0.2, 0.1])
+    rho_x = _rank_x([0.3, 0.7, 1.0, 0.2], [0.4, 0.3, 0.2, 0.1])
     V = haar_unitary(4, rng)
     rho_g = DensityMatrix(V @ rho_x.mat @ V.conj().T, (2, 2))
     U = convert.conversion_unitary(rho_g, rho_x)
@@ -37,7 +44,7 @@ def test_conversion_unitary_round_trip():
 
 
 def test_conversion_unitary_spectral_mismatch():
-    rho_x = states.rank_x_state(2, [0.3, 0.7], [0.6, 0.4])
+    rho_x = _rank_x([0.3, 0.7], [0.6, 0.4])
     with pytest.raises(SpectralMismatchError):
         convert.conversion_unitary(states.bell_state(), rho_x)
 

@@ -148,18 +148,24 @@ def test_grid_families_name_the_first_entry_outside_the_domain(build, args, mess
     assert str(err.value) == message
 
 
+def _one_row(family, R, thetas, probs):
+    """The rank-R state of `family` and its numerical rank from a one-row `rank_states` call."""
+    rows = np.zeros((2, 1, len(family.lo)))
+    rows[:, 0, :R] = thetas, probs
+    rho, rank = states.rank_states(family, [R], *rows)
+    return states.DensityMatrix(rho.mat[0], family.dims), int(rank[0])
+
+
 def test_rank_x_state_ranks():
     rng = np.random.default_rng(0)
     for R in (1, 2, 3, 4):
-        r = states.rank_x_state(R, rng.uniform(0.1, 1.4, R),
-                                np.full(R, 1.0 / R))
-        assert r.rank() == R
+        r, rank = _one_row(states.RANK_X, R, rng.uniform(0.1, 1.4, R), np.full(R, 1.0 / R))
+        assert rank == r.rank() == R
         r.validate()
 
 
-def test_rank_x_state_rejects_zero_probability():
-    with pytest.raises(RankError):
-        states.rank_x_state(2, [0.3, 0.4], [1.0, 0.0])
+def test_rank_x_state_zero_probability_falls_short():
+    assert _one_row(states.RANK_X, 2, [0.3, 0.4], [1.0, 0.0])[1] == 1
 
 
 def test_mems_2x2_domain():
@@ -275,20 +281,35 @@ def test_mems_2x3_round_trip_and_continuity():
 
 def test_rank_specific_2x3_families():
     rng = np.random.default_rng(5)
-    for builder in (states.lx_rank_state, states.tgx_rank_state):
+    for family in (states.LX_RANK, states.TGX_RANK):
         for R in range(1, 7):
-            r = builder(R, rng.uniform(0.2, 1.3, R), np.full(R, 1.0 / R))
-            assert r.rank() == R
+            r, rank = _one_row(family, R, rng.uniform(0.2, 1.3, R), np.full(R, 1.0 / R))
+            assert rank == r.rank() == R
             r.validate()
 
 
-# (family, one-state builder, constituent table, support of a table key)
+def test_tgx_rank_state_is_a_one_row_rank_states_call():
+    rng = np.random.default_rng(8)
+    for R in range(1, 7):
+        thetas, probs = rng.uniform(0.2, 1.3, R), np.full(R, 1.0 / R)
+        assert np.array_equal(states.tgx_rank_state(R, thetas, probs).mat,
+                              _one_row(states.TGX_RANK, R, thetas, probs)[0].mat)
+    with pytest.raises(RankError, match="strictly positive"):
+        states.tgx_rank_state(2, [0.3, 0.4], [1.0, 0.0])
+    # Theta 0 puts both (psi, 2) terms of rank 5 on |0,2>.
+    with pytest.raises(RankError, match="numerical rank 4 != 5"):
+        states.tgx_rank_state(5, [0.3, 0.4, 0.5, 0.0, 0.0], np.full(5, 0.2))
+    with pytest.raises(DimensionError, match="need 2 thetas"):
+        states.tgx_rank_state(2, [0.3], [1.0])
+    with pytest.raises(DomainError, match="rank must be in 1..6, got 7"):
+        states.tgx_rank_state(7, [0.3] * 7, np.full(7, 1 / 7))
+
+
+# (family, constituent table, support of a table key)
 _RANK_FAMILIES = [
-    (states.RANK_X, states.rank_x_state, states._RANK_X_CONSTITUENTS,
-     states._THETA_SUPPORT.get),
-    (states.LX_RANK, states.lx_rank_state, states._LX_RANK_CONSTITUENTS,
-     states._LX_SUPPORT.get),
-    (states.TGX_RANK, states.tgx_rank_state, states._TGX_RANK_CONSTITUENTS,
+    (states.RANK_X, states._RANK_X_CONSTITUENTS, states._THETA_SUPPORT.get),
+    (states.LX_RANK, states._LX_RANK_CONSTITUENTS, states._LX_SUPPORT.get),
+    (states.TGX_RANK, states._TGX_RANK_CONSTITUENTS,
      lambda fam, index: states._MEB_SUPPORT_2X3[fam][index - 1]),
 ]
 
@@ -310,7 +331,7 @@ def _per_term_mixture(table, support, n, R, thetas, probs):
 @given(st.integers(0, 2), st.integers(0, 2**32 - 1), st.integers(0, 10),
        st.booleans())
 def test_rank_states_rows_equal_one_state_builds(which, seed, extra, zero_weight):
-    family, builder, table, support = _RANK_FAMILIES[which]
+    family, table, support = _RANK_FAMILIES[which]
     width, n = len(family.lo), math.prod(family.dims)
     rng = np.random.default_rng(seed)
     # Every rank once, then `extra` random ones.  A first angle of 0 gives
@@ -330,11 +351,6 @@ def test_rank_states_rows_equal_one_state_builds(which, seed, extra, zero_weight
     for b, r in enumerate(ranks):
         reference = _per_term_mixture(table, support, n, r, thetas[b, :r], probs[b, :r])
         assert rho.mat[b].tobytes() == reference.tobytes()
-        if got[b] != r:
-            with pytest.raises(RankError):
-                builder(r, thetas[b, :r], probs[b, :r])
-            continue
-        assert np.array_equal(builder(r, thetas[b, :r], probs[b, :r]).mat, rho.mat[b])
 
 
 def test_rank_states_rejects_bad_input():
@@ -354,16 +370,48 @@ def test_rank_states_rejects_bad_input():
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_rank_states_reject_non_finite_parameters(value):
-    for k, what in ((0, "theta"), (1, "probabilities sum")):
+    for k, what in ((0, f"theta {value} is not finite"), (1, f"probabilities sum to {value}")):
         rows = [np.array([[0.3, 0.4, 0.0, 0.0]]), np.array([[0.5, 0.5, 0.0, 0.0]])]
         rows[k][0, 0] = value
-        with pytest.raises(DomainError, match=what):
+        with pytest.raises(DomainError) as err:
             states.rank_states(states.RANK_X, [2], *rows)
-    with pytest.raises(DomainError, match="theta"):
-        states.rank_x_state(2, [value, 0.4], [0.5, 0.5])
-    # A probability of -inf is <= 0, which rank_x_state calls a RankError.
-    with pytest.raises(RankError if value < 0 else DomainError):
-        states.rank_x_state(2, [0.3, 0.4], [value, 1.0])
+        assert str(err.value).startswith(what)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("build,angle", [
+    (lambda v: states.theta_state(states.PHI, v, 0.2), "theta"),
+    (lambda v: states.theta_state(states.PSI, 0.3, v), "phi"),
+    (lambda v: states.meb_state_2x3(states.PSI, 2, v, 0.2), "theta"),
+    (lambda v: states.meb_state_2x3(states.PHI, 1, 0.3, v), "phi"),
+    (lambda v: states.l_state(3, v, 0.2), "theta"),
+    (lambda v: states.l_state(1, 0.3, v), "phi"),
+    (lambda v: states.general_x_state(states.XParams((0.1, 0.2, 0.3), (0.4, v, 0.6, 0.7))),
+     "theta"),
+    (lambda v: states.general_x_state(states.XParams((0.1, 0.2, 0.3), (0.4, 0.5, 0.6, 0.7),
+                                                     [0.0, v, 0.0, 0.1])), "phi"),
+    (lambda v: states.general_x_state(states.XParams((0.1, v, 0.3), (0.4, 0.5, 0.6, 0.7))),
+     "angle"),
+    (lambda v: states.tgx_rank_state(2, [0.3, v], [0.5, 0.5]), "theta"),
+], ids=["theta-theta", "theta-phi", "meb-theta", "meb-phi", "l-theta", "l-phi",
+        "general-theta", "general-phi", "general-probability", "tgx-rank-theta"])
+def test_builders_reject_a_non_finite_angle(build, angle, value):
+    # The suite fails on a RuntimeWarning, so this also asserts numpy issues none.
+    with pytest.raises(DomainError) as err:
+        build(value)
+    assert str(err.value) == f"{angle} {value} is not finite"
+
+
+@pytest.mark.parametrize("rank", [2.5, True, "2"])
+def test_a_rank_that_is_not_an_int_is_one_domain_error(rank):
+    with pytest.raises(DomainError) as err:
+        states.random_mixed(4, rank, np.random.default_rng(0))
+    assert str(err.value) == f"rank must be in 1..4, got {rank!r}"
+    ok = np.zeros((1, 6))
+    ok[0, 0] = 1.0
+    with pytest.raises(DomainError) as err:
+        states.rank_states(states.TGX_RANK, [rank], ok, ok)
+    assert str(err.value) == f"rank must be in 1..6, got {rank!r}"
 
 
 def test_hyperspherical_probs_rows_pad_with_zeros():

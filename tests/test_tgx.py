@@ -98,6 +98,14 @@ def test_mask_kernel_properties(dims):
         assert t.pairs() == sorted(t.marked)
 
 
+@pytest.mark.parametrize("dims", [[2, 2.5], "ab", (2, 3.0), [2, "3"]])
+def test_a_dimension_that_is_not_an_integer_is_rejected(dims):
+    for build in (tgx.anti_x_mask, tgx.tgx_mask):
+        with pytest.raises(DimensionError, match="dimensions must be integers"):
+            build(dims)
+    assert tgx.tgx_mask([2, np.int64(3)]) is tgx.tgx_mask((2, 3))
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2, 4)])
 def test_masks_are_cached_and_read_only(dims):
     for build in (tgx.anti_x_mask, tgx.tgx_mask):
