@@ -5,27 +5,18 @@ Subcommands: `scatter` (entanglement-purity samples of a state family),
 masks), `mems-curve` (boundary curves), `verify` (fast invariant checks).
 
 Sample i draws from its own stream, the one np.random.default_rng([seed, i])
-starts.  `_stream_words` seeds a block's streams at once with a plain
-transcription of numpy's SeedSequence on uint32 arrays.  The x, lx and tgx
-families draw from `_raw_words` (every stream's first PCG64 outputs as one
-array) through numpy's next_double and the Lemire step of integers(); a rank
-that step would reject, and every retry round, draws on a Generator instead.
-`general` and `convert` keep Generators for the standard_normal ziggurat, which
-is not transcribed, but take their ranks from one raw word.  The tests and
+starts: `_stream_words` and `_raw_words` transcribe numpy's SeedSequence and
+PCG64 so that a block's streams are seeded and read at once, and the tests and
 `verify` check each transcription against numpy.  `run_scatter` builds each
 block of `_sample_blocks` with one call of its family's stacked builder and
 measures it with stacked kernels, as `run_conversion_campaign` converts its
 blocks, so output is byte-identical for any block size; the grid families
-(`mems`, `h`) draw no streams.  A rank-specific block draws each sample's rank
-and angles in one pass, then redraws only the rows whose rank falls short.
-One eigendecomposition of each 2x2 block feeds its concurrence and its
-ranks.  `--threads` is validated but has no effect.  The parser, built once
-per process, only splits argv into strings; one input path, `_experiment` with
-`_choice` and `_parse_dims`, converts and checks every value from a flag, a
-config file or XLAB_THREADS, so any bad input ends as a one-line ConfigError.
-`_write` is the one writer of data output; `_records_json` renders JSON records
-(the bytes of json.dumps(indent=2)) from one C-encoder call per column, and
-`_svg_head` caches each boundary polyline.
+(`mems`, `h`) draw no streams.  `--threads` is validated but has no effect.
+The parser, built once per process, only splits argv into strings; the frozen
+ExperimentConfig converts (`_convert` by `_KINDS`) and checks every value at
+construction, whether a flag, a config file, XLAB_THREADS or a Python caller
+gave it, so bad input ends as the same one-line ConfigError.  `_SYSTEMS` holds
+each system's facts, and `_write` is the one writer of data output.
 """
 
 from __future__ import annotations
@@ -36,7 +27,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -45,7 +37,13 @@ from numpy.random.bit_generator import ISeedSequence
 from . import convert, linalg, measures, states, tgx
 from .errors import ConfigError, DimensionError, XLabError
 
-_SYSTEMS = ((2, 2), (2, 3))
+# Each system's MEMS builder and boundary, and the families drawn only in it.  A boundary
+# is looked up when called, so a wrapper put on it (bench/spans.py traces one) sees the call.
+_System = namedtuple("_System", "mems boundary families")
+_SYSTEMS = {
+    (2, 2): _System(states.mems_2x2, lambda P: measures.mems_boundary_2x2(P), ("x", "h")),
+    (2, 3): _System(states.mems_2x3, lambda P: measures.mems_boundary_2x3(P), ("lx", "tgx")),
+}
 _FAMILIES = ("general", "x", "lx", "tgx", "mems", "h")
 # Families whose states lie on a grid over the sample index and draw nothing.
 _GRID_FAMILIES = ("mems", "h")
@@ -69,8 +67,10 @@ class SampleRecord:
     sample_index: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """An immutable experiment; the constructor converts each value by `_KINDS`, then validates."""
+
     system: tuple = (2, 2)
     family: str = "general"
     rank: int | None = None
@@ -79,25 +79,29 @@ class ExperimentConfig:
     tol: float = convert.DEFAULT_TOL_C
     threads: int = 1
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = _convert(f.name, getattr(self, f.name), _KINDS[f.name])
+            object.__setattr__(self, f.name, f.default if value is None else value)
+        self.validate()
+
     def validate(self) -> "ExperimentConfig":
-        if tuple(self.system) not in _SYSTEMS:
-            raise ConfigError(f"system must be 2x2 or 2x3, got {list(self.system)}")
-        if self.family not in _FAMILIES:
-            raise ConfigError(f"family must be one of {_FAMILIES}, got {self.family!r}")
+        """Check each converted field's range and the fields against each other; return self."""
+        if self.system not in _SYSTEMS:
+            raise ConfigError(f"system must be {' or '.join(f'{a}x{b}' for a, b in _SYSTEMS)}, "
+                              f"got {list(self.system)}")
         if not 1 <= self.samples <= 2**32:
             # Sample indices must fit in one 32-bit seed word (see _stream_words).
             raise ConfigError(f"samples must be in 1..2**32, got {self.samples}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        n = math.prod(self.system)
-        if self.rank is not None and not 1 <= self.rank <= n:
+        if self.rank is not None and not 1 <= self.rank <= math.prod(self.system):
             raise ConfigError(f"rank {self.rank} invalid for system {list(self.system)}")
         if self.rank is not None and self.family in _GRID_FAMILIES:
             raise ConfigError(f"family {self.family!r} takes no rank")
-        if self.family in ("lx", "tgx") and tuple(self.system) != (2, 3):
-            raise ConfigError(f"family {self.family!r} requires system 2x3")
-        if self.family in ("x", "h") and tuple(self.system) != (2, 2):
-            raise ConfigError(f"family {self.family!r} requires system 2x2")
+        for (a, b), facts in _SYSTEMS.items():
+            if self.family in facts.families and self.system != (a, b):
+                raise ConfigError(f"family {self.family!r} requires system {a}x{b}")
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise ConfigError(f"tol must be finite and >= 0, got {self.tol}")
         if self.threads < 1:
@@ -340,7 +344,7 @@ def _build_block(cfg: ExperimentConfig, block: range, words):
     elif fam == "mems":
         p_min = 1.0 / math.prod(cfg.system)
         P = p_min + (1.0 - p_min) * (index / max(cfg.samples - 1, 1))
-        batch = (states.mems_2x2 if tuple(cfg.system) == (2, 2) else states.mems_2x3)(P)
+        batch = _SYSTEMS[cfg.system].mems(P)
     else:
         side = max(math.ceil(math.sqrt(cfg.samples)), 2)
         C = (index % side) / (side - 1)
@@ -352,7 +356,6 @@ def _build_block(cfg: ExperimentConfig, block: range, words):
 
 def run_scatter(cfg: ExperimentConfig) -> list:
     """Draw, measure, and record `samples` states of the configured family."""
-    cfg.validate()
     records = []
     for block, words in _sample_blocks(cfg):
         batch, ranks = _build_block(cfg, block, words)
@@ -395,8 +398,7 @@ class CampaignSummary:
 def run_conversion_campaign(cfg: ExperimentConfig) -> CampaignSummary:
     """Convert `samples` consecutive random two-qubit states to X form, a
     stacked block of `_BLOCK` states per `find_x_equivalent` call."""
-    cfg.validate()
-    if cfg.family != "general" or tuple(cfg.system) != (2, 2):
+    if cfg.family != "general" or cfg.system != (2, 2):
         raise ConfigError(f"convert draws general 2x2 states, not {cfg.family} "
                           f"{'x'.join(map(str, cfg.system))}")
     records = []
@@ -472,12 +474,7 @@ def _mask_json(mask, dims, kind: str) -> str:
 def _curve_csv(system, samples: int) -> str:
     p_min = 1.0 / math.prod(system)  # the maximally mixed state's purity
     grid = [p_min + (1.0 - p_min) * i / max(samples - 1, 1) for i in range(samples)]
-    return _csv(("purity", "entanglement"), zip(grid, _boundary_for(system)(grid).tolist()))
-
-
-def _boundary_for(system):
-    return (measures.mems_boundary_2x2 if tuple(system) == (2, 2)
-            else measures.mems_boundary_2x3)
+    return _csv(("purity", "entanglement"), zip(grid, _SYSTEMS[system].boundary(grid).tolist()))
 
 
 def _svg_points(system, template: str, p, e) -> str:
@@ -491,7 +488,7 @@ def _svg_points(system, template: str, p, e) -> str:
 def _svg_head(system: tuple) -> str:
     """The SVG's opening through the MEMS boundary polyline of `system`."""
     ps = np.linspace(1.0 / math.prod(system), 1.0, 500)
-    pts = _svg_points(system, "{:.2f},{:.2f} ", ps, _boundary_for(system)(ps))
+    pts = _svg_points(system, "{:.2f},{:.2f} ", ps, _SYSTEMS[system].boundary(ps))
     return ('<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480">\n'
             '<rect width="640" height="480" fill="white"/>\n<polyline fill="none" '
             f'stroke="black" stroke-width="1.5" points="{pts[:-1]}"/>\n')
@@ -541,15 +538,23 @@ def emit_output(records, fmt: str = "csv", plot=None, system=(2, 2)) -> str:
 _MASK_MAX_N = 1024
 
 
-def _parse_dims(text) -> tuple:
-    """Subsystem dims from text such as 2x3 or [2, 3] (or a config list)."""
-    key = str(text).lower().replace("[", "").replace("]", "").replace(",", "x").replace(" ", "")
+def _parse_dims(value) -> tuple:
+    """Subsystem dims from text such as 2x3 or [2, 3], or from a list, tuple or array of ints."""
     try:
-        return tgx._check_dims(int(d) for d in key.split("x"))
-    except ValueError:
-        raise ConfigError(f"cannot parse dims {text!r}") from None
+        if isinstance(value, (list, tuple, np.ndarray)):
+            return tgx._check_dims(value)
+        text = str(value).lower().replace("[", "").replace("]", "").replace(" ", "")
+        return tgx._check_dims(int(d) for d in text.replace(",", "x").split("x"))
+    except (TypeError, ValueError):
+        raise ConfigError(f"cannot parse dims {value!r}") from None
     except DimensionError as exc:
         raise ConfigError(str(exc)) from None
+
+
+# The converter of each ExperimentConfig field, whichever source gave its value.
+_KINDS = {"system": _parse_dims,
+          "family": functools.partial(_choice, "family", options=_FAMILIES),
+          "rank": int, "samples": int, "seed": int, "tol": float, "threads": int}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -572,7 +577,7 @@ def _add_common(p, seeded: bool = True, formats: str = "{csv,json}"):
 @functools.cache
 def _build_parser():
     # Built once per process: parse_args leaves the parser as it found it.
-    # Every option is a string here; _experiment, _choice and _parse_dims
+    # Every option is a string here; ExperimentConfig, _choice and _merge_config
     # convert and check them, as they do config file values.
     parser = _Parser(prog="xlab",
                      description="Entanglement-purity experiments on X-state structure")
@@ -623,18 +628,20 @@ def _merge_config(args) -> dict:
         merged.update(loaded)
     merged.update((key, val) for key, val in vars(args).items()
                   if val is not None and key not in ("command", "config"))
+    for key in ("out", "plot"):  # open() would take any other type as a file descriptor
+        if not isinstance(merged.get(key), (str, type(None))):
+            raise ConfigError(f"{key} must be a path string, got {merged[key]!r}")
     return merged
 
 
-def _get(m, key: str, kind):
-    """m[key] converted by `kind`, or None when it is absent, null or empty.
+def _convert(key: str, value, kind):
+    """`value` of `key` converted by `kind`, or None when it is None or empty.
 
-    A flag or XLAB_THREADS holds any string and a config file any JSON value,
-    so one that `kind` cannot convert is a ConfigError, not a traceback.  A
-    bool is not a number, and an int key takes no fractional float.
+    A flag or XLAB_THREADS holds any string, a config file any JSON value and a
+    Python caller any object, so one that `kind` cannot convert is a ConfigError,
+    not a traceback.  A bool is not a number, and an int key takes no fraction.
     """
-    value = m.get(key)
-    if value is None or value == "":
+    if value is None or isinstance(value, str) and not value:
         return None
     try:
         if (isinstance(value, bool) and kind in (int, float)) or (
@@ -645,44 +652,33 @@ def _get(m, key: str, kind):
         raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from None
 
 
-def _path(m, key: str):
-    """m[key] as a file path; any other type would reach open() as a file descriptor."""
-    if not isinstance(m.get(key), (str, type(None))):
-        raise ConfigError(f"{key} must be a path string, got {m[key]!r}")
-    return m.get(key)
-
-
 def _experiment(args, **defaults) -> tuple:
-    """The validated ExperimentConfig of a parsed command line, and its merged
-    options: the one input path of `scatter`, `convert`, `mems-curve` and
-    `verify`.  Each value comes from its flag, else the config file, else (for
-    threads) XLAB_THREADS, else `defaults` or ExperimentConfig's default, and
-    is converted and checked the same way whichever source gave it."""
+    """The ExperimentConfig of a parsed command line, and its merged options:
+    the one input path of `scatter`, `convert`, `mems-curve` and `verify`.
+    Each field comes from its flag, else the config file, else (for threads)
+    XLAB_THREADS, else `defaults` or ExperimentConfig's default.  The
+    constructor converts and checks the raw value, as it does a Python
+    caller's, so each source gives the same message for it."""
     m = _merge_config(args)
-    kinds = {"system": _parse_dims, "rank": int, "samples": int, "seed": int,
-             "tol": float, "threads": int}
-    given = {key: _get(m, key, kind) for key, kind in kinds.items()}
-    given["family"] = m.get("family")  # validate() names the families
-    if given["threads"] is None and "threads" in vars(args):
-        given["threads"] = _get(os.environ, "XLAB_THREADS", int)
-    defaults.update((key, v) for key, v in given.items() if v is not None)
-    return ExperimentConfig(**defaults).validate(), m
+    given = {key: m[key] for key in _KINDS if m.get(key) not in (None, "")}
+    if "threads" not in given and "threads" in vars(args):
+        given["threads"] = _convert("XLAB_THREADS", os.environ.get("XLAB_THREADS"), int)
+    return ExperimentConfig(**{**defaults, **given}), m
 
 
 def _cmd_scatter(args) -> int:
     cfg, m = _experiment(args)
-    plot, out = _path(m, "plot"), _path(m, "out")
-    _write(emit_output(run_scatter(cfg), fmt=m.get("fmt", "csv"), plot=plot,
-                       system=cfg.system), out)
+    _write(emit_output(run_scatter(cfg), fmt=m.get("fmt", "csv"), plot=m.get("plot"),
+                       system=cfg.system), m.get("out"))
     return 0
 
 
 def _cmd_convert(args) -> int:
     cfg, m = _experiment(args, samples=100)
     serialize = {"csv": lambda summary: _records_csv(summary.records), "json": _campaign_json}
-    fmt, out = _choice("format", m.get("fmt", "csv"), serialize), _path(m, "out")
+    fmt = _choice("format", m.get("fmt", "csv"), serialize)
     summary = run_conversion_campaign(cfg)
-    _write(serialize[fmt](summary), out)
+    _write(serialize[fmt](summary), m.get("out"))
     return 0 if summary.all_succeeded else 2
 
 
@@ -701,7 +697,7 @@ def _cmd_mask(args) -> int:
 def _cmd_mems_curve(args) -> int:
     cfg, m = _experiment(args, samples=500)
     _choice("format", m.get("fmt", "csv"), ("csv",))
-    _write(_curve_csv(cfg.system, cfg.samples), _path(m, "out"))
+    _write(_curve_csv(cfg.system, cfg.samples), m.get("out"))
     return 0
 
 
@@ -766,12 +762,9 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
-    except (ConfigError, OSError) as exc:
+    except (XLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except XLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (ConfigError, OSError)) else 2
 
 
 if __name__ == "__main__":

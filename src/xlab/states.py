@@ -21,6 +21,15 @@ _EPS = 1e-12
 _RANK2_SLACK = 1e-9  # slack of P >= (1 + C^2)/2, i.e. of C <= l1 - l2 at rank <= 2
 
 
+def _int_dims(dims) -> tuple:
+    """`dims` as a tuple of ints; a DimensionError names them unless each is a Python or
+    numpy integer (not a bool)."""
+    dims = tuple(dims)
+    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) for d in dims):
+        raise DimensionError(f"dimensions must be integers, got {list(dims)}")
+    return tuple(map(int, dims))
+
+
 @dataclass
 class DensityMatrix:
     """A density matrix, or a (B, n, n) stack of them, with the subsystem dimensions."""
@@ -30,7 +39,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         self.mat = np.asarray(self.mat, dtype=complex)
-        self.dims = tuple(int(d) for d in self.dims)
+        self.dims = _int_dims(self.dims)
         if any(d < 2 for d in self.dims):
             raise DimensionError(f"all subsystem dimensions must be >= 2, got {self.dims}")
         n = math.prod(self.dims)

@@ -10,7 +10,6 @@ projects states onto TGX form, validates simple maximally entangled basis
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,7 @@ class ElementMask:
     grid: np.ndarray
 
     def __init__(self, n: int, marked: np.ndarray):
-        n = int(n)
+        (n,) = states._int_dims([n])
         grid = np.array(marked)
         if grid.shape != (n, n) or grid.dtype != bool:
             raise DimensionError(f"mask shape {grid.shape} ({grid.dtype}) is not ({n}, {n}) bool")
@@ -72,12 +71,10 @@ class ElementMask:
 
 
 def _check_dims(dims) -> tuple:
-    dims = tuple(dims)
-    if not all(isinstance(d, numbers.Integral) for d in dims):
-        raise DimensionError(f"dimensions must be integers, got {list(dims)}")
+    dims = states._int_dims(dims)
     if len(dims) < 2 or any(d < 2 for d in dims):
         raise DimensionError(f"need at least two subsystems of dimension >= 2, got {list(dims)}")
-    return tuple(map(int, dims))
+    return dims
 
 
 _MASK_CACHE, _TGX_CACHE = {}, {}  # anti-X and TGX masks by dims; their grids are read-only

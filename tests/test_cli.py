@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -724,6 +725,28 @@ def test_main_unreadable_config_is_one_line_error(tmp_path, capsys, content):
     assert err.startswith(f"error: cannot read config file {path}: ") and err.count("\n") == 1
 
 
+# Cases of the test below whose bad input is not an ExperimentConfig field's value.
+_NOT_A_FIELD_VALUE = {
+    "threads-env-abc", "fmt-xml", "mems-curve-json", "scatter-out-int", "scatter-plot-bool",
+    "convert-out-int", "mems-curve-out-list", "flag-format-xml", "no-command", "unknown-flag",
+    "missing-value", "mask-kind-x", "mask-format-csv", "mask-dims-1x2", "mask-too-large"}
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
+
+
+def _field_values(argv, config) -> dict:
+    """The ExperimentConfig fields that `argv`'s flags and a `config` file give, flags first."""
+    flags = {key[2:]: val for key, val in zip(argv[1::2], argv[2::2])}
+    merged = {**(config or {}), **flags}
+    return {key: val for key, val in merged.items() if key in _CONFIG_FIELDS}
+
+
+def _assert_constructor_error(values, err: str):
+    """ExperimentConfig(**values) raises the ConfigError that `xlab` printed as `err`."""
+    with pytest.raises(ConfigError) as exc:
+        cli.ExperimentConfig(**values)
+    assert err == f"error: {exc.value}\n"
+
+
 @pytest.mark.parametrize("argv,config,env", [
     (["scatter"], {"samples": "abc"}, None),
     (["convert"], {"tol": [1e-3]}, None),
@@ -807,6 +830,9 @@ def test_main_bad_input_is_one_line_error(tmp_path, monkeypatch, capsys, request
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    # A Python caller that passes the same field values gets the same error.
+    if request.node.callspec.id not in _NOT_A_FIELD_VALUE:
+        _assert_constructor_error(_field_values(argv, config), captured.err)
 
 
 @pytest.mark.parametrize("argv,flags,config", [
@@ -835,6 +861,43 @@ def test_main_bad_value_is_one_error_from_flag_and_config(tmp_path, capsys, argv
     assert from_flag.out == from_config.out == ""
     assert from_flag.err == from_config.err
     assert from_flag.err.startswith("error: ") and from_flag.err.count("\n") == 1
+    # The constructor is a third source: the flag's string and the config value
+    # of a field give it the same error.
+    for key, value in config.items():
+        if key in _CONFIG_FIELDS:
+            _assert_constructor_error({key: value}, from_flag.err)
+            _assert_constructor_error({key: flags[1]}, from_flag.err)
+
+
+def test_experiment_config_converts_its_values_and_is_frozen():
+    assert cli.ExperimentConfig(samples="5").samples == 5
+    assert cli.ExperimentConfig(system=[2, 3]).system == (2, 3)
+    assert cli.ExperimentConfig(system=np.array([2, 3])).system == (2, 3)
+    assert cli.ExperimentConfig(system="2x3", family="tgx").system == (2, 3)
+    # What `xlab` accepts from a flag or a config file converts the same way.
+    assert cli.ExperimentConfig(seed="3").seed == 3
+    cfg = cli.ExperimentConfig(family="x", rank=2.0, samples=3, seed=1)
+    assert cfg.rank == 2 and [r.rank for r in cli.run_scatter(cfg)] == [2, 2, 2]
+    # None or empty is the default, as for an absent flag or a null config value.
+    assert cli.ExperimentConfig(samples=None, family="", rank="") == cli.ExperimentConfig()
+    with pytest.raises(ConfigError, match=r"^dimensions must be integers, got \[2.0, 3\]$"):
+        cli.ExperimentConfig(system=(2.0, 3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.samples = 5
+    assert cfg.validate() is cfg
+
+
+@pytest.mark.parametrize("values", [
+    {"samples": 2.5}, {"samples": True}, {"seed": -1.0}, {"rank": 2.5}, {"rank": 7},
+    {"system": [2.0, 3]}, {"system": "2x3", "family": "h"}, {"tol": "x"},
+], ids=["samples-fraction", "samples-bool", "seed-negative-float", "rank-fraction",
+        "rank-too-large", "system-float", "h-on-2x3", "tol-text"])
+def test_experiment_config_error_is_the_config_file_error(tmp_path, capsys, values):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values))
+    command = "convert" if "tol" in values else "scatter"
+    assert cli.main([command, "--config", str(path)]) == 1
+    _assert_constructor_error(values, capsys.readouterr().err)
 
 
 def test_main_bad_flag_messages(capsys):

@@ -518,3 +518,12 @@ def test_density_matrix_stack():
         states.DensityMatrix(bad, (2, 2)).validate()
     with pytest.raises(DimensionError):
         states.DensityMatrix(stack[None], (2, 2))
+
+
+@pytest.mark.parametrize("dims", [(2, 3.7), ("2", "3"), (2.0, 3), (True, 6)])
+def test_density_matrix_rejects_non_integer_dims(dims):
+    # int() would truncate (2, 3.7) to (2, 3); a size that is not an integer is an error.
+    with pytest.raises(DimensionError, match="dimensions must be integers") as err:
+        states.DensityMatrix(np.eye(6) / 6, dims)
+    assert str(list(dims)) in str(err.value)
+    assert states.DensityMatrix(np.eye(6) / 6, (np.int64(2), 3)).dims == (2, 3)

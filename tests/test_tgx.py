@@ -72,6 +72,15 @@ def test_element_mask_rejects_bad_positions(n, marked, match):
         tgx.ElementMask(n, marked)
 
 
+@pytest.mark.parametrize("n", [2.7, "2", 2.0])
+def test_element_mask_rejects_a_size_that_is_not_an_integer(n):
+    # int() would truncate 2.7 to 2; the size must be an integer, as dims are.
+    with pytest.raises(DimensionError, match="dimensions must be integers") as err:
+        tgx.ElementMask(n, np.zeros((2, 2), bool))
+    assert repr(n) in str(err.value)
+    assert tgx.ElementMask(np.int64(2), np.zeros((2, 2), bool)).n == 2
+
+
 def _digit_rule_anti(dims) -> np.ndarray:
     # Subsystem k alone differs: all-ones-minus-identity on k, identity elsewhere.
     out = 0
