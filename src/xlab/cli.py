@@ -28,7 +28,7 @@ import math
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -56,15 +56,8 @@ _RANK_FAMILIES = {"x": states.RANK_X, "lx": states.LX_RANK, "tgx": states.TGX_RA
 _X_SCALE = np.array([math.pi / 2.0] * 7 + [2.0 * math.pi] * 4)
 
 
-@dataclass
-class SampleRecord:
-    """One scatter sample: entanglement/purity plus provenance."""
-
-    entanglement: float
-    purity: float
-    rank: int
-    family: str
-    sample_index: int
+SampleRecord = namedtuple("SampleRecord", "entanglement purity rank family sample_index")
+SampleRecord.__doc__ = "One scatter sample: entanglement/purity plus provenance."
 
 
 @dataclass(frozen=True)
@@ -87,9 +80,6 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         """Check each converted field's range and the fields against each other; return self."""
-        if self.system not in _SYSTEMS:
-            raise ConfigError(f"system must be {' or '.join(f'{a}x{b}' for a, b in _SYSTEMS)}, "
-                              f"got {list(self.system)}")
         if not 1 <= self.samples <= 2**32:
             # Sample indices must fit in one 32-bit seed word (see _stream_words).
             raise ConfigError(f"samples must be in 1..2**32, got {self.samples}")
@@ -367,28 +357,16 @@ def run_scatter(cfg: ExperimentConfig) -> list:
     return records
 
 
-@dataclass
-class CampaignRecord:
-    """Per-sample conversion outcome."""
-
-    sample_index: int
-    rank: int
-    purity: float
-    input_concurrence: float
-    output_concurrence: float
-    attempts: int
-    delta_c: float
-    anti_x: float
-    success: bool
+CampaignRecord = namedtuple("CampaignRecord", "sample_index rank purity input_concurrence "
+                            "output_concurrence attempts delta_c anti_x success")
+CampaignRecord.__doc__ = "Per-sample conversion outcome."
 
 
-@dataclass
-class CampaignSummary:
-    samples: int
-    successes: int
-    max_delta_c: float
-    max_anti_x: float
-    records: list = field(default_factory=list)
+class CampaignSummary(namedtuple("CampaignSummary",
+                                 "samples successes max_delta_c max_anti_x records")):
+    """A conversion campaign's counts and worst residuals, then its records."""
+
+    __slots__ = ()
 
     @property
     def all_succeeded(self) -> bool:
@@ -439,25 +417,24 @@ def _csv(header, rows) -> str:
 
 
 def _records_csv(records) -> str:
-    """CSV of dataclass records, one column per field in field order."""
-    return _csv(vars(records[0]), (vars(r).values() for r in records))
+    """CSV of namedtuple records, one column per field in field order."""
+    return _csv(records[0]._fields, records)
 
 
 def _records_json(records, level: int = 1) -> str:
-    """json.dumps([vars(r) for r in records], indent=2) + "\n" for an array at
-    nesting `level`: one C-encoder call per column of scalars, split at its raw
-    newline separator (which no encoded value holds), and a template per record."""
+    """json.dumps([r._asdict() for r in records], indent=2) + "\n" for namedtuple
+    records at nesting `level`: one C-encoder call per column of scalars, split at
+    its raw newline separator (which no encoded value holds), and a template per record."""
     pad = "  " * level
-    fields = ",\n".join(f"{pad}  {json.dumps(k)}: {{}}" for k in vars(records[0]))
-    cols = (json.dumps(col, separators=("\n", ":"))[1:-1].split("\n")
-            for col in zip(*map(dict.values, map(vars, records))))
+    fields = ",\n".join(f"{pad}  {json.dumps(k)}: {{}}" for k in records[0]._fields)
+    cols = (json.dumps(col, separators=("\n", ":"))[1:-1].split("\n") for col in zip(*records))
     rows = map(f"{pad}{{{{\n{fields}\n{pad}}}}}".format, *cols)
     return "[\n" + ",\n".join(rows) + f"\n{pad[2:]}]\n"
 
 
 def _campaign_json(summary: CampaignSummary) -> str:
-    # The records come last in vars(summary), so their array ends the text.
-    head = json.dumps({**vars(summary), "records": None}, indent=2)[:-len("null\n}")]
+    # The records come last in the summary, so their array ends the text.
+    head = json.dumps({**summary._asdict(), "records": None}, indent=2)[:-len("null\n}")]
     return head + _records_json(summary.records, 2) + "}\n"
 
 
@@ -526,7 +503,7 @@ def emit_output(records, fmt: str = "csv", plot=None, system=(2, 2)) -> str:
     serialize = {"csv": _records_csv, "json": _records_json}
     text = serialize[_choice("format", fmt, serialize)](records)
     if plot:
-        _write(_scatter_svg(records, system), plot)
+        _write(_scatter_svg(records, _parse_system(system)), plot)
     return text
 
 
@@ -551,8 +528,17 @@ def _parse_dims(value) -> tuple:
         raise ConfigError(str(exc)) from None
 
 
+def _parse_system(value) -> tuple:
+    """`value` as dims by `_parse_dims`; a ConfigError unless `_SYSTEMS` holds them."""
+    dims = _parse_dims(value)
+    if dims not in _SYSTEMS:
+        raise ConfigError(f"system must be {' or '.join(f'{a}x{b}' for a, b in _SYSTEMS)}, "
+                          f"got {list(dims)}")
+    return dims
+
+
 # The converter of each ExperimentConfig field, whichever source gave its value.
-_KINDS = {"system": _parse_dims,
+_KINDS = {"system": _parse_system,
           "family": functools.partial(_choice, "family", options=_FAMILIES),
           "rank": int, "samples": int, "seed": int, "tol": float, "threads": int}
 
@@ -741,7 +727,8 @@ def _cmd_verify(args) -> int:
     # _records_json and _mask_json copy json's formatting; this catches json changing it.
     recs = [SampleRecord(x, -0.0, 2**70, 'a, "\\\u00e9', 0) for x in (0.1, math.nan, -math.inf)]
     anti = tgx.anti_x_mask((3, 5, 7))  # 105 states, so the indices cross 100
-    check("json writer", _records_json(recs) == json.dumps(list(map(vars, recs)), indent=2) + "\n"
+    check("json writer",
+          _records_json(recs) == json.dumps([r._asdict() for r in recs], indent=2) + "\n"
           and _mask_json(anti, (3, 5, 7), "anti") == json.dumps(
               {"dims": [3, 5, 7], "kind": "anti", "pairs": anti.pairs()}, indent=2) + "\n")
     # rank_states adds each term's 2x2 block with np.add.at; this catches numpy

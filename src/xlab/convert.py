@@ -56,7 +56,8 @@ def conversion_unitary(rho_g: DensityMatrix, rho_x: DensityMatrix) -> np.ndarray
     if rho_g.dims != rho_x.dims:
         raise DimensionError(
             f"dims differ: {list(rho_g.dims)} vs {list(rho_x.dims)}")
-    eg, ex = linalg.eig_hermitian(rho_g.mat), linalg.eig_hermitian(rho_x.mat)
+    eg, ex = (linalg.eig_hermitian(measures.require_single(rho, "conversion unitary"))
+              for rho in (rho_g, rho_x))
     gap = float(np.max(np.abs(eg.values - ex.values)))
     if gap > 1e-8:
         raise SpectralMismatchError(

@@ -78,7 +78,7 @@ def hermitize(M: np.ndarray) -> np.ndarray:
         raise DimensionError(f"expected a square matrix or a stack of them, got shape {M.shape}")
     with np.errstate(invalid="ignore"):
         H = 0.5 * (M + M.conj().mT)
-        drift = np.abs(H - M).max()
+        drift = np.abs(H - M).max(initial=0.0)
     if not drift <= HERM_DRIFT_TOL:
         check_finite(M)
         raise DomainError(f"matrix is not Hermitian: symmetrization moved an entry by {drift:.3e}")

@@ -55,10 +55,10 @@ class DensityMatrix:
         """Check finiteness, then Hermiticity, unit trace and positivity of every
         matrix, within linalg.HERM_TOL, TRACE_TOL and PSD_TOL; return self."""
         linalg.check_finite(self.mat)
-        drift = np.max(np.abs(self.mat - self.mat.conj().mT))
+        drift = np.abs(self.mat - self.mat.conj().mT).max(initial=0.0)
         if not drift <= linalg.HERM_TOL:
             raise DomainError(f"not Hermitian within {linalg.HERM_TOL} (drift {drift:.3e})")
-        tr_err = np.max(np.abs(np.trace(self.mat, axis1=-2, axis2=-1) - 1.0))
+        tr_err = np.abs(np.trace(self.mat, axis1=-2, axis2=-1) - 1.0).max(initial=0.0)
         if not tr_err <= linalg.TRACE_TOL:
             raise DomainError(f"trace differs from 1 by {tr_err:.3e}, beyond {linalg.TRACE_TOL}")
         linalg.check_psd(np.linalg.eigvalsh(linalg.hermitize(self.mat)))
@@ -285,7 +285,7 @@ def closed_form_x(C, P) -> DensityMatrix:
 
 def h_purity_floor(C):
     """Smallest purity `h_state` accepts at concurrence C in [0, 1] (a float or an array)."""
-    C = np.asarray(C, dtype=float)
+    C = linalg.clamped(C, 0.0, 1.0, "concurrence {} outside [0, 1]")
     return linalg.scalar(np.select([C == 0.0, C < 2.0 / 3.0], [0.25, 1.0 / 3.0 + 0.5 * C * C],
                                    0.5 * (1.0 + (2.0 * C - 1.0) ** 2)))
 

@@ -9,7 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -409,6 +409,18 @@ def test_main_scatter_record_bytes(tmp_path, family, system):
         assert out.read_text() == want
 
 
+def test_result_records_are_immutable_rows():
+    # The writers take their columns from _fields, so the field order is the output's.
+    assert cli.SampleRecord._fields == _SCATTER_FIELDS
+    assert cli.CampaignRecord._fields == _CAMPAIGN_FIELDS
+    record = cli.run_scatter(cli.ExperimentConfig(samples=1))[0]
+    summary = cli.run_conversion_campaign(cli.ExperimentConfig(samples=2, seed=1))
+    for obj, name in ((record, "purity"), (summary.records[0], "delta_c"), (summary, "samples")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0.0)
+    assert summary.all_succeeded and not summary._replace(successes=1).all_succeeded
+
+
 def test_main_convert_record_bytes(tmp_path):
     summary = cli.run_conversion_campaign(cli.ExperimentConfig(samples=12, seed=78))
     rows = "".join(
@@ -508,13 +520,7 @@ def test_emit_output_rejects_empty():
         cli.emit_output([], fmt="csv")
 
 
-@dataclass
-class _Row:
-    x: float
-    n: int
-    flag: bool
-    label: str
-    anything: object
+_Row = namedtuple("_Row", "x n flag label anything")
 
 
 _FLOATS = st.floats() | st.sampled_from(
@@ -528,9 +534,9 @@ _ROWS = st.lists(st.builds(_Row, _FLOATS, st.integers(-2**80, 2**80), st.boolean
 @settings(deadline=None, max_examples=200)
 @given(_ROWS)
 def test_records_json_equals_json_dumps(rows):
-    want = json.dumps([vars(r) for r in rows], indent=2)
+    want = json.dumps([r._asdict() for r in rows], indent=2)
     assert cli._records_json(rows) == want + "\n"
-    nested = json.dumps({"records": [vars(r) for r in rows]}, indent=2)
+    nested = json.dumps({"records": [r._asdict() for r in rows]}, indent=2)
     assert '{\n  "records": ' + cli._records_json(rows, 2) + "}" == nested
 
 
@@ -581,6 +587,22 @@ def test_emit_output_svg(tmp_path):
     assert body.startswith("<svg")
     assert "polyline" in body
     assert body.count("<circle") == 5
+
+
+def test_emit_output_plot_system_converts_as_the_config_does(tmp_path):
+    records = cli.run_scatter(cli.ExperimentConfig(system=(2, 3), family="tgx", samples=5))
+    plots = []
+    for system in ((2, 3), "2x3", [2, 3]):
+        plots.append(tmp_path / f"{len(plots)}.svg")
+        cli.emit_output(records, plot=str(plots[-1]), system=system)
+    assert plots[0].read_bytes() == plots[1].read_bytes() == plots[2].read_bytes()
+    for system in ((3, 3), "3x3", "2y3"):
+        with pytest.raises(ConfigError) as want:
+            cli.ExperimentConfig(system=system)
+        with pytest.raises(ConfigError) as got:
+            cli.emit_output(records, plot=str(tmp_path / "bad.svg"), system=system)
+        assert str(got.value) == str(want.value)
+    assert str(got.value) == "cannot parse dims '2y3'" and not (tmp_path / "bad.svg").exists()
 
 
 def test_main_scatter_to_file(tmp_path):

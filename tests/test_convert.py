@@ -49,6 +49,11 @@ def test_conversion_unitary_spectral_mismatch():
         convert.conversion_unitary(states.bell_state(), rho_x)
 
 
+def test_conversion_unitary_dims_differ():
+    with pytest.raises(DimensionError, match=r"^dims differ: \[2, 2\] vs \[4\]$"):
+        convert.conversion_unitary(states.bell_state(), DensityMatrix(np.eye(4) / 4, (4,)))
+
+
 @pytest.mark.parametrize("R", [1, 2, 3, 4])
 def test_find_x_equivalent_each_rank(R):
     rng = np.random.default_rng(100 + R)

@@ -258,8 +258,9 @@ def test_stacked_measures_check_every_matrix():
     lambda rho: measures.partial_trace(rho, 1),
     tgx.is_simple_me_state, convert.closed_form_conversion,
     lambda rho: convert.x_transform_unconstrained(rho, np.eye(4)),
+    lambda rho: convert.conversion_unitary(rho, rho),
 ], ids=["partial_trace", "is_simple_me_state", "closed_form_conversion",
-        "x_transform_unconstrained"])
+        "x_transform_unconstrained", "conversion_unitary"])
 def test_single_matrix_functions_reject_stacks(single):
     stack = DensityMatrix(np.stack([states.bell_state().mat, np.eye(4) / 4]), (2, 2))
     with pytest.raises(DimensionError, match="stack"):
@@ -311,6 +312,46 @@ def test_non_finite_input_raises_domain_error(name):
                 with pytest.raises(DomainError) as err:
                     kernel(DensityMatrix(m, dims))
             assert str(err.value) == "matrix has a non-finite entry"
+
+
+_NO_ROWS = np.zeros(0)
+# name: (systems, a kernel of the empty stack, or a builder given no rows)
+_EMPTY_STACK_CALLS = {
+    "rank": (((2, 2), (2, 3)), DensityMatrix.rank),
+    "validate": (((2, 2), (2, 3)), lambda rho: rho.validate().mat),
+    "purity": (((2, 2), (2, 3)), measures.purity),
+    "entanglement": (((2, 2), (2, 3)), measures.entanglement),
+    "concurrence": (((2, 2),), measures.concurrence),
+    "concurrence_x": (((2, 2),), measures.concurrence_x),
+    "anti_x_measure": (((2, 2),), measures.anti_x_measure),
+    "negativity_e": (((2, 3),), measures.negativity_e),
+    "find_x_equivalent": (((2, 2),), lambda rho: convert.find_x_equivalent(rho).converted.mat),
+    "eig_hermitian": (((2, 2), (2, 3)), lambda rho: linalg.eig_hermitian(rho.mat).vectors),
+    "sqrt_psd": (((2, 2), (2, 3)), lambda rho: linalg.sqrt_psd(rho.mat)),
+    "trace_norm": (((2, 2), (2, 3)), lambda rho: linalg.trace_norm(rho.mat)),
+    "random_mixed": (((2, 2), (2, 3)), lambda rho: states.random_mixed(
+        rho.n, _NO_ROWS.astype(int), [], rho.dims).mat),
+    "mems": (((2, 2), (2, 3)), lambda rho: (
+        states.mems_2x2 if rho.dims == (2, 2) else states.mems_2x3)(_NO_ROWS).mat),
+    "rank_states": (((2, 2), (2, 3)), lambda rho: states.rank_states(
+        states.RANK_X if rho.dims == (2, 2) else states.TGX_RANK, _NO_ROWS.astype(int),
+        *np.zeros((2, 0, rho.n)))[0].mat),
+    "general_x_state": (((2, 2),), lambda rho: states.general_x_state(
+        states.XParams(np.zeros((0, 3)), np.zeros((0, 4)), np.zeros((0, 4)))).mat),
+    "h_state": (((2, 2),), lambda rho: states.h_state(_NO_ROWS, _NO_ROWS).mat),
+    "closed_form_x": (((2, 2),), lambda rho: states.closed_form_x(_NO_ROWS, _NO_ROWS).mat),
+}
+
+
+@pytest.mark.parametrize("name,dims", [
+    pytest.param(name, dims, id=f"{name}-{dims[0]}x{dims[1]}")
+    for name, (systems, _) in _EMPTY_STACK_CALLS.items() for dims in systems])
+def test_empty_stacks_give_empty_results(name, dims):
+    # The Hermiticity and trace checks take a max, which has no identity
+    # for an empty stack unless it is given one.
+    n = math.prod(dims)
+    out = _EMPTY_STACK_CALLS[name][1](DensityMatrix(np.zeros((0, n, n)), dims))
+    assert out.shape in ((0,), (0, n, n))
 
 
 def test_nan_eigenvalues_fail_the_psd_check():

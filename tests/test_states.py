@@ -148,6 +148,14 @@ def test_grid_families_name_the_first_entry_outside_the_domain(build, args, mess
     assert str(err.value) == message
 
 
+def test_h_purity_floor_takes_concurrence_in_0_1():
+    # The floor's formula would give 5.0 at C = 2, and nan at nan.
+    for C in (2.0, -1.0, math.nan, [0.5, 1.5]):
+        with pytest.raises(DomainError, match="^concurrence .* outside \\[0, 1\\]$"):
+            states.h_purity_floor(C)
+    assert states.h_purity_floor(1.0 + 1e-13) == states.h_purity_floor(1.0) == 1.0
+
+
 def _one_row(family, R, thetas, probs):
     """The rank-R state of `family` and its numerical rank from a one-row `rank_states` call."""
     rows = np.zeros((2, 1, len(family.lo)))
