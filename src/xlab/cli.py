@@ -11,7 +11,9 @@ PCG64 so that a block's streams are seeded and read at once, and the tests and
 block of `_sample_blocks` with one call of its family's stacked builder and
 measures it with stacked kernels, as `run_conversion_campaign` converts its
 blocks, so output is byte-identical for any block size; the grid families
-(`mems`, `h`) draw no streams.  `--threads` is validated but has no effect.
+(`mems`, `h`) draw no streams.  Every evenly spaced axis is `_axis`, so
+`scatter --family mems --samples N` and `mems-curve --samples N` share their
+purities bit for bit.  `--threads` is validated but has no effect.
 The parser, built once per process, only splits argv into strings; the frozen
 ExperimentConfig converts (`_convert` by `_KINDS`) and checks every value at
 construction, whether a flag, a config file, XLAB_THREADS or a Python caller
@@ -318,11 +320,17 @@ def _draw_rank_block(cfg: ExperimentConfig, family, words: np.ndarray):
     raise ConfigError(f"could not draw a rank-{R[todo[0]]} {cfg.family} state after 64 tries")
 
 
+def _axis(lo, k, m: int):
+    """Point k (an int or an array) of m + 1 evenly spaced from lo to 1, as
+    lo + (1 - lo) * k / m left to right; a one-point axis (m = 0) is lo."""
+    return lo + (1.0 - lo) * k / max(m, 1)
+
+
 def _build_block(cfg: ExperimentConfig, block: range, words):
     """The states of `block` as one stack from one call of the family's
     stacked builder, and their ranks if the builder checked them, else None.
     `mems` walks purities from 1/n to 1, `h` a side x side grid of
-    concurrences, each with purities from its `h_purity_floor` to 1."""
+    concurrences, each with purities from its `h_purity_floor` to 1 (`_axis`)."""
     fam, index = cfg.family, np.arange(block.start, block.stop)
     if fam in _RANK_FAMILIES and (fam != "x" or cfg.rank is not None):
         return _draw_rank_block(cfg, _RANK_FAMILIES[fam], words)
@@ -332,14 +340,12 @@ def _build_block(cfg: ExperimentConfig, block: range, words):
         u = _doubles(_raw_words(words, 11)) * _X_SCALE
         batch = states.general_x_state(states.XParams(u[:, :3], u[:, 3:7], u[:, 7:]))
     elif fam == "mems":
-        p_min = 1.0 / math.prod(cfg.system)
-        P = p_min + (1.0 - p_min) * (index / max(cfg.samples - 1, 1))
+        P = _axis(1.0 / math.prod(cfg.system), index, cfg.samples - 1)
         batch = _SYSTEMS[cfg.system].mems(P)
     else:
         side = max(math.ceil(math.sqrt(cfg.samples)), 2)
-        C = (index % side) / (side - 1)
-        lo = states.h_purity_floor(C)
-        P = lo + (1.0 - lo) * ((index // side) % side) / (side - 1)
+        C = _axis(0.0, index % side, side - 1)
+        P = _axis(states.h_purity_floor(C), (index // side) % side, side - 1)
         batch = states.h_state(C, np.minimum(P, 1.0))
     return batch, None
 
@@ -388,12 +394,9 @@ def run_conversion_campaign(cfg: ExperimentConfig) -> CampaignSummary:
                        res.input_concurrence.tolist(), res.output_concurrence.tolist(),
                        [res.attempts] * len(block), res.delta_c.tolist(),
                        res.anti_x.tolist(), ok.tolist())
-    return CampaignSummary(
-        samples=len(records),
-        successes=sum(r.success for r in records),
-        max_delta_c=max(r.delta_c for r in records),
-        max_anti_x=max(r.anti_x for r in records),
-        records=records)
+    return CampaignSummary(len(records), sum(r.success for r in records),
+                           max(r.delta_c for r in records), max(r.anti_x for r in records),
+                           records)
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +452,8 @@ def _mask_json(mask, dims, kind: str) -> str:
 
 
 def _curve_csv(system, samples: int) -> str:
-    p_min = 1.0 / math.prod(system)  # the maximally mixed state's purity
-    grid = [p_min + (1.0 - p_min) * i / max(samples - 1, 1) for i in range(samples)]
-    return _csv(("purity", "entanglement"), zip(grid, _SYSTEMS[system].boundary(grid).tolist()))
+    P = _axis(1.0 / math.prod(system), np.arange(samples), samples - 1)
+    return _csv(("purity", "entanglement"), zip(P.tolist(), _SYSTEMS[system].boundary(P).tolist()))
 
 
 def _svg_points(system, template: str, p, e) -> str:
@@ -464,7 +466,7 @@ def _svg_points(system, template: str, p, e) -> str:
 @functools.cache
 def _svg_head(system: tuple) -> str:
     """The SVG's opening through the MEMS boundary polyline of `system`."""
-    ps = np.linspace(1.0 / math.prod(system), 1.0, 500)
+    ps = _axis(1.0 / math.prod(system), np.arange(500), 499)
     pts = _svg_points(system, "{:.2f},{:.2f} ", ps, _SYSTEMS[system].boundary(ps))
     return ('<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480">\n'
             '<rect width="640" height="480" fill="white"/>\n<polyline fill="none" '
@@ -697,10 +699,8 @@ def _cmd_verify(args) -> int:
         checks.append((name, bool(ok)))
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
 
-    check("boundary anchors",
-          abs(measures.mems_boundary_2x2(1 / 3)) <= 1e-12
-          and abs(measures.mems_boundary_2x2(5 / 9) - 2 / 3) <= 1e-12
-          and abs(measures.mems_boundary_2x2(1.0) - 1.0) <= 1e-12)
+    check("boundary anchors", np.all(abs(measures.mems_boundary_2x2(np.array([1 / 3, 5 / 9, 1.0]))
+                                         - [0.0, 2 / 3, 1.0]) <= 1e-12))
     masks = [(tgx.anti_x_mask(d).grid, tgx.tgx_mask(d).grid)
              for d in ((2, 2), (2, 3), (2, 2, 2), (3, 3))]
     check("mask partition", all(not np.any(a & t) and np.all(a | t) for a, t in masks))

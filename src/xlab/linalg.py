@@ -27,6 +27,7 @@ TRACE_TOL = 1e-12  # largest |tr M - 1| `DensityMatrix.validate` accepts
 PSD_TOL = 1e-10  # how far below 0 an eigenvalue of a PSD matrix may lie
 RANK_TOL = 1e-10  # the rank counts eigenvalues above RANK_TOL times the largest
 ANTI_X_TOL = 1e-10  # largest anti-X measure of an X state
+INPUT_TOL = 1e-12  # how far a state family's parameter may lie outside its range
 
 
 class EigenSystem(NamedTuple):
@@ -55,9 +56,9 @@ def reject(bad, message: str, *values) -> None:
 
 def clamped(x, lo: float, hi: float, message: str) -> np.ndarray:
     """x (a float or an array) as floats clipped to [lo, hi]; an entry
-    further than 1e-12 outside that range is rejected with `message`."""
+    further than INPUT_TOL outside that range is rejected with `message`."""
     x = np.asarray(x, dtype=float)
-    reject(~((lo - 1e-12 <= x) & (x <= hi + 1e-12)), message, x)
+    reject(~((lo - INPUT_TOL <= x) & (x <= hi + INPUT_TOL)), message, x)
     return np.clip(x, lo, hi)
 
 

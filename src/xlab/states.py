@@ -17,7 +17,6 @@ import numpy as np
 from . import linalg
 from .errors import DimensionError, DomainError, RankError
 
-_EPS = 1e-12
 _RANK2_SLACK = 1e-9  # slack of P >= (1 + C^2)/2, i.e. of C <= l1 - l2 at rank <= 2
 
 
@@ -277,7 +276,7 @@ def closed_form_x(C, P) -> DensityMatrix:
     C = linalg.clamped(C, 0.0, 1.0, "concurrence {} outside [0, 1]")
     P = np.asarray(P, dtype=float)
     lo = 0.5 * (1.0 + C * C)
-    linalg.reject(~((lo - _RANK2_SLACK <= P) & (P <= 1.0 + _EPS)),
+    linalg.reject(~((lo - _RANK2_SLACK <= P) & (P <= 1.0 + linalg.INPUT_TOL)),
                   "purity {} outside [{}, 1] for concurrence {}", P, lo, C)
     B = np.sqrt(np.maximum(2.0 * np.minimum(P, 1.0) - 1.0 - C * C, 0.0))
     return DensityMatrix(_x_mat(((1.0 + B) / 2.0, 0.0, 0.0, (1.0 - B) / 2.0), C / 2.0), (2, 2))
@@ -301,11 +300,11 @@ def h_state(C, P) -> DensityMatrix:
     """
     C = linalg.clamped(C, 0.0, 1.0, "concurrence {} outside [0, 1]")
     P = np.asarray(P, dtype=float)
-    linalg.reject(~(P <= 1.0 + _EPS), "purity {} exceeds 1", P)
+    linalg.reject(~(P <= 1.0 + linalg.INPUT_TOL), "purity {} exceeds 1", P)
     high = P >= 0.5 * (1.0 + C * C) - _RANK2_SLACK
     lo = h_purity_floor(C)
-    linalg.reject(~high & ~(P >= lo - _EPS), "(C={}, P={}) below the purity floor {:.6f}",
-                  C, P, lo)
+    linalg.reject(~high & ~(P >= lo - linalg.INPUT_TOL),
+                  "(C={}, P={}) below the purity floor {:.6f}", C, P, lo)
     s = np.sqrt(np.maximum(6.0 * P - 2.0 - 3.0 * C * C, 0.0))
     mid = _x_mat(((2.0 + s) / 6.0, (1.0 - s) / 3.0, 0.0, (2.0 + s) / 6.0), C / 2.0)
     separable = (C == 0.0) & (P < 1.0 / 3.0)
@@ -451,7 +450,7 @@ def rank_states(family: RankFamily, ranks, thetas, probs):
     if not thetas.shape == probs.shape == shape:
         raise DimensionError(f"thetas {thetas.shape} and probs {probs.shape} are not {shape}")
     sums = probs.sum(axis=1)
-    linalg.reject(~(np.abs(sums - 1.0) <= 1e-12), "probabilities sum to {}, not 1", sums)
+    linalg.reject(~(abs(sums - 1.0) <= linalg.INPUT_TOL), "probabilities sum to {}, not 1", sums)
     mat = _block_mixture(math.prod(family.dims), family.lo[at], family.hi[at], thetas,
                          family.phase[at], probs)
     return DensityMatrix(mat, family.dims), linalg.numerical_rank(mat)

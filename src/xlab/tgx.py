@@ -9,6 +9,7 @@ projects states onto TGX form, validates simple maximally entangled basis
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,9 +78,13 @@ def _check_dims(dims) -> tuple:
     return dims
 
 
-_MASK_CACHE, _TGX_CACHE = {}, {}  # anti-X and TGX masks by dims; their grids are read-only
+def _per_dims(build):
+    """`build` of checked dims, run once per dims: later calls share its mask and read-only grid."""
+    cached = functools.cache(build)
+    return functools.wraps(build)(lambda dims: cached(_check_dims(dims)))
 
 
+@_per_dims
 def anti_x_mask(dims) -> ElementMask:
     """Positions contributing to off-diagonals of some single-site reduction.
 
@@ -87,22 +92,17 @@ def anti_x_mask(dims) -> ElementMask:
     in exactly one subsystem: tracing out the others then keeps the term
     and places it off-diagonal in that subsystem's reduction.
     """
-    dims = _check_dims(dims)
-    if dims not in _MASK_CACHE:
-        k, n = len(dims), math.prod(dims)
-        count = np.zeros(dims + dims, dtype=np.int8)  # digits of i and j that differ
-        for m, d in enumerate(dims):  # d x d table on axes m and k + m; axes < m broadcast
-            count += ~np.eye(d, dtype=bool).reshape([d] + [1] * (k - 1) + [d] + [1] * (k - 1 - m))
-        _MASK_CACHE[dims] = ElementMask(n, (count == 1).reshape(n, n))
-    return _MASK_CACHE[dims]
+    k, n = len(dims), math.prod(dims)
+    count = np.zeros(dims + dims, dtype=np.int8)  # digits of i and j that differ
+    for m, d in enumerate(dims):  # d x d table on axes m and k + m; axes < m broadcast
+        count += ~np.eye(d, dtype=bool).reshape([d] + [1] * (k - 1) + [d] + [1] * (k - 1 - m))
+    return ElementMask(n, (count == 1).reshape(n, n))
 
 
+@_per_dims
 def tgx_mask(dims) -> ElementMask:
     """Diagonal plus every off-diagonal position that is not anti-X."""
-    dims = _check_dims(dims)
-    if dims not in _TGX_CACHE:
-        _TGX_CACHE[dims] = ElementMask(math.prod(dims), ~anti_x_mask(dims).grid)
-    return _TGX_CACHE[dims]
+    return ElementMask(math.prod(dims), ~anti_x_mask(dims).grid)
 
 
 def project_tgx(rho: DensityMatrix) -> DensityMatrix:

@@ -467,10 +467,14 @@ _SCATTER_DIGESTS = {
         "0497eed7cded72aec48e77ea6733f7118b0e201dd79d76f61f8cf4b11e1ea953",
     ("x", "2x2", "300", "csv"):
         "780423c1e1a443c2d82c0a16b99309dcfcd6046ba06414818883db3a3c82113b",
+    # The mems purities are `mems-curve`'s, lo + (1 - lo) * i / m.  They were
+    # lo + (1 - lo) * (i / m), off in the last bit at some i, and the digests were
+    # 2x2: 2abbde05216777b41192379787966241b2097df99c8703bd40da4cb66c4c5425
+    # 2x3: 2606d76f0237cddd822f41b5b41357b2b1ada08f86c0f1a973a9546d96d71c6e
     ("mems", "2x2", "300", "csv"):
-        "2abbde05216777b41192379787966241b2097df99c8703bd40da4cb66c4c5425",
+        "3b1f854f51c9118a86b46d914b8d6193f01b2c3b3cb45dfd6b28aa11539baf27",
     ("mems", "2x3", "300", "csv"):
-        "2606d76f0237cddd822f41b5b41357b2b1ada08f86c0f1a973a9546d96d71c6e",
+        "a5abd56975e924a3c1090e01624ec6a4f480e3980a0f017b5af60f2e9b2b1820",
     ("h", "2x2", "300", "csv"):
         "026cc387944f0598659524b5567095590bc609ca000892e88bdcfea24ed98e43",
 }
@@ -712,6 +716,26 @@ def test_main_mems_curve_output_digest(capsys, system, digest):
     # branch parameters moved into one helper per system (numpy 2.4, x86-64).
     assert cli.main(["mems-curve", "--system", system, "--samples", "500"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("samples", ["300", "500"])
+@pytest.mark.parametrize("system", ["2x2", "2x3"])
+def test_mems_scatter_builds_each_state_at_the_mems_curve_purity(monkeypatch, capsys, system,
+                                                                 samples):
+    # Sample i of `scatter --family mems` is built at row i's purity of
+    # `mems-curve` with the same --samples, bit for bit.  Its purity column is
+    # the built state's measured tr(rho^2), which may differ in the last bits.
+    dims = cli._parse_system(system)
+    facts, built = cli._SYSTEMS[dims], []
+    monkeypatch.setitem(cli._SYSTEMS, dims,
+                        facts._replace(mems=lambda P: built.append(P) or facts.mems(P)))
+    assert cli.main(["scatter", "--family", "mems", "--system", system, "--samples", samples]) == 0
+    measured = [float(row.split(",")[1]) for row in capsys.readouterr().out.splitlines()[1:]]
+    assert cli.main(["mems-curve", "--system", system, "--samples", samples]) == 0
+    curve = [float(row.split(",")[0]) for row in capsys.readouterr().out.splitlines()[1:]]
+    assert len(curve) == int(samples)
+    assert np.concatenate(built).tolist() == curve
+    assert np.abs(np.subtract(measured, curve)).max() <= 1e-15
 
 
 def test_main_config_file(tmp_path, capsys):

@@ -49,6 +49,32 @@ def test_concurrence_bounds_and_local_invariance(seed, R):
     assert abs(measures.concurrence(rot) - c) <= 1e-10
 
 
+def _local_unitaries(rng, B):
+    """B Haar-random U1 (x) U2, a (B, 4, 4) stack."""
+    z = rng.standard_normal((2, B, 2, 2)) + 1j * rng.standard_normal((2, B, 2, 2))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    u1, u2 = q * (d / np.abs(d))[..., None, :]
+    return np.einsum("bij,bkl->bikjl", u1, u2).reshape(B, 4, 4)
+
+
+@pytest.mark.parametrize("second", [1, 2], ids=["01", "10"])
+def test_rank_deficient_concurrence_is_good_to_about_1e_8(second):
+    # 0.625 |psi><psi| + 0.375 |01><01| with psi = cos t|00> + sin t|11> and
+    # sin 2t = 0.4 has C = 0.25.  It measures 0.25 to 1e-15 in this frame, but
+    # sqrt_psd takes square roots of its zero eigenspace's eps-level eigenvalues,
+    # so after a local unitary it reads C to about 1e-8, not to eps: up to 2.3e-8
+    # over 10,000 draws from this seed, with the second term on |01> or |10>.
+    t = math.asin(0.4) / 2.0
+    psi, other = np.zeros(4), np.eye(4)[second]
+    psi[[0, 3]] = math.cos(t), math.sin(t)
+    rho = 0.625 * np.outer(psi, psi) + 0.375 * np.outer(other, other)
+    assert abs(measures.concurrence(DensityMatrix(rho, (2, 2))) - 0.25) <= 1e-15
+    L = _local_unitaries(np.random.default_rng(53), 2000)
+    C = measures.concurrence(DensityMatrix(L @ rho @ L.conj().mT, (2, 2)))
+    assert np.abs(C - 0.25).max() <= 1e-7
+
+
 def test_concurrence_x_matches_general():
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -140,6 +166,33 @@ def test_mems_boundary_2x3_matches_family():
         r = states.mems_2x3(float(P))
         assert abs(measures.mems_boundary_2x3(float(P))
                    - measures.negativity_e(r)) <= 1e-12
+
+
+def _rho_star(P) -> DensityMatrix:
+    """diag(r, r, r - k, r - k, r, r) + k (|0,0><1,2| + |1,2><0,0|) with
+    k = sqrt((6P - 1)/20) and r = (1 + 2k)/6, for 1/5 <= P <= 3/8; an array
+    of purities gives a stack.  A literal-X 2x3 state of purity P."""
+    P = np.asarray(P, dtype=float)
+    k = np.sqrt((6.0 * P - 1.0) / 20.0)
+    r = (1.0 + 2.0 * k) / 6.0
+    mat = np.zeros(P.shape + (6, 6), dtype=complex)
+    mat[..., range(6), range(6)] = np.stack([r, r, r - k, r - k, r, r], axis=-1)
+    mat[..., 0, 5] = mat[..., 5, 0] = k
+    return DensityMatrix(mat, (2, 3))
+
+
+def test_a_literal_x_state_beats_xlabs_2x3_candidate_below_purity_3_8():
+    # xlab's candidate MEMS (states.mems_2x3, whose negativity is
+    # measures.mems_boundary_2x3) is not the largest negativity at purity P in
+    # (1/5, 3/8): rho*(P) reaches E*(P) = (sqrt(5(6P - 1)) - 1)/3, which meets
+    # the candidate at 1/5 and 3/8 and exceeds it in between.
+    P = np.linspace(0.2, 0.375, 36)
+    rho = _rho_star(P).validate()
+    assert np.abs(measures.purity(rho) - P).max() <= 1e-12
+    E = (np.sqrt(5.0 * (6.0 * P - 1.0)) - 1.0) / 3.0
+    assert np.abs(measures.negativity_e(rho) - E).max() <= 1e-12
+    # The finding: 5.99e-3 above the candidate at P = 0.22.
+    assert measures.negativity_e(_rho_star(0.22)) - measures.mems_boundary_2x3(0.22) >= 5e-3
 
 
 @pytest.mark.parametrize("boundary, lo", [
