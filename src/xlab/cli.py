@@ -9,16 +9,17 @@ starts: `_stream_words` and `_raw_words` transcribe numpy's SeedSequence and
 PCG64 so that a block's streams are seeded and read at once, and the tests and
 `verify` check each transcription against numpy.  `run_scatter` builds each
 block of `_sample_blocks` with one call of its family's stacked builder and
-measures it with stacked kernels, as `run_conversion_campaign` converts its
-blocks, so output is byte-identical for any block size; the grid families
-(`mems`, `h`) draw no streams.  Every evenly spaced axis is `_axis`, so
-`scatter --family mems --samples N` and `mems-curve --samples N` share their
-purities bit for bit.  `--threads` is validated but has no effect.
-The parser, built once per process, only splits argv into strings; the frozen
-ExperimentConfig converts (`_convert` by `_KINDS`) and checks every value at
-construction, whether a flag, a config file, XLAB_THREADS or a Python caller
-gave it, so bad input ends as the same one-line ConfigError.  `_SYSTEMS` holds
-each system's facts, and `_write` is the one writer of data output.
+measures it with its system's stacked measure, as `run_conversion_campaign`
+converts its blocks, so output is byte-identical for any block size; the grid
+families (`mems`, `h`) draw no streams.  `_SYSTEMS` and `_FAMILIES` hold one
+row per system and per family: a new one's facts are a row.  Every evenly
+spaced axis is `_axis`, so `scatter --family mems --samples N` and
+`mems-curve --samples N` share their purities bit for bit.  `--threads` is
+validated but has no effect.  The parser, built once per process, only splits
+argv into strings; the frozen ExperimentConfig converts (`_convert` by
+`_KINDS`) and checks every value at construction, whether a flag, a config
+file, XLAB_THREADS or a Python caller gave it, so bad input ends as the same
+one-line ConfigError.  `_write` is the one writer of data output.
 """
 
 from __future__ import annotations
@@ -39,21 +40,27 @@ from numpy.random.bit_generator import ISeedSequence
 from . import convert, linalg, measures, states, tgx
 from .errors import ConfigError, DimensionError, XLabError
 
-# Each system's MEMS builder and boundary, and the families drawn only in it.  A boundary
-# is looked up when called, so a wrapper put on it (bench/spans.py traces one) sees the call.
-_System = namedtuple("_System", "mems boundary families")
+# One row per system: its entanglement measure, whether that takes the block's eig_hermitian
+# (the ranks then reuse it), its X converter or None, and its MEMS builder and boundary.  A
+# function is looked up when called, so a wrapper put on it (bench/spans.py's) sees the call.
+_System = namedtuple("_System", "measure eig convert mems boundary")
 _SYSTEMS = {
-    (2, 2): _System(states.mems_2x2, lambda P: measures.mems_boundary_2x2(P), ("x", "h")),
-    (2, 3): _System(states.mems_2x3, lambda P: measures.mems_boundary_2x3(P), ("lx", "tgx")),
+    (2, 2): _System(lambda rho, es: measures.concurrence(rho, es), True,
+                    lambda rho: convert.find_x_equivalent(rho),
+                    states.mems_2x2, lambda P: measures.mems_boundary_2x2(P)),
+    (2, 3): _System(lambda rho, es: measures.negativity_e(rho), False, None,
+                    states.mems_2x3, lambda P: measures.mems_boundary_2x3(P)),
 }
-_FAMILIES = ("general", "x", "lx", "tgx", "mems", "h")
-# Families whose states lie on a grid over the sample index and draw nothing.
-_GRID_FAMILIES = ("mems", "h")
+# One row per family: its one system or None, its rank table (`x` uses it only with --rank),
+# and whether its states lie on a grid over the sample index and draw nothing.
+_Family = namedtuple("_Family", "system ranks grid")
+_FAMILIES = {"general": _Family(None, None, False), "x": _Family((2, 2), states.RANK_X, False),
+             "lx": _Family((2, 3), states.LX_RANK, False),
+             "tgx": _Family((2, 3), states.TGX_RANK, False),
+             "mems": _Family(None, None, True), "h": _Family((2, 2), None, True)}
 # Samples per stacked draw and measurement in run_scatter: enough to amortise
 # numpy's per-call overhead, few enough to keep temporaries small.
 _BLOCK = 256
-# Rank-specific families (x only with --rank), drawn a block at a time.
-_RANK_FAMILIES = {"x": states.RANK_X, "lx": states.LX_RANK, "tgx": states.TGX_RANK}
 # uniform()'s scales of an `x` sample's 3 + 4 angles and 4 phases (no --rank).
 _X_SCALE = np.array([math.pi / 2.0] * 7 + [2.0 * math.pi] * 4)
 
@@ -89,11 +96,11 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.rank is not None and not 1 <= self.rank <= math.prod(self.system):
             raise ConfigError(f"rank {self.rank} invalid for system {list(self.system)}")
-        if self.rank is not None and self.family in _GRID_FAMILIES:
+        fam = _FAMILIES[self.family]
+        if self.rank is not None and fam.grid:
             raise ConfigError(f"family {self.family!r} takes no rank")
-        for (a, b), facts in _SYSTEMS.items():
-            if self.family in facts.families and self.system != (a, b):
-                raise ConfigError(f"family {self.family!r} requires system {a}x{b}")
+        if fam.system not in (None, self.system):
+            raise ConfigError("family %r requires system %dx%d" % (self.family, *fam.system))
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise ConfigError(f"tol must be finite and >= 0, got {self.tol}")
         if self.threads < 1:
@@ -263,7 +270,7 @@ def _sample_blocks(cfg: ExperimentConfig):
     family, whose states depend on the sample index alone."""
     for lo in range(0, cfg.samples, _BLOCK):
         block = range(lo, min(lo + _BLOCK, cfg.samples))
-        yield block, None if cfg.family in _GRID_FAMILIES else _stream_words(cfg.seed, block)
+        yield block, None if _FAMILIES[cfg.family].grid else _stream_words(cfg.seed, block)
 
 
 def _general_block(cfg: ExperimentConfig, words: np.ndarray) -> tuple:
@@ -332,8 +339,8 @@ def _build_block(cfg: ExperimentConfig, block: range, words):
     `mems` walks purities from 1/n to 1, `h` a side x side grid of
     concurrences, each with purities from its `h_purity_floor` to 1 (`_axis`)."""
     fam, index = cfg.family, np.arange(block.start, block.stop)
-    if fam in _RANK_FAMILIES and (fam != "x" or cfg.rank is not None):
-        return _draw_rank_block(cfg, _RANK_FAMILIES[fam], words)
+    if _FAMILIES[fam].ranks is not None and (fam != "x" or cfg.rank is not None):
+        return _draw_rank_block(cfg, _FAMILIES[fam].ranks, words)
     if fam == "general":
         batch = _general_block(cfg, words)[0]
     elif fam == "x":
@@ -352,12 +359,12 @@ def _build_block(cfg: ExperimentConfig, block: range, words):
 
 def run_scatter(cfg: ExperimentConfig) -> list:
     """Draw, measure, and record `samples` states of the configured family."""
-    records = []
+    records, system = [], _SYSTEMS[cfg.system]
     for block, words in _sample_blocks(cfg):
         batch, ranks = _build_block(cfg, block, words)
-        es = linalg.eig_hermitian(batch.mat) if batch.dims == (2, 2) else None
+        es = linalg.eig_hermitian(batch.mat) if system.eig else None
         ranks = batch.rank(es=es) if ranks is None else ranks
-        records += map(SampleRecord, measures.entanglement(batch, es).tolist(),
+        records += map(SampleRecord, system.measure(batch, es).tolist(),
                        measures.purity(batch).tolist(), ranks.tolist(),
                        [cfg.family] * len(block), block)
     return records
@@ -381,14 +388,14 @@ class CampaignSummary(namedtuple("CampaignSummary",
 
 def run_conversion_campaign(cfg: ExperimentConfig) -> CampaignSummary:
     """Convert `samples` consecutive random two-qubit states to X form, a
-    stacked block of `_BLOCK` states per `find_x_equivalent` call."""
-    if cfg.family != "general" or cfg.system != (2, 2):
+    stacked block of `_BLOCK` states per call of the system's converter."""
+    if cfg.family != "general" or _SYSTEMS[cfg.system].convert is None:
         raise ConfigError(f"convert draws general 2x2 states, not {cfg.family} "
                           f"{'x'.join(map(str, cfg.system))}")
     records = []
     for block, words in _sample_blocks(cfg):
         rho, ranks = _general_block(cfg, words)
-        res = convert.find_x_equivalent(rho)
+        res = _SYSTEMS[cfg.system].convert(rho)
         ok = (res.delta_c <= cfg.tol) & (res.anti_x <= linalg.ANTI_X_TOL)
         records += map(CampaignRecord, block, ranks, measures.purity(rho).tolist(),
                        res.input_concurrence.tolist(), res.output_concurrence.tolist(),
@@ -600,7 +607,7 @@ def _build_parser():
 
 
 def _merge_config(args) -> dict:
-    """Start from JSON config file values (if any), then apply explicit flags."""
+    """JSON config file values (if any) under explicit flags, less null and empty values."""
     merged = {}
     if getattr(args, "config", None):
         try:
@@ -614,8 +621,9 @@ def _merge_config(args) -> dict:
         if unknown:
             raise ConfigError(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
         merged.update(loaded)
-    merged.update((key, val) for key, val in vars(args).items()
-                  if val is not None and key not in ("command", "config"))
+    merged.update((key, val) for key, val in vars(args).items() if val is not None)
+    merged = {key: val for key, val in merged.items()  # null or empty: the default
+              if key not in ("command", "config") and val is not None and val != ""}
     for key in ("out", "plot"):  # open() would take any other type as a file descriptor
         if not isinstance(merged.get(key), (str, type(None))):
             raise ConfigError(f"{key} must be a path string, got {merged[key]!r}")
@@ -648,7 +656,7 @@ def _experiment(args, **defaults) -> tuple:
     constructor converts and checks the raw value, as it does a Python
     caller's, so each source gives the same message for it."""
     m = _merge_config(args)
-    given = {key: m[key] for key in _KINDS if m.get(key) not in (None, "")}
+    given = {key: m[key] for key in _KINDS if key in m}
     if "threads" not in given and "threads" in vars(args):
         given["threads"] = _convert("XLAB_THREADS", os.environ.get("XLAB_THREADS"), int)
     return ExperimentConfig(**{**defaults, **given}), m

@@ -145,15 +145,6 @@ def negativity_e(rho: DensityMatrix):
     return linalg.scalar(np.minimum(np.maximum(e, 0.0), 1.0 + 1e-9))
 
 
-def entanglement(rho: DensityMatrix, es: linalg.EigenSystem | None = None):
-    """`concurrence` of a 2x2 state, reusing `es`; `negativity_e` of a 2x3; other dims raise."""
-    if tuple(rho.dims) == (2, 2):
-        return concurrence(rho, es)
-    if tuple(rho.dims) == (2, 3):
-        return negativity_e(rho)
-    raise DimensionError(f"no entanglement measure for dims {list(rho.dims)}")
-
-
 def mems_boundary_2x2(P):
     """Maximal two-qubit concurrence at purity P (piecewise closed form).
 

@@ -143,11 +143,9 @@ def test_random_raw_rank_leaves_standard_normal_unchanged(n):
         assert g.standard_normal(8).tolist() == oracle.standard_normal(8).tolist()
 
 
-_SCATTER_CASES = [
-    ("general", (2, 2)), ("general", (2, 3)), ("x", (2, 2)),
-    ("lx", (2, 3)), ("tgx", (2, 3)), ("mems", (2, 2)),
-    ("mems", (2, 3)), ("h", (2, 2)),
-]
+# Every family x system pair, in table order, and the pairs whose family row allows them.
+_PAIRS = [(family, system) for family in cli._FAMILIES for system in cli._SYSTEMS]
+_SCATTER_CASES = [(f, s) for f, s in _PAIRS if cli._FAMILIES[f].system in (None, s)]
 
 
 @pytest.mark.parametrize("family,system", _SCATTER_CASES)
@@ -159,6 +157,22 @@ def test_run_scatter_families(family, system):
         assert 0.0 <= r.entanglement <= 1.0 + 1e-9
         assert 0.0 <= r.purity <= 1.0 + 1e-9
         assert r.family == family
+
+
+@pytest.mark.parametrize("family,system", [p for p in _PAIRS if p not in _SCATTER_CASES])
+def test_a_family_off_its_system_is_rejected(family, system):
+    required = {"x": "2x2", "h": "2x2", "lx": "2x3", "tgx": "2x3"}[family]
+    with pytest.raises(ConfigError) as err:
+        cli.ExperimentConfig(system=system, family=family)
+    assert str(err.value) == f"family {family!r} requires system {required}"
+
+
+@pytest.mark.parametrize("system", [s for s, row in cli._SYSTEMS.items() if row.convert is None])
+def test_run_conversion_campaign_rejects_a_system_without_a_converter(system):
+    with pytest.raises(ConfigError) as err:
+        cli.run_conversion_campaign(cli.ExperimentConfig(system=system, samples=2))
+    name = "x".join(map(str, system))
+    assert str(err.value) == f"convert draws general 2x2 states, not general {name}"
 
 
 @pytest.mark.parametrize("family,system", [("mems", (2, 2)), ("mems", (2, 3)), ("h", (2, 2))])
@@ -215,8 +229,8 @@ def _one_state_loop(cfg):
             redraws += 1
         mats.append(rho.mat[0])
     rho = states.DensityMatrix(np.stack(mats), cfg.system)
-    records = list(zip(measures.entanglement(rho).tolist(), measures.purity(rho).tolist(),
-                       rho.rank().tolist()))
+    records = list(zip(cli._SYSTEMS[cfg.system].measure(rho, None).tolist(),
+                       measures.purity(rho).tolist(), rho.rank().tolist()))
     return records, redraws
 
 
@@ -756,6 +770,23 @@ def test_main_flag_overrides_config(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 3
 
 
+@pytest.mark.parametrize("command", ["scatter", "convert", "mems-curve"])
+def test_a_null_or_empty_format_means_the_default(tmp_path, capsys, command):
+    # A null or empty value means the default, from a flag or a config file alike.
+    argv = [command, "--samples", "3"]
+    rc = cli.main(argv)
+    want = capsys.readouterr()
+    cfg = tmp_path / "cfg.json"
+    runs = [["--format", ""]]
+    for value in (None, ""):
+        cfg.write_text(json.dumps({"fmt": value}))
+        runs.append(["--config", str(cfg)])
+        runs.append(["--config", str(cfg), "--format", ""])
+    for extra in runs:
+        assert cli.main(argv + extra) == rc, extra
+        assert capsys.readouterr() == want, extra
+
+
 def test_main_bad_config_exits_1(capsys):
     assert cli.main(["scatter", "--family", "lx"]) == 1
     assert cli.main(["scatter", "--config", "/nonexistent.json"]) == 1
@@ -1101,12 +1132,12 @@ def test_main_verify_catches_a_raw_word_drift(monkeypatch, capsys):
     assert "FAIL  raw stream words" in out and out.count("FAIL") == 1
 
 
-@pytest.mark.parametrize("name", sorted(cli._RANK_FAMILIES))
+@pytest.mark.parametrize("name", sorted(n for n, row in cli._FAMILIES.items() if row.ranks))
 def test_a_zero_used_probability_lowers_the_rank(name):
     # _draw_rank_block retries a row on its numerical rank alone: a used
     # probability is 0 only when a drawn angle is exactly 0, and then every
     # later weight is 0 too, so the rank falls short of R.
-    family, rng = cli._RANK_FAMILIES[name], np.random.default_rng(31)
+    family, rng = cli._FAMILIES[name].ranks, np.random.default_rng(31)
     K = len(family.lo)
     for R in range(2, K + 1):
         thetas, angles = np.zeros((400, K)), np.zeros((400, K - 1))

@@ -181,6 +181,11 @@ def _rho_star(P) -> DensityMatrix:
     return DensityMatrix(mat, (2, 3))
 
 
+def _e_star(P):
+    """E*(P) = (sqrt(5(6P - 1)) - 1)/3, the negativity of `_rho_star(P)`."""
+    return (np.sqrt(5.0 * (6.0 * P - 1.0)) - 1.0) / 3.0
+
+
 def test_a_literal_x_state_beats_xlabs_2x3_candidate_below_purity_3_8():
     # xlab's candidate MEMS (states.mems_2x3, whose negativity is
     # measures.mems_boundary_2x3) is not the largest negativity at purity P in
@@ -189,10 +194,66 @@ def test_a_literal_x_state_beats_xlabs_2x3_candidate_below_purity_3_8():
     P = np.linspace(0.2, 0.375, 36)
     rho = _rho_star(P).validate()
     assert np.abs(measures.purity(rho) - P).max() <= 1e-12
-    E = (np.sqrt(5.0 * (6.0 * P - 1.0)) - 1.0) / 3.0
-    assert np.abs(measures.negativity_e(rho) - E).max() <= 1e-12
+    assert np.abs(measures.negativity_e(rho) - _e_star(P)).max() <= 1e-12
     # The finding: 5.99e-3 above the candidate at P = 0.22.
     assert measures.negativity_e(_rho_star(0.22)) - measures.mems_boundary_2x3(0.22) >= 5e-3
+
+
+def _dirichlet_spectra(n: int) -> list:
+    """20,000 spectra of n values from dirichlet([alpha] * n) for each alpha in
+    (1, 0.3, 0.1), in that order from default_rng(9), each sorted descending."""
+    rng = np.random.default_rng(9)
+    return [np.sort(rng.dirichlet([alpha] * n, 20_000), axis=1)[:, ::-1]
+            for alpha in (1.0, 0.3, 0.1)]
+
+
+def _vad_bound(lam):
+    """Largest concurrence over the unitary orbit of the descending two-qubit
+    spectrum lam: max(0, l1 - l3 - 2 sqrt(l2 l4)) (Verstraete, Audenaert and
+    De Moor, PRA 64, 012316 (2001))."""
+    return np.maximum(lam[:, 0] - lam[:, 2] - 2.0 * np.sqrt(lam[:, 1] * lam[:, 3]), 0.0)
+
+
+def test_the_2x2_spectral_bound_is_the_mems_curve():
+    for lam in _dirichlet_spectra(4):
+        P = (lam * lam).sum(axis=1)
+        assert (_vad_bound(lam) - measures.mems_boundary_2x2(P)).max() <= 1e-12
+        # find_x_equivalent's layout at a = pi/4 reaches the bound: l1 and l3 on
+        # the {|00>, |11>} plane, l2 on |01>, l4 on |10>.
+        mat = np.zeros((len(lam), 4, 4), dtype=complex)
+        mat[:, [0, 3], [0, 3]] = (lam[:, 0, None] + lam[:, 2, None]) / 2.0
+        mat[:, 0, 3] = mat[:, 3, 0] = (lam[:, 0] - lam[:, 2]) / 2.0
+        mat[:, 1, 1], mat[:, 2, 2] = lam[:, 1], lam[:, 3]
+        C = measures.concurrence(DensityMatrix(mat, (2, 2)))
+        # Loose because a rank-deficient state measures only to about 1e-8.
+        assert np.abs(C - _vad_bound(lam)).max() <= 1e-7
+    # The bound is attained on the MEMS, so it is the curve, not just under it.
+    P = np.linspace(0.25, 1.0, 2001)
+    lam = np.clip(np.linalg.eigvalsh(states.mems_2x2(P).mat)[:, ::-1], 0.0, None)
+    assert np.abs(_vad_bound(lam) - measures.mems_boundary_2x2(P)).max() <= 1e-12
+
+
+def test_the_2x3_one_coherence_layout_beats_the_candidate_but_not_e_star():
+    # Per spectrum, l1 and l5 on |0,0>, |1,1> at a = pi/4, l4 on |0,1>, l6 on
+    # |1,0>, and l2, l3 on |0,2>, |1,2>: its negativity is
+    # E1 = sqrt((l1 - l5)^2 + (l4 - l6)^2) - l4 - l6 when positive.
+    # It exceeds xlab's candidate (ROADMAP item 1) but never E*(P).
+    beaten = 0.0
+    for lam in _dirichlet_spectra(6):
+        mat = np.zeros((len(lam), 6, 6), dtype=complex)
+        mat[:, [0, 4], [0, 4]] = (lam[:, 0, None] + lam[:, 4, None]) / 2.0
+        mat[:, 0, 4] = mat[:, 4, 0] = (lam[:, 0] - lam[:, 4]) / 2.0
+        mat[:, [1, 3, 2, 5], [1, 3, 2, 5]] = lam[:, [3, 5, 1, 2]]
+        E1 = np.hypot(lam[:, 0] - lam[:, 4], lam[:, 3] - lam[:, 5]) - lam[:, 3] - lam[:, 5]
+        E = measures.negativity_e(DensityMatrix(mat, (2, 3)))
+        assert np.abs(E - np.maximum(E1, 0.0)).max() <= 1e-12
+        P = (lam * lam).sum(axis=1)
+        candidate = measures.mems_boundary_2x3(P)
+        beaten = max(beaten, (E - candidate).max())
+        mid = (P > 0.2) & (P < 0.375)
+        cap = np.where(mid, np.maximum(candidate, _e_star(np.clip(P, 0.2, 0.375))), candidate)
+        assert (E - cap).max() <= 1e-12
+    assert beaten > 1e-3
 
 
 @pytest.mark.parametrize("boundary, lo", [
@@ -342,7 +403,6 @@ _NON_FINITE_KERNELS = {
     "sqrt_psd": ((2, 2), lambda rho: linalg.sqrt_psd(rho.mat), True),
     "trace_norm": ((2, 3), lambda rho: linalg.trace_norm(rho.mat), True),
     "concurrence": ((2, 2), measures.concurrence, True),
-    "entanglement": ((2, 3), measures.entanglement, True),
     "concurrence_x": ((2, 2), measures.concurrence_x, True),
     "negativity_e": ((2, 3), measures.negativity_e, True),
     "find_x_equivalent": ((2, 2), convert.find_x_equivalent, True),
@@ -373,7 +433,6 @@ _EMPTY_STACK_CALLS = {
     "rank": (((2, 2), (2, 3)), DensityMatrix.rank),
     "validate": (((2, 2), (2, 3)), lambda rho: rho.validate().mat),
     "purity": (((2, 2), (2, 3)), measures.purity),
-    "entanglement": (((2, 2), (2, 3)), measures.entanglement),
     "concurrence": (((2, 2),), measures.concurrence),
     "concurrence_x": (((2, 2),), measures.concurrence_x),
     "anti_x_measure": (((2, 2),), measures.anti_x_measure),
@@ -423,8 +482,6 @@ def test_nan_eigenvalues_fail_the_psd_check():
                        lambda: linalg.sqrt_psd(one.mat, es=es1),
                        lambda: measures.concurrence(rho, es),
                        lambda: measures.concurrence(one, es1),
-                       lambda: measures.entanglement(rho, es),
-                       lambda: measures.entanglement(one, es1),
                        lambda: rho.rank(es=es),
                        lambda: one.rank(es=es1)):
             with pytest.raises(DomainError, match=f"^matrix is not PSD: smallest eigenvalue {shown}$"):
