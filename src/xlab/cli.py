@@ -15,10 +15,12 @@ families (`mems`, `h`) draw no streams.  `_SYSTEMS` and `_FAMILIES` hold one
 row per system and per family: a new one's facts are a row.  Every evenly
 spaced axis is `_axis`, so `scatter --family mems --samples N` and
 `mems-curve --samples N` share their purities bit for bit.  `--threads` is
-validated but has no effect.  The parser, built once per process, only splits
-argv into strings; the frozen ExperimentConfig converts (`_convert` by
-`_KINDS`) and checks every value at construction, whether a flag, a config
-file, XLAB_THREADS or a Python caller gave it, so bad input ends as the same
+validated but has no effect.  `_COMMANDS` writes each command's flags and
+choices once.  The parser, built from it once per process, only splits argv
+into strings, which every command reads through `_merge_config` (null or empty
+is the default); the frozen ExperimentConfig converts (`_convert` by `_KINDS`)
+and checks every value once, at construction, whether a flag, a config file,
+XLAB_THREADS or a Python caller gave it, so bad input ends as the same
 one-line ConfigError.  `_write` is the one writer of data output.
 """
 
@@ -71,7 +73,7 @@ SampleRecord.__doc__ = "One scatter sample: entanglement/purity plus provenance.
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """An immutable experiment; the constructor converts each value by `_KINDS`, then validates."""
+    """An immutable experiment, converted by `_KINDS` and checked once, at construction."""
 
     system: tuple = (2, 2)
     family: str = "general"
@@ -85,10 +87,6 @@ class ExperimentConfig:
         for f in fields(self):
             value = _convert(f.name, getattr(self, f.name), _KINDS[f.name])
             object.__setattr__(self, f.name, f.default if value is None else value)
-        self.validate()
-
-    def validate(self) -> "ExperimentConfig":
-        """Check each converted field's range and the fields against each other; return self."""
         if not 1 <= self.samples <= 2**32:
             # Sample indices must fit in one 32-bit seed word (see _stream_words).
             raise ConfigError(f"samples must be in 1..2**32, got {self.samples}")
@@ -105,7 +103,6 @@ class ExperimentConfig:
             raise ConfigError(f"tol must be finite and >= 0, got {self.tol}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
-        return self
 
 
 # numpy's SeedSequence constants for its default pool of 4 words.  Hash
@@ -458,9 +455,10 @@ def _mask_json(mask, dims, kind: str) -> str:
     return f'{head},\n  "pairs": [\n{rows}\n  ]\n}}\n'
 
 
-def _curve_csv(system, samples: int) -> str:
-    P = _axis(1.0 / math.prod(system), np.arange(samples), samples - 1)
-    return _csv(("purity", "entanglement"), zip(P.tolist(), _SYSTEMS[system].boundary(P).tolist()))
+def _curve(system, m: int) -> tuple:
+    """m purities evenly spaced from 1/n to 1 (`_axis`), and `system`'s MEMS boundary at each."""
+    P = _axis(1.0 / math.prod(system), np.arange(m), m - 1)
+    return P, _SYSTEMS[system].boundary(P)
 
 
 def _svg_points(system, template: str, p, e) -> str:
@@ -473,8 +471,7 @@ def _svg_points(system, template: str, p, e) -> str:
 @functools.cache
 def _svg_head(system: tuple) -> str:
     """The SVG's opening through the MEMS boundary polyline of `system`."""
-    ps = _axis(1.0 / math.prod(system), np.arange(500), 499)
-    pts = _svg_points(system, "{:.2f},{:.2f} ", ps, _SYSTEMS[system].boundary(ps))
+    pts = _svg_points(system, "{:.2f},{:.2f} ", *_curve(system, 500))
     return ('<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480">\n'
             '<rect width="640" height="480" fill="white"/>\n<polyline fill="none" '
             f'stroke="black" stroke-width="1.5" points="{pts[:-1]}"/>\n')
@@ -487,10 +484,18 @@ def _scatter_svg(records, system) -> str:
     return _svg_head(tuple(system)) + _svg_points(system, dot, p, e) + "</svg>\n"
 
 
-def _choice(what: str, value, options):
-    """`value` if it is one of the strings `options`, else a ConfigError."""
+def _given(value) -> bool:
+    """False for None and the empty string, which mean the default wherever a value is read."""
+    return not (value is None or isinstance(value, str) and not value)
+
+
+def _option(command: str, flag: str, value) -> str:
+    """`value` of `command`'s `flag` if it is one of the flag's choices, their first (the
+    default) if it is not `_given`, else a ConfigError."""
+    options = _COMMANDS[command].flags[flag]
+    value = value if _given(value) else options[0]
     if not (isinstance(value, str) and value in options):
-        raise ConfigError(f"{what} must be one of {', '.join(options)}, got {value!r}")
+        raise ConfigError(f"{flag} must be one of {', '.join(options)}, got {value!r}")
     return value
 
 
@@ -503,14 +508,14 @@ def _write(text: str, path=None) -> None:
         sys.stdout.write(text)
 
 
-def emit_output(records, fmt: str = "csv", plot=None, system=(2, 2)) -> str:
-    """Serialize scatter records, and write an SVG scatter plot to `plot`
-    when given.  Returns the serialized text."""
+def emit_output(records, fmt=None, plot=None, system=(2, 2)) -> str:
+    """Serialize scatter records in `fmt` (None or empty: `scatter`'s default, CSV), and
+    write an SVG scatter plot to `plot` when given.  Returns the serialized text."""
     records = list(records)
     if not records:
         raise ConfigError("no records to emit")
-    serialize = {"csv": _records_csv, "json": _records_json}
-    text = serialize[_choice("format", fmt, serialize)](records)
+    json_out = _option("scatter", "format", fmt) == "json"
+    text = (_records_json if json_out else _records_csv)(records)
     if plot:
         _write(_scatter_svg(records, _parse_system(system)), plot)
     return text
@@ -548,7 +553,7 @@ def _parse_system(value) -> tuple:
 
 # The converter of each ExperimentConfig field, whichever source gave its value.
 _KINDS = {"system": _parse_system,
-          "family": functools.partial(_choice, "family", options=_FAMILIES),
+          "family": functools.partial(_option, "scatter", "family"),
           "rank": int, "samples": int, "seed": int, "tol": float, "threads": int}
 
 
@@ -559,50 +564,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(p, seeded: bool = True, formats: str = "{csv,json}"):
-    p.add_argument("--samples")
-    if seeded:
-        p.add_argument("--seed")
-        p.add_argument("--threads")
-    p.add_argument("--out")
-    p.add_argument("--format", dest="fmt", metavar=formats)
-    p.add_argument("--config", help="JSON file with flag defaults")
-
-
 @functools.cache
 def _build_parser():
     # Built once per process: parse_args leaves the parser as it found it.
-    # Every option is a string here; ExperimentConfig, _choice and _merge_config
-    # convert and check them, as they do config file values.
     parser = _Parser(prog="xlab",
                      description="Entanglement-purity experiments on X-state structure")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("scatter", help="sample a state family and record (E, P)")
-    p.add_argument("--system")
-    p.add_argument("--family", metavar="{" + ",".join(_FAMILIES) + "}")
-    p.add_argument("--rank")
-    p.add_argument("--plot", help="write an SVG scatter here")
-    _add_common(p)
-
-    p = sub.add_parser("convert", help="consecutive X-conversion campaign")
-    p.add_argument("--rank")
-    p.add_argument("--tol", help="largest |dC| that counts as a successful conversion")
-    _add_common(p)
-
-    p = sub.add_parser("mask", help="print the TGX / anti-X element masks")
-    p.add_argument("--system", default="2x2",
-                   help=f"dims, e.g. 2x3 or 2x2x2, at most {_MASK_MAX_N} states")
-    p.add_argument("--kind", default="tgx", metavar="{tgx,anti}")
-    p.add_argument("--format", dest="fmt", default="ascii", metavar="{ascii,json}")
-    p.add_argument("--out")
-
-    p = sub.add_parser("mems-curve", help="tabulate the MEMS boundary curve")
-    p.add_argument("--system")
-    _add_common(p, seeded=False, formats="{csv}")
-
-    p = sub.add_parser("verify", help="run fast invariant checks")
-    p.add_argument("--seed")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, spec in command.flags.items():
+            choices = isinstance(spec, tuple)
+            p.add_argument("--" + flag, dest="fmt" if flag == "format" else flag,
+                           metavar="{%s}" % ",".join(spec) if choices else None,
+                           help=None if choices else spec)
     return parser
 
 
@@ -623,7 +597,7 @@ def _merge_config(args) -> dict:
         merged.update(loaded)
     merged.update((key, val) for key, val in vars(args).items() if val is not None)
     merged = {key: val for key, val in merged.items()  # null or empty: the default
-              if key not in ("command", "config") and val is not None and val != ""}
+              if key not in ("command", "config") and _given(val)}
     for key in ("out", "plot"):  # open() would take any other type as a file descriptor
         if not isinstance(merged.get(key), (str, type(None))):
             raise ConfigError(f"{key} must be a path string, got {merged[key]!r}")
@@ -637,7 +611,7 @@ def _convert(key: str, value, kind):
     Python caller any object, so one that `kind` cannot convert is a ConfigError,
     not a traceback.  A bool is not a number, and an int key takes no fraction.
     """
-    if value is None or isinstance(value, str) and not value:
+    if not _given(value):
         return None
     try:
         if (isinstance(value, bool) and kind in (int, float)) or (
@@ -649,8 +623,8 @@ def _convert(key: str, value, kind):
 
 
 def _experiment(args, **defaults) -> tuple:
-    """The ExperimentConfig of a parsed command line, and its merged options:
-    the one input path of `scatter`, `convert`, `mems-curve` and `verify`.
+    """The ExperimentConfig of a parsed command line, and its merged options
+    (`_merge_config`, the one input path of every command).
     Each field comes from its flag, else the config file, else (for threads)
     XLAB_THREADS, else `defaults` or ExperimentConfig's default.  The
     constructor converts and checks the raw value, as it does a Python
@@ -664,36 +638,38 @@ def _experiment(args, **defaults) -> tuple:
 
 def _cmd_scatter(args) -> int:
     cfg, m = _experiment(args)
-    _write(emit_output(run_scatter(cfg), fmt=m.get("fmt", "csv"), plot=m.get("plot"),
+    _write(emit_output(run_scatter(cfg), fmt=m.get("fmt"), plot=m.get("plot"),
                        system=cfg.system), m.get("out"))
     return 0
 
 
 def _cmd_convert(args) -> int:
     cfg, m = _experiment(args, samples=100)
-    serialize = {"csv": lambda summary: _records_csv(summary.records), "json": _campaign_json}
-    fmt = _choice("format", m.get("fmt", "csv"), serialize)
+    json_out = _option("convert", "format", m.get("fmt")) == "json"
     summary = run_conversion_campaign(cfg)
-    _write(serialize[fmt](summary), m.get("out"))
+    _write(_campaign_json(summary) if json_out else _records_csv(summary.records), m.get("out"))
     return 0 if summary.all_succeeded else 2
 
 
 def _cmd_mask(args) -> int:
-    kind = _choice("kind", args.kind, ("tgx", "anti"))
-    fmt = _choice("format", args.fmt, ("ascii", "json"))
-    dims = _parse_dims(args.system)
+    m = _merge_config(args)
+    kind, fmt = _option("mask", "kind", m.get("kind")), _option("mask", "format", m.get("fmt"))
+    system = m.get("system", "2x2")
+    dims = _parse_dims(system)
     if math.prod(dims) > _MASK_MAX_N:
-        raise ConfigError(f"mask system {args.system} has {math.prod(dims)} states; "
+        raise ConfigError(f"mask system {system} has {math.prod(dims)} states; "
                           f"the limit is {_MASK_MAX_N}")
     mask = tgx.tgx_mask(dims) if kind == "tgx" else tgx.anti_x_mask(dims)
-    _write(mask.to_ascii() + "\n" if fmt == "ascii" else _mask_json(mask, dims, kind), args.out)
+    text = mask.to_ascii() + "\n" if fmt == "ascii" else _mask_json(mask, dims, kind)
+    _write(text, m.get("out"))
     return 0
 
 
 def _cmd_mems_curve(args) -> int:
     cfg, m = _experiment(args, samples=500)
-    _choice("format", m.get("fmt", "csv"), ("csv",))
-    _write(_curve_csv(cfg.system, cfg.samples), m.get("out"))
+    _option("mems-curve", "format", m.get("fmt"))
+    P, E = _curve(cfg.system, cfg.samples)
+    _write(_csv(("purity", "entanglement"), zip(P.tolist(), E.tolist())), m.get("out"))
     return 0
 
 
@@ -751,12 +727,33 @@ def _cmd_verify(args) -> int:
     return 0 if all(ok for _, ok in checks) else 1
 
 
+# One row per command: its handler, its --help line, and its flags in --help order.  A
+# flag's entry is its --help text, or its tuple of choices, the default first, which
+# --help shows as the metavar and `_option` checks.
+_Command = namedtuple("_Command", "run help flags")
+_SEEDED = {"samples": None, "seed": None, "threads": None, "out": None}
+_RECORD_FORMATS = ("csv", "json")
+_CONFIG = {"config": "JSON file with flag defaults"}
+_COMMANDS = {
+    "scatter": _Command(_cmd_scatter, "sample a state family and record (E, P)", {
+        "system": None, "family": tuple(_FAMILIES), "rank": None,
+        "plot": "write an SVG scatter here", **_SEEDED, "format": _RECORD_FORMATS, **_CONFIG}),
+    "convert": _Command(_cmd_convert, "consecutive X-conversion campaign", {
+        "rank": None, "tol": "largest |dC| that counts as a successful conversion",
+        **_SEEDED, "format": _RECORD_FORMATS, **_CONFIG}),
+    "mask": _Command(_cmd_mask, "print the TGX / anti-X element masks", {
+        "system": f"dims, e.g. 2x3 or 2x2x2, at most {_MASK_MAX_N} states",
+        "kind": ("tgx", "anti"), "format": ("ascii", "json"), "out": None}),
+    "mems-curve": _Command(_cmd_mems_curve, "tabulate the MEMS boundary curve", {
+        "system": None, "samples": None, "out": None, "format": ("csv",), **_CONFIG}),
+    "verify": _Command(_cmd_verify, "run fast invariant checks", {"seed": None}),
+}
+
+
 def main(argv=None) -> int:
-    handlers = {"scatter": _cmd_scatter, "convert": _cmd_convert, "mask": _cmd_mask,
-                "mems-curve": _cmd_mems_curve, "verify": _cmd_verify}
     try:
         args = _build_parser().parse_args(argv)
-        return handlers[args.command](args)
+        return _COMMANDS[args.command].run(args)
     except (XLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, (ConfigError, OSError)) else 2

@@ -24,24 +24,24 @@ from xlab.errors import ConfigError
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        cli.ExperimentConfig(system=(3, 3)).validate()
+        cli.ExperimentConfig(system=(3, 3))
     with pytest.raises(ConfigError):
-        cli.ExperimentConfig(family="nope").validate()
+        cli.ExperimentConfig(family="nope")
     with pytest.raises(ConfigError):
-        cli.ExperimentConfig(system=(2, 2), family="lx").validate()
+        cli.ExperimentConfig(system=(2, 2), family="lx")
     with pytest.raises(ConfigError):
-        cli.ExperimentConfig(system=(2, 3), family="h").validate()
+        cli.ExperimentConfig(system=(2, 3), family="h")
     with pytest.raises(ConfigError):
-        cli.ExperimentConfig(rank=5).validate()
+        cli.ExperimentConfig(rank=5)
     for tol in (float("nan"), float("inf"), -1e-3):
         with pytest.raises(ConfigError, match="tol must be"):
-            cli.ExperimentConfig(tol=tol).validate()
-    cli.ExperimentConfig(tol=0.0).validate()
+            cli.ExperimentConfig(tol=tol)
+    cli.ExperimentConfig(tol=0.0)
     for samples in (0, 2**32 + 1):
         with pytest.raises(ConfigError, match="samples must be"):
-            cli.ExperimentConfig(samples=samples).validate()
-    cli.ExperimentConfig(samples=2**32).validate()
-    cli.ExperimentConfig(system=(2, 3), family="tgx", rank=6).validate()
+            cli.ExperimentConfig(samples=samples)
+    cli.ExperimentConfig(samples=2**32)
+    cli.ExperimentConfig(system=(2, 3), family="tgx", rank=6)
 
 
 def _assert_numpy_streams(seed, block):
@@ -307,7 +307,6 @@ def test_rank_from_the_scatter_eigensystem_equals_eigvalsh_rank(family, rank):
     # mems runs from the maximally mixed state to a pure one and the h grid
     # ends in pure states; a rank-checked builder's ranks must agree too.
     cfg = cli.ExperimentConfig(family=family, rank=rank, samples=300, seed=11)
-    cfg.validate()
     for block, rngs in cli._sample_blocks(cfg):
         batch, ranks = cli._build_block(cfg, block, rngs)
         want = batch.rank()
@@ -787,6 +786,29 @@ def test_a_null_or_empty_format_means_the_default(tmp_path, capsys, command):
         assert capsys.readouterr() == want, extra
 
 
+@pytest.mark.parametrize("flag", ["--system", "--kind", "--format", "--out"])
+def test_main_mask_takes_an_empty_value_as_the_default(capsys, flag):
+    assert cli.main(["mask"]) == 0
+    want = capsys.readouterr()
+    assert want.out.splitlines()[0] == "X . . X"
+    assert cli.main(["mask", flag, ""]) == 0
+    assert capsys.readouterr() == want
+
+
+def test_emit_output_takes_a_null_or_empty_format_as_csv():
+    records = cli.run_scatter(cli.ExperimentConfig(samples=3))
+    want = cli.emit_output(records, fmt="csv")
+    assert cli.emit_output(records) == cli.emit_output(records, fmt=None) == want
+    assert cli.emit_output(records, fmt="") == want
+
+
+def test_main_config_that_is_not_an_object_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("[1, 2]")
+    assert cli.main(["scatter", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: config file must hold a JSON object\n")
+
+
 def test_main_bad_config_exits_1(capsys):
     assert cli.main(["scatter", "--family", "lx"]) == 1
     assert cli.main(["scatter", "--config", "/nonexistent.json"]) == 1
@@ -961,7 +983,6 @@ def test_experiment_config_converts_its_values_and_is_frozen():
         cli.ExperimentConfig(system=(2.0, 3))
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.samples = 5
-    assert cfg.validate() is cfg
 
 
 @pytest.mark.parametrize("values", [

@@ -433,3 +433,128 @@ def test_local_channel_generally_not_epu():
     bell = states.bell_state().mat
     out = DensityMatrix(sum(0.5 * L @ bell @ L.conj().T for L in local), (2, 2))
     assert measures.concurrence(out) < 1.0 - 0.01
+
+
+def test_conversion_unitary_warns_on_a_spectral_gap_under_1e_8():
+    rho = states.random_mixed(4, 4, np.random.default_rng(2), (2, 2))
+    es = linalg.eig_hermitian(rho.mat)
+    shifted = es.values + 5e-10 * np.array([1.0, -1.0, 1.0, -1.0])
+    rho_x = DensityMatrix((es.vectors * shifted) @ es.vectors.conj().T, (2, 2))
+    with pytest.warns(UserWarning) as record:
+        U = convert.conversion_unitary(rho, rho_x)
+    assert [str(w.message) for w in record] == [
+        "spectra differ by 5.000e-10; conversion will be approximate"]
+    assert np.max(np.abs(U @ rho.mat @ U.conj().T - rho_x.mat)) <= 1e-9
+
+
+def test_diag_factor_conditions_take_4_phases():
+    with pytest.raises(DimensionError) as err:
+        convert.diag_factor_conditions([1, 2, 3])
+    assert str(err.value) == "need 4 phases, got shape (3,)"
+
+
+def _negativity(rho):
+    """N = ||rho^T1||_1 - 1 of a two-qubit state or a stack of them."""
+    return linalg.trace_norm(measures.partial_transpose(rho, 1)) - 1.0
+
+
+def _test_04_draw(seed: int, K: int) -> DensityMatrix:
+    """States 0..K-1 of test 04's kind: random_mixed(4, 1 + k % 4) from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    return states.random_mixed(4, 1 + np.arange(K) % 4, [rng] * K, (2, 2))
+
+
+def _negativity_x_state(rho: DensityMatrix) -> DensityMatrix:
+    """The X state of rho's spectrum and N in find_x_equivalent's frame: l1 and l3
+    on the {|00>, |11>} plane at angle a, l2 and l4 on |01> and |10>.  There
+    N(a) = sqrt((l2 - l4)^2 + (l1 - l3)^2 sin^2 2a) - l2 - l4, so
+    sin 2a = sqrt((N + 2 l2)(N + 2 l4)) / (l1 - l3) gives any N up to the bound."""
+    l1, l2, l3, l4 = np.moveaxis(np.clip(linalg.eig_hermitian(rho.mat).values, 0.0, None), -1, 0)
+    n = np.maximum(_negativity(rho), 0.0)  # a separable state's N may round below 0
+    a = 0.5 * np.arcsin(np.minimum(1.0, np.sqrt((n + 2 * l2) * (n + 2 * l4)) / (l1 - l3)))
+    x = np.zeros(rho.mat.shape, dtype=complex)
+    x[..., 0, 0] = l1 * np.cos(a) ** 2 + l3 * np.sin(a) ** 2
+    x[..., 3, 3] = l1 * np.sin(a) ** 2 + l3 * np.cos(a) ** 2
+    x[..., 0, 3] = x[..., 3, 0] = (l1 - l3) * np.sin(a) * np.cos(a)
+    x[..., 1, 1], x[..., 2, 2] = l2, l4
+    return DensityMatrix(x, (2, 2))
+
+
+def test_two_qubit_negativity_meets_its_spectral_bound_and_an_x_state_reaches_it():
+    # The largest N over a spectrum's unitary orbit is
+    # sqrt((l1 - l3)^2 + (l2 - l4)^2) - l2 - l4 (Verstraete, Audenaert & De Moor,
+    # PRA 64, 012316 (2001)), and `_negativity_x_state` reaches every N below it.
+    rho = _test_04_draw(3, 20_000)
+    N = _negativity(rho)
+    es = linalg.eig_hermitian(rho.mat)
+    l1, l2, l3, l4 = np.moveaxis(np.clip(es.values, 0.0, None), -1, 0)
+    assert np.all(N <= np.maximum(0.0, np.hypot(l1 - l3, l2 - l4) - l2 - l4) + 1e-12)
+    x = _negativity_x_state(rho)
+    assert np.max(np.abs(_negativity(x) - N)) <= 1e-12
+    assert np.max(np.abs(linalg.eig_hermitian(x.mat).values - es.values)) <= 1e-12
+    assert np.max(measures.anti_x_measure(x)) == 0.0
+
+
+def _x_block(hi, lo, angle):
+    """Diagonal and coherence of the 2x2 X block holding eigenvalues hi, lo at `angle`."""
+    c2, s2 = np.cos(angle) ** 2, np.sin(angle) ** 2
+    return hi * c2 + lo * s2, hi * s2 + lo * c2, abs(hi - lo) * np.sin(2 * angle) / 2
+
+
+def _x_layout_c_n(outer, inner, a, b):
+    """Concurrence and N of the real X state with eigenvalue pair `outer` on the
+    {0, 3} block at angle a and `inner` on the {1, 2} block at angle b.  The
+    partial transpose swaps the coherences: block {1, 2} of rho^T1 holds {0, 3}'s."""
+    p0, p3, z_out = _x_block(*outer, a)
+    p1, p2, z_in = _x_block(*inner, b)
+    C = 2 * np.maximum(0.0, np.maximum(z_in - np.sqrt(p0 * p3), z_out - np.sqrt(p1 * p2)))
+    N = sum(np.maximum(0.0, np.hypot(x - y, 2 * z) - x - y)
+            for x, y, z in ((p1, p2, z_out), (p0, p3, z_in)))
+    return C, N
+
+
+# The 6 ways to put a spectrum's eigenvalue pairs on an X state's two blocks.
+_X_LAYOUTS = [(pair, rest) for p, q in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+              for pair, rest in ((p, q), (q, p))]
+
+
+def test_x_layout_closed_forms_match_the_measures():
+    lam = np.clip(linalg.eig_hermitian(_test_04_draw(5, 378).mat[377]).values, 0.0, None)
+    rng = np.random.default_rng(0)
+    for k in range(60):
+        outer, inner = (lam[list(p)] for p in _X_LAYOUTS[k % 6])
+        a, b = rng.uniform(0.0, math.pi / 2, 2)
+        (p0, p3, z_out), (p1, p2, z_in) = _x_block(*outer, a), _x_block(*inner, b)
+        m = np.zeros((4, 4), dtype=complex)
+        m[0, 0], m[3, 3], m[0, 3], m[3, 0] = p0, p3, z_out, z_out
+        m[1, 1], m[2, 2], m[1, 2], m[2, 1] = p1, p2, z_in, z_in
+        x = DensityMatrix(m, (2, 2))
+        C, N = _x_layout_c_n(outer, inner, a, b)
+        assert abs(C - measures.concurrence_x(x)) <= 1e-12
+        assert abs(N - _negativity(x)) <= 1e-12
+
+
+def test_state_377_has_no_x_equivalent_for_concurrence_and_negativity_at_once():
+    # State 377 of default_rng(5) (rank 2) has an X equivalent of its concurrence
+    # (find_x_equivalent) and one of its N (`_negativity_x_state`), each far off
+    # in the other measure, and no X state of its spectrum matches both.  On a
+    # 601 x 601 grid of block angles over [0, pi/2]^2, every layout misses by
+    # more than 0.02 + 2h: C and N change by at most 2 per unit of each angle,
+    # so no point between nodes comes within 0.02 of the pair.
+    rho = DensityMatrix(_test_04_draw(5, 378).mat[377], (2, 2))
+    C0, N0 = measures.concurrence(rho), _negativity(rho)
+    assert rho.rank() == 2
+    assert abs(C0 - 0.3100619) <= 1e-7 and abs(N0 - 0.1040095) <= 1e-7
+    by_c, by_n = convert.find_x_equivalent(rho).converted, _negativity_x_state(rho)
+    assert abs(measures.concurrence(by_c) - C0) <= convert.DEFAULT_TOL_C
+    assert abs(_negativity(by_n) - N0) <= 1e-12
+    assert abs(_negativity(by_c) - 0.15340) <= 1e-5
+    assert abs(measures.concurrence_x(by_n) - 0.24505) <= 1e-5
+    lam = np.clip(linalg.eig_hermitian(rho.mat).values, 0.0, None)
+    m = 601
+    h = (math.pi / 2) / (m - 1)
+    a, b = np.meshgrid(np.linspace(0.0, math.pi / 2, m), np.linspace(0.0, math.pi / 2, m),
+                       indexing="ij")
+    miss = min(np.max([abs(C - C0), abs(N - N0)], axis=0).min() for C, N in (
+        _x_layout_c_n(lam[list(outer)], lam[list(inner)], a, b) for outer, inner in _X_LAYOUTS))
+    assert miss >= 0.02 + 2 * h

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xlab import convert, linalg, measures, states, tgx
-from xlab.errors import DomainError
+from xlab.errors import DimensionError, DomainError
 
 
 def test_hermitize_symmetrizes_small_drift():
@@ -206,3 +206,9 @@ def test_no_public_callable_takes_a_tolerance():
             "xlab.convert.diag_factorizable", "xlab.convert.find_x_equivalent"} <= params.keys()
     assert [f"{name}({p})" for name, ps in params.items() for p in ps
             if p.endswith("tol")] == []
+
+
+def test_hermitize_takes_square_matrices():
+    with pytest.raises(DimensionError) as err:
+        linalg.hermitize(np.zeros(3))
+    assert str(err.value) == "expected a square matrix or a stack of them, got shape (3,)"

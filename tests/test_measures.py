@@ -507,3 +507,19 @@ def test_an_eigensystem_of_another_shape_is_rejected():
     for rho in (one, stack):  # an eigensystem of the matrix itself still works
         es = linalg.eig_hermitian(rho.mat)
         assert np.all(rho.rank(es=es) == 4) and np.all(measures.concurrence(rho, es) == 0.0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: measures.anti_x_measure(np.eye(6)), "anti-X measure needs a 4x4 matrix, got (6, 6)"),
+    (lambda: measures.partial_trace(states.bell_state(), 3),
+     "subsystem index 3 invalid for dims [2, 2]"),
+    (lambda: measures.partial_transpose(DensityMatrix(np.eye(8) / 8, (2, 2, 2)), 1),
+     "partial transpose needs bipartite dims, got [2, 2, 2]"),
+    (lambda: measures.partial_transpose(states.bell_state(), 3),
+     "subsystem must be 1 or 2, got 3"),
+], ids=["anti-x-6x6", "partial-trace-keep-3", "partial-transpose-2x2x2",
+        "partial-transpose-sub-3"])
+def test_a_measure_of_the_wrong_shape_is_one_dimension_error(call, message):
+    with pytest.raises(DimensionError) as err:
+        call()
+    assert str(err.value) == message

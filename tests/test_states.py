@@ -535,3 +535,18 @@ def test_density_matrix_rejects_non_integer_dims(dims):
         states.DensityMatrix(np.eye(6) / 6, dims)
     assert str(list(dims)) in str(err.value)
     assert states.DensityMatrix(np.eye(6) / 6, (np.int64(2), 3)).dims == (2, 3)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: states.DensityMatrix(np.ones((1, 1)), (1,)), DimensionError,
+     "all subsystem dimensions must be >= 2, got (1,)"),
+    (lambda: states.meb_state_2x3(states.PHI, 4, 0.3, 0.0), DomainError,
+     "index must be 1..3, got 4"),
+    (lambda: states.l_state(4, 0.3, 0.0), DomainError, "index must be 1..3, got 4"),
+    (lambda: states.random_pure(1, np.random.default_rng(0)), DimensionError,
+     "dimension must be >= 2, got 1"),
+], ids=["density-matrix-1", "meb-index-4", "l-state-index-4", "random-pure-1"])
+def test_a_builder_out_of_range_names_the_value(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message

@@ -217,3 +217,28 @@ def test_catalog_members_are_simple():
                     tgx.meb_basis_3x3_full()):
         for psi in members:
             assert tgx.is_simple_me_state(psi)
+
+
+def test_equal_masks_hash_equal():
+    mask = tgx.tgx_mask((2, 3))
+    copy = tgx.ElementMask(mask.n, mask.grid.copy())
+    assert copy is not mask and copy == mask and hash(copy) == hash(mask)
+    assert len({mask, copy, tgx.anti_x_mask((2, 3))}) == 2
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: tgx.tgx_mask((2, 2)).union(tgx.tgx_mask((2, 3))), DimensionError,
+     "mask sizes differ: 4 vs 6"),
+    (lambda: tgx.meb_union_mask([states.bell_state()], (2, 3)), DimensionError,
+     "member 0 has dims [2, 2], expected [2, 3]"),
+    (lambda: tgx.basis_resolution([]), DomainError, "need at least one state"),
+    (lambda: tgx.basis_resolution([states.bell_state(),
+                                   states.meb_state_2x3(states.PHI, 1, 0.3, 0.0)]),
+     DimensionError, "member 1 has size 6, expected 4"),
+    (lambda: tgx.meb_basis_3x3(2, 1), DomainError, "phase factors must be +-1, got a=2, b=1"),
+], ids=["union-sizes", "meb-union-dims", "resolution-empty", "resolution-sizes",
+        "meb-3x3-phase-2"])
+def test_mismatched_members_name_the_mismatch(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
