@@ -16,17 +16,15 @@ row per system and per family: a new one's facts are a row.  Every evenly
 spaced axis is `_axis`, so `scatter --family mems --samples N` and
 `mems-curve --samples N` share their purities bit for bit.  `--threads` is
 validated but has no effect.  `_COMMANDS` writes each command's flags and
-choices once.  The parser, built from it once per process, only splits argv
-into strings, which every command reads through `_merge_config` (null or empty
-is the default); the frozen ExperimentConfig converts (`_convert` by `_KINDS`)
-and checks every value once, at construction, whether a flag, a config file,
-XLAB_THREADS or a Python caller gave it, so bad input ends as the same
+choices once, and `_parse` reads argv by it into strings, which every command
+reads through `_merge_config` (null or empty is the default); the frozen
+ExperimentConfig converts (`_convert` by `_KINDS`) and checks each value once,
+at construction, whichever source gave it, so bad input ends as the same
 one-line ConfigError.  `_write` is the one writer of data output.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -403,10 +401,6 @@ def run_conversion_campaign(cfg: ExperimentConfig) -> CampaignSummary:
                            records)
 
 
-# ---------------------------------------------------------------------------
-# Output
-# ---------------------------------------------------------------------------
-
 def _cell(x) -> str:
     """The format field of a CSV cell like x: a float as format(x, ".17g"),
     a bool as 0/1, anything else as str(x)."""
@@ -521,10 +515,6 @@ def emit_output(records, fmt=None, plot=None, system=(2, 2)) -> str:
     return text
 
 
-# ---------------------------------------------------------------------------
-# Argument handling
-# ---------------------------------------------------------------------------
-
 # Most states `xlab mask` takes: it builds an n x n int8 count and bool grid, 2 TB at 1000x1000.
 _MASK_MAX_N = 1024
 
@@ -557,45 +547,61 @@ _KINDS = {"system": _parse_system,
           "rank": int, "samples": int, "seed": int, "tol": float, "threads": int}
 
 
-class _Parser(argparse.ArgumentParser):
-    """Splits argv into option strings; a malformed command line is a ConfigError."""
+def _flag(word: str, flags) -> str | None:
+    """The name in ("help", *flags) that `word` gives, "" for another --word, None for a value."""
+    key = "help" if word == "-h" else word[2:].partition("=")[0] if word[:2] == "--" else None
+    match = [f for f in ("help", *flags) if key and f.startswith(key)]
+    if len(match) > 1 and key not in match:
+        raise ConfigError(f"ambiguous option: {word} could match --{', --'.join(match)}")
+    return key if key is None or key in match else "".join(match)
 
-    def error(self, message):
-        raise ConfigError(message)
 
-
-@functools.cache
-def _build_parser():
-    # Built once per process: parse_args leaves the parser as it found it.
-    parser = _Parser(prog="xlab",
-                     description="Entanglement-purity experiments on X-state structure")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        for flag, spec in command.flags.items():
-            choices = isinstance(spec, tuple)
-            p.add_argument("--" + flag, dest="fmt" if flag == "format" else flag,
-                           metavar="{%s}" % ",".join(spec) if choices else None,
-                           help=None if choices else spec)
-    return parser
+def _parse(argv: list) -> dict:
+    """argv as {"command", then one key per flag of its `_COMMANDS` row (`fmt` for --format): the
+    last value given or None}; a value follows "=" or is the next word unless -h or a --word."""
+    cmd = argv[0] if argv and argv[0] in _COMMANDS else None
+    flags, extras = _COMMANDS[cmd].flags if cmd else {}, []
+    args = {"command": cmd, **{"fmt" if f == "format" else f: None for f in flags}}
+    words = iter([(w, _flag(w, flags)) for w in (argv[bool(cmd):] if argv else [""])])
+    for word, flag in words:  # every word is classified first, as argparse does
+        if flag == "help":  # the commands, or the flags with their choices or help lines
+            rows = {"--" + f: "{%s}" % ",".join(s) if type(s) is tuple else s or ""
+                    for f, s in flags.items()} or {n: c.help for n, c in _COMMANDS.items()}
+            print(f"usage: xlab {cmd or 'COMMAND'} [-h] [--FLAG VALUE ...]",
+                  *(f"  {k:<11} {v}".rstrip() for k, v in rows.items()), sep="\n")
+            raise SystemExit(0)
+        if not cmd:  # there is no first word, or it is neither a command nor -h
+            raise ConfigError(f"argument command: invalid choice: {word!r} (choose from "
+                              f"{str(tuple(_COMMANDS))[1:-1]})" if argv else
+                              "the following arguments are required: command")
+        if not flag:
+            extras.append(word)
+            continue
+        value, kind = (word.partition("=")[2], None) if "=" in word else next(words, (0, 0))
+        if kind is not None:
+            raise ConfigError(f"argument --{flag}: expected one argument")
+        args["fmt" if flag == "format" else flag] = value
+    if extras:
+        raise ConfigError("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def _merge_config(args) -> dict:
     """JSON config file values (if any) under explicit flags, less null and empty values."""
     merged = {}
-    if getattr(args, "config", None):
+    if args.get("config"):
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(args["config"], encoding="utf-8") as fh:
                 loaded = json.load(fh)
         except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
-            raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
+            raise ConfigError(f"cannot read config file {args['config']}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(loaded) - (set(vars(args)) - {"command", "config"}))
+        unknown = sorted(set(loaded) - (set(args) - {"command", "config"}))
         if unknown:
-            raise ConfigError(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
+            raise ConfigError(f"unknown config key(s) for {args['command']}: {', '.join(unknown)}")
         merged.update(loaded)
-    merged.update((key, val) for key, val in vars(args).items() if val is not None)
+    merged.update((key, val) for key, val in args.items() if val is not None)
     merged = {key: val for key, val in merged.items()  # null or empty: the default
               if key not in ("command", "config") and _given(val)}
     for key in ("out", "plot"):  # open() would take any other type as a file descriptor
@@ -623,15 +629,11 @@ def _convert(key: str, value, kind):
 
 
 def _experiment(args, **defaults) -> tuple:
-    """The ExperimentConfig of a parsed command line, and its merged options
-    (`_merge_config`, the one input path of every command).
-    Each field comes from its flag, else the config file, else (for threads)
-    XLAB_THREADS, else `defaults` or ExperimentConfig's default.  The
-    constructor converts and checks the raw value, as it does a Python
-    caller's, so each source gives the same message for it."""
+    """The ExperimentConfig of `_parse`'s dict, and its `_merge_config` options: each field from
+    its flag, else the config, else (threads) XLAB_THREADS, else `defaults` or the default."""
     m = _merge_config(args)
     given = {key: m[key] for key in _KINDS if key in m}
-    if "threads" not in given and "threads" in vars(args):
+    if "threads" not in given and "threads" in args:
         given["threads"] = _convert("XLAB_THREADS", os.environ.get("XLAB_THREADS"), int)
     return ExperimentConfig(**{**defaults, **given}), m
 
@@ -727,9 +729,7 @@ def _cmd_verify(args) -> int:
     return 0 if all(ok for _, ok in checks) else 1
 
 
-# One row per command: its handler, its --help line, and its flags in --help order.  A
-# flag's entry is its --help text, or its tuple of choices, the default first, which
-# --help shows as the metavar and `_option` checks.
+# One row per command: handler, -h line, flags (each -h text, None or choices, default first).
 _Command = namedtuple("_Command", "run help flags")
 _SEEDED = {"samples": None, "seed": None, "threads": None, "out": None}
 _RECORD_FORMATS = ("csv", "json")
@@ -752,8 +752,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command].run(args)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        return _COMMANDS[args["command"]].run(args)
     except (XLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, (ConfigError, OSError)) else 2
