@@ -82,7 +82,7 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        for f in fields(self):
+        for f in _FIELDS:
             value = _convert(f.name, getattr(self, f.name), _KINDS[f.name])
             object.__setattr__(self, f.name, f.default if value is None else value)
         if not 1 <= self.samples <= 2**32:
@@ -101,6 +101,9 @@ class ExperimentConfig:
             raise ConfigError(f"tol must be finite and >= 0, got {self.tol}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+
+
+_FIELDS = fields(ExperimentConfig)  # built once: `fields` rebuilds its tuple on every call
 
 
 # numpy's SeedSequence constants for its default pool of 4 words.  Hash
@@ -144,7 +147,7 @@ class _Words(ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError(f"only 4 uint64 words are stored, not {n_words} {np.dtype(dtype)}")
         return self.words
 
@@ -253,7 +256,7 @@ def _lemire(raw: np.ndarray, n: int, words: np.ndarray, gens) -> np.ndarray:
     """
     m = (raw & _LOW32) * np.uint64(n)
     ranks = (m >> 32).astype(np.int64) + 1
-    for j in np.flatnonzero((m & _LOW32) < _lemire_threshold(n)).tolist():
+    for j in ((m & _LOW32) < _lemire_threshold(n)).nonzero()[0].tolist():
         gens[j] = Generator(PCG64(_Words(words[j])))
         ranks[j] = gens[j].integers(1, n + 1)
     return ranks
@@ -517,6 +520,8 @@ def emit_output(records, fmt=None, plot=None, system=(2, 2)) -> str:
 
 # Most states `xlab mask` takes: it builds an n x n int8 count and bool grid, 2 TB at 1000x1000.
 _MASK_MAX_N = 1024
+# Most points `xlab mems-curve` takes: a million rows peak near 360 MB, 2**32 would need TBs.
+_CURVE_MAX_N = 1_000_000
 
 
 def _parse_dims(value) -> tuple:
@@ -670,6 +675,8 @@ def _cmd_mask(args) -> int:
 def _cmd_mems_curve(args) -> int:
     cfg, m = _experiment(args, samples=500)
     _option("mems-curve", "format", m.get("fmt"))
+    if cfg.samples > _CURVE_MAX_N:
+        raise ConfigError(f"mems-curve takes at most {_CURVE_MAX_N} samples, got {cfg.samples}")
     P, E = _curve(cfg.system, cfg.samples)
     _write(_csv(("purity", "entanglement"), zip(P.tolist(), E.tolist())), m.get("out"))
     return 0
@@ -745,7 +752,8 @@ _COMMANDS = {
         "system": f"dims, e.g. 2x3 or 2x2x2, at most {_MASK_MAX_N} states",
         "kind": ("tgx", "anti"), "format": ("ascii", "json"), "out": None}),
     "mems-curve": _Command(_cmd_mems_curve, "tabulate the MEMS boundary curve", {
-        "system": None, "samples": None, "out": None, "format": ("csv",), **_CONFIG}),
+        "system": None, "samples": f"points on the curve, at most {_CURVE_MAX_N}", "out": None,
+        "format": ("csv",), **_CONFIG}),
     "verify": _Command(_cmd_verify, "run fast invariant checks", {"seed": None}),
 }
 

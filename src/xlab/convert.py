@@ -94,11 +94,13 @@ def find_x_equivalent(rho: DensityMatrix) -> ConversionResult:
 def _x_frame(rho: DensityMatrix, es, c_in, pair: int, attempts: int) -> ConversionResult:
     """`find_x_equivalent`'s frame, with l_(pair+1) beside l1 and the other two on |01>, |10>."""
     u, v = (k for k in (1, 2, 3) if k != pair)
-    l1, lp, lu, lv = np.moveaxis(np.clip(es.values, 0.0, None)[..., [0, pair, u, v]], -1, 0)
+    lam = np.maximum(es.values, 0.0)
+    l1, lp, lu, lv = lam[..., 0], lam[..., pair], lam[..., u], lam[..., v]
     turn = (c_in > 0.0) & (l1 > lp)
     s = np.minimum(1.0, (c_in + 2.0 * np.sqrt(lu * lv)) / np.where(turn, l1 - lp, 1.0))
     # math.asin row by row: np.arcsin differs from it in the last bit.
-    a = np.where(turn, 0.5 * np.vectorize(math.asin, otypes=[float])(s), 0.0)
+    asin = np.array([math.asin(x) for x in s.ravel().tolist()]).reshape(s.shape)
+    a = np.where(turn, 0.5 * asin, 0.0)
     # Column k is the X state's eigenvector for l_(k+1).
     ca, sa = np.cos(a), np.sin(a)
     ex = np.zeros(a.shape + (4, 4), dtype=complex)

@@ -11,6 +11,11 @@ Every tolerance is one of the *_TOL constants below; no call takes its own.
 A NaN or infinite entry is rejected with `check_finite`'s one message and no
 numpy warning.  `check_psd` runs where a spectrum is used as PSD, so an
 eigensystem a caller passes in as `es` is checked like one computed here.
+
+The per-block paths call ufuncs, ufunc reductions and C methods, not numpy's
+Python-level helpers (`np.clip`, `np.errstate`, the wrappers behind
+`ndarray.all/.any/.max/.sum`): a command converts or measures a block of a
+few states, so each helper's fixed cost outweighs the arithmetic it wraps.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ def reject(bad, message: str, *values) -> None:
     """A DomainError if any entry of `bad` holds: `message` formatted with
     the first such entry of each of `values`, which broadcast against `bad`."""
     bad = np.asarray(bad)
-    if bad.any():
+    if np.logical_or.reduce(bad, axis=None):
         raise DomainError(message.format(
             *(np.broadcast_to(v, bad.shape).flat[bad.argmax()].item() for v in values)))
 
@@ -64,24 +69,24 @@ def clamped(x, lo: float, hi: float, message: str) -> np.ndarray:
 
 def check_finite(M: np.ndarray) -> None:
     """Reject a NaN or infinite entry of M: the one non-finite message."""
-    reject(~np.isfinite(M).all(), "matrix has a non-finite entry")
+    if not np.logical_and.reduce(np.isfinite(M), axis=None):
+        raise DomainError("matrix has a non-finite entry")
 
 
 def hermitize(M: np.ndarray) -> np.ndarray:
     """Return (M + M†)/2, rejecting input that is not Hermitian within HERM_DRIFT_TOL.
 
     The drift check guards against silent accumulation errors in long
-    pipelines.  A NaN or infinite entry makes the drift NaN (inf - inf, with
-    the warning silenced), which `check_finite` then rejects.
+    pipelines.  `check_finite` runs first, so a NaN or infinite entry gets
+    its message and the arithmetic never meets one.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise DimensionError(f"expected a square matrix or a stack of them, got shape {M.shape}")
-    with np.errstate(invalid="ignore"):
-        H = 0.5 * (M + M.conj().mT)
-        drift = np.abs(H - M).max(initial=0.0)
+    check_finite(M)
+    H = 0.5 * (M + M.conj().mT)
+    drift = np.maximum.reduce(np.abs(H - M), axis=None, initial=0.0)
     if not drift <= HERM_DRIFT_TOL:
-        check_finite(M)
         raise DomainError(f"matrix is not Hermitian: symmetrization moved an entry by {drift:.3e}")
     return H
 
@@ -108,15 +113,16 @@ def eig_hermitian(M: np.ndarray) -> EigenSystem:
 
 def check_psd(values: np.ndarray) -> np.ndarray:
     """`values` (eigenvalues on the last axis, any order), rejecting NaN or any below -PSD_TOL."""
-    if not (values >= -PSD_TOL).all():
+    if not np.logical_and.reduce(values >= -PSD_TOL, axis=None):
         raise DomainError(f"matrix is not PSD: smallest eigenvalue {values.min():.3e}")
     return values
 
 
 def _given(M, es: EigenSystem) -> EigenSystem:
     """`es` passed as `eig_hermitian(M)`: a DimensionError unless its vectors have M's shape."""
-    if es.vectors.shape != np.shape(M):
-        raise DimensionError(f"eigensystem of shape {es.vectors.shape} for a {np.shape(M)} matrix")
+    shape = np.asarray(M).shape
+    if es.vectors.shape != shape:
+        raise DimensionError(f"eigensystem of shape {es.vectors.shape} for a {shape} matrix")
     return es
 
 

@@ -18,7 +18,7 @@ from .states import DensityMatrix
 _FLIP_SIGN = np.outer([1, -1, -1, 1], [1, -1, -1, 1])
 
 # Anti-X positions of the two-qubit X pattern (upper triangle).
-_ANTI_X_ROWS, _ANTI_X_COLS = [0, 0, 1, 2], [1, 2, 3, 3]
+_ANTI_X_ROWS, _ANTI_X_COLS = np.array([0, 0, 1, 2]), np.array([1, 2, 3, 3])
 
 
 def _as_mat(rho) -> np.ndarray:
@@ -48,7 +48,7 @@ def require_single(rho, what: str, dims: tuple[int, ...] | None = None) -> np.nd
 def purity(rho):
     """tr(rho^2); ranges from 1/n (maximally mixed) to 1 (pure)."""
     m = _as_mat(rho)
-    return linalg.scalar((np.abs(m) ** 2).sum(axis=(-2, -1)))
+    return linalg.scalar(np.add.reduce(np.abs(m) ** 2, axis=(-2, -1)))
 
 
 def concurrence(rho: DensityMatrix, es: linalg.EigenSystem | None = None):
@@ -82,7 +82,8 @@ def anti_x_measure(rho):
     m = _as_mat(rho)
     if m.shape[-2:] != (4, 4):
         raise DimensionError(f"anti-X measure needs a 4x4 matrix, got {m.shape}")
-    return linalg.scalar(4.0 * (np.abs(m[..., _ANTI_X_ROWS, _ANTI_X_COLS]) ** 2).sum(axis=-1))
+    return linalg.scalar(4.0 * np.add.reduce(np.abs(m[..., _ANTI_X_ROWS, _ANTI_X_COLS]) ** 2,
+                                             axis=-1))
 
 
 def concurrence_x(rho):

@@ -510,5 +510,5 @@ def random_mixed(n: int, R, rng, dims=None) -> DensityMatrix:
     for r, at in rows.items():
         Gr = G[r][:, 0] + 1j * G[r][:, 1]
         W[at] = Gr @ Gr.conj().mT
-    W /= np.trace(W, axis1=-2, axis2=-1).real[:, None, None]
+    W /= W.trace(axis1=-2, axis2=-1).real[:, None, None]
     return DensityMatrix(W if ranks.ndim else W[0], dims if dims is not None else (n,))

@@ -371,6 +371,23 @@ def test_run_conversion_campaign_eigendecomposes_per_block(monkeypatch):
     assert calls == [(cli._BLOCK, 4, 4)] * 2 + [(3, 4, 4)] * 2
 
 
+@pytest.mark.parametrize("helper", ["vectorize", "moveaxis", "clip", "flatnonzero", "trace",
+                                    "errstate"])
+def test_run_conversion_campaign_calls_no_numpy_python_helper(monkeypatch, helper):
+    # A cache-cold block pays for each of numpy's Python-level helpers; the convert path
+    # calls the ufuncs and C methods they wrap.  numpy.linalg binds errstate by name,
+    # so eigh and svd keep theirs.
+    cfg = cli.ExperimentConfig(samples=cli._BLOCK + 3, seed=4)
+
+    def called(*args, **kwargs):
+        raise AssertionError(f"the convert path called np.{helper}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, helper, called)
+        records = cli.run_conversion_campaign(cfg).records
+    assert records == cli.run_conversion_campaign(cfg).records
+
+
 def test_convert_success_means_x_state(tmp_path):
     # Sample 3 of this seed once came out of a search with anti-X 1.75e-4
     # and was still reported as a success.
@@ -1017,6 +1034,26 @@ def test_main_bad_flag_messages(capsys):
 def test_main_mask_size_limit_is_inclusive(capsys):
     assert cli.main(["mask", "--system", "2x512"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1024
+
+
+def test_main_mems_curve_over_its_point_limit_is_one_line_error(monkeypatch, capsys):
+    # 2**32 is a valid sample count, but not a curve that fits in memory; fail at once.
+    def no_curve(system, m):
+        raise AssertionError("the run got as far as building the curve")
+
+    monkeypatch.setattr(cli, "_curve", no_curve)
+    assert cli.main(["mems-curve", "--samples", str(2**32)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: mems-curve takes at most {cli._CURVE_MAX_N} samples, "
+                            f"got {2**32}\n")
+
+
+def test_main_mems_curve_point_limit_is_inclusive(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_CURVE_MAX_N", 5)
+    assert cli.main(["mems-curve", "--samples", "5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6
+    assert cli.main(["mems-curve", "--samples", "6"]) == 1
 
 
 def test_main_help_exits_0_and_lists_the_choices(capsys):

@@ -212,3 +212,46 @@ def test_hermitize_takes_square_matrices():
     with pytest.raises(DimensionError) as err:
         linalg.hermitize(np.zeros(3))
     assert str(err.value) == "expected a square matrix or a stack of them, got shape (3,)"
+
+
+def _eig_reference(M):
+    """eig_hermitian's rules spelled out on one matrix's np.linalg.eigh: values sorted
+    descending by Python's stable sort, so tied ones keep LAPACK's ascending order, and each
+    vector scaled by conj(p)/|p| for p its first entry of largest magnitude."""
+    w, v = np.linalg.eigh(0.5 * (M + M.conj().T))
+    order = sorted(range(len(w)), key=lambda k: -w[k])
+    w, v = w[order], v[:, order]
+    for k in range(len(w)):
+        mags = np.abs(v[:, k])
+        p = v[np.flatnonzero(mags == mags.max())[:1], k]  # a 1-entry array, as in a stack
+        v[:, k] = v[:, k] * (p.conj() / np.abs(p))
+    return w, v
+
+
+def test_eig_hermitian_tie_rules_match_a_reference_bit_for_bit():
+    perm = [2, 0, 3, 1]
+    tied = np.diag([0.3, 0.3, 0.3, 0.1])[perm][:, perm]  # one eigenvalue three times
+    mixed = np.eye(4) / 4  # every eigenvalue tied
+    # Eigenvalue 0.2 three times, and vectors whose two largest entries are equal.
+    block = np.array([[0.3, 0.1j, 0, 0], [-0.1j, 0.3, 0, 0], [0, 0, 0.2, 0], [0, 0, 0, 0.2]])
+    generic = states.random_mixed(4, 4, np.random.default_rng(5), (2, 2)).mat
+    stack = np.stack([tied, mixed, block, generic, tied])
+    es = linalg.eig_hermitian(stack)
+    for b, M in enumerate(stack):
+        w, v = _eig_reference(M)
+        one = linalg.eig_hermitian(M)
+        assert one.values.tobytes() == es.values[b].tobytes() == w.tobytes()
+        assert one.vectors.tobytes() == es.vectors[b].tobytes() == v.tobytes()
+    assert np.all(np.diff(es.values, axis=-1) <= 0.0)
+    # Tied eigenvalues keep LAPACK's ascending order of their vectors.
+    lapack = np.linalg.eigh(tied)[1][:, [1, 2, 3, 0]]
+    assert np.abs(es.vectors[0]).tolist() == np.abs(lapack).tolist()
+    assert np.abs(es.vectors[1]).tolist() == np.abs(np.linalg.eigh(mixed)[1]).tolist()
+    # Where the largest magnitude is tied, the lowest such entry is made real and positive;
+    # in `block` a later tied entry is not, so another pivot would give other vectors.
+    ties = []
+    for v in es.vectors.transpose(0, 2, 1).reshape(-1, 4):
+        top = np.flatnonzero(np.abs(v) == np.abs(v).max())
+        assert abs(v[top[0]].imag) <= 1e-15 and v[top[0]].real > 0.0
+        ties += [v[top[1:]]] if len(top) > 1 else []
+    assert len(ties) >= 2 and any(np.any(abs(t - abs(t)) > 0.5) for t in ties)
