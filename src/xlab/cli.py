@@ -12,8 +12,9 @@ block of `_sample_blocks` with one call of its family's stacked builder and
 measures it with its system's stacked measure, as `run_conversion_campaign`
 converts its blocks, so output is byte-identical for any block size; the grid
 families (`mems`, `h`) draw no streams.  `_SYSTEMS` and `_FAMILIES` hold one
-row per system and per family: a new one's facts are a row.  Every evenly
-spaced axis is `_axis`, so `scatter --family mems --samples N` and
+row per system and per family: a new system's facts are a row, as are a rank
+family's; any other new family also needs a branch in `_build_block`.  Every
+evenly spaced axis is `_axis`, so `scatter --family mems --samples N` and
 `mems-curve --samples N` share their purities bit for bit.  `--threads` is
 validated but has no effect.  `_COMMANDS` writes each command's flags and
 choices once, and `_parse` reads argv by it into strings, which every command
@@ -373,15 +374,8 @@ CampaignRecord = namedtuple("CampaignRecord", "sample_index rank purity input_co
 CampaignRecord.__doc__ = "Per-sample conversion outcome."
 
 
-class CampaignSummary(namedtuple("CampaignSummary",
-                                 "samples successes max_delta_c max_anti_x records")):
-    """A conversion campaign's counts and worst residuals, then its records."""
-
-    __slots__ = ()
-
-    @property
-    def all_succeeded(self) -> bool:
-        return self.successes == self.samples
+CampaignSummary = namedtuple("CampaignSummary", "samples successes max_delta_c max_anti_x records")
+CampaignSummary.__doc__ = "A conversion campaign's counts and worst residuals, then its records."
 
 
 def run_conversion_campaign(cfg: ExperimentConfig) -> CampaignSummary:
@@ -418,11 +412,6 @@ def _csv(header, rows) -> str:
     rows = list(rows)
     line = ",".join(map(_cell, rows[0])) + "\n" if rows else ""
     return ",".join(header) + "\n" + "".join(line.format(*row) for row in rows)
-
-
-def _records_csv(records) -> str:
-    """CSV of namedtuple records, one column per field in field order."""
-    return _csv(records[0]._fields, records)
 
 
 def _records_json(records, level: int = 1) -> str:
@@ -512,7 +501,7 @@ def emit_output(records, fmt=None, plot=None, system=(2, 2)) -> str:
     if not records:
         raise ConfigError("no records to emit")
     json_out = _option("scatter", "format", fmt) == "json"
-    text = (_records_json if json_out else _records_csv)(records)
+    text = _records_json(records) if json_out else _csv(records[0]._fields, records)
     if plot:
         _write(_scatter_svg(records, _parse_system(system)), plot)
     return text
@@ -654,8 +643,9 @@ def _cmd_convert(args) -> int:
     cfg, m = _experiment(args, samples=100)
     json_out = _option("convert", "format", m.get("fmt")) == "json"
     summary = run_conversion_campaign(cfg)
-    _write(_campaign_json(summary) if json_out else _records_csv(summary.records), m.get("out"))
-    return 0 if summary.all_succeeded else 2
+    text = _campaign_json(summary) if json_out else _csv(CampaignRecord._fields, summary.records)
+    _write(text, m.get("out"))
+    return 0 if summary.successes == summary.samples else 2
 
 
 def _cmd_mask(args) -> int:

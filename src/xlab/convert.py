@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg, measures
 from .errors import DimensionError, DomainError, RankError, SpectralMismatchError
-from .states import _RANK2_SLACK, DensityMatrix, closed_form_x
+from .states import _RANK2_SLACK, DensityMatrix, _finite, closed_form_x
 
 # |dC| up to which a conversion counts as concurrence-preserving.
 DEFAULT_TOL_C = 1e-3
@@ -184,7 +184,9 @@ def diag_factorizable(phases: Sequence[float], mode: str = "exact"):
 
 def x_preserving_unitary(eps: float, theta: float, alpha: float, beta: float,
                          phi: float, chi: float) -> np.ndarray:
-    """X-shaped 4x4 unitary: independent rotations of the outer and inner planes."""
+    """X-shaped 4x4 unitary: independent rotations of the outer and inner planes;
+    a DomainError names the first angle that is not finite."""
+    _finite([eps, theta, alpha, beta, phi, chi], "angle")
     ce, se = math.cos(eps), math.sin(eps)
     ct, st = math.cos(theta), math.sin(theta)
     U = np.zeros((4, 4), dtype=complex)
@@ -199,17 +201,16 @@ def x_preserving_unitary(eps: float, theta: float, alpha: float, beta: float,
     return U
 
 
-def x_transform_unconstrained(rho_g: DensityMatrix, x_unitary_params) -> DensityMatrix:
+def x_transform_unconstrained(rho_g: DensityMatrix, angles) -> DensityMatrix:
     """One-shot X transform without entanglement preservation.
 
-    Diagonalize rho_g, then rotate the diagonal with an X-shaped unitary:
-    the output is always X-shaped with the input's spectrum, but the
-    concurrence generally changes.  `x_unitary_params` is either a 4x4
-    X-shaped unitary or the 6 angles of `x_preserving_unitary`.
+    Diagonalize rho_g, then rotate the diagonal with the X-shaped unitary of
+    the six `x_preserving_unitary` angles: the output is always X-shaped with
+    the input's spectrum, but the concurrence generally changes.
     """
     measures.require_single(rho_g, "X transform", (2, 2))
-    UX = np.asarray(x_unitary_params, dtype=complex) \
-        if np.ndim(x_unitary_params) == 2 else x_preserving_unitary(*x_unitary_params)
+    angles = np.asarray(angles, dtype=float)
+    if angles.shape != (6,):
+        raise DimensionError(f"need 6 angles, got shape {angles.shape}")
     eg = linalg.eig_hermitian(rho_g.mat).vectors
-    return _conjugate(rho_g, UX @ eg.conj().T)
-
+    return _conjugate(rho_g, x_preserving_unitary(*angles.tolist()) @ eg.conj().T)

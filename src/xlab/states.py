@@ -151,6 +151,8 @@ def theta_state(family: str, theta: float, phi: float) -> DensityMatrix:
 
 def bell_state(family: str = PHI, sign: int = +1) -> DensityMatrix:
     """Bell state projector; sign +1 gives the '+' state, -1 the '-' state."""
+    if sign not in (1, -1):
+        raise DomainError(f"sign must be +1 or -1, got {sign!r}")
     return theta_state(family, math.pi / 4, 0.0 if sign > 0 else math.pi)
 
 
@@ -195,6 +197,10 @@ def general_x_state(params: XParams, mode: str = "reduced-9") -> DensityMatrix:
     """
     if mode not in ("full-11", "reduced-9"):
         raise DomainError(f"unknown mode {mode!r}")
+    shapes = [np.shape(p) for p in (params.probability_angles, params.superposition_angles,
+                                    params.phases)]
+    if [s[-1:] for s in shapes] != [(3,), (4,), (4,)] or len({s[:-1] for s in shapes} - {()}) > 1:
+        raise DimensionError(f"X parameter shapes {shapes} are not (..., 3), (..., 4), (..., 4)")
     phases = np.array(params.phases, dtype=float)
     if mode == "reduced-9":
         phases[..., [0, 2]] = 0.0
@@ -478,17 +484,10 @@ def tgx_rank_state(R: int, thetas: Sequence[float], probs: Sequence[float]) -> D
 # Random ensembles
 # ---------------------------------------------------------------------------
 
-def random_pure(n: int, rng: np.random.Generator, dims=None) -> DensityMatrix:
-    """Haar-uniform pure state of dimension n (complex Gaussian, normalized)."""
-    if n < 2:
-        raise DimensionError(f"dimension must be >= 2, got {n}")
-    vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return _pure(vec, dims if dims is not None else (n,))
-
-
 def random_mixed(n: int, R, rng, dims=None) -> DensityMatrix:
     """Rank-R mixed state from the Ginibre-induced measure: GG+/tr(GG+).
 
+    R = 1 is the Haar-uniform pure state (a normalized complex Gaussian ket).
     R may be an array of ranks and rng a matching sequence of generators;
     the result is then a (B, n, n) stack.  Row b draws the real, then the
     imaginary part of its (n, R[b]) G from its generator, rows in order, so

@@ -155,8 +155,8 @@ def test_07_2x3_measure_anchors():
     rng = np.random.default_rng(31)
     worst_prod = 0.0
     for _ in range(1000):
-        a = states.random_pure(2, rng)
-        b = states.random_pure(3, rng)
+        a = states.random_mixed(2, 1, rng)
+        b = states.random_mixed(3, 1, rng)
         prod = DensityMatrix(np.kron(a.mat, b.mat), (2, 3))
         worst_prod = max(worst_prod, measures.negativity_e(prod))
     ok &= worst_prod <= 1e-12

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -332,7 +333,7 @@ def test_run_conversion_campaign():
     cfg = cli.ExperimentConfig(samples=6, seed=2)
     summary = cli.run_conversion_campaign(cfg)
     assert summary.samples == 6
-    assert summary.all_succeeded
+    assert summary.successes == 6
     assert summary.max_delta_c <= cli.convert.DEFAULT_TOL_C
     assert summary.max_anti_x <= 1e-10
     for other in (dict(family="mems"), dict(system=(2, 3))):
@@ -439,6 +440,19 @@ def test_main_scatter_record_bytes(tmp_path, family, system):
         assert out.read_text() == want
 
 
+def test_bench_copies_of_package_constants_match(monkeypatch):
+    # bench/ keeps its own copies so that its checks do not trust the package; a drift
+    # between the two fails here instead of in a benchmark run.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import checks
+    import workloads
+
+    assert inspect.signature(checks.campaign_csv).parameters["anti_x_tol"].default \
+        == linalg.ANTI_X_TOL
+    assert workloads.Convert.TOL_C == cli.convert.DEFAULT_TOL_C
+    assert tuple(checks.CAMPAIGN_FIELDS) == cli.CampaignRecord._fields
+
+
 def test_result_records_are_immutable_rows():
     # The writers take their columns from _fields, so the field order is the output's.
     assert cli.SampleRecord._fields == _SCATTER_FIELDS
@@ -448,7 +462,7 @@ def test_result_records_are_immutable_rows():
     for obj, name in ((record, "purity"), (summary.records[0], "delta_c"), (summary, "samples")):
         with pytest.raises(AttributeError):
             setattr(obj, name, 0.0)
-    assert summary.all_succeeded and not summary._replace(successes=1).all_succeeded
+    assert summary.successes == summary.samples == 2
 
 
 def test_main_convert_record_bytes(tmp_path):

@@ -390,6 +390,24 @@ def test_x_preserving_unitary():
     assert measures.anti_x_measure(out) <= 1e-14
 
 
+@pytest.mark.parametrize("angles,error,message", [
+    (np.ones((4, 4)), DimensionError, "need 6 angles, got shape (4, 4)"),
+    ([0.1] * 5, DimensionError, "need 6 angles, got shape (5,)"),
+    ([0.1, 0.2, math.nan, 0.3, 0.4, 0.5], DomainError, "angle nan is not finite"),
+    ([0.1] * 5 + [-math.inf], DomainError, "angle -inf is not finite"),
+], ids=["4x4-matrix", "five-angles", "nan-angle", "inf-angle"])
+def test_x_transform_unconstrained_takes_six_finite_angles(angles, error, message):
+    # A 4x4 matrix is not a unitary to use unchecked (np.ones would give a "state" of
+    # trace 4), and NaN angles would give a NaN matrix.
+    rho = states.random_mixed(4, 3, np.random.default_rng(5), (2, 2))
+    with pytest.raises(error) as err:
+        convert.x_transform_unconstrained(rho, angles)
+    assert type(err.value) is error and str(err.value) == message
+    if error is DomainError:
+        with pytest.raises(DomainError, match="is not finite"):
+            convert.x_preserving_unitary(*angles)
+
+
 def test_diag_unitary_preserves_x_concurrence():
     rng = np.random.default_rng(15)
     for _ in range(50):
@@ -416,7 +434,7 @@ def test_entangling_rotation_is_not_epu():
 def test_x_transform_unconstrained():
     rng = np.random.default_rng(18)
     rho = states.random_mixed(4, 4, rng, (2, 2))
-    out = convert.x_transform_unconstrained(rho, np.eye(4))
+    out = convert.x_transform_unconstrained(rho, [0.0] * 6)
     assert measures.anti_x_measure(out) <= 1e-12
     assert np.max(np.abs(out.mat - np.diag(np.diag(out.mat)))) <= 1e-12
     for _ in range(25):

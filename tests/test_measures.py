@@ -100,6 +100,13 @@ def test_purity_range():
     assert abs(measures.purity(DensityMatrix(np.eye(4) / 4, (2, 2))) - 0.25) <= 1e-15
 
 
+def test_anti_x_positions_are_the_two_qubit_anti_x_mask():
+    # anti_x_measure, concurrence_x and convert's success column read these hard-coded
+    # positions; they must be the upper triangle of the TGX rule's anti-X mask, in order.
+    upper = [(r, c) for r, c in tgx.anti_x_mask((2, 2)).pairs() if r < c]
+    assert list(zip(measures._ANTI_X_ROWS.tolist(), measures._ANTI_X_COLS.tolist())) == upper
+
+
 def test_anti_x_measure_extremes():
     x = states.general_x_state(states.XParams((0.4, 0.7, 0.9), (0.3, 0.8, 1.1, 0.2)))
     assert measures.anti_x_measure(x) <= 1e-14
@@ -137,8 +144,8 @@ def test_peres_consistency():
     # Product and separable states keep trace norm 1 under partial transpose.
     rng = np.random.default_rng(10)
     for _ in range(50):
-        a = states.random_pure(2, rng)
-        b = states.random_pure(3, rng)
+        a = states.random_mixed(2, 1, rng)
+        b = states.random_mixed(3, 1, rng)
         prod = DensityMatrix(np.kron(a.mat, b.mat), (2, 3))
         pt = measures.partial_transpose(prod, 1)
         assert abs(linalg.trace_norm(pt) - 1.0) <= 1e-10
@@ -371,7 +378,7 @@ def test_stacked_measures_check_every_matrix():
 @pytest.mark.parametrize("single", [
     lambda rho: measures.partial_trace(rho, 1),
     tgx.is_simple_me_state, convert.closed_form_conversion,
-    lambda rho: convert.x_transform_unconstrained(rho, np.eye(4)),
+    lambda rho: convert.x_transform_unconstrained(rho, [0.0] * 6),
     lambda rho: convert.conversion_unitary(rho, rho),
 ], ids=["partial_trace", "is_simple_me_state", "closed_form_conversion",
         "x_transform_unconstrained", "conversion_unitary"])

@@ -27,6 +27,14 @@ def test_bell_state_values():
     assert abs(bm.mat[0, 3] + 0.5) <= 1e-15
 
 
+@pytest.mark.parametrize("sign", [0, 2, -2, 0.5])
+def test_bell_state_rejects_a_sign_other_than_plus_minus_one(sign):
+    # A test of sign > 0 alone would take 0 as the '-' state and 2 as the '+' state.
+    with pytest.raises(DomainError) as err:
+        states.bell_state(states.PHI, sign)
+    assert str(err.value) == f"sign must be +1 or -1, got {sign!r}"
+
+
 @given(st.lists(st.floats(0.0, math.pi / 2), min_size=1, max_size=5))
 def test_hyperspherical_probs_simplex(angles):
     p = states.hyperspherical_probs(angles)
@@ -63,6 +71,24 @@ def test_general_x_state_stack_equals_row_builds(mode):
     assert (mode == "full-11") == np.array_equal(full.mat, stack.mat)
     with pytest.raises(DomainError, match="unknown mode 'full-9'"):
         states.general_x_state(states.XParams(angles[:, :3], angles[:, 3:], phases), "full-9")
+
+
+@pytest.mark.parametrize("params,shapes", [
+    (states.XParams((0.1, 0.2), (0.1,) * 4, (0.0,) * 4), "[(2,), (4,), (4,)]"),
+    (states.XParams((0.1,) * 3, (0.1,) * 5), "[(3,), (5,), (4,)]"),
+    (states.XParams(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 3))),
+     "[(2, 3), (2, 4), (2, 3)]"),
+    (states.XParams(0.1, (0.1,) * 4), "[(), (4,), (4,)]"),
+    (states.XParams(np.zeros((5, 3)), np.zeros((4, 4)), np.zeros((4, 4))),
+     "[(5, 3), (4, 4), (4, 4)]"),
+], ids=["two-probability-angles", "five-superposition-angles", "three-phases", "scalar",
+        "row-counts-differ"])
+def test_general_x_state_mis_sized_parameters_name_their_shapes(params, shapes):
+    # Unchecked, these reach numpy as a broadcast ValueError or an IndexError.
+    for mode in ("reduced-9", "full-11"):
+        with pytest.raises(DimensionError) as err:
+            states.general_x_state(params, mode)
+        assert str(err.value) == f"X parameter shapes {shapes} are not (..., 3), (..., 4), (..., 4)"
 
 
 def _per_term_x_state(angles, thetas, phases, mode):
@@ -439,7 +465,7 @@ def test_random_ensembles():
         r = states.random_mixed(4, R, rng, (2, 2))
         r.validate()
         assert r.rank() == R
-    p = states.random_pure(6, rng, (2, 3))
+    p = states.random_mixed(6, 1, rng, (2, 3))
     p.validate()
     assert p.rank() == 1
 
@@ -543,9 +569,7 @@ def test_density_matrix_rejects_non_integer_dims(dims):
     (lambda: states.meb_state_2x3(states.PHI, 4, 0.3, 0.0), DomainError,
      "index must be 1..3, got 4"),
     (lambda: states.l_state(4, 0.3, 0.0), DomainError, "index must be 1..3, got 4"),
-    (lambda: states.random_pure(1, np.random.default_rng(0)), DimensionError,
-     "dimension must be >= 2, got 1"),
-], ids=["density-matrix-1", "meb-index-4", "l-state-index-4", "random-pure-1"])
+], ids=["density-matrix-1", "meb-index-4", "l-state-index-4"])
 def test_a_builder_out_of_range_names_the_value(call, error, message):
     with pytest.raises(error) as err:
         call()
