@@ -479,10 +479,8 @@ def _option(command: str, flag: str, value) -> str:
     """`value` of `command`'s `flag` if it is one of the flag's choices, their first (the
     default) if it is not `_given`, else a ConfigError."""
     options = _COMMANDS[command].flags[flag]
-    value = value if _given(value) else options[0]
-    if not (isinstance(value, str) and value in options):
-        raise ConfigError(f"{flag} must be one of {', '.join(options)}, got {value!r}")
-    return value
+    return linalg.member(value if _given(value) else options[0], options,
+                         f"{flag} must be one of {', '.join(options)}, got {{!r}}", ConfigError)
 
 
 def _write(text: str, path=None) -> None:

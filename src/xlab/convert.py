@@ -149,7 +149,7 @@ def diag_factor_conditions(phases: Sequence[float]) -> tuple:
     diagonal factors into a tensor product of 2x2 diagonals only if each
     pair is equal.
     """
-    eta = np.asarray(phases, dtype=float)
+    eta = linalg.numbers(phases, "phase")
     if eta.shape != (4,):
         raise DimensionError(f"need 4 phases, got shape {eta.shape}")
     e1, e2, e3, e4 = eta.tolist()  # Python floats: a non-finite phase gives nan, no warning
@@ -168,16 +168,14 @@ def diag_factorizable(phases: Sequence[float], mode: str = "exact"):
     """
     (left, right), _ = diag_factor_conditions(phases)
     excess = left - right
-    if mode == "exact":
+    if linalg.member(mode, ("exact", "mod-global-phase"), "unknown mode {!r}") == "exact":
         ok, shift = abs(excess) / 4.0 <= 1e-10, 0.0
-    elif mode == "mod-global-phase":
+    else:
         gap = excess % (2.0 * math.pi)
         ok, shift = min(gap, 2.0 * math.pi - gap) <= 1e-10, excess
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
     if not ok:
         return False, None
-    grid = (np.asarray(phases, dtype=float) - [0.0, 0.0, 0.0, shift]).reshape(2, 2)
+    grid = (linalg.numbers(phases, "phase") - [0.0, 0.0, 0.0, shift]).reshape(2, 2)
     half = grid.mean() / 2.0
     return True, (*(grid.mean(axis=1) - half), *(grid.mean(axis=0) - half))
 
@@ -186,18 +184,13 @@ def x_preserving_unitary(eps: float, theta: float, alpha: float, beta: float,
                          phi: float, chi: float) -> np.ndarray:
     """X-shaped 4x4 unitary: independent rotations of the outer and inner planes;
     a DomainError names the first angle that is not finite."""
-    _finite([eps, theta, alpha, beta, phi, chi], "angle")
-    ce, se = math.cos(eps), math.sin(eps)
-    ct, st = math.cos(theta), math.sin(theta)
+    eps, theta, alpha, beta, phi, chi = _finite([eps, theta, alpha, beta, phi, chi],
+                                                "angle").tolist()
     U = np.zeros((4, 4), dtype=complex)
-    U[0, 0] = ce * np.exp(1j * alpha)
-    U[0, 3] = se * np.exp(1j * beta)
-    U[3, 0] = -se * np.exp(-1j * beta)
-    U[3, 3] = ce * np.exp(-1j * alpha)
-    U[1, 1] = ct * np.exp(1j * phi)
-    U[1, 2] = st * np.exp(1j * chi)
-    U[2, 1] = -st * np.exp(-1j * chi)
-    U[2, 2] = ct * np.exp(-1j * phi)
+    for i, j, w, a, b in ((0, 3, eps, alpha, beta), (1, 2, theta, phi, chi)):
+        c, s = math.cos(w), math.sin(w)
+        U[i, i], U[i, j] = c * np.exp(1j * a), s * np.exp(1j * b)
+        U[j, i], U[j, j] = -s * np.exp(-1j * b), c * np.exp(-1j * a)
     return U
 
 
@@ -209,7 +202,7 @@ def x_transform_unconstrained(rho_g: DensityMatrix, angles) -> DensityMatrix:
     the input's spectrum, but the concurrence generally changes.
     """
     measures.require_single(rho_g, "X transform", (2, 2))
-    angles = np.asarray(angles, dtype=float)
+    angles = linalg.numbers(angles, "angle")
     if angles.shape != (6,):
         raise DimensionError(f"need 6 angles, got shape {angles.shape}")
     eg = linalg.eig_hermitian(rho_g.mat).vectors

@@ -8,6 +8,7 @@ each eigenvector made real and positive) so that downstream conversion
 unitaries are reproducible.
 
 Every tolerance is one of the *_TOL constants below; no call takes its own.
+Each fixed-choice key is checked by `member`, each numeric input read by `numbers`.
 A NaN or infinite entry is rejected with `check_finite`'s one message and no
 numpy warning.  `check_psd` runs where a spectrum is used as PSD, so an
 eigensystem a caller passes in as `es` is checked like one computed here.
@@ -56,13 +57,29 @@ def reject(bad, message: str, *values) -> None:
     bad = np.asarray(bad)
     if np.logical_or.reduce(bad, axis=None):
         raise DomainError(message.format(
-            *(np.broadcast_to(v, bad.shape).flat[bad.argmax()].item() for v in values)))
+            *(np.broadcast_to(v, bad.shape).item(bad.argmax()) for v in values)))
+
+
+def member(value, options, message: str, error=DomainError):
+    """`value` if it is in `options` and a str or a Python or numpy int, not a bool;
+    else `error(message.format(value))`."""
+    if isinstance(value, (str, int, np.integer)) and type(value) is not bool and value in options:
+        return value
+    raise error(message.format(value))
+
+
+def numbers(x, name: str, dtype=float) -> np.ndarray:
+    """x as an array of `dtype`; a DomainError names it unless its entries are numbers."""
+    try:
+        return np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} {x!r} is not a number") from None
 
 
 def clamped(x, lo: float, hi: float, message: str) -> np.ndarray:
-    """x (a float or an array) as floats clipped to [lo, hi]; an entry
-    further than INPUT_TOL outside that range is rejected with `message`."""
-    x = np.asarray(x, dtype=float)
+    """x (a float or an array) as floats clipped to [lo, hi]; an entry further than
+    INPUT_TOL outside it is rejected with `message`, whose first word names x."""
+    x = numbers(x, message.split()[0])
     reject(~((lo - INPUT_TOL <= x) & (x <= hi + INPUT_TOL)), message, x)
     return np.clip(x, lo, hi)
 
@@ -80,7 +97,7 @@ def hermitize(M: np.ndarray) -> np.ndarray:
     pipelines.  `check_finite` runs first, so a NaN or infinite entry gets
     its message and the arithmetic never meets one.
     """
-    M = np.asarray(M, dtype=complex)
+    M = numbers(M, "matrix", complex)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise DimensionError(f"expected a square matrix or a stack of them, got shape {M.shape}")
     check_finite(M)

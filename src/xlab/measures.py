@@ -22,7 +22,7 @@ _ANTI_X_ROWS, _ANTI_X_COLS = np.array([0, 0, 1, 2]), np.array([1, 2, 3, 3])
 
 
 def _as_mat(rho) -> np.ndarray:
-    return rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    return rho.mat if isinstance(rho, DensityMatrix) else linalg.numbers(rho, "matrix", complex)
 
 
 def require_dims(rho: DensityMatrix, dims: tuple[int, ...], what: str):
@@ -107,17 +107,13 @@ def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     """Reduction to subsystem `keep` (1-based), tracing out the others."""
     require_single(rho, "partial_trace")
     dims = rho.dims
-    if not 1 <= keep <= len(dims):
-        raise DimensionError(f"subsystem index {keep} invalid for dims {list(dims)}")
-    m = keep - 1
-    d = dims[m]
+    linalg.member(keep, range(1, len(dims) + 1),
+                  f"subsystem index {{}} invalid for dims {list(dims)}", DimensionError)
     t = rho.mat.reshape(dims + dims)
-    # Trace over every axis pair except the kept one.
-    for sub in range(len(dims) - 1, -1, -1):
-        if sub == m:
-            continue
-        t = np.trace(t, axis1=sub, axis2=sub + (t.ndim // 2))
-    return DensityMatrix(t.reshape(d, d), (d,))
+    for sub in reversed(range(len(dims))):  # trace every axis pair but the kept one
+        if sub != keep - 1:
+            t = np.trace(t, axis1=sub, axis2=sub + (t.ndim // 2))
+    return DensityMatrix(t, (dims[keep - 1],))
 
 
 def partial_transpose(rho: DensityMatrix, sub: int) -> np.ndarray:
@@ -128,8 +124,7 @@ def partial_transpose(rho: DensityMatrix, sub: int) -> np.ndarray:
     dims = rho.dims
     if len(dims) != 2:
         raise DimensionError(f"partial transpose needs bipartite dims, got {list(dims)}")
-    if sub not in (1, 2):
-        raise DimensionError(f"subsystem must be 1 or 2, got {sub}")
+    linalg.member(sub, (1, 2), "subsystem must be 1 or 2, got {}", DimensionError)
     dA, dB = dims
     t = rho.mat.reshape(-1, dA, dB, dA, dB)
     t = t.swapaxes(1, 3) if sub == 1 else t.swapaxes(2, 4)

@@ -21,8 +21,10 @@ _RANK2_SLACK = 1e-9  # slack of P >= (1 + C^2)/2, i.e. of C <= l1 - l2 at rank <
 
 
 def _int_dims(dims) -> tuple:
-    """`dims` as a tuple of ints; a DimensionError names them unless each is a Python or
-    numpy integer (not a bool)."""
+    """`dims` as a tuple of ints; a DimensionError names them unless they are a sequence of
+    Python or numpy integers (not bools)."""
+    if not np.iterable(dims):
+        raise DimensionError(f"dimensions must be a sequence of integers, got {dims!r}")
     dims = tuple(dims)
     if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) for d in dims):
         raise DimensionError(f"dimensions must be integers, got {list(dims)}")
@@ -37,7 +39,7 @@ class DensityMatrix:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        self.mat = np.asarray(self.mat, dtype=complex)
+        self.mat = linalg.numbers(self.mat, "matrix", complex)
         self.dims = _int_dims(self.dims)
         if any(d < 2 for d in self.dims):
             raise DimensionError(f"all subsystem dimensions must be >= 2, got {self.dims}")
@@ -70,7 +72,7 @@ class DensityMatrix:
 
 def _finite(angles, name: str) -> np.ndarray:
     """`angles` as floats; a DomainError names the first NaN or infinite one."""
-    angles = np.asarray(angles, dtype=float)
+    angles = linalg.numbers(angles, name)
     linalg.reject(~np.isfinite(angles), f"{name} {{}} is not finite", angles)
     return angles
 
@@ -144,15 +146,13 @@ def theta_state(family: str, theta: float, phi: float) -> DensityMatrix:
     Separable at theta in {0, pi/2}, maximally entangled at theta = pi/4
     (Bell states when phi is 0 or pi).  Concurrence is |sin 2 theta|.
     """
-    if family not in (PHI, PSI):
-        raise DomainError(f"family must be 'phi' or 'psi', got {family!r}")
+    linalg.member(family, (PHI, PSI), "family must be 'phi' or 'psi', got {!r}")
     return _pure(_theta_kets(4, *_THETA_SUPPORT[family], theta, _phase(phi)), (2, 2))
 
 
 def bell_state(family: str = PHI, sign: int = +1) -> DensityMatrix:
     """Bell state projector; sign +1 gives the '+' state, -1 the '-' state."""
-    if sign not in (1, -1):
-        raise DomainError(f"sign must be +1 or -1, got {sign!r}")
+    linalg.member(sign, (1, -1), "sign must be +1 or -1, got {!r}")
     return theta_state(family, math.pi / 4, 0.0 if sign > 0 else math.pi)
 
 
@@ -164,6 +164,8 @@ def hyperspherical_probs(angles: Sequence[float]) -> np.ndarray:
     axis; zero angles after a row's own ones pad its vector with zeros.
     """
     angles = _finite(angles, "angle")
+    if angles.ndim == 0:
+        raise DimensionError(f"need a sequence of angles, got {angles.item()!r}")
     ones = np.ones(angles.shape[:-1] + (1,))
     # running[k] = prod_{j<k} sin^2 t_j, multiplied in order.
     running = np.cumprod(np.concatenate((ones, np.sin(angles) ** 2), axis=-1), axis=-1)
@@ -195,18 +197,14 @@ def general_x_state(params: XParams, mode: str = "reduced-9") -> DensityMatrix:
     Parameter arrays with B rows give a (B, 4, 4) stack whose matrix b is
     the state of row b.
     """
-    if mode not in ("full-11", "reduced-9"):
-        raise DomainError(f"unknown mode {mode!r}")
-    shapes = [np.shape(p) for p in (params.probability_angles, params.superposition_angles,
-                                    params.phases)]
+    linalg.member(mode, ("full-11", "reduced-9"), "unknown mode {!r}")
+    angles, thetas, phases = (linalg.numbers(v, name) for name, v in vars(params).items())
+    shapes = [angles.shape, thetas.shape, phases.shape]
     if [s[-1:] for s in shapes] != [(3,), (4,), (4,)] or len({s[:-1] for s in shapes} - {()}) > 1:
         raise DimensionError(f"X parameter shapes {shapes} are not (..., 3), (..., 4), (..., 4)")
-    phases = np.array(params.phases, dtype=float)
-    if mode == "reduced-9":
-        phases[..., [0, 2]] = 0.0
+    phases = np.where([mode == "reduced-9", False] * 2, 0.0, phases)
     lo, hi = zip(*(_THETA_SUPPORT[fam] for fam in (PHI, PHI, PSI, PSI)))
-    mat = _block_mixture(4, lo, hi, params.superposition_angles, _phase(phases),
-                         hyperspherical_probs(params.probability_angles))
+    mat = _block_mixture(4, lo, hi, thetas, _phase(phases), hyperspherical_probs(angles))
     return DensityMatrix(mat, (2, 2))
 
 
@@ -280,7 +278,7 @@ def closed_form_x(C, P) -> DensityMatrix:
     """Rank-<=2 X state with concurrence C and purity P, P >= (1+C^2)/2;
     arrays of C and P give a stack, and an entry outside is a DomainError."""
     C = linalg.clamped(C, 0.0, 1.0, "concurrence {} outside [0, 1]")
-    P = np.asarray(P, dtype=float)
+    P = linalg.numbers(P, "purity")
     lo = 0.5 * (1.0 + C * C)
     linalg.reject(~((lo - _RANK2_SLACK <= P) & (P <= 1.0 + linalg.INPUT_TOL)),
                   "purity {} outside [{}, 1] for concurrence {}", P, lo, C)
@@ -305,7 +303,7 @@ def h_state(C, P) -> DensityMatrix:
     DomainError naming the violated bound and the first entry outside it.
     """
     C = linalg.clamped(C, 0.0, 1.0, "concurrence {} outside [0, 1]")
-    P = np.asarray(P, dtype=float)
+    P = linalg.numbers(P, "purity")
     linalg.reject(~(P <= 1.0 + linalg.INPUT_TOL), "purity {} exceeds 1", P)
     high = P >= 0.5 * (1.0 + C * C) - _RANK2_SLACK
     lo = h_purity_floor(C)
@@ -341,17 +339,14 @@ def meb_state_2x3(family: str, index: int, theta: float, phi: float) -> DensityM
     At theta = pi/4, phi = 0 this is the '+' basis state itself; phi = pi
     gives the '-' state.
     """
-    if family not in (PHI, PSI):
-        raise DomainError(f"family must be 'phi' or 'psi', got {family!r}")
-    if index not in (1, 2, 3):
-        raise DomainError(f"index must be 1..3, got {index}")
+    linalg.member(family, (PHI, PSI), "family must be 'phi' or 'psi', got {!r}")
+    linalg.member(index, (1, 2, 3), "index must be 1..3, got {}")
     return _pure(_theta_kets(6, *_MEB_SUPPORT_2X3[family][index - 1], theta, _phase(phi)), (2, 3))
 
 
 def l_state(index: int, theta: float, phi: float) -> DensityMatrix:
     """Literal-X constituent state in 2x3 (index 1..3); index 2 is separable."""
-    if index not in _LX_SUPPORT:
-        raise DomainError(f"index must be 1..3, got {index}")
+    linalg.member(index, _LX_SUPPORT, "index must be 1..3, got {}")
     return _pure(_theta_kets(6, *_LX_SUPPORT[index], theta, _phase(phi)), (2, 3))
 
 
@@ -451,7 +446,7 @@ def rank_states(family: RankFamily, ranks, thetas, probs):
     Raises DomainError for a bad rank, a non-finite angle or weights not summing to 1.
     """
     at = _check_ranks(ranks, len(family.lo)) - 1
-    thetas, probs = np.asarray(thetas, dtype=float), np.asarray(probs, dtype=float)
+    thetas, probs = linalg.numbers(thetas, "theta"), linalg.numbers(probs, "probabilities")
     shape = family.lo[at].shape
     if not thetas.shape == probs.shape == shape:
         raise DimensionError(f"thetas {thetas.shape} and probs {probs.shape} are not {shape}")
@@ -470,7 +465,7 @@ def tgx_rank_state(R: int, thetas: Sequence[float], probs: Sequence[float]) -> D
     R = int(_check_ranks(R, len(TGX_RANK.lo)))
     if len(thetas) != R or len(probs) != R:
         raise DimensionError(f"need {R} thetas and {R} probabilities for rank {R}")
-    if np.any(np.asarray(probs, dtype=float) <= 0.0):
+    if np.any(linalg.numbers(probs, "probabilities") <= 0.0):
         raise RankError("all mixing probabilities must be strictly positive")
     rows = np.zeros((2, 1, len(TGX_RANK.lo)))
     rows[:, 0, :R] = thetas, probs
@@ -493,6 +488,7 @@ def random_mixed(n: int, R, rng, dims=None) -> DensityMatrix:
     imaginary part of its (n, R[b]) G from its generator, rows in order, so
     a block equals a loop of single draws, also when generators repeat.
     """
+    (n,) = _int_dims([n])
     ranks = _check_ranks(R, n)
     rngs = [rng] if ranks.ndim == 0 else list(rng)
     flat = ranks.reshape(-1).tolist()

@@ -161,11 +161,11 @@ def basis_resolution(members) -> tuple:
     members = list(members)
     if not members:
         raise DomainError("need at least one state")
-    n = members[0].n
+    dims, n = members[0].dims, members[0].n
     S = np.zeros((n, n), dtype=complex)
     for k, psi in enumerate(members):
-        if psi.n != n:
-            raise DimensionError(f"member {k} has size {psi.n}, expected {n}")
+        if psi.dims != dims:
+            raise DimensionError(f"member {k} has dims {list(psi.dims)}, expected {list(dims)}")
         S += psi.mat
     # Least-squares scalar fit of c*S to the identity.
     denom = float(np.sum(np.abs(S) ** 2))
@@ -220,8 +220,9 @@ _SIGN_PAIRS_3X3 = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
 def meb_basis_3x3(a: int = 1, b: int = 1) -> list:
     """Six three-term ME states in 3x3 with relative phases a, b (each +-1)."""
-    if a not in (1, -1) or b not in (1, -1):
-        raise DomainError(f"phase factors must be +-1, got a={a}, b={b}")
+    both = f"phase factors must be +-1, got a={a}, b={b}".replace("{", "{{").replace("}", "}}")
+    for sign in (a, b):
+        linalg.member(sign, (1, -1), both)
     return [_pure_from_support(9, (3, 3), s, (1.0, float(a), float(b)))
             for s in _SUPPORTS_3X3]
 

@@ -1,0 +1,159 @@
+"""One table of bad arguments for every public entry point that takes a key, dims,
+a size or a number: each call returns or raises an XLabError, never a raw
+TypeError or ValueError, and numpy integers work wherever Python ints do."""
+
+import numpy as np
+import pytest
+
+from xlab import cli, convert, linalg, measures, states, tgx
+from xlab.errors import ConfigError, DomainError, XLabError
+from xlab.states import DensityMatrix, XParams
+
+# True and np.float64(1.0) look like 1, "1" like a key or a number, ["phi"] like a family.
+_BAD = [True, 1.0, 2.5, None, "1", "x", ["phi"], np.float64(1.0)]
+
+_BELL = states.bell_state()
+_OK_ROW = np.array([[0.5, 0.5, 0.0, 0.0]])
+_RECORDS = [cli.SampleRecord(0.5, 0.75, 2, "general", 0)]
+
+# name: one call with the argument under test in the place of `v`
+_KEYS = {
+    "theta_state-family": lambda v: states.theta_state(v, 0.3, 0.0),
+    "bell_state-family": lambda v: states.bell_state(v),
+    "bell_state-sign": lambda v: states.bell_state(states.PHI, v),
+    "general_x_state-mode": lambda v: states.general_x_state(
+        XParams((0.1, 0.2, 0.3), (0.4, 0.5, 0.6, 0.7)), v),
+    "meb_state_2x3-family": lambda v: states.meb_state_2x3(v, 1, 0.3, 0.0),
+    "meb_state_2x3-index": lambda v: states.meb_state_2x3(states.PHI, v, 0.3, 0.0),
+    "l_state-index": lambda v: states.l_state(v, 0.3, 0.0),
+    "rank_states-rank": lambda v: states.rank_states(states.RANK_X, [v], _OK_ROW, _OK_ROW),
+    "random_mixed-rank": lambda v: states.random_mixed(4, v, np.random.default_rng(1)),
+    "tgx_rank_state-rank": lambda v: states.tgx_rank_state(v, [0.3], [1.0]),
+    "partial_trace-keep": lambda v: measures.partial_trace(_BELL, v),
+    "partial_transpose-sub": lambda v: measures.partial_transpose(_BELL, v),
+    "meb_basis_2x3-family": lambda v: tgx.meb_basis_2x3(v),
+    "meb_basis_3x3-a": lambda v: tgx.meb_basis_3x3(v, 1),
+    "meb_basis_3x3-b": lambda v: tgx.meb_basis_3x3(1, v),
+    "diag_factorizable-mode": lambda v: convert.diag_factorizable([0.0] * 4, v),
+    "emit_output-format": lambda v: cli.emit_output(_RECORDS, fmt=v),
+}
+_DIMS = {
+    "DensityMatrix-dims": lambda v: DensityMatrix(np.eye(4) / 4, v),
+    "anti_x_mask-dims": lambda v: tgx.anti_x_mask(v),
+    "tgx_mask-dims": lambda v: tgx.tgx_mask(v),
+    "meb_union_mask-dims": lambda v: tgx.meb_union_mask(tgx.bell_basis(), v),
+    "random_mixed-dims": lambda v: states.random_mixed(4, 1, np.random.default_rng(1), v),
+}
+_SIZES = {
+    "random_mixed-n": lambda v: states.random_mixed(v, 1, np.random.default_rng(1)),
+    "ElementMask-n": lambda v: tgx.ElementMask(v, np.eye(1, dtype=bool)),
+}
+_NUMBERS = {
+    "DensityMatrix-mat": lambda v: DensityMatrix(v, (2, 2)),
+    "theta_state-theta": lambda v: states.theta_state(states.PHI, v, 0.0),
+    "theta_state-phi": lambda v: states.theta_state(states.PSI, 0.3, v),
+    "meb_state_2x3-theta": lambda v: states.meb_state_2x3(states.PHI, 1, v, 0.0),
+    "l_state-phi": lambda v: states.l_state(2, 0.3, v),
+    "hyperspherical_probs": lambda v: states.hyperspherical_probs(v),
+    "general_x_state-probability": lambda v: states.general_x_state(
+        XParams((0.1, v, 0.3), (0.4, 0.5, 0.6, 0.7))),
+    "general_x_state-theta": lambda v: states.general_x_state(
+        XParams((0.1, 0.2, 0.3), (0.4, 0.5, v, 0.7))),
+    "general_x_state-phase": lambda v: states.general_x_state(
+        XParams((0.1, 0.2, 0.3), (0.4, 0.5, 0.6, 0.7), (0.0, v, 0.0, 0.0)), "full-11"),
+    "mems_2x2": lambda v: states.mems_2x2(v),
+    "mems_2x3": lambda v: states.mems_2x3(v),
+    "mems_boundary_2x2": lambda v: measures.mems_boundary_2x2(v),
+    "mems_boundary_2x3": lambda v: measures.mems_boundary_2x3(v),
+    "closed_form_x-C": lambda v: states.closed_form_x(v, 1.0),
+    "closed_form_x-P": lambda v: states.closed_form_x(0.5, v),
+    "h_state-C": lambda v: states.h_state(v, 0.9),
+    "h_state-P": lambda v: states.h_state(0.5, v),
+    "h_purity_floor": lambda v: states.h_purity_floor(v),
+    "rank_states-thetas": lambda v: states.rank_states(
+        states.RANK_X, [2], [[0.3, v, 0.0, 0.0]], _OK_ROW),
+    "rank_states-probs": lambda v: states.rank_states(
+        states.RANK_X, [2], _OK_ROW, [[0.5, v, 0.0, 0.0]]),
+    "x_preserving_unitary-eps": lambda v: convert.x_preserving_unitary(v, 0, 0, 0, 0, 0),
+    "x_preserving_unitary-chi": lambda v: convert.x_preserving_unitary(0, 0, 0, 0, 0, v),
+    "x_transform_unconstrained": lambda v: convert.x_transform_unconstrained(_BELL, v),
+    "x_transform_unconstrained-angle": lambda v: convert.x_transform_unconstrained(
+        _BELL, [v] * 6),
+    "diag_factor_conditions": lambda v: convert.diag_factor_conditions(v),
+    "diag_factor_conditions-phase": lambda v: convert.diag_factor_conditions([v] * 4),
+    "diag_factorizable-phase": lambda v: convert.diag_factorizable([0.0, 0.0, 0.0, v]),
+    "anti_x_measure": lambda v: measures.anti_x_measure(v),
+    "eig_hermitian": lambda v: linalg.eig_hermitian(v),
+}
+_CALLS = {**_KEYS, **_DIMS, **_SIZES, **_NUMBERS}
+
+
+@pytest.mark.parametrize("value", _BAD, ids=repr)
+@pytest.mark.parametrize("name", sorted(_CALLS))
+def test_a_bad_argument_returns_or_raises_one_xlab_error(name, value):
+    try:
+        _CALLS[name](value)
+    except XLabError:
+        pass
+
+
+@pytest.mark.parametrize("value", [True, 1.0, 2.5, "1", "x", ["phi"], np.float64(1.0)],
+                         ids=repr)
+@pytest.mark.parametrize("name", sorted({**_KEYS, **_DIMS, **_SIZES}))
+def test_a_bad_key_dims_or_size_is_named(name, value):
+    # None of the calls takes any of these as a key, dims or size.
+    with pytest.raises(XLabError) as err:
+        _CALLS[name](value)
+    # A rank array names its first bad entry, so ["phi"] as ranks names 'phi'.
+    names = {repr(value), str(value)} | ({repr(value[0])} if isinstance(value, list) else set())
+    assert any(n in str(err.value) for n in names), str(err.value)
+
+
+@pytest.mark.parametrize("value", ["x", "ab", ["phi"]], ids=repr)
+@pytest.mark.parametrize("name", sorted(_NUMBERS))
+def test_a_non_number_is_one_domain_error_that_names_it(name, value):
+    with pytest.raises(DomainError) as err:
+        _CALLS[name](value)
+    assert repr(value) in str(err.value)
+
+
+def test_a_bad_format_is_the_config_error():
+    with pytest.raises(ConfigError) as err:
+        cli.emit_output(_RECORDS, fmt=True)
+    assert str(err.value) == "format must be one of csv, json, got True"
+
+
+def _same(a, b):
+    """Equal results: states and arrays byte for byte, lists and tuples member by member."""
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, DensityMatrix):
+        return a.dims == b.dims and a.mat.tobytes() == b.mat.tobytes()
+    if isinstance(a, tgx.ElementMask):
+        return a == b
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+_I = np.int64
+_INT_CALLS = {
+    "bell_state-sign": lambda i: states.bell_state(states.PSI, i(-1)),
+    "meb_state_2x3-index": lambda i: states.meb_state_2x3(states.PSI, i(2), 0.3, 0.2),
+    "l_state-index": lambda i: states.l_state(i(3), 0.3, 0.2),
+    "partial_trace-keep": lambda i: measures.partial_trace(
+        states.meb_state_2x3(states.PHI, 1, 0.3, 0.0), i(2)),
+    "partial_transpose-sub": lambda i: measures.partial_transpose(_BELL, i(2)),
+    "meb_basis_3x3": lambda i: tgx.meb_basis_3x3(i(-1), i(1)),
+    "DensityMatrix-dims": lambda i: DensityMatrix(np.eye(6) / 6, (i(2), i(3))),
+    "anti_x_mask-dims": lambda i: tgx.anti_x_mask([i(2), i(2), i(2)]),
+    "ElementMask-n": lambda i: tgx.ElementMask(i(2), np.eye(2, dtype=bool)),
+    "random_mixed": lambda i: states.random_mixed(i(6), i(2), np.random.default_rng(5),
+                                                  (i(2), i(3))),
+    "rank_states-ranks": lambda i: states.rank_states(
+        states.RANK_X, [i(2), i(1)], [[0.3, 0.4, 0.0, 0.0]] * 2,
+        [[0.5, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INT_CALLS))
+def test_numpy_ints_give_what_python_ints_give(name):
+    assert _same(_INT_CALLS[name](_I), _INT_CALLS[name](int))

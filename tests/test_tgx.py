@@ -234,10 +234,16 @@ def test_equal_masks_hash_equal():
     (lambda: tgx.basis_resolution([]), DomainError, "need at least one state"),
     (lambda: tgx.basis_resolution([states.bell_state(),
                                    states.meb_state_2x3(states.PHI, 1, 0.3, 0.0)]),
-     DimensionError, "member 1 has size 6, expected 4"),
+     DimensionError, "member 1 has dims [2, 3], expected [2, 2]"),
+    # Equal sizes in different bases: a 2x3 and a 3x2 state must not be summed.
+    (lambda: tgx.basis_resolution([DensityMatrix(np.eye(6) / 6, (2, 3)),
+                                   DensityMatrix(np.eye(6) / 6, (3, 2))]),
+     DimensionError, "member 1 has dims [3, 2], expected [2, 3]"),
     (lambda: tgx.meb_basis_3x3(2, 1), DomainError, "phase factors must be +-1, got a=2, b=1"),
+    (lambda: tgx.meb_basis_3x3(1, {"b": 2}), DomainError,
+     "phase factors must be +-1, got a=1, b={'b': 2}"),
 ], ids=["union-sizes", "meb-union-dims", "resolution-empty", "resolution-sizes",
-        "meb-3x3-phase-2"])
+        "resolution-dims", "meb-3x3-phase-2", "meb-3x3-phase-braces"])
 def test_mismatched_members_name_the_mismatch(call, error, message):
     with pytest.raises(error) as err:
         call()
