@@ -53,11 +53,9 @@ def conversion_unitary(rho_g: DensityMatrix, rho_x: DensityMatrix) -> np.ndarray
     Both states must share their spectrum within 1e-8 (unitary equivalence
     is impossible otherwise); a mismatch above 1e-10 only warns.
     """
-    if rho_g.dims != rho_x.dims:
-        raise DimensionError(
-            f"dims differ: {list(rho_g.dims)} vs {list(rho_x.dims)}")
-    eg, ex = (linalg.eig_hermitian(measures.require_single(rho, "conversion unitary"))
-              for rho in (rho_g, rho_x))
+    dims = measures.require_state(rho_g, "conversion_unitary", single=True).dims
+    measures.require_state(rho_x, "conversion_unitary's rho_x", dims, single=True)
+    eg, ex = linalg.eig_hermitian(rho_g.mat), linalg.eig_hermitian(rho_x.mat)
     gap = float(np.max(np.abs(eg.values - ex.values)))
     if gap > 1e-8:
         raise SpectralMismatchError(
@@ -86,8 +84,7 @@ def find_x_equivalent(rho: DensityMatrix) -> ConversionResult:
     `rho` is one state or a (B, 4, 4) stack, with one eigendecomposition per
     stack; a stack's result fields equal a per-state loop bit for bit.
     """
-    measures.require_dims(rho, (2, 2), "X conversion")
-    es = linalg.eig_hermitian(rho.mat)
+    es = linalg.eig_hermitian(measures.require_state(rho, "find_x_equivalent", (2, 2)).mat)
     return _x_frame(rho, es, measures.concurrence(rho, es), pair=2, attempts=1)
 
 
@@ -125,8 +122,8 @@ def closed_form_conversion(rho_g: DensityMatrix) -> ConversionResult:
     """Exact X conversion of one rank-<=2 two-qubit state: l1 and l2 share
     the rotated plane, sin 2a = C / (l1 - l2), so C > l1 - l2 + `_RANK2_SLACK`,
     which is P < (1 + C^2)/2, is a DomainError."""
-    measures.require_single(rho_g, "closed-form conversion", (2, 2))
-    es = linalg.eig_hermitian(rho_g.mat)
+    es = linalg.eig_hermitian(
+        measures.require_state(rho_g, "closed_form_conversion", (2, 2), single=True).mat)
     R = linalg.numerical_rank(rho_g.mat, es=es)
     if R > 2:
         raise RankError(f"closed-form conversion needs rank <= 2, got rank {R}")
@@ -201,7 +198,7 @@ def x_transform_unconstrained(rho_g: DensityMatrix, angles) -> DensityMatrix:
     the six `x_preserving_unitary` angles: the output is always X-shaped with
     the input's spectrum, but the concurrence generally changes.
     """
-    measures.require_single(rho_g, "X transform", (2, 2))
+    measures.require_state(rho_g, "x_transform_unconstrained", (2, 2), single=True)
     angles = linalg.numbers(angles, "angle")
     if angles.shape != (6,):
         raise DimensionError(f"need 6 angles, got shape {angles.shape}")

@@ -8,7 +8,7 @@ each eigenvector made real and positive) so that downstream conversion
 unitaries are reproducible.
 
 Every tolerance is one of the *_TOL constants below; no call takes its own.
-Each fixed-choice key is checked by `member`, each numeric input read by `numbers`.
+Keys are checked by `member`, numeric inputs read by `numbers`, matrices by `square`.
 A NaN or infinite entry is rejected with `check_finite`'s one message and no
 numpy warning.  `check_psd` runs where a spectrum is used as PSD, so an
 eigensystem a caller passes in as `es` is checked like one computed here.
@@ -84,6 +84,14 @@ def clamped(x, lo: float, hi: float, message: str) -> np.ndarray:
     return np.clip(x, lo, hi)
 
 
+def square(M, name: str = "matrix") -> np.ndarray:
+    """M as a complex (n, n) matrix or (..., n, n) stack; else an XLabError naming `name`."""
+    M = numbers(M, name, complex)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise DimensionError(f"expected a square {name} or a stack of them, got shape {M.shape}")
+    return M
+
+
 def check_finite(M: np.ndarray) -> None:
     """Reject a NaN or infinite entry of M: the one non-finite message."""
     if not np.logical_and.reduce(np.isfinite(M), axis=None):
@@ -97,9 +105,7 @@ def hermitize(M: np.ndarray) -> np.ndarray:
     pipelines.  `check_finite` runs first, so a NaN or infinite entry gets
     its message and the arithmetic never meets one.
     """
-    M = numbers(M, "matrix", complex)
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
-        raise DimensionError(f"expected a square matrix or a stack of them, got shape {M.shape}")
+    M = square(M)
     check_finite(M)
     H = 0.5 * (M + M.conj().mT)
     drift = np.maximum.reduce(np.abs(H - M), axis=None, initial=0.0)

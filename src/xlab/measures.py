@@ -4,6 +4,10 @@ Concurrence (general and X-form), purity, the anti-X measure, partial
 trace / partial transpose, the rescaled-negativity measure for 2x3, and
 the maximally-entangled-mixed-state boundary curves in closed form, which
 take a purity or an array of purities.
+
+`require_state` is the one check of a state argument across xlab; `purity`,
+`anti_x_measure` and `concurrence_x`, which read only the matrix, also take
+a square array or stack (`_as_mat`).
 """
 
 from __future__ import annotations
@@ -21,33 +25,27 @@ _FLIP_SIGN = np.outer([1, -1, -1, 1], [1, -1, -1, 1])
 _ANTI_X_ROWS, _ANTI_X_COLS = np.array([0, 0, 1, 2]), np.array([1, 2, 3, 3])
 
 
-def _as_mat(rho) -> np.ndarray:
-    return rho.mat if isinstance(rho, DensityMatrix) else linalg.numbers(rho, "matrix", complex)
+def _as_mat(rho, what: str) -> np.ndarray:
+    return rho.mat if isinstance(rho, DensityMatrix) else linalg.square(rho, f"{what} matrix")
 
 
-def require_dims(rho: DensityMatrix, dims: tuple[int, ...], what: str):
-    """A DimensionError unless `rho` has subsystem dims `dims`."""
-    if tuple(rho.dims) != dims:
-        raise DimensionError(f"{what} requires dims {list(dims)}, got {list(rho.dims)}")
-
-
-def require_single(rho, what: str, dims: tuple[int, ...] | None = None) -> np.ndarray:
-    """The one matrix of `rho` (a DensityMatrix or an array) for `what`.
-
-    A (B, n, n) stack, or a DensityMatrix whose dims differ from `dims`
-    when given, is a DimensionError.
-    """
-    m = _as_mat(rho)
-    if m.ndim != 2:
-        raise DimensionError(f"{what} takes one matrix, not a stack of shape {m.shape}")
-    if dims is not None:
-        require_dims(rho, dims, what)
-    return m
+def require_state(rho, what: str, dims: tuple[int, ...] | None = None,
+                  single: bool = False) -> DensityMatrix:
+    """`rho` if it is a DensityMatrix, of subsystem dims `dims` when given and
+    one matrix, not a (B, n, n) stack, when `single`; else a DimensionError
+    that names `what`."""
+    if not isinstance(rho, DensityMatrix):
+        raise DimensionError(f"{what} takes a DensityMatrix, got {type(rho).__name__}")
+    if dims is not None and rho.dims != dims:
+        raise DimensionError(f"{what} has dims {list(rho.dims)}, expected {list(dims)}")
+    if single and rho.mat.ndim != 2:
+        raise DimensionError(f"{what} takes one matrix, not a stack of shape {rho.mat.shape}")
+    return rho
 
 
 def purity(rho):
     """tr(rho^2); ranges from 1/n (maximally mixed) to 1 (pure)."""
-    m = _as_mat(rho)
+    m = _as_mat(rho, "purity")
     return linalg.scalar(np.add.reduce(np.abs(m) ** 2, axis=(-2, -1)))
 
 
@@ -61,8 +59,7 @@ def concurrence(rho: DensityMatrix, es: linalg.EigenSystem | None = None):
     A rank-deficient rho measures only to about 1e-8: sqrt(rho) takes the
     square root of its zero eigenspace's eps-level eigenvalues.
     """
-    require_dims(rho, (2, 2), "concurrence")
-    s = linalg.sqrt_psd(rho.mat, es=es)
+    s = linalg.sqrt_psd(require_state(rho, "concurrence", (2, 2)).mat, es=es)
     # The eigenvalues of R are the singular values of sqrt(rho) sqrt(rho~):
     # (A A')^(1/2) with A = s st.  Computing them by SVD keeps the small
     # lam_k accurate to ~eps absolute; squaring into s rho~ s and taking an
@@ -79,7 +76,7 @@ def anti_x_measure(rho):
     Four times the summed square magnitudes of the unique anti-X elements;
     exactly zero iff the state is an X state.
     """
-    m = _as_mat(rho)
+    m = _as_mat(rho, "anti_x_measure")
     if m.shape[-2:] != (4, 4):
         raise DimensionError(f"anti-X measure needs a 4x4 matrix, got {m.shape}")
     return linalg.scalar(4.0 * np.add.reduce(np.abs(m[..., _ANTI_X_ROWS, _ANTI_X_COLS]) ** 2,
@@ -92,7 +89,7 @@ def concurrence_x(rho):
     2 max(0, |rho32| - sqrt(rho44 rho11), |rho41| - sqrt(rho33 rho22)).
     Rejects a matrix with a non-finite entry or an anti-X measure above linalg.ANTI_X_TOL.
     """
-    m = _as_mat(rho)
+    m = _as_mat(rho, "concurrence_x")
     linalg.check_finite(m)
     a = np.asarray(anti_x_measure(m))
     linalg.reject(~(a <= linalg.ANTI_X_TOL),
@@ -105,8 +102,7 @@ def concurrence_x(rho):
 
 def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     """Reduction to subsystem `keep` (1-based), tracing out the others."""
-    require_single(rho, "partial_trace")
-    dims = rho.dims
+    dims = require_state(rho, "partial_trace", single=True).dims
     linalg.member(keep, range(1, len(dims) + 1),
                   f"subsystem index {{}} invalid for dims {list(dims)}", DimensionError)
     t = rho.mat.reshape(dims + dims)
@@ -121,7 +117,7 @@ def partial_transpose(rho: DensityMatrix, sub: int) -> np.ndarray:
 
     Returns a plain Hermitian matrix: the result is generally not PSD.
     """
-    dims = rho.dims
+    dims = require_state(rho, "partial_transpose").dims
     if len(dims) != 2:
         raise DimensionError(f"partial transpose needs bipartite dims, got {list(dims)}")
     linalg.member(sub, (1, 2), "subsystem must be 1 or 2, got {}", DimensionError)
@@ -136,8 +132,7 @@ def negativity_e(rho: DensityMatrix):
 
     Normalized so a maximally entangled 2x3 state scores 1 up to rounding.
     """
-    require_dims(rho, (2, 3), "negativity_e")
-    e = linalg.trace_norm(partial_transpose(rho, 1)) - 1.0
+    e = linalg.trace_norm(partial_transpose(require_state(rho, "negativity_e", (2, 3)), 1)) - 1.0
     return linalg.scalar(np.minimum(np.maximum(e, 0.0), 1.0 + 1e-9))
 
 

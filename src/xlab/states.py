@@ -463,9 +463,10 @@ def tgx_rank_state(R: int, thetas: Sequence[float], probs: Sequence[float]) -> D
     `rank_states` call; RankError if any probability vanishes or the
     numerical rank is not R."""
     R = int(_check_ranks(R, len(TGX_RANK.lo)))
-    if len(thetas) != R or len(probs) != R:
+    thetas, probs = linalg.numbers(thetas, "theta"), linalg.numbers(probs, "probabilities")
+    if not thetas.shape == probs.shape == (R,):
         raise DimensionError(f"need {R} thetas and {R} probabilities for rank {R}")
-    if np.any(linalg.numbers(probs, "probabilities") <= 0.0):
+    if np.any(probs <= 0.0):
         raise RankError("all mixing probabilities must be strictly positive")
     rows = np.zeros((2, 1, len(TGX_RANK.lo)))
     rows[:, 0, :R] = thetas, probs

@@ -112,7 +112,8 @@ def project_tgx(rho: DensityMatrix) -> DensityMatrix:
     reductions, but is NOT guaranteed positive semidefinite; callers that
     need a physical state must check.
     """
-    return DensityMatrix(rho.mat * tgx_mask(rho.dims).grid, rho.dims)
+    dims = measures.require_state(rho, "project_tgx").dims
+    return DensityMatrix(rho.mat * tgx_mask(dims).grid, dims)
 
 
 def is_simple_me_state(psi: DensityMatrix) -> bool:
@@ -123,7 +124,7 @@ def is_simple_me_state(psi: DensityMatrix) -> bool:
     eigenvalues and they are all equal within _FLAT_TOL (maximally mixed on
     its support, which may be a proper subspace).  A non-finite entry raises.
     """
-    measures.require_single(psi, "is_simple_me_state")
+    measures.require_state(psi, "is_simple_me_state", single=True)
     linalg.check_finite(psi.mat)
     if not measures.purity(psi) >= 1.0 - _ZERO_TOL:
         raise RankError("input must be a pure state (rank 1)")
@@ -143,9 +144,7 @@ def meb_union_mask(members, dims) -> ElementMask:
     n = math.prod(dims)
     grid = np.zeros((n, n), dtype=bool)
     for k, psi in enumerate(members):
-        if tuple(psi.dims) != dims:
-            raise DimensionError(f"member {k} has dims {list(psi.dims)}, expected {list(dims)}")
-        if not is_simple_me_state(psi):
+        if not is_simple_me_state(measures.require_state(psi, f"member {k}", dims, single=True)):
             raise DomainError(f"member {k} is not a simple maximally entangled state")
         grid |= np.abs(psi.mat) > _ZERO_TOL
     return ElementMask(n, grid)
@@ -161,16 +160,13 @@ def basis_resolution(members) -> tuple:
     members = list(members)
     if not members:
         raise DomainError("need at least one state")
-    dims, n = members[0].dims, members[0].n
-    S = np.zeros((n, n), dtype=complex)
-    for k, psi in enumerate(members):
-        if psi.dims != dims:
-            raise DimensionError(f"member {k} has dims {list(psi.dims)}, expected {list(dims)}")
-        S += psi.mat
+    dims = measures.require_state(members[0], "member 0").dims
+    S = sum(measures.require_state(psi, f"member {k}", dims, single=True).mat
+            for k, psi in enumerate(members))
     # Least-squares scalar fit of c*S to the identity.
     denom = float(np.sum(np.abs(S) ** 2))
     c = float(np.real(np.trace(S))) / denom if denom > 0 else 0.0
-    residual = float(np.max(np.abs(c * S - np.eye(n))))
+    residual = float(np.max(np.abs(c * S - np.eye(len(S)))))
     return c, residual <= 1e-10
 
 

@@ -1,6 +1,8 @@
 """One table of bad arguments for every public entry point that takes a key, dims,
-a size or a number: each call returns or raises an XLabError, never a raw
+a size, a number or a state: each call returns or raises an XLabError, never a raw
 TypeError or ValueError, and numpy integers work wherever Python ints do."""
+
+import math
 
 import numpy as np
 import pytest
@@ -74,6 +76,8 @@ _NUMBERS = {
         states.RANK_X, [2], [[0.3, v, 0.0, 0.0]], _OK_ROW),
     "rank_states-probs": lambda v: states.rank_states(
         states.RANK_X, [2], _OK_ROW, [[0.5, v, 0.0, 0.0]]),
+    "tgx_rank_state-thetas": lambda v: states.tgx_rank_state(2, [0.3, v], [0.5, 0.5]),
+    "tgx_rank_state-probs": lambda v: states.tgx_rank_state(2, [0.3, 0.4], v),
     "x_preserving_unitary-eps": lambda v: convert.x_preserving_unitary(v, 0, 0, 0, 0, 0),
     "x_preserving_unitary-chi": lambda v: convert.x_preserving_unitary(0, 0, 0, 0, 0, v),
     "x_transform_unconstrained": lambda v: convert.x_transform_unconstrained(_BELL, v),
@@ -121,6 +125,64 @@ def test_a_bad_format_is_the_config_error():
     with pytest.raises(ConfigError) as err:
         cli.emit_output(_RECORDS, fmt=True)
     assert str(err.value) == "format must be one of csv, json, got True"
+
+
+def _state(dims, stack=False) -> DensityMatrix:
+    n = math.prod(dims)
+    return DensityMatrix(np.stack([np.eye(n) / n] * 2) if stack else np.eye(n) / n, dims)
+
+
+# name: (the text its error holds, the dims it requires or None, whether it takes one
+# matrix only, one call with the state under test in the place of `v`)
+_STATES = {
+    "concurrence": ("concurrence", (2, 2), False, measures.concurrence),
+    "negativity_e": ("negativity_e", (2, 3), False, measures.negativity_e),
+    "partial_trace": ("partial_trace", None, True, lambda v: measures.partial_trace(v, 1)),
+    "partial_transpose": ("partial_transpose", None, False,
+                          lambda v: measures.partial_transpose(v, 1)),
+    "find_x_equivalent": ("find_x_equivalent", (2, 2), False, convert.find_x_equivalent),
+    "conversion_unitary-rho_g": ("conversion_unitary", (2, 2), True,
+                                 lambda v: convert.conversion_unitary(v, _BELL)),
+    "conversion_unitary-rho_x": ("conversion_unitary's rho_x", (2, 2), True,
+                                 lambda v: convert.conversion_unitary(_BELL, v)),
+    "closed_form_conversion": ("closed_form_conversion", (2, 2), True,
+                               convert.closed_form_conversion),
+    "x_transform_unconstrained": ("x_transform_unconstrained", (2, 2), True,
+                                  lambda v: convert.x_transform_unconstrained(v, [0.0] * 6)),
+    "project_tgx": ("project_tgx", None, False, tgx.project_tgx),
+    "is_simple_me_state": ("is_simple_me_state", None, True, tgx.is_simple_me_state),
+    # A list of states names the member at fault.
+    "meb_union_mask": ("member 0", (2, 2), True, lambda v: tgx.meb_union_mask([v], (2, 2))),
+    "basis_resolution": ("member 1", (2, 2), True, lambda v: tgx.basis_resolution([_BELL, v])),
+}
+# Functions that read only the matrix, and so also take a square array or stack.
+_MATRICES = {"purity": measures.purity, "anti_x_measure": measures.anti_x_measure,
+             "concurrence_x": measures.concurrence_x}
+
+
+def _bad_states():
+    """(call, bad state, text its error holds) for every state-taking function: a plain
+    array where a DensityMatrix is needed, None, the other of 2x2 and 2x3 where dims
+    are required, and a stack where one matrix is."""
+    for name, (says, dims, single, call) in _STATES.items():
+        n = math.prod(dims or (2, 2))
+        bad = {"array": np.eye(n) / n, "None": None}
+        if dims:
+            bad["dims"] = _state((2, 3) if dims == (2, 2) else (2, 2))
+        if single:
+            bad["stack"] = _state(dims or (2, 2), stack=True)
+        for case, value in bad.items():
+            yield pytest.param(call, value, says, id=f"{name}-{case}")
+    for name, call in _MATRICES.items():
+        for case, value in (("None", None), ("1d", np.ones(3))):
+            yield pytest.param(call, value, name, id=f"{name}-{case}")
+
+
+@pytest.mark.parametrize("call,value,says", _bad_states())
+def test_a_bad_state_is_one_xlab_error_that_names_the_function(call, value, says):
+    with pytest.raises(XLabError) as err:
+        call(value)
+    assert says in str(err.value), str(err.value)
 
 
 def _same(a, b):

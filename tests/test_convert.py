@@ -50,7 +50,8 @@ def test_conversion_unitary_spectral_mismatch():
 
 
 def test_conversion_unitary_dims_differ():
-    with pytest.raises(DimensionError, match=r"^dims differ: \[2, 2\] vs \[4\]$"):
+    with pytest.raises(DimensionError,
+                       match=r"^conversion_unitary's rho_x has dims \[4\], expected \[2, 2\]$"):
         convert.conversion_unitary(states.bell_state(), DensityMatrix(np.eye(4) / 4, (4,)))
 
 
