@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 import numpy as np
@@ -26,25 +26,16 @@ from .states import _RANK2_SLACK, DensityMatrix, _finite, closed_form_x
 DEFAULT_TOL_C = 1e-3
 
 
-@dataclass
-class ConversionResult:
-    """Outcome of an X-conversion: the X-shaped state, the unitary, and stats.
+ConversionResult = namedtuple("ConversionResult", "converted unitary attempts delta_c anti_x "
+                              "input_concurrence output_concurrence")
+ConversionResult.__doc__ = """Outcome of an X-conversion: the X state, the unitary, and stats.
 
-    `attempts` counts the candidate X states evaluated: `find_x_equivalent`
-    builds its one candidate in closed form, so it reports 1;
-    `closed_form_conversion` reports 0.  `input_concurrence` and
-    `output_concurrence` are the concurrences of the input and of
-    `converted`; `delta_c` is their absolute difference.  For a stacked
-    input, `converted` and `unitary` are stacks and the measures arrays.
-    """
-
-    converted: DensityMatrix
-    unitary: np.ndarray
-    attempts: int
-    delta_c: float
-    anti_x: float
-    input_concurrence: float
-    output_concurrence: float
+`attempts` counts the candidate X states evaluated: `find_x_equivalent`
+builds its one candidate in closed form, so it reports 1;
+`closed_form_conversion` reports 0.  `input_concurrence` and
+`output_concurrence` are the concurrences of the input and of
+`converted`; `delta_c` is their absolute difference.  For a stacked
+input, `converted` and `unitary` are stacks and the measures arrays."""
 
 
 def conversion_unitary(rho_g: DensityMatrix, rho_x: DensityMatrix) -> np.ndarray:
@@ -103,19 +94,12 @@ def _x_frame(rho: DensityMatrix, es, c_in, pair: int, attempts: int) -> Conversi
     ex = np.zeros(a.shape + (4, 4), dtype=complex)
     ex[..., 0, 0], ex[..., 3, 0], ex[..., 0, pair], ex[..., 3, pair] = ca, sa, -sa, ca
     ex[..., 1, u] = ex[..., 2, v] = 1.0
-    return _onto_frame(rho, es.vectors, ex, c_in, attempts)
-
-
-def _onto_frame(rho: DensityMatrix, eg: np.ndarray, ex: np.ndarray, c_in,
-                attempts: int) -> ConversionResult:
-    """Conjugate rho by U = ex eg+, which maps its eigenframe eg onto ex."""
-    U = ex @ eg.conj().mT
+    U = ex @ es.vectors.conj().mT  # maps rho's eigenframe onto ex
     out = _conjugate(rho, U)
     c_out = measures.concurrence(out)
     return ConversionResult(
         converted=out, unitary=U, attempts=attempts, delta_c=abs(c_out - c_in),
-        anti_x=measures.anti_x_measure(out),
-        input_concurrence=c_in, output_concurrence=c_out)
+        anti_x=measures.anti_x_measure(out), input_concurrence=c_in, output_concurrence=c_out)
 
 
 def closed_form_conversion(rho_g: DensityMatrix) -> ConversionResult:

@@ -8,7 +8,8 @@ each eigenvector made real and positive) so that downstream conversion
 unitaries are reproducible.
 
 Every tolerance is one of the *_TOL constants below; no call takes its own.
-Keys are checked by `member`, numeric inputs read by `numbers`, matrices by `square`.
+Keys are checked by `member`, numeric inputs read by `numbers`, matrices by `square`
+and records (namedtuple rows such as `EigenSystem`) by `record`.
 A NaN or infinite entry is rejected with `check_finite`'s one message and no
 numpy warning.  `check_psd` runs where a spectrum is used as PSD, so an
 eigensystem a caller passes in as `es` is checked like one computed here.
@@ -21,7 +22,7 @@ few states, so each helper's fixed cost outweighs the arithmetic it wraps.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -36,14 +37,10 @@ ANTI_X_TOL = 1e-10  # largest anti-X measure of an X state
 INPUT_TOL = 1e-12  # how far a state family's parameter may lie outside its range
 
 
-class EigenSystem(NamedTuple):
-    """Eigenvalues in descending order paired with gauge-fixed eigenvectors.
+EigenSystem = namedtuple("EigenSystem", "values vectors")
+EigenSystem.__doc__ = """Eigenvalues in descending order paired with gauge-fixed eigenvectors.
 
-    ``vectors[..., :, k]`` is the unit eigenvector for ``values[..., k]``.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
+``vectors[..., :, k]`` is the unit eigenvector for ``values[..., k]``."""
 
 
 def scalar(x):
@@ -69,11 +66,23 @@ def member(value, options, message: str, error=DomainError):
 
 
 def numbers(x, name: str, dtype=float) -> np.ndarray:
-    """x as an array of `dtype`; a DomainError names it unless its entries are numbers."""
+    """x as an array of `dtype`; a DomainError names it unless its entries are numbers, not
+    None, which numpy reads as NaN (an ndarray of numbers, the per-block input, is not scanned)."""
     try:
-        return np.asarray(x, dtype=dtype)
+        raw = x if isinstance(x, np.ndarray) else np.asarray(x)
+        if raw.dtype != object or None not in raw.ravel().tolist():
+            return np.asarray(raw, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{name} {x!r} is not a number") from None
+        pass
+    raise DomainError(f"{name} {x!r} is not a number")
+
+
+def record(value, kind, name: str, arrays: bool = False):
+    """`value` if it is a `kind` row, each field an ndarray when `arrays`; else a
+    DimensionError naming `name`: the one check of a record argument."""
+    if isinstance(value, kind) and (not arrays or all(isinstance(f, np.ndarray) for f in value)):
+        return value
+    raise DimensionError(f"{name} {value!r:.80} is not {kind.__name__}{' of arrays' * arrays}")
 
 
 def clamped(x, lo: float, hi: float, message: str) -> np.ndarray:
@@ -142,9 +151,10 @@ def check_psd(values: np.ndarray) -> np.ndarray:
 
 
 def _given(M, es: EigenSystem) -> EigenSystem:
-    """`es` passed as `eig_hermitian(M)`: a DimensionError unless its vectors have M's shape."""
+    """`es` passed as `eig_hermitian(M)`: a DimensionError unless it is an EigenSystem of
+    arrays (`record`) whose vectors have M's shape."""
     shape = np.asarray(M).shape
-    if es.vectors.shape != shape:
+    if record(es, EigenSystem, "es", arrays=True).vectors.shape != shape:
         raise DimensionError(f"eigensystem of shape {es.vectors.shape} for a {shape} matrix")
     return es
 

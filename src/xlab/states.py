@@ -9,8 +9,9 @@ a qubit-qutrit pair: |0,0>, |0,1>, |0,2>, |1,0>, |1,1>, |1,2>.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -173,19 +174,14 @@ def hyperspherical_probs(angles: Sequence[float]) -> np.ndarray:
     return running
 
 
-@dataclass
-class XParams:
-    """Parameters of the general mixed two-qubit X state.
+XParams = namedtuple("XParams", "probability_angles superposition_angles phases",
+                     defaults=[(0.0, 0.0, 0.0, 0.0)])
+XParams.__doc__ = """Parameters of the general mixed two-qubit X state.
 
-    probability_angles: three hyperspherical angles in [0, pi/2] giving the
-    four mixing probabilities; superposition_angles: four theta angles in
-    [0, pi/2]; phases: four phase angles in [0, 2 pi).  Each may also be a
-    (B, 3) or (B, 4) array, one row per state.
-    """
-
-    probability_angles: tuple[float, float, float]
-    superposition_angles: tuple[float, float, float, float]
-    phases: tuple[float, float, float, float] = field(default=(0.0, 0.0, 0.0, 0.0))
+probability_angles: three hyperspherical angles in [0, pi/2] giving the
+four mixing probabilities; superposition_angles: four theta angles in
+[0, pi/2]; phases: four phase angles in [0, 2 pi), all zero by default.
+Each may also be a (B, 3) or (B, 4) array, one row per state."""
 
 
 def general_x_state(params: XParams, mode: str = "reduced-9") -> DensityMatrix:
@@ -198,7 +194,8 @@ def general_x_state(params: XParams, mode: str = "reduced-9") -> DensityMatrix:
     the state of row b.
     """
     linalg.member(mode, ("full-11", "reduced-9"), "unknown mode {!r}")
-    angles, thetas, phases = (linalg.numbers(v, name) for name, v in vars(params).items())
+    params = linalg.record(params, XParams, "params")._asdict()
+    angles, thetas, phases = (linalg.numbers(v, name) for name, v in params.items())
     shapes = [angles.shape, thetas.shape, phases.shape]
     if [s[-1:] for s in shapes] != [(3,), (4,), (4,)] or len({s[:-1] for s in shapes} - {()}) > 1:
         raise DimensionError(f"X parameter shapes {shapes} are not (..., 3), (..., 4), (..., 4)")
@@ -397,14 +394,9 @@ _TGX_RANK_CONSTITUENTS = {
 }
 
 
-class RankFamily(NamedTuple):
-    """A constituent table as arrays: term k of the rank-R state is the ket
-    cos(theta_k)|lo[R-1, k]> + phase[R-1, k] sin(theta_k)|hi[R-1, k]>."""
-
-    dims: tuple
-    lo: np.ndarray
-    hi: np.ndarray
-    phase: np.ndarray
+RankFamily = namedtuple("RankFamily", "dims lo hi phase")
+RankFamily.__doc__ = """A constituent table as arrays: term k of the rank-R state is the ket
+cos(theta_k)|lo[R-1, k]> + phase[R-1, k] sin(theta_k)|hi[R-1, k]>."""
 
 
 def _rank_family(table, support, dims) -> RankFamily:
@@ -445,7 +437,7 @@ def rank_states(family: RankFamily, ranks, thetas, probs):
     weights probs[b], (B, max rank) arrays that are zero past the row's rank.
     Raises DomainError for a bad rank, a non-finite angle or weights not summing to 1.
     """
-    at = _check_ranks(ranks, len(family.lo)) - 1
+    at = _check_ranks(ranks, len(linalg.record(family, RankFamily, "family").lo)) - 1
     thetas, probs = linalg.numbers(thetas, "theta"), linalg.numbers(probs, "probabilities")
     shape = family.lo[at].shape
     if not thetas.shape == probs.shape == shape:
@@ -491,17 +483,20 @@ def random_mixed(n: int, R, rng, dims=None) -> DensityMatrix:
     """
     (n,) = _int_dims([n])
     ranks = _check_ranks(R, n)
-    rngs = [rng] if ranks.ndim == 0 else list(rng)
+    rngs = list(rng) if ranks.ndim and np.iterable(rng) else [rng]
     flat = ranks.reshape(-1).tolist()
     if ranks.ndim > 1 or len(rngs) != len(flat):
-        raise DimensionError(f"need one rank per generator, got {ranks.shape} and {len(rngs)}")
+        raise DimensionError(f"rng must be a Generator per rank, got {len(rngs)} for {ranks.shape}")
     # One stack and one product per rank: a zero-padded G would change the
     # last bits.  rows[r] lists the samples whose draws fill G[r] in order.
     G = {r: np.empty((flat.count(r), 2, n, r)) for r in set(flat)}
     rows = {r: [] for r in G}
-    for b, (g, r) in enumerate(zip(rngs, flat)):
-        g.standard_normal(out=G[r][len(rows[r])])
-        rows[r].append(b)
+    try:  # no per-row type check: only a row that fails is looked at
+        for b, (g, r) in enumerate(zip(rngs, flat)):
+            g.standard_normal(out=G[r][len(rows[r])])
+            rows[r].append(b)
+    except (AttributeError, TypeError):
+        raise DimensionError(f"rng {g!r:.80} is not a numpy Generator") from None
     W = np.empty((len(flat), n, n), dtype=complex)
     for r, at in rows.items():
         Gr = G[r][:, 0] + 1j * G[r][:, 1]

@@ -138,13 +138,25 @@ def is_simple_me_state(psi: DensityMatrix) -> bool:
     return True
 
 
+def _members(members, what: str, dims=None) -> list:
+    """`members` as a list of single states of `dims` (by default the first one's); a
+    DimensionError names `what` unless it is a sequence, or the member that is not one."""
+    if not np.iterable(members):
+        raise DimensionError(f"{what} takes a sequence of states, got {type(members).__name__}")
+    members = list(members)
+    if members and dims is None:
+        dims = measures.require_state(members[0], "member 0").dims
+    return [measures.require_state(psi, f"member {k}", dims, single=True)
+            for k, psi in enumerate(members)]
+
+
 def meb_union_mask(members, dims) -> ElementMask:
     """Union of the nonzero-element footprints of a set of simple ME states."""
     dims = _check_dims(dims)
     n = math.prod(dims)
     grid = np.zeros((n, n), dtype=bool)
-    for k, psi in enumerate(members):
-        if not is_simple_me_state(measures.require_state(psi, f"member {k}", dims, single=True)):
+    for k, psi in enumerate(_members(members, "meb_union_mask", dims)):
+        if not is_simple_me_state(psi):
             raise DomainError(f"member {k} is not a simple maximally entangled state")
         grid |= np.abs(psi.mat) > _ZERO_TOL
     return ElementMask(n, grid)
@@ -157,12 +169,10 @@ def basis_resolution(members) -> tuple:
     max-norm residual of c * sum - I is <= 1e-10.  For a (possibly
     overcomplete) projector resolution the factor is n / count.
     """
-    members = list(members)
+    members = _members(members, "basis_resolution")
     if not members:
         raise DomainError("need at least one state")
-    dims = measures.require_state(members[0], "member 0").dims
-    S = sum(measures.require_state(psi, f"member {k}", dims, single=True).mat
-            for k, psi in enumerate(members))
+    S = sum(psi.mat for psi in members)
     # Least-squares scalar fit of c*S to the identity.
     denom = float(np.sum(np.abs(S) ** 2))
     c = float(np.real(np.trace(S))) / denom if denom > 0 else 0.0

@@ -1,6 +1,7 @@
 """One table of bad arguments for every public entry point that takes a key, dims,
-a size, a number or a state: each call returns or raises an XLabError, never a raw
-TypeError or ValueError, and numpy integers work wherever Python ints do."""
+a size, a number, a state, a record, a list of states or a generator: each call
+returns or raises an XLabError, never a raw TypeError or ValueError, and numpy
+integers work wherever Python ints do."""
 
 import math
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from xlab import cli, convert, linalg, measures, states, tgx
-from xlab.errors import ConfigError, DomainError, XLabError
+from xlab.errors import ConfigError, DimensionError, DomainError, XLabError
 from xlab.states import DensityMatrix, XParams
 
 # True and np.float64(1.0) look like 1, "1" like a key or a number, ["phi"] like a family.
@@ -113,12 +114,60 @@ def test_a_bad_key_dims_or_size_is_named(name, value):
     assert any(n in str(err.value) for n in names), str(err.value)
 
 
-@pytest.mark.parametrize("value", ["x", "ab", ["phi"]], ids=repr)
+@pytest.mark.parametrize("value", ["x", "ab", ["phi"], None], ids=repr)
 @pytest.mark.parametrize("name", sorted(_NUMBERS))
 def test_a_non_number_is_one_domain_error_that_names_it(name, value):
     with pytest.raises(DomainError) as err:
         _CALLS[name](value)
     assert repr(value) in str(err.value)
+
+
+# numpy reads None as NaN, so each of these once returned NaN or (False, None).
+_NONE_INSIDE = {
+    "purity": lambda: measures.purity([[1, None], [None, 0]]),
+    "anti_x_measure": lambda: measures.anti_x_measure(
+        [[0.5, None, 0, 0], [None, 0.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+    "diag_factor_conditions": lambda: convert.diag_factor_conditions([None] * 4),
+    "diag_factorizable": lambda: convert.diag_factorizable([0.1, None, 0.2, 0.3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NONE_INSIDE))
+def test_none_inside_a_list_is_not_a_number(name):
+    with pytest.raises(DomainError, match="None.* is not a number$"):
+        _NONE_INSIDE[name]()
+
+
+# name: (one call with the record or generator under test in the place of `v`, the argument
+# its error names, the types of value in `_NOT_RECORDS` that it takes)
+_RECORD_ARGS = {
+    "general_x_state-params": (states.general_x_state, "params", ()),
+    "rank_states-family": (lambda v: states.rank_states(v, [1], [[0.1]], [[1.0]]), "family", ()),
+    "concurrence-es": (lambda v: measures.concurrence(_BELL, es=v), "es", ("NoneType",)),
+    "sqrt_psd-es": (lambda v: linalg.sqrt_psd(np.eye(4) / 4, es=v), "es", ("NoneType",)),
+    "numerical_rank-es": (lambda v: linalg.numerical_rank(np.eye(4) / 4, es=v), "es",
+                          ("NoneType",)),
+    "DensityMatrix.rank-es": (lambda v: _BELL.rank(es=v), "es", ("NoneType",)),
+    "random_mixed-rng": (lambda v: states.random_mixed(4, 2, v), "rng", ("Generator",)),
+    "random_mixed-rngs": (lambda v: states.random_mixed(4, [1, 2], v), "rng", ()),
+}
+# A tuple for a record, an EigenSystem of no arrays, and one Generator for two ranks.
+_NOT_RECORDS = [None, (1, 2, 3), "x", True, 2.5, linalg.EigenSystem(None, None),
+                np.random.default_rng(1)]
+
+
+def _bad_records():
+    for name, (call, arg, takes) in _RECORD_ARGS.items():
+        for value in _NOT_RECORDS:
+            if type(value).__name__ not in takes:
+                yield pytest.param(call, value, arg, id=f"{name}-{type(value).__name__}")
+
+
+@pytest.mark.parametrize("call,value,arg", _bad_records())
+def test_a_wrong_record_or_generator_is_one_dimension_error_that_names_it(call, value, arg):
+    with pytest.raises(DimensionError) as err:
+        call(value)
+    assert str(err.value).startswith(f"{arg} "), str(err.value)
 
 
 def test_a_bad_format_is_the_config_error():
@@ -176,6 +225,11 @@ def _bad_states():
     for name, call in _MATRICES.items():
         for case, value in (("None", None), ("1d", np.ones(3))):
             yield pytest.param(call, value, name, id=f"{name}-{case}")
+    # A list of states that is no sequence names the function.
+    for name, call in (("meb_union_mask", lambda v: tgx.meb_union_mask(v, (2, 2))),
+                       ("basis_resolution", tgx.basis_resolution)):
+        for case, value in (("None", None), ("int", 5), ("state", _BELL)):
+            yield pytest.param(call, value, name, id=f"{name}-list-{case}")
 
 
 @pytest.mark.parametrize("call,value,says", _bad_states())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from xlab import linalg, measures, states
+from xlab import convert, linalg, measures, states
 from xlab.errors import DimensionError, DomainError, RankError
 
 
@@ -300,6 +300,24 @@ def test_mixing_h_states_of_one_concurrence_keeps_it():
                                + (1.0 - p) * states.h_state(C, P2).mat, (2, 2))
     assert np.max(np.abs(measures.concurrence(mix) - C)) <= 1e-14
     assert np.max(np.abs(measures.concurrence_x(mix) - C)) <= 1e-15
+
+
+def test_h_depolarizing_a_rank_deficient_x_equivalent_keeps_its_concurrence():
+    # Lambda_p(rho) = (1 - p) rho + p h_state(C, h_purity_floor(C)) mixes two X states
+    # with corner C/2.  find_x_equivalent puts l4 on |10>, so at rank <= 3 rho33 = 0
+    # and C = 2 |rho14| - 2 sqrt(rho22 rho33) stays C: 2933 states at 3 p (8799 rows),
+    # worst 1.5e-8, within the rank-deficient accuracy of `concurrence`.  At rank 4
+    # rho33 > 0, and the concave sqrt(rho22 rho33) of a mixture exceeds the mixture of
+    # its values, so C falls (all 2235 rows, by up to 0.085).
+    rng = np.random.default_rng(41)
+    ranks = 1 + np.arange(4000) % 4
+    res = convert.find_x_equivalent(states.random_mixed(4, ranks, [rng] * 4000, (2, 2)))
+    keep = (ranks < 4) & (res.output_concurrence > 1e-6)
+    x, C = res.converted.mat[keep], res.output_concurrence[keep]
+    sigma = states.h_state(C, states.h_purity_floor(C)).mat
+    for p in (0.25, 0.5, 0.75):
+        out = states.DensityMatrix((1.0 - p) * x + p * sigma, (2, 2))
+        assert np.max(np.abs(measures.concurrence(out) - C)) <= 1e-7
 
 
 def test_h_state_rejects_below_floor():
