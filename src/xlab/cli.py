@@ -16,12 +16,14 @@ row per system and per family: a new system's facts are a row, as are a rank
 family's; any other new family also needs a branch in `_build_block`.  Every
 evenly spaced axis is `_axis`, so `scatter --family mems --samples N` and
 `mems-curve --samples N` share their purities bit for bit.  `--threads` is
-validated but has no effect.  `_COMMANDS` writes each command's flags and
-choices once, and `_parse` reads argv by it into strings, which every command
-reads through `_merge_config` (null or empty is the default); the frozen
-ExperimentConfig converts (`_convert` by `_KINDS`) and checks each value once,
-at construction, whichever source gave it, so bad input ends as the same
-one-line ConfigError.  `_write` is the one writer of data output.
+validated but has no effect.  `main` is every command's one pipeline: `_parse`
+reads argv into strings by `_COMMANDS`, which writes each command's flags,
+choices and config defaults once; `_merge_config` lays them over the config
+file (null or empty is the default); the frozen ExperimentConfig converts
+(`_convert` by `_KINDS`) and checks each value, whichever source gave it;
+`_option` checks the format, the handler its own values, and `_write`, the one
+writer of data output besides `--plot`, writes the handler's text.  So bad
+input is one ConfigError line before any work, config values checked first.
 """
 
 from __future__ import annotations
@@ -620,65 +622,49 @@ def _convert(key: str, value, kind):
         raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from None
 
 
-def _experiment(args, **defaults) -> tuple:
-    """The ExperimentConfig of `_parse`'s dict, and its `_merge_config` options: each field from
-    its flag, else the config, else (threads) XLAB_THREADS, else `defaults` or the default."""
-    m = _merge_config(args)
+def _experiment(m: dict, row) -> ExperimentConfig:
+    """The ExperimentConfig of `_merge_config` options `m` for command `row`: each field from its
+    flag, else the config, else (threads) XLAB_THREADS, else the row's defaults or the default."""
     given = {key: m[key] for key in _KINDS if key in m}
-    if "threads" not in given and "threads" in args:
+    if "threads" not in given and "threads" in row.flags:
         given["threads"] = _convert("XLAB_THREADS", os.environ.get("XLAB_THREADS"), int)
-    return ExperimentConfig(**{**defaults, **given}), m
+    return ExperimentConfig(**{**row.defaults, **given})
 
 
-def _cmd_scatter(args) -> int:
-    cfg, m = _experiment(args)
-    _write(emit_output(run_scatter(cfg), fmt=m.get("fmt"), plot=m.get("plot"),
-                       system=cfg.system), m.get("out"))
-    return 0
+def _cmd_scatter(cfg, m, fmt) -> tuple:
+    return emit_output(run_scatter(cfg), fmt, m.get("plot"), cfg.system), 0
 
 
-def _cmd_convert(args) -> int:
-    cfg, m = _experiment(args, samples=100)
-    json_out = _option("convert", "format", m.get("fmt")) == "json"
-    summary = run_conversion_campaign(cfg)
-    text = _campaign_json(summary) if json_out else _csv(CampaignRecord._fields, summary.records)
-    _write(text, m.get("out"))
-    return 0 if summary.successes == summary.samples else 2
+def _cmd_convert(cfg, m, fmt) -> tuple:
+    s = run_conversion_campaign(cfg)
+    text = _campaign_json(s) if fmt == "json" else _csv(CampaignRecord._fields, s.records)
+    return text, 0 if s.successes == s.samples else 2
 
 
-def _cmd_mask(args) -> int:
-    m = _merge_config(args)
-    kind, fmt = _option("mask", "kind", m.get("kind")), _option("mask", "format", m.get("fmt"))
-    system = m.get("system", "2x2")
+def _cmd_mask(cfg, m, fmt) -> tuple:
+    kind, system = _option("mask", "kind", m.get("kind")), m.get("system", "2x2")
     dims = _parse_dims(system)
     if math.prod(dims) > _MASK_MAX_N:
         raise ConfigError(f"mask system {system} has {math.prod(dims)} states; "
                           f"the limit is {_MASK_MAX_N}")
     mask = tgx.tgx_mask(dims) if kind == "tgx" else tgx.anti_x_mask(dims)
-    text = mask.to_ascii() + "\n" if fmt == "ascii" else _mask_json(mask, dims, kind)
-    _write(text, m.get("out"))
-    return 0
+    return mask.to_ascii() + "\n" if fmt == "ascii" else _mask_json(mask, dims, kind), 0
 
 
-def _cmd_mems_curve(args) -> int:
-    cfg, m = _experiment(args, samples=500)
-    _option("mems-curve", "format", m.get("fmt"))
+def _cmd_mems_curve(cfg, m, fmt) -> tuple:
     if cfg.samples > _CURVE_MAX_N:
         raise ConfigError(f"mems-curve takes at most {_CURVE_MAX_N} samples, got {cfg.samples}")
     P, E = _curve(cfg.system, cfg.samples)
-    _write(_csv(("purity", "entanglement"), zip(P.tolist(), E.tolist())), m.get("out"))
-    return 0
+    return _csv(("purity", "entanglement"), zip(P.tolist(), E.tolist())), 0
 
 
-def _cmd_verify(args) -> int:
-    """Fast invariant spot-checks; exits nonzero on any failure."""
-    seed = _experiment(args)[0].seed
-    rng = np.random.default_rng(seed)
-    checks = []
+def _cmd_verify(cfg, m, fmt) -> tuple:
+    """Fast invariant spot-checks, one PASS or FAIL line each; exits nonzero on any failure."""
+    rng = np.random.default_rng(cfg.seed)
+    lines = []
 
     def check(name, ok):
-        checks.append((name, bool(ok)))
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
+        lines.append(f"{'PASS' if ok else 'FAIL'}  {name}\n")
 
     check("boundary anchors", np.all(abs(measures.mems_boundary_2x2(np.array([1 / 3, 5 / 9, 1.0]))
                                          - [0.0, 2 / 3, 1.0]) <= 1e-12))
@@ -694,11 +680,11 @@ def _cmd_verify(args) -> int:
     check("2x3 MEB union = TGX mask", u == tgx.tgx_mask((2, 3)))
     # _stream_words transcribes a numpy internal; this catches numpy changing it.
     check("sample streams", all(
-        r.bit_generator.state == np.random.default_rng([seed, i]).bit_generator.state
-        for i, r in enumerate(_sample_rngs(_stream_words(seed, range(3))))))
+        r.bit_generator.state == np.random.default_rng([cfg.seed, i]).bit_generator.state
+        for i, r in enumerate(_sample_rngs(_stream_words(cfg.seed, range(3))))))
     # _raw_words, _doubles and _lemire transcribe PCG64 and two Generator draws,
     # on streams and on rows whose 128-bit arithmetic carries through every limb.
-    words = np.vstack([_stream_words(seed, range(6)), np.uint64([[0] * 4, [2**64 - 1] * 4])])
+    words = np.vstack([_stream_words(cfg.seed, range(6)), np.uint64([[0] * 4, [2**64 - 1] * 4])])
     raw = _raw_words(words, 12)
     check("raw stream words",
           raw.tolist() == [g.bit_generator.random_raw(12).tolist() for g in _sample_rngs(words)]
@@ -721,35 +707,40 @@ def _cmd_verify(args) -> int:
     dense = sum(probs[:, k, None, None] * states._projectors(kets[:, k]) for k in range(6))
     check("rank-state mixer",
           states.rank_states(fam, R, thetas, probs)[0].mat.tobytes() == dense.tobytes())
-    return 0 if all(ok for _, ok in checks) else 1
+    return "".join(lines), 0 if all(line[:4] == "PASS" for line in lines) else 1
 
 
-# One row per command: handler, -h line, flags (each -h text, None or choices, default first).
-_Command = namedtuple("_Command", "run help flags")
+# Per command: handler, -h line, flags (-h text, None or choices, default first), config defaults.
+_Command = namedtuple("_Command", "run help flags defaults")
 _SEEDED = {"samples": None, "seed": None, "threads": None, "out": None}
 _RECORD_FORMATS = ("csv", "json")
 _CONFIG = {"config": "JSON file with flag defaults"}
 _COMMANDS = {
     "scatter": _Command(_cmd_scatter, "sample a state family and record (E, P)", {
         "system": None, "family": tuple(_FAMILIES), "rank": None,
-        "plot": "write an SVG scatter here", **_SEEDED, "format": _RECORD_FORMATS, **_CONFIG}),
+        "plot": "write an SVG scatter here", **_SEEDED, "format": _RECORD_FORMATS, **_CONFIG}, {}),
     "convert": _Command(_cmd_convert, "consecutive X-conversion campaign", {
         "rank": None, "tol": "largest |dC| that counts as a successful conversion",
-        **_SEEDED, "format": _RECORD_FORMATS, **_CONFIG}),
+        **_SEEDED, "format": _RECORD_FORMATS, **_CONFIG}, {"samples": 100}),
     "mask": _Command(_cmd_mask, "print the TGX / anti-X element masks", {
         "system": f"dims, e.g. 2x3 or 2x2x2, at most {_MASK_MAX_N} states",
-        "kind": ("tgx", "anti"), "format": ("ascii", "json"), "out": None}),
+        "kind": ("tgx", "anti"), "format": ("ascii", "json"), "out": None}, None),
     "mems-curve": _Command(_cmd_mems_curve, "tabulate the MEMS boundary curve", {
         "system": None, "samples": f"points on the curve, at most {_CURVE_MAX_N}", "out": None,
-        "format": ("csv",), **_CONFIG}),
-    "verify": _Command(_cmd_verify, "run fast invariant checks", {"seed": None}),
+        "format": ("csv",), **_CONFIG}, {"samples": 500}),
+    "verify": _Command(_cmd_verify, "run fast invariant checks", {"seed": None}, {}),
 }
 
 
 def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
-        return _COMMANDS[args["command"]].run(args)
+        row, m = _COMMANDS[args["command"]], _merge_config(args)
+        cfg = None if row.defaults is None else _experiment(m, row)
+        fmt = _option(args["command"], "format", m.get("fmt")) if "format" in row.flags else None
+        text, code = row.run(cfg, m, fmt)
+        _write(text, m.get("out"))
+        return code
     except (XLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, (ConfigError, OSError)) else 2

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg, measures
 from .errors import DimensionError, DomainError, RankError, SpectralMismatchError
-from .states import _RANK2_SLACK, DensityMatrix, _finite, closed_form_x
+from .states import DensityMatrix, _finite, closed_form_x
 
 # |dC| up to which a conversion counts as concurrence-preserving.
 DEFAULT_TOL_C = 1e-3
@@ -41,17 +41,17 @@ input, `converted` and `unitary` are stacks and the measures arrays."""
 def conversion_unitary(rho_g: DensityMatrix, rho_x: DensityMatrix) -> np.ndarray:
     """Unitary U = eps_X eps_G+ mapping rho_g onto rho_x's eigenframe.
 
-    Both states must share their spectrum within 1e-8 (unitary equivalence
-    is impossible otherwise); a mismatch above 1e-10 only warns.
+    Both states must share their spectrum within linalg.SPECTRUM_TOL (unitary
+    equivalence is impossible otherwise); a mismatch above SPECTRUM_WARN_TOL only warns.
     """
     dims = measures.require_state(rho_g, "conversion_unitary", single=True).dims
     measures.require_state(rho_x, "conversion_unitary's rho_x", dims, single=True)
     eg, ex = linalg.eig_hermitian(rho_g.mat), linalg.eig_hermitian(rho_x.mat)
     gap = float(np.max(np.abs(eg.values - ex.values)))
-    if gap > 1e-8:
+    if gap > linalg.SPECTRUM_TOL:
         raise SpectralMismatchError(
             f"spectra differ by {gap:.3e}; states cannot be unitarily equivalent")
-    if gap > 1e-10:
+    if gap > linalg.SPECTRUM_WARN_TOL:
         warnings.warn(f"spectra differ by {gap:.3e}; conversion will be approximate")
     return ex.vectors @ eg.vectors.conj().T
 
@@ -104,7 +104,7 @@ def _x_frame(rho: DensityMatrix, es, c_in, pair: int, attempts: int) -> Conversi
 
 def closed_form_conversion(rho_g: DensityMatrix) -> ConversionResult:
     """Exact X conversion of one rank-<=2 two-qubit state: l1 and l2 share
-    the rotated plane, sin 2a = C / (l1 - l2), so C > l1 - l2 + `_RANK2_SLACK`,
+    the rotated plane, sin 2a = C / (l1 - l2), so C > l1 - l2 + `linalg.RANK2_TOL`,
     which is P < (1 + C^2)/2, is a DomainError."""
     es = linalg.eig_hermitian(
         measures.require_state(rho_g, "closed_form_conversion", (2, 2), single=True).mat)
@@ -112,7 +112,7 @@ def closed_form_conversion(rho_g: DensityMatrix) -> ConversionResult:
     if R > 2:
         raise RankError(f"closed-form conversion needs rank <= 2, got rank {R}")
     C = measures.concurrence(rho_g, es)
-    if C - (es.values[0] - es.values[1]) > _RANK2_SLACK:
+    if C - (es.values[0] - es.values[1]) > linalg.RANK2_TOL:
         raise DomainError(
             f"(C={C:.6f}, P={measures.purity(rho_g):.6f}) lies outside the closed-form "
             f"region P >= (1 + C^2)/2; use find_x_equivalent instead")
@@ -142,18 +142,18 @@ def diag_factorizable(phases: Sequence[float], mode: str = "exact"):
 
     Both modes test the excess eta1 + eta4 - eta2 - eta3, the gap between the
     first pair of `diag_factor_conditions`: "exact" (eta_k = a_i + b_j) accepts
-    |excess| / 4 <= 1e-10; "mod-global-phase" accepts excess = 0 mod 2 pi within
-    1e-10, then takes it off eta4.  Returns (ok, witness); witness = (a1, a2, b1, b2)
-    is the least-norm least-squares fit: the row and column means of eta as a
-    2x2 grid, each less half the grid's mean.
+    |excess| / 4 <= linalg.PHASE_TOL; "mod-global-phase" accepts excess = 0 mod 2 pi
+    within PHASE_TOL, then takes it off eta4.  Returns (ok, witness); witness =
+    (a1, a2, b1, b2) is the least-norm least-squares fit: the row and column means
+    of eta as a 2x2 grid, each less half the grid's mean.
     """
     (left, right), _ = diag_factor_conditions(phases)
     excess = left - right
     if linalg.member(mode, ("exact", "mod-global-phase"), "unknown mode {!r}") == "exact":
-        ok, shift = abs(excess) / 4.0 <= 1e-10, 0.0
+        ok, shift = abs(excess) / 4.0 <= linalg.PHASE_TOL, 0.0
     else:
         gap = excess % (2.0 * math.pi)
-        ok, shift = min(gap, 2.0 * math.pi - gap) <= 1e-10, excess
+        ok, shift = min(gap, 2.0 * math.pi - gap) <= linalg.PHASE_TOL, excess
     if not ok:
         return False, None
     grid = (linalg.numbers(phases, "phase") - [0.0, 0.0, 0.0, shift]).reshape(2, 2)

@@ -35,6 +35,13 @@ PSD_TOL = 1e-10  # how far below 0 an eigenvalue of a PSD matrix may lie
 RANK_TOL = 1e-10  # the rank counts eigenvalues above RANK_TOL times the largest
 ANTI_X_TOL = 1e-10  # largest anti-X measure of an X state
 INPUT_TOL = 1e-12  # how far a state family's parameter may lie outside its range
+RANK2_TOL = 1e-9  # slack of P >= (1 + C^2)/2, i.e. of C <= l1 - l2 at rank <= 2
+NEGATIVITY_TOL = 1e-9  # how far above 1 `negativity_e` may read
+SPECTRUM_TOL, SPECTRUM_WARN_TOL = 1e-8, 1e-10  # spectrum gaps conversion_unitary rejects, warns of
+PHASE_TOL = 1e-10  # largest excess (mod 2 pi, or / 4) `diag_factorizable` accepts
+RESOLUTION_TOL = 1e-10  # largest |c * sum - I| entry of a `basis_resolution`
+ZERO_TOL = 1e-12  # the largest |entry| or eigenvalue `tgx` counts as zero
+FLAT_TOL = 1e-9  # how far a maximally mixed reduction's nonzero eigenvalues may spread
 
 
 EigenSystem = namedtuple("EigenSystem", "values vectors")

@@ -128,12 +128,12 @@ def partial_transpose(rho: DensityMatrix, sub: int) -> np.ndarray:
 
 
 def negativity_e(rho: DensityMatrix):
-    """Rescaled negativity for 2x3: ||rho^T1||_1 - 1, clamped to [0, 1 + 1e-9].
+    """Rescaled negativity for 2x3: ||rho^T1||_1 - 1, clamped to [0, 1 + linalg.NEGATIVITY_TOL].
 
     Normalized so a maximally entangled 2x3 state scores 1 up to rounding.
     """
     e = linalg.trace_norm(partial_transpose(require_state(rho, "negativity_e", (2, 3)), 1)) - 1.0
-    return linalg.scalar(np.minimum(np.maximum(e, 0.0), 1.0 + 1e-9))
+    return linalg.scalar(np.minimum(np.maximum(e, 0.0), 1.0 + linalg.NEGATIVITY_TOL))
 
 
 def mems_boundary_2x2(P):

@@ -18,8 +18,6 @@ import numpy as np
 from . import linalg
 from .errors import DimensionError, DomainError, RankError
 
-_RANK2_SLACK = 1e-9  # slack of P >= (1 + C^2)/2, i.e. of C <= l1 - l2 at rank <= 2
-
 
 def _int_dims(dims) -> tuple:
     """`dims` as a tuple of ints; a DimensionError names them unless they are a sequence of
@@ -277,7 +275,7 @@ def closed_form_x(C, P) -> DensityMatrix:
     C = linalg.clamped(C, 0.0, 1.0, "concurrence {} outside [0, 1]")
     P = linalg.numbers(P, "purity")
     lo = 0.5 * (1.0 + C * C)
-    linalg.reject(~((lo - _RANK2_SLACK <= P) & (P <= 1.0 + linalg.INPUT_TOL)),
+    linalg.reject(~((lo - linalg.RANK2_TOL <= P) & (P <= 1.0 + linalg.INPUT_TOL)),
                   "purity {} outside [{}, 1] for concurrence {}", P, lo, C)
     B = np.sqrt(np.maximum(2.0 * np.minimum(P, 1.0) - 1.0 - C * C, 0.0))
     return DensityMatrix(_x_mat(((1.0 + B) / 2.0, 0.0, 0.0, (1.0 - B) / 2.0), C / 2.0), (2, 2))
@@ -302,7 +300,7 @@ def h_state(C, P) -> DensityMatrix:
     C = linalg.clamped(C, 0.0, 1.0, "concurrence {} outside [0, 1]")
     P = linalg.numbers(P, "purity")
     linalg.reject(~(P <= 1.0 + linalg.INPUT_TOL), "purity {} exceeds 1", P)
-    high = P >= 0.5 * (1.0 + C * C) - _RANK2_SLACK
+    high = P >= 0.5 * (1.0 + C * C) - linalg.RANK2_TOL
     lo = h_purity_floor(C)
     linalg.reject(~high & ~(P >= lo - linalg.INPUT_TOL),
                   "(C={}, P={}) below the purity floor {:.6f}", C, P, lo)
@@ -437,7 +435,12 @@ def rank_states(family: RankFamily, ranks, thetas, probs):
     weights probs[b], (B, max rank) arrays that are zero past the row's rank.
     Raises DomainError for a bad rank, a non-finite angle or weights not summing to 1.
     """
-    at = _check_ranks(ranks, len(linalg.record(family, RankFamily, "family").lo)) - 1
+    dims = linalg.record(family, RankFamily, "family").dims
+    try:  # once per call: int dims, and lo, hi and phase arrays
+        linalg.record(family._replace(dims=np.array(_int_dims(dims))), RankFamily, "family", True)
+    except DimensionError:
+        raise DimensionError("family RankFamily needs int dims and arrays lo, hi, phase") from None
+    at = _check_ranks(ranks, len(family.lo)) - 1
     thetas, probs = linalg.numbers(thetas, "theta"), linalg.numbers(probs, "probabilities")
     shape = family.lo[at].shape
     if not thetas.shape == probs.shape == shape:

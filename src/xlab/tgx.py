@@ -19,9 +19,6 @@ from . import linalg, measures, states
 from .errors import DimensionError, DomainError, RankError
 from .states import DensityMatrix
 
-# At most _ZERO_TOL counts as zero, and eigenvalues within _FLAT_TOL as equal.
-_ZERO_TOL, _FLAT_TOL = 1e-12, 1e-9
-
 
 @dataclass(frozen=True, init=False, eq=False)
 class ElementMask:
@@ -119,21 +116,21 @@ def project_tgx(rho: DensityMatrix) -> DensityMatrix:
 def is_simple_me_state(psi: DensityMatrix) -> bool:
     """Is psi a 'simple' maximally entangled pure state?
 
-    Simple: every anti-X matrix element vanishes (within _ZERO_TOL).
+    Simple: every anti-X matrix element vanishes (within linalg.ZERO_TOL).
     Maximally entangled: each single-site reduction has at least two nonzero
-    eigenvalues and they are all equal within _FLAT_TOL (maximally mixed on
+    eigenvalues and they are all equal within linalg.FLAT_TOL (maximally mixed on
     its support, which may be a proper subspace).  A non-finite entry raises.
     """
     measures.require_state(psi, "is_simple_me_state", single=True)
     linalg.check_finite(psi.mat)
-    if not measures.purity(psi) >= 1.0 - _ZERO_TOL:
+    if not measures.purity(psi) >= 1.0 - linalg.ZERO_TOL:
         raise RankError("input must be a pure state (rank 1)")
-    if not (np.abs(psi.mat[anti_x_mask(psi.dims).grid]) <= _ZERO_TOL).all():
+    if not (np.abs(psi.mat[anti_x_mask(psi.dims).grid]) <= linalg.ZERO_TOL).all():
         return False
     for m in range(1, len(psi.dims) + 1):
         w = np.linalg.eigvalsh(measures.partial_trace(psi, m).mat)
-        nz = w[w > _ZERO_TOL]
-        if len(nz) < 2 or not nz.max() - nz.min() <= _FLAT_TOL:
+        nz = w[w > linalg.ZERO_TOL]
+        if len(nz) < 2 or not nz.max() - nz.min() <= linalg.FLAT_TOL:
             return False
     return True
 
@@ -158,7 +155,7 @@ def meb_union_mask(members, dims) -> ElementMask:
     for k, psi in enumerate(_members(members, "meb_union_mask", dims)):
         if not is_simple_me_state(psi):
             raise DomainError(f"member {k} is not a simple maximally entangled state")
-        grid |= np.abs(psi.mat) > _ZERO_TOL
+        grid |= np.abs(psi.mat) > linalg.ZERO_TOL
     return ElementMask(n, grid)
 
 
@@ -166,7 +163,7 @@ def basis_resolution(members) -> tuple:
     """Best scalar c with c * sum_k psi_k ~= I, and whether it resolves I.
 
     Returns (factor, is_resolution); is_resolution is True when the
-    max-norm residual of c * sum - I is <= 1e-10.  For a (possibly
+    max-norm residual of c * sum - I is <= linalg.RESOLUTION_TOL.  For a (possibly
     overcomplete) projector resolution the factor is n / count.
     """
     members = _members(members, "basis_resolution")
@@ -177,7 +174,7 @@ def basis_resolution(members) -> tuple:
     denom = float(np.sum(np.abs(S) ** 2))
     c = float(np.real(np.trace(S))) / denom if denom > 0 else 0.0
     residual = float(np.max(np.abs(c * S - np.eye(len(S)))))
-    return c, residual <= 1e-10
+    return c, residual <= linalg.RESOLUTION_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,10 @@ _RECORD_ARGS = {
 # A tuple for a record, an EigenSystem of no arrays, and one Generator for two ranks.
 _NOT_RECORDS = [None, (1, 2, 3), "x", True, 2.5, linalg.EigenSystem(None, None),
                 np.random.default_rng(1)]
+# A RankFamily row whose dims are not ints, or one of whose tables is not an array.
+_NOT_FAMILIES = {"lo-list": states.RANK_X._replace(lo=states.RANK_X.lo.tolist()),
+                 "dims-None": states.RANK_X._replace(dims=None),
+                 "phase-None": states.RANK_X._replace(phase=None)}
 
 
 def _bad_records():
@@ -161,6 +165,9 @@ def _bad_records():
         for value in _NOT_RECORDS:
             if type(value).__name__ not in takes:
                 yield pytest.param(call, value, arg, id=f"{name}-{type(value).__name__}")
+    for case, value in _NOT_FAMILIES.items():
+        yield pytest.param(_RECORD_ARGS["rank_states-family"][0], value, "family",
+                           id=f"rank_states-family-{case}")
 
 
 @pytest.mark.parametrize("call,value,arg", _bad_records())

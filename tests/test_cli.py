@@ -1045,6 +1045,49 @@ def test_main_bad_flag_messages(capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# Each command with two bad values, and the error that wins: the ExperimentConfig value first,
+# then the format, then the handler's own checks.  4294967296 = 2**32 samples is valid but
+# would draw for hours, so a run that gets as far as drawing fails the test.
+@pytest.mark.parametrize("argv,message", [
+    (["scatter", "--seed", "-1", "--format", "xml"], "seed must be >= 0, got -1"),
+    (["scatter", "--samples", "4294967296", "--format", "xml"],
+     "format must be one of csv, json, got 'xml'"),
+    (["convert", "--tol", "-1", "--format", "xml"], "tol must be finite and >= 0, got -1.0"),
+    (["convert", "--samples", "4294967296", "--format", "xml"],
+     "format must be one of csv, json, got 'xml'"),
+    (["mask", "--kind", "x", "--format", "y"], "format must be one of ascii, json, got 'y'"),
+    (["mask", "--system", "1000x1000", "--format", "y"],
+     "format must be one of ascii, json, got 'y'"),
+    (["mask", "--system", "1000x1000", "--kind", "x"], "kind must be one of tgx, anti, got 'x'"),
+    (["mems-curve", "--samples", "0", "--format", "json"],
+     "samples must be in 1..2**32, got 0"),
+    (["mems-curve", "--samples", "4294967296", "--format", "json"],
+     "format must be one of csv, got 'json'"),
+    (["mems-curve", "--samples", "4294967296", "--system", "3x3"],
+     "system must be 2x2 or 2x3, got [3, 3]"),
+], ids=["scatter-seed", "scatter-format", "convert-tol", "convert-format", "mask-format",
+        "mask-format-size", "mask-kind-size", "mems-curve-samples", "mems-curve-format",
+        "mems-curve-system"])
+def test_main_reports_the_first_of_two_bad_values(tmp_path, monkeypatch, capsys, argv, message):
+    def no_work(*args):
+        raise AssertionError("the run got as far as drawing or building")
+
+    for name in ("_sample_blocks", "_curve"):
+        monkeypatch.setattr(cli, name, no_work)
+    for name in ("tgx_mask", "anti_x_mask"):
+        monkeypatch.setattr(cli.tgx, name, no_work)
+    runs = [argv]
+    if "--format" in argv and "config" in cli._COMMANDS[argv[0]].flags:
+        # A bad format from the config file is checked at the same point.
+        at = argv.index("--format")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"fmt": argv[at + 1]}))
+        runs.append(argv[:at] + argv[at + 2:] + ["--config", str(path)])
+    for run in runs:
+        assert cli.main(run) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n"), run
+
+
 def test_main_mask_size_limit_is_inclusive(capsys):
     assert cli.main(["mask", "--system", "2x512"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1024

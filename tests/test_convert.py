@@ -278,7 +278,7 @@ def test_closed_form_conversion_converts_just_where_the_rotation_reaches_c(l1, k
     # k = +-2 exactly when C <= l1 - l2.  Its concurrence measures to
     # ~1e-15; a general rotation of it would blur that to ~1e-8 (the sqrt
     # of the eps-level eigenvalues in sqrt(rho)).
-    C = (2.0 * l1 - 1.0) + k * states._RANK2_SLACK
+    C = (2.0 * l1 - 1.0) + k * linalg.RANK2_TOL
     t = 0.5 * math.asin(C / l1)
     psi = np.array([math.cos(t), 0.0, 0.0, math.sin(t)])
     rho = DensityMatrix(l1 * np.outer(psi, psi) + np.diag([0.0, 1.0 - l1, 0.0, 0.0]), (2, 2))
@@ -288,7 +288,7 @@ def test_closed_form_conversion_converts_just_where_the_rotation_reaches_c(l1, k
             convert.closed_form_conversion(rho)
         return
     res = convert.closed_form_conversion(rho)
-    assert res.delta_c <= max(k, 0.0) * states._RANK2_SLACK + 1e-12 and res.anti_x <= 1e-12
+    assert res.delta_c <= max(k, 0.0) * linalg.RANK2_TOL + 1e-12 and res.anti_x <= 1e-12
 
 
 def test_closed_form_conversion_rejects_rank3():

@@ -256,7 +256,7 @@ def test_closed_form_x_accepts_just_where_h_state_goes_high(C, k):
     # At k times the rank-<=2 slack from P = (1 + C^2)/2, closed_form_x
     # accepts (C, P) exactly when h_state hands it P on its high branch (off
     # it, h_state passes P = 1 or rejects first), and both read one slack.
-    P = 0.5 * (1.0 + C * C) + k * states._RANK2_SLACK
+    P = 0.5 * (1.0 + C * C) + k * linalg.RANK2_TOL
     assume(P <= 1.0)
     try:
         states.closed_form_x(C, P)
