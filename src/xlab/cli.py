@@ -434,13 +434,17 @@ def _campaign_json(summary: CampaignSummary) -> str:
 
 
 def _mask_json(mask, dims, kind: str) -> str:
-    """json.dumps({"dims", "kind", "pairs": mask.pairs()}, indent=2) + "\n", one str.join
-    per matrix row; no row is empty (tgx holds the diagonal, anti sum(d - 1) >= 1 entries)."""
+    """json.dumps({"dims", "kind", "pairs": mask.pairs()}, indent=2) + "\n" as one "".join of
+    the head, each matrix row's lead and its column names (joined from a Python list, which
+    str.join reads faster than an object array) and the tail; no row is empty (tgx holds the
+    diagonal, anti sum(d - 1) >= 1 entries)."""
     nums = np.array(list(map(str, range(mask.n))), dtype=object)
-    rows = ",\n".join(lead + ("\n    ],\n" + lead).join(nums[row]) + "\n    ]" for lead, row
-                      in zip((f"    [\n      {i},\n      " for i in range(mask.n)), mask.grid))
-    head = json.dumps({"dims": list(dims), "kind": kind}, indent=2)[:-2]
-    return f'{head},\n  "pairs": [\n{rows}\n  ]\n}}\n'
+    parts = [json.dumps({"dims": list(dims), "kind": kind}, indent=2)[:-2], ',\n  "pairs": [\n']
+    for i, row in enumerate(mask.grid):
+        lead = f"    [\n      {i},\n      "
+        parts += lead, ("\n    ],\n" + lead).join(nums[row].tolist()), "\n    ],\n"
+    parts[-1] = "\n    ]\n  ]\n}\n"
+    return "".join(parts)
 
 
 def _curve(system, m: int) -> tuple:
@@ -693,11 +697,14 @@ def _cmd_verify(cfg, m, fmt) -> tuple:
                   == [g.integers(1, n + 1) for g in _sample_rngs(words)] for n in (4, 6)))
     # _records_json and _mask_json copy json's formatting; this catches json changing it.
     recs = [SampleRecord(x, -0.0, 2**70, 'a, "\\\u00e9', 0) for x in (0.1, math.nan, -math.inf)]
-    anti = tgx.anti_x_mask((3, 5, 7))  # 105 states, so the indices cross 100
+    # An anti mask of 105 states, so the indices cross 100, and a TGX mask's dense rows.
+    written = [(tgx.anti_x_mask((3, 5, 7)), (3, 5, 7), "anti"),
+               (tgx.tgx_mask((2, 3, 5)), (2, 3, 5), "tgx")]
     check("json writer",
           _records_json(recs) == json.dumps([r._asdict() for r in recs], indent=2) + "\n"
-          and _mask_json(anti, (3, 5, 7), "anti") == json.dumps(
-              {"dims": [3, 5, 7], "kind": "anti", "pairs": anti.pairs()}, indent=2) + "\n")
+          and all(_mask_json(mask, d, k) == json.dumps(
+              {"dims": list(d), "kind": k, "pairs": mask.pairs()}, indent=2) + "\n"
+              for mask, d, k in written))
     # rank_states adds each term's 2x2 block with np.add.at; this catches numpy
     # changing that add or the norm against a dense sum of each term's projector.
     fam, R = states.TGX_RANK, 1 + np.arange(60) % 6

@@ -9,7 +9,8 @@ unitaries are reproducible.
 
 Every tolerance is one of the *_TOL constants below; no call takes its own.
 Keys are checked by `member`, numeric inputs read by `numbers`, matrices by `square`
-and records (namedtuple rows such as `EigenSystem`) by `record`.
+and records (namedtuple rows such as `EigenSystem`) by `record`; a rejected value is
+shown by `one_line`, so an array inside it keeps the message on one line.
 A NaN or infinite entry is rejected with `check_finite`'s one message and no
 numpy warning.  `check_psd` runs where a spectrum is used as PSD, so an
 eigensystem a caller passes in as `es` is checked like one computed here.
@@ -81,7 +82,12 @@ def numbers(x, name: str, dtype=float) -> np.ndarray:
             return np.asarray(raw, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise DomainError(f"{name} {x!r} is not a number")
+    raise DomainError(f"{name} {one_line(x)} is not a number")
+
+
+def one_line(value) -> str:
+    """repr(value) with each run of whitespace one space, so an array's repr fits an error line."""
+    return " ".join(repr(value).split())
 
 
 def record(value, kind, name: str, arrays: bool = False):
@@ -89,7 +95,8 @@ def record(value, kind, name: str, arrays: bool = False):
     DimensionError naming `name`: the one check of a record argument."""
     if isinstance(value, kind) and (not arrays or all(isinstance(f, np.ndarray) for f in value)):
         return value
-    raise DimensionError(f"{name} {value!r:.80} is not {kind.__name__}{' of arrays' * arrays}")
+    raise DimensionError(
+        f"{name} {one_line(value):.80} is not {kind.__name__}{' of arrays' * arrays}")
 
 
 def clamped(x, lo: float, hi: float, message: str) -> np.ndarray:

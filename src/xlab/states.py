@@ -475,6 +475,18 @@ def tgx_rank_state(R: int, thetas: Sequence[float], probs: Sequence[float]) -> D
 # Random ensembles
 # ---------------------------------------------------------------------------
 
+def _ginibre(G: dict, ranks: np.ndarray, n: int) -> np.ndarray:
+    """(B, n, n) stack of GG+/tr(GG+): row b takes the next (2, n, r) real and imaginary
+    parts in G[r] for r = ranks[b].  One product per rank: a zero-padded G would change
+    the last bits."""
+    W = np.empty((len(ranks), n, n), dtype=complex)
+    for r, Gr in G.items():
+        Gr = Gr[:, 0] + 1j * Gr[:, 1]
+        W[ranks == r] = Gr @ Gr.conj().mT
+    W /= W.trace(axis1=-2, axis2=-1).real[:, None, None]
+    return W
+
+
 def random_mixed(n: int, R, rng, dims=None) -> DensityMatrix:
     """Rank-R mixed state from the Ginibre-induced measure: GG+/tr(GG+).
 
@@ -490,19 +502,13 @@ def random_mixed(n: int, R, rng, dims=None) -> DensityMatrix:
     flat = ranks.reshape(-1).tolist()
     if ranks.ndim > 1 or len(rngs) != len(flat):
         raise DimensionError(f"rng must be a Generator per rank, got {len(rngs)} for {ranks.shape}")
-    # One stack and one product per rank: a zero-padded G would change the
-    # last bits.  rows[r] lists the samples whose draws fill G[r] in order.
     G = {r: np.empty((flat.count(r), 2, n, r)) for r in set(flat)}
-    rows = {r: [] for r in G}
+    filled = dict.fromkeys(G, 0)
     try:  # no per-row type check: only a row that fails is looked at
-        for b, (g, r) in enumerate(zip(rngs, flat)):
-            g.standard_normal(out=G[r][len(rows[r])])
-            rows[r].append(b)
+        for g, r in zip(rngs, flat):
+            g.standard_normal(out=G[r][filled[r]])
+            filled[r] += 1
     except (AttributeError, TypeError):
-        raise DimensionError(f"rng {g!r:.80} is not a numpy Generator") from None
-    W = np.empty((len(flat), n, n), dtype=complex)
-    for r, at in rows.items():
-        Gr = G[r][:, 0] + 1j * G[r][:, 1]
-        W[at] = Gr @ Gr.conj().mT
-    W /= W.trace(axis1=-2, axis2=-1).real[:, None, None]
+        raise DimensionError(f"rng {linalg.one_line(g):.80} is not a numpy Generator") from None
+    W = _ginibre(G, ranks.reshape(-1), n)
     return DensityMatrix(W if ranks.ndim else W[0], dims if dims is not None else (n,))

@@ -33,9 +33,8 @@ class ElementMask:
         grid = np.array(marked)
         if grid.shape != (n, n) or grid.dtype != bool:
             raise DimensionError(f"mask shape {grid.shape} ({grid.dtype}) is not ({n}, {n}) bool")
-        lone = np.argwhere(grid & ~grid.T)
-        if len(lone):
-            i, j = lone[0]
+        if not np.array_equal(grid, grid.T):  # only then scan for the first unpaired entry
+            i, j = np.argwhere(grid & ~grid.T)[0]
             raise DimensionError(f"mask not symmetric: ({i},{j}) without ({j},{i})")
         grid.flags.writeable = False
         object.__setattr__(self, "n", n)

@@ -24,12 +24,26 @@ def _report(name, ok, detail=""):
 
 def _random_stacks(rng, dims, count=100_000, block=10_000):
     """`count` random_mixed states of random rank, drawn from `rng` in the
-    order of a one-state-at-a-time loop, as stacks of `block` states."""
+    order of a one-state-at-a-time loop (each state's rank, then its (2, n, r)
+    normals), as stacks of `block` states built by random_mixed's own builder."""
     n = math.prod(dims)
     for _ in range(count // block):
-        yield DensityMatrix(np.stack([
-            states.random_mixed(n, int(rng.integers(1, n + 1)), rng, dims).mat
-            for _ in range(block)]), dims)
+        ranks, G = [], {}
+        for _ in range(block):
+            ranks.append(int(rng.integers(1, n + 1)))
+            G.setdefault(ranks[-1], []).append(rng.standard_normal((2, n, ranks[-1])))
+        G = {r: np.stack(draws) for r, draws in G.items()}
+        yield DensityMatrix(states._ginibre(G, np.array(ranks), n), dims)
+
+
+def test_random_stacks_first_block_equals_the_one_state_loop():
+    for seed, dims in ((29, (2, 2)), (31, (2, 3))):
+        n, rng, loop = math.prod(dims), np.random.default_rng(seed), np.random.default_rng(seed)
+        block = next(_random_stacks(rng, dims)).mat
+        want = np.stack([states.random_mixed(n, int(loop.integers(1, n + 1)), loop, dims).mat
+                         for _ in range(len(block))])
+        assert np.array_equal(block, want)
+        assert rng.bit_generator.state == loop.bit_generator.state
 
 
 # Upper ends of the uniform draws of a general X state: 3 probability and

@@ -177,6 +177,27 @@ def test_a_wrong_record_or_generator_is_one_dimension_error_that_names_it(call, 
     assert str(err.value).startswith(f"{arg} "), str(err.value)
 
 
+# name: (one call whose bad argument holds a 2-D array, its whole one-line message)
+_ARRAY_INSIDE = {
+    "sqrt_psd-es": (lambda: linalg.sqrt_psd(np.eye(2) / 2, es=linalg.EigenSystem(np.eye(2), None)),
+                    "es EigenSystem(values=array([[1., 0.], [0., 1.]]), vectors=None) "
+                    "is not EigenSystem of arrays"),
+    "random_mixed-rng": (lambda: states.random_mixed(4, [1, 2], [np.eye(2), np.eye(3)]),
+                         "rng array([[1., 0.], [0., 1.]]) is not a numpy Generator"),
+    "square-object": (lambda: linalg.square(np.array([[None, 1], [2, 3]], dtype=object)),
+                      "matrix array([[None, 1], [2, 3]], dtype=object) is not a number"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_INSIDE))
+def test_a_rejected_array_is_shown_on_one_line(name):
+    call, message = _ARRAY_INSIDE[name]
+    with pytest.raises(XLabError) as err:
+        call()
+    assert "\n" not in str(err.value)
+    assert str(err.value) == message
+
+
 def test_a_bad_format_is_the_config_error():
     with pytest.raises(ConfigError) as err:
         cli.emit_output(_RECORDS, fmt=True)

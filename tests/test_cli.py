@@ -703,6 +703,14 @@ def test_main_mask_golden_bytes(capsys, dims, kind):
     assert capsys.readouterr().out == _digit_rule_ascii(dims, kind)
 
 
+def test_mask_json_equals_json_dumps_at_the_size_limit():
+    dims = (2,) * 10  # n = _MASK_MAX_N: four-digit indices and 10,240 pairs
+    mask = cli.tgx.anti_x_mask(dims)
+    assert mask.n == cli._MASK_MAX_N
+    assert cli._mask_json(mask, dims, "anti") == json.dumps(
+        {"dims": list(dims), "kind": "anti", "pairs": mask.pairs()}, indent=2) + "\n"
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.lists(st.integers(2, 5), min_size=2, max_size=7).filter(lambda d: math.prod(d) <= 256),
        st.sampled_from(["anti", "tgx"]))
@@ -1321,6 +1329,15 @@ def test_main_verify_catches_a_mask_json_writer_drift(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_mask_json", lambda mask, dims, kind: "{}\n")
     assert cli.main(["verify"]) == 1
     assert "FAIL  json writer" in capsys.readouterr().out
+
+
+def test_main_verify_checks_the_mask_json_writer_on_a_tgx_mask(monkeypatch, capsys):
+    writer = cli._mask_json
+    monkeypatch.setattr(cli, "_mask_json", lambda mask, dims, kind:
+                        writer(mask, dims, kind) if kind == "anti" else "{}\n")
+    assert cli.main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  json writer" in out and out.count("FAIL") == 1
 
 
 def test_main_verify_catches_a_rank_state_mixer_drift(monkeypatch, capsys):

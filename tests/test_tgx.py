@@ -65,8 +65,11 @@ def test_element_mask_helpers():
 
 @pytest.mark.parametrize("n,marked,match", [
     (2, np.ones((3, 3), bool), "shape"),
-    (3, np.triu(np.ones((3, 3), bool)), "not symmetric"),
-], ids=["wrong-shape", "array-asymmetric"])
+    (3, np.triu(np.ones((3, 3), bool)), r"^mask not symmetric: \(0,1\) without \(1,0\)$"),
+    # Row-major the first unpaired entry is (0,2); column-major it would be (1,0).
+    (3, np.eye(3, k=2, dtype=bool) | np.eye(3, k=-1, dtype=bool),
+     r"^mask not symmetric: \(0,2\) without \(2,0\)$"),
+], ids=["wrong-shape", "array-asymmetric", "first-unpaired-row-major"])
 def test_element_mask_rejects_bad_positions(n, marked, match):
     with pytest.raises(DimensionError, match=match):
         tgx.ElementMask(n, marked)
