@@ -43,15 +43,26 @@ from numpy.random.bit_generator import ISeedSequence
 from . import convert, linalg, measures, states, tgx
 from .errors import ConfigError, DimensionError, XLabError
 
-# One row per system: its entanglement measure, whether that takes the block's eig_hermitian
-# (the ranks then reuse it), its X converter or None, and its MEMS builder and boundary.  A
-# function is looked up when called, so a wrapper put on it (bench/spans.py's) sees the call.
+
+def _concurrence(rho, es, factors):
+    """Each state's concurrence, from its factor in `states._ginibre`'s (rows, F) list if given."""
+    if factors is None:
+        return measures.concurrence(rho, es)
+    C = np.empty(len(rho.mat))
+    for rows, F in factors:
+        C[rows] = measures.factor_concurrence(F)
+    return C
+
+
+# One row per system: its entanglement measure of (states, eig_hermitian or None, factors or
+# None), whether that takes a block's eig_hermitian when it has no factors (the ranks then
+# reuse it), its X converter or None, and its MEMS builder and boundary.  A function is
+# looked up when called, so a wrapper put on it (bench/spans.py's) sees the call.
 _System = namedtuple("_System", "measure eig convert mems boundary")
 _SYSTEMS = {
-    (2, 2): _System(lambda rho, es: measures.concurrence(rho, es), True,
-                    lambda rho: convert.find_x_equivalent(rho),
+    (2, 2): _System(_concurrence, True, lambda rho: convert.find_x_equivalent(rho),
                     states.mems_2x2, lambda P: measures.mems_boundary_2x2(P)),
-    (2, 3): _System(lambda rho, es: measures.negativity_e(rho), False, None,
+    (2, 3): _System(lambda rho, es, factors: measures.negativity_e(rho), False, None,
                     states.mems_2x3, lambda P: measures.mems_boundary_2x3(P)),
 }
 # One row per family: its one system or None, its rank table (`x` uses it only with --rank),
@@ -275,7 +286,7 @@ def _sample_blocks(cfg: ExperimentConfig):
 
 
 def _general_block(cfg: ExperimentConfig, words: np.ndarray) -> tuple:
-    """Ginibre states drawn on Generators from `words`, and their ranks.
+    """Ginibre states drawn on Generators from `words`, their ranks and their factors.
 
     A rank not fixed by --rank comes from the stream's first raw word through
     `_lemire`, as integers() draws it; integers() would also keep the word's
@@ -285,7 +296,8 @@ def _general_block(cfg: ExperimentConfig, words: np.ndarray) -> tuple:
     R = [cfg.rank] * len(rngs) if cfg.rank else _lemire(
         np.array([g.bit_generator.random_raw() for g in rngs], dtype=np.uint64),
         n, words, rngs).tolist()
-    return states.random_mixed(n, R, rngs, cfg.system), R
+    rho, factors = states._random_factored(n, R, rngs, cfg.system)
+    return rho, R, factors
 
 
 def _draw_rank_block(cfg: ExperimentConfig, family, words: np.ndarray):
@@ -336,14 +348,15 @@ def _axis(lo, k, m: int):
 
 def _build_block(cfg: ExperimentConfig, block: range, words):
     """The states of `block` as one stack from one call of the family's
-    stacked builder, and their ranks if the builder checked them, else None.
+    stacked builder, their ranks if the builder checked them, else None, and
+    the `general` draws' factors (`_general_block`), else None.
     `mems` walks purities from 1/n to 1, `h` a side x side grid of
     concurrences, each with purities from its `h_purity_floor` to 1 (`_axis`)."""
-    fam, index = cfg.family, np.arange(block.start, block.stop)
+    fam, index, factors = cfg.family, np.arange(block.start, block.stop), None
     if _FAMILIES[fam].ranks is not None and (fam != "x" or cfg.rank is not None):
-        return _draw_rank_block(cfg, _FAMILIES[fam].ranks, words)
+        return (*_draw_rank_block(cfg, _FAMILIES[fam].ranks, words), None)
     if fam == "general":
-        batch = _general_block(cfg, words)[0]
+        batch, _, factors = _general_block(cfg, words)
     elif fam == "x":
         u = _doubles(_raw_words(words, 11)) * _X_SCALE
         batch = states.general_x_state(states.XParams(u[:, :3], u[:, 3:7], u[:, 7:]))
@@ -355,17 +368,17 @@ def _build_block(cfg: ExperimentConfig, block: range, words):
         C = _axis(0.0, index % side, side - 1)
         P = _axis(states.h_purity_floor(C), (index // side) % side, side - 1)
         batch = states.h_state(C, np.minimum(P, 1.0))
-    return batch, None
+    return batch, None, factors
 
 
 def run_scatter(cfg: ExperimentConfig) -> list:
     """Draw, measure, and record `samples` states of the configured family."""
     records, system = [], _SYSTEMS[cfg.system]
     for block, words in _sample_blocks(cfg):
-        batch, ranks = _build_block(cfg, block, words)
-        es = linalg.eig_hermitian(batch.mat) if system.eig else None
+        batch, ranks, factors = _build_block(cfg, block, words)
+        es = linalg.eig_hermitian(batch.mat) if system.eig and factors is None else None
         ranks = batch.rank(es=es) if ranks is None else ranks
-        records += map(SampleRecord, system.measure(batch, es).tolist(),
+        records += map(SampleRecord, system.measure(batch, es, factors).tolist(),
                        measures.purity(batch).tolist(), ranks.tolist(),
                        [cfg.family] * len(block), block)
     return records
@@ -388,7 +401,7 @@ def run_conversion_campaign(cfg: ExperimentConfig) -> CampaignSummary:
                           f"{'x'.join(map(str, cfg.system))}")
     records = []
     for block, words in _sample_blocks(cfg):
-        rho, ranks = _general_block(cfg, words)
+        rho, ranks, _ = _general_block(cfg, words)
         res = _SYSTEMS[cfg.system].convert(rho)
         ok = (res.delta_c <= cfg.tol) & (res.anti_x <= linalg.ANTI_X_TOL)
         records += map(CampaignRecord, block, ranks, measures.purity(rho).tolist(),
@@ -679,6 +692,10 @@ def _cmd_verify(cfg, m, fmt) -> tuple:
         states.random_mixed(4, 1 + np.arange(10) % 4, [rng] * 10, (2, 2)))
     ok = np.all(res.delta_c <= convert.DEFAULT_TOL_C) and np.all(res.anti_x <= linalg.ANTI_X_TOL)
     check("x conversion sample", ok)
+    # This catches numpy or LAPACK moving the general scatter's factor route off concurrence.
+    rho, _, factors = _general_block(cfg, _stream_words(cfg.seed, range(_BLOCK)))
+    check("wootters factor", np.all(abs(_concurrence(rho, None, factors)
+                                        - measures.concurrence(rho)) <= 1e-12))
     u = tgx.meb_union_mask(
         tgx.meb_basis_2x3(states.PHI) + tgx.meb_basis_2x3(states.PSI), (2, 3))
     check("2x3 MEB union = TGX mask", u == tgx.tgx_mask((2, 3)))

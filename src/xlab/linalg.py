@@ -75,14 +75,21 @@ def member(value, options, message: str, error=DomainError):
 
 def numbers(x, name: str, dtype=float) -> np.ndarray:
     """x as an array of `dtype`; a DomainError names it unless its entries are numbers, not
-    None, which numpy reads as NaN (an ndarray of numbers, the per-block input, is not scanned)."""
+    None, which numpy reads as NaN (an ndarray of numbers, the per-block input, is not scanned).
+    An x whose one-line repr is over 80 characters is named by its first None's row-major
+    index, or else by that repr cut at 80."""
+    flat = []
     try:
         raw = x if isinstance(x, np.ndarray) else np.asarray(x)
-        if raw.dtype != object or None not in raw.ravel().tolist():
+        flat = raw.ravel().tolist() if raw.dtype == object else flat
+        if None not in flat:
             return np.asarray(raw, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise DomainError(f"{name} {one_line(x)} is not a number")
+    shown = one_line(x)
+    if len(shown) > 80:
+        shown = f"entry {flat.index(None)} (None)" if None in flat else f"{shown:.80}..."
+    raise DomainError(f"{name} {shown} is not a number")
 
 
 def one_line(value) -> str:
@@ -198,5 +205,5 @@ def numerical_rank(M: np.ndarray, es: EigenSystem | None = None):
     a caller already holds, whose eigenvalues get the same check.
     """
     vals = check_psd(np.linalg.eigvalsh(hermitize(M)) if es is None else _given(M, es).values)
-    return scalar((vals > RANK_TOL * np.maximum(vals.max(axis=-1, keepdims=True), 0.0))
-                  .sum(axis=-1))
+    top = np.maximum(np.maximum.reduce(vals, axis=-1, keepdims=True), 0.0)
+    return scalar(np.add.reduce(vals > RANK_TOL * top, axis=-1))

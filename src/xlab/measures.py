@@ -1,9 +1,9 @@
 """Entanglement and structure measures.
 
-Concurrence (general and X-form), purity, the anti-X measure, partial
-trace / partial transpose, the rescaled-negativity measure for 2x3, and
-the maximally-entangled-mixed-state boundary curves in closed form, which
-take a purity or an array of purities.
+Concurrence (general, from any factor, and X-form), purity, the anti-X
+measure, partial trace / partial transpose, the rescaled-negativity measure
+for 2x3, and the maximally-entangled-mixed-state boundary curves in closed
+form, which take a purity or an array of purities.
 
 `require_state` is the one check of a state argument across xlab; `purity`,
 `anti_x_measure` and `concurrence_x`, which read only the matrix, also take
@@ -18,8 +18,8 @@ from . import linalg, states
 from .errors import DimensionError
 from .states import DensityMatrix
 
-# (s2 x s2) M (s2 x s2) is M reversed on both axes times these signs.
-_FLIP_SIGN = np.outer([1, -1, -1, 1], [1, -1, -1, 1])
+# (s2 x s2) F is F's rows reversed times these signs.
+_FLIP_ROWS = np.array([[-1.0], [1.0], [1.0], [-1.0]])
 
 # Anti-X positions of the two-qubit X pattern (upper triangle).
 _ANTI_X_ROWS, _ANTI_X_COLS = np.array([0, 0, 1, 2]), np.array([1, 2, 3, 3])
@@ -50,24 +50,27 @@ def purity(rho):
 
 
 def concurrence(rho: DensityMatrix, es: linalg.EigenSystem | None = None):
-    """Wootters concurrence of a two-qubit state.
+    """Wootters concurrence of a two-qubit state: `factor_concurrence` of sqrt(rho).
 
-    Uses the Hermitian route: descending eigenvalues lam_k of
-    R = sqrt(sqrt(rho) rho~ sqrt(rho)) with the spin-flipped
-    rho~ = (s2 x s2) rho* (s2 x s2); C = max(0, lam1 - lam2 - lam3 - lam4).
     `es` reuses rho's `linalg.eig_hermitian` for sqrt(rho), which checks it is PSD.
-    A rank-deficient rho measures only to about 1e-8: sqrt(rho) takes the
-    square root of its zero eigenspace's eps-level eigenvalues.
+    A rank-deficient rho measures only to about 1e-8, since sqrt(rho) takes the square
+    roots of its zero eigenspace's eps-level eigenvalues; a factor with no such column,
+    as a Ginibre draw's own G, measures to ~eps.
     """
-    s = linalg.sqrt_psd(require_state(rho, "concurrence", (2, 2)).mat, es=es)
-    # The eigenvalues of R are the singular values of sqrt(rho) sqrt(rho~):
-    # (A A')^(1/2) with A = s st.  Computing them by SVD keeps the small
-    # lam_k accurate to ~eps absolute; squaring into s rho~ s and taking an
-    # eigenvalue square root would blow eps-level noise up to ~sqrt(eps).
-    st = s.conj()[..., ::-1, ::-1] * _FLIP_SIGN
-    lam = np.linalg.svd(s @ st, compute_uv=False)
-    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
-    return linalg.scalar(np.maximum(c, 0.0))
+    return factor_concurrence(
+        linalg.sqrt_psd(require_state(rho, "concurrence", (2, 2)).mat, es=es))
+
+
+def factor_concurrence(F):
+    """Wootters concurrence of rho = F F+ from any (4, r) factor F, or a (..., 4, r) stack:
+    C = max(0, lam1 - lam2 - ... - lam_r) over the singular values lam_k of the r x r
+    tau = F^T (s2 x s2) F (PRL 80, 2245).  The SVD keeps small lam_k accurate to ~eps."""
+    F = linalg.numbers(F, "factor", complex)
+    if F.ndim < 2 or F.shape[-2] != 4 or F.shape[-1] < 1:
+        raise DimensionError(f"expected a (4, r) factor or a stack of them, got shape {F.shape}")
+    linalg.check_finite(F)
+    lam = np.linalg.svd(F.mT @ (F[..., ::-1, :] * _FLIP_ROWS), compute_uv=False)
+    return linalg.scalar(np.maximum(lam[..., 0] - np.add.reduce(lam[..., 1:], axis=-1), 0.0))
 
 
 def anti_x_measure(rho):

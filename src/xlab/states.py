@@ -475,27 +475,22 @@ def tgx_rank_state(R: int, thetas: Sequence[float], probs: Sequence[float]) -> D
 # Random ensembles
 # ---------------------------------------------------------------------------
 
-def _ginibre(G: dict, ranks: np.ndarray, n: int) -> np.ndarray:
+def _ginibre(G: dict, ranks: np.ndarray, n: int) -> tuple:
     """(B, n, n) stack of GG+/tr(GG+): row b takes the next (2, n, r) real and imaginary
     parts in G[r] for r = ranks[b].  One product per rank: a zero-padded G would change
-    the last bits."""
-    W = np.empty((len(ranks), n, n), dtype=complex)
+    the last bits.  Also a (rows of rank r, their factors F = G/sqrt(tr(GG+))) per rank."""
+    W, factors = np.empty((len(ranks), n, n), dtype=complex), []
     for r, Gr in G.items():
-        Gr = Gr[:, 0] + 1j * Gr[:, 1]
-        W[ranks == r] = Gr @ Gr.conj().mT
-    W /= W.trace(axis1=-2, axis2=-1).real[:, None, None]
-    return W
+        Gr, rows = Gr[:, 0] + 1j * Gr[:, 1], ranks == r
+        W[rows] = Gr @ Gr.conj().mT
+        factors.append((rows, Gr))
+    tr = W.trace(axis1=-2, axis2=-1).real
+    W /= tr[:, None, None]
+    return W, [(rows, Gr / np.sqrt(tr[rows])[:, None, None]) for rows, Gr in factors]
 
 
-def random_mixed(n: int, R, rng, dims=None) -> DensityMatrix:
-    """Rank-R mixed state from the Ginibre-induced measure: GG+/tr(GG+).
-
-    R = 1 is the Haar-uniform pure state (a normalized complex Gaussian ket).
-    R may be an array of ranks and rng a matching sequence of generators;
-    the result is then a (B, n, n) stack.  Row b draws the real, then the
-    imaginary part of its (n, R[b]) G from its generator, rows in order, so
-    a block equals a loop of single draws, also when generators repeat.
-    """
+def _random_factored(n: int, R, rng, dims=None) -> tuple:
+    """`random_mixed(n, R, rng, dims)` and `_ginibre`'s (rows, factors) of its states."""
     (n,) = _int_dims([n])
     ranks = _check_ranks(R, n)
     rngs = list(rng) if ranks.ndim and np.iterable(rng) else [rng]
@@ -510,5 +505,17 @@ def random_mixed(n: int, R, rng, dims=None) -> DensityMatrix:
             filled[r] += 1
     except (AttributeError, TypeError):
         raise DimensionError(f"rng {linalg.one_line(g):.80} is not a numpy Generator") from None
-    W = _ginibre(G, ranks.reshape(-1), n)
-    return DensityMatrix(W if ranks.ndim else W[0], dims if dims is not None else (n,))
+    W, factors = _ginibre(G, ranks.reshape(-1), n)
+    return DensityMatrix(W if ranks.ndim else W[0], dims if dims is not None else (n,)), factors
+
+
+def random_mixed(n: int, R, rng, dims=None) -> DensityMatrix:
+    """Rank-R mixed state from the Ginibre-induced measure: GG+/tr(GG+).
+
+    R = 1 is the Haar-uniform pure state (a normalized complex Gaussian ket).
+    R may be an array of ranks and rng a matching sequence of generators;
+    the result is then a (B, n, n) stack.  Row b draws the real, then the
+    imaginary part of its (n, R[b]) G from its generator, rows in order, so
+    a block equals a loop of single draws, also when generators repeat.
+    """
+    return _random_factored(n, R, rng, dims)[0]

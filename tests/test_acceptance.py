@@ -33,7 +33,7 @@ def _random_stacks(rng, dims, count=100_000, block=10_000):
             ranks.append(int(rng.integers(1, n + 1)))
             G.setdefault(ranks[-1], []).append(rng.standard_normal((2, n, ranks[-1])))
         G = {r: np.stack(draws) for r, draws in G.items()}
-        yield DensityMatrix(states._ginibre(G, np.array(ranks), n), dims)
+        yield DensityMatrix(states._ginibre(G, np.array(ranks), n)[0], dims)
 
 
 def test_random_stacks_first_block_equals_the_one_state_loop():

@@ -88,6 +88,7 @@ _NUMBERS = {
     "diag_factor_conditions-phase": lambda v: convert.diag_factor_conditions([v] * 4),
     "diag_factorizable-phase": lambda v: convert.diag_factorizable([0.0, 0.0, 0.0, v]),
     "anti_x_measure": lambda v: measures.anti_x_measure(v),
+    "factor_concurrence": lambda v: measures.factor_concurrence(v),
     "eig_hermitian": lambda v: linalg.eig_hermitian(v),
 }
 _CALLS = {**_KEYS, **_DIMS, **_SIZES, **_NUMBERS}
@@ -136,6 +137,20 @@ _NONE_INSIDE = {
 def test_none_inside_a_list_is_not_a_number(name):
     with pytest.raises(DomainError, match="None.* is not a number$"):
         _NONE_INSIDE[name]()
+
+
+def test_a_long_rejected_list_names_its_first_none():
+    # Its whole repr would be 500,028 characters.  A nested list's None is named by its
+    # row-major index, and a long list with no None by its repr cut at 80 characters.
+    with pytest.raises(DomainError) as err:
+        linalg.numbers([0.1] * 100000 + [None], "theta")
+    assert str(err.value) == "theta entry 100000 (None) is not a number"
+    with pytest.raises(DomainError) as err:
+        linalg.numbers([[0.1] * 50] * 3 + [[1.0, None] * 25], "theta")
+    assert str(err.value) == "theta entry 151 (None) is not a number"
+    with pytest.raises(DomainError) as err:
+        linalg.numbers([0.1] * 100000 + ["x"], "theta")
+    assert str(err.value) == f"theta {str([0.1] * 100000):.80}... is not a number"
 
 
 # name: (one call with the record or generator under test in the place of `v`, the argument

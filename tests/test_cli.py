@@ -230,7 +230,7 @@ def _one_state_loop(cfg):
             redraws += 1
         mats.append(rho.mat[0])
     rho = states.DensityMatrix(np.stack(mats), cfg.system)
-    records = list(zip(cli._SYSTEMS[cfg.system].measure(rho, None).tolist(),
+    records = list(zip(cli._SYSTEMS[cfg.system].measure(rho, None, None).tolist(),
                        measures.purity(rho).tolist(), rho.rank().tolist()))
     return records, redraws
 
@@ -274,15 +274,18 @@ def _scatter_linalg_calls(monkeypatch, cfg):
     return calls
 
 
-@pytest.mark.parametrize("family,samples", [
-    ("general", 1), ("general", 3), ("general", 256), ("general", 600),
-    ("x", 600), ("mems", 600), ("h", 600)])
-def test_run_scatter_eigendecomposes_each_2x2_block_once(monkeypatch, family, samples):
-    # One eigh per block serves both the concurrence and the ranks.
-    cfg = cli.ExperimentConfig(family=family, samples=samples, seed=8)
-    sizes = [min(cli._BLOCK, samples - start) for start in range(0, samples, cli._BLOCK)]
-    assert _scatter_linalg_calls(monkeypatch, cfg) == {
-        "eigh": [(b, 4, 4) for b in sizes], "eigvalsh": []}
+@pytest.mark.parametrize("family,samples,rank", [
+    ("general", 1, None), ("general", 3, None), ("general", 256, None),
+    ("general", 600, None), ("general", 600, 2), ("x", 600, None), ("mems", 600, None),
+    ("h", 600, None)])
+def test_run_scatter_eigendecomposes_each_2x2_block_once(monkeypatch, family, samples, rank):
+    # A general block measures its concurrence from the drawn factors and takes its
+    # ranks from one eigvalsh; in the others one eigh per block serves both.
+    cfg = cli.ExperimentConfig(family=family, rank=rank, samples=samples, seed=8)
+    shapes = [(min(cli._BLOCK, samples - start), 4, 4) for start in range(0, samples, cli._BLOCK)]
+    want = {"eigh": [], "eigvalsh": shapes} if family == "general" else {
+        "eigh": shapes, "eigvalsh": []}
+    assert _scatter_linalg_calls(monkeypatch, cfg) == want
 
 
 def test_run_scatter_2x3_block_keeps_its_eigvalsh_calls(monkeypatch):
@@ -309,7 +312,7 @@ def test_rank_from_the_scatter_eigensystem_equals_eigvalsh_rank(family, rank):
     # ends in pure states; a rank-checked builder's ranks must agree too.
     cfg = cli.ExperimentConfig(family=family, rank=rank, samples=300, seed=11)
     for block, rngs in cli._sample_blocks(cfg):
-        batch, ranks = cli._build_block(cfg, block, rngs)
+        batch, ranks, _ = cli._build_block(cfg, block, rngs)
         want = batch.rank()
         assert np.array_equal(batch.rank(es=linalg.eig_hermitian(batch.mat)), want)
         assert ranks is None or np.array_equal(ranks, want)
@@ -484,12 +487,11 @@ def test_main_convert_record_bytes(tmp_path):
 
 
 def test_main_convert_output_digest(tmp_path):
-    # SHA-256 of the bytes `xlab convert` wrote before conversion was stacked
-    # (numpy 2.4, x86-64): two blocks, the second one partial.  The JSON one
-    # was bb0c93e6...2a364d8a9d while the summary carried the constant
-    # "attempt_histogram": {"1e0": 300}; its records are unchanged.
-    digests = {"csv": "abc80eedfa58a13ddb49123e1bc9492416fb3c063db3da9cc0e59c08da80af4b",
-               "json": "43cca0c7394584e848841f8a51eb732768ca9ff70d6e4f7bc4f7b4a707323836"}
+    # SHA-256 of the bytes `xlab convert` writes (numpy 2.4, x86-64): two blocks,
+    # the second one partial.  Only the concurrence kernel's last bits, and what
+    # the frame angle takes from them, have moved these since conversion was stacked.
+    digests = {"csv": "685904a60fe73ba51a279956eb97a994aac63c23ac12e95717e780fe2fdd3556",
+               "json": "1563725964de3111f087f9511aafd437cd9f8986d8ff2f382f5b372b8470d748"}
     for fmt, digest in digests.items():
         out = tmp_path / f"c.{fmt}"
         assert cli.main(["convert", "--samples", "300", "--seed", "78", "--format", fmt,
@@ -497,12 +499,12 @@ def test_main_convert_output_digest(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-# SHA-256 of the bytes `xlab scatter` wrote before each block's streams were
-# seeded in one pass (numpy 2.4, x86-64): 600 general states are three blocks,
-# the last one partial; 300 states of the other families are two.
+# SHA-256 of the bytes `xlab scatter` writes (numpy 2.4, x86-64): 600 general
+# states are three blocks, the last one partial; 300 states of the other families
+# are two.  The 2x2 ones last moved with the concurrence kernel, in its last bits.
 _SCATTER_DIGESTS = {
     ("general", "2x2", "600", "csv"):
-        "13f1117cc1b66768717d6be46bd4b80b536e41752ba692a3d48fa948e0130682",
+        "25269cf7f2da5276731d57a9f31ae9518893afb2d4dae3999696f2f02ad7e1a0",
     ("general", "2x3", "300", "csv"):
         "52871799cf07815123c340f0b9d7dae91df87c38cd1ce3334b5acdb46e9a823a",
     ("tgx", "2x3", "300", "json"):
@@ -510,17 +512,17 @@ _SCATTER_DIGESTS = {
     ("lx", "2x3", "300", "csv"):
         "0497eed7cded72aec48e77ea6733f7118b0e201dd79d76f61f8cf4b11e1ea953",
     ("x", "2x2", "300", "csv"):
-        "780423c1e1a443c2d82c0a16b99309dcfcd6046ba06414818883db3a3c82113b",
+        "d8e841a823e0b0bd8137b89b225307935bad7966ce535cfa956d7c2f3cd52a33",
     # The mems purities are `mems-curve`'s, lo + (1 - lo) * i / m.  They were
     # lo + (1 - lo) * (i / m), off in the last bit at some i, and the digests were
     # 2x2: 2abbde05216777b41192379787966241b2097df99c8703bd40da4cb66c4c5425
     # 2x3: 2606d76f0237cddd822f41b5b41357b2b1ada08f86c0f1a973a9546d96d71c6e
     ("mems", "2x2", "300", "csv"):
-        "3b1f854f51c9118a86b46d914b8d6193f01b2c3b3cb45dfd6b28aa11539baf27",
+        "8c189f98c6e6d93e2312176db511ac5f803f7df79f356dcaeaad5792288dafba",
     ("mems", "2x3", "300", "csv"):
         "a5abd56975e924a3c1090e01624ec6a4f480e3980a0f017b5af60f2e9b2b1820",
     ("h", "2x2", "300", "csv"):
-        "026cc387944f0598659524b5567095590bc609ca000892e88bdcfea24ed98e43",
+        "3952277405110d6526c0567292bfe8297ffc5d9aa026e70901e341efb391c751",
 }
 
 
@@ -540,7 +542,7 @@ def test_main_scatter_output_digest(tmp_path):
     _assert_scatter_digests(out)
     assert cli.main(["scatter", "--family", "x", "--rank", "3", "--samples", "300",
                      "--seed", "78", "--out", str(out)]) == 0
-    assert _sha(out) == "50b600a304b49a6680fc95aefe40133bdc3ed43cfeec328cc7a84a5adea9b0e5"
+    assert _sha(out) == "3a6d57dbfcd8ff818f217266a287015cdd5aca7ebeae8e5037cd90cda9993cc8"
     assert cli.main(["scatter", "--family", "tgx", "--system", "2x3", "--samples", "300",
                      "--seed", "78", "--format", "json", "--out", str(out),
                      "--plot", str(plot)]) == 0
@@ -1208,28 +1210,28 @@ def test_importing_the_cli_loads_no_argparse_or_gettext():
 _HELP = "help"
 _PARITY = [
     (["convert", "--samples", "3", "--seed", "5"], 0, "",
-     "5afbdeba00ac0cb2917c8e66b854dd14e271674c3b2208f2164615cc97b2e9b3"),
+     "77108224819f7d87668d899fff84b358944331f2c1f8f5cc38b0b3fb9e3bb781"),
     (["convert", "--samples=3", "--seed=5"], 0, "",
-     "5afbdeba00ac0cb2917c8e66b854dd14e271674c3b2208f2164615cc97b2e9b3"),
+     "77108224819f7d87668d899fff84b358944331f2c1f8f5cc38b0b3fb9e3bb781"),
     (["convert", "--sam", "3", "--seed", "5"], 0, "",
-     "5afbdeba00ac0cb2917c8e66b854dd14e271674c3b2208f2164615cc97b2e9b3"),
+     "77108224819f7d87668d899fff84b358944331f2c1f8f5cc38b0b3fb9e3bb781"),
     (["convert", "--samples", "9", "--samples", "3", "--seed", "5"], 0, "",
-     "5afbdeba00ac0cb2917c8e66b854dd14e271674c3b2208f2164615cc97b2e9b3"),
+     "77108224819f7d87668d899fff84b358944331f2c1f8f5cc38b0b3fb9e3bb781"),
     (["convert", "--samples", "2", "--seed", "7", "--f", "json"], 0, "",
-     "7be179e97428b684dd1fcd4e85cba9278d3994dc66bb50cd173c2bd114c8c01a"),
+     "9f71b7e09bffa7ff048be546a82c21a3ecb514ef19e549d89fe3132689fbbd2b"),
     (["scatter", "--fam=x", "--samples", "3"], 0, "",
-     "9cd039fe65e97db9cb3cc7351dfc1c5711d3ecbd41c6bd3876df7cec07187791"),
+     "2d5f98787e4f49f4f5a2089e043829f8c03f987210e511435ae353aff1af7920"),
     (["scatter", "--sys", "2x3", "--fam", "tgx", "--se", "1", "--sa", "2"], 0, "",
      "0ea076c7a6214076885c8e3c2a84bf3a63fd7bebdcf2f0c57279db8bacdd8d22"),
     (["scatter", "--samples", "2", "--plot="], 0, "",
-     "9831139d1595994878c5d3da7660c6d564659d3e08bccc421c23136f2b109b3d"),
+     "dad745e45b47808db72dd330aba188981111f59e2e48f5bf97c1b5a8a81343f3"),
     (["mask"], 0, "", "3b823a50e9f817d77c33ac24481f48ecb053762754df2d6642ff78f195434fdb"),
     (["mask", "--system", "2x3", "--kind", "anti", "--f", "json"], 0, "",
      "0a4746f55abb7914be7eee913ca76f17a8eda53821b0a13513fd7a625c3594fe"),
     (["mems-curve", "--samples", "5", "--system=2x3"], 0, "",
      "c063ac3cee317d015fd0980a366ecdc8406b1c81a997fcf05f262edaeaeb87ea"),
     (["verify", "--seed="], 0, "",
-     "af340216a500a2929ff5bd49079b70fdaddda9aaf09f8161d7eafdf0af7df5b8"),
+     "63995da615fc962c714bd268e18293030e640cf03d1df33a8f51e8b92b8a321b"),
     (["scatter", "--samples", "-5"], 1, "samples must be in 1..2**32, got -5", None),
     (["scatter", "--samples", "2", "--seed", "-1"], 1, "seed must be >= 0, got -1", None),
     (["scatter", "--s", "3"], 1, "ambiguous option: --s could match --system, --samples, --seed",
@@ -1346,6 +1348,19 @@ def test_main_verify_catches_a_rank_state_mixer_drift(monkeypatch, capsys):
     assert cli.main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  rank-state mixer" in out and out.count("FAIL") == 1
+
+
+def test_main_verify_catches_a_factor_route_drift(monkeypatch, capsys):
+    ginibre = states._ginibre
+
+    def drifted(G, ranks, n):
+        W, factors = ginibre(G, ranks, n)
+        return W, [(rows, F * (1.0 + 1e-11)) for rows, F in factors]
+
+    monkeypatch.setattr(states, "_ginibre", drifted)
+    assert cli.main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  wootters factor" in out and out.count("FAIL") == 1
 
 
 def test_main_verify_catches_a_raw_word_drift(monkeypatch, capsys):

@@ -75,6 +75,48 @@ def test_rank_deficient_concurrence_is_good_to_about_1e_8(second):
     assert np.abs(C - 0.25).max() <= 1e-7
 
 
+@pytest.mark.parametrize("second", [1, 2], ids=["01", "10"])
+def test_rank_deficient_factor_concurrence_is_good_to_eps(second):
+    # The state above from its factor [sqrt(0.625) psi, sqrt(0.375) e]: tau = F^T Y F
+    # takes no square root of an eps-level eigenvalue, so under the same 2000 local
+    # unitaries it reads C = 0.25 to 1e-15.
+    t = math.asin(0.4) / 2.0
+    psi = np.zeros(4)
+    psi[[0, 3]] = math.cos(t), math.sin(t)
+    F = np.stack([math.sqrt(0.625) * psi, math.sqrt(0.375) * np.eye(4)[second]], axis=-1)
+    L = _local_unitaries(np.random.default_rng(53), 2000)
+    assert np.abs(measures.factor_concurrence(L @ F) - 0.25).max() <= 1e-15
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_factor_concurrence_matches_concurrence_of_rho(seed, r):
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((16, 4, r)) + 1j * rng.standard_normal((16, 4, r))
+    F = G / np.sqrt(np.add.reduce(np.abs(G) ** 2, axis=(-2, -1)))[:, None, None]
+    rho = DensityMatrix(F @ F.conj().mT, (2, 2))
+    assert np.abs(measures.factor_concurrence(F) - measures.concurrence(rho)).max() <= 1e-12
+
+
+def test_factor_concurrence_edges():
+    # Columns |0> (x) b_k give tau = 0 exactly; after local unitaries they stay
+    # product states.  A Bell ket reads 1, in any local frame to a few eps, and the
+    # maximally mixed state's factor I/2 reads 0.
+    rng = np.random.default_rng(17)
+    F = np.zeros((50, 4, 3), dtype=complex)
+    F[:, :2] = rng.standard_normal((50, 2, 3)) + 1j * rng.standard_normal((50, 2, 3))
+    F /= np.sqrt(np.add.reduce(np.abs(F) ** 2, axis=(-2, -1)))[:, None, None]  # tr rho = 1
+    assert measures.factor_concurrence(F).tolist() == [0.0] * 50
+    L = _local_unitaries(rng, 50)
+    assert np.abs(measures.factor_concurrence(L @ F[:, :, :1])).max() <= 1e-15
+    assert np.abs(measures.factor_concurrence(L @ F)).max() <= 1e-15
+    bells = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]])[..., None]
+    bells = bells / math.sqrt(2.0)
+    assert np.abs(measures.factor_concurrence(bells) - 1.0).max() <= 1e-15
+    assert np.abs(measures.factor_concurrence(L @ bells[0]) - 1.0).max() <= 1e-14
+    assert measures.factor_concurrence(np.eye(4) / 2.0) == 0.0
+
+
 def test_concurrence_x_matches_general():
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -350,14 +392,20 @@ def _flip_cases(seed, B):
 @settings(deadline=None, max_examples=25)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
 def test_concurrence_spin_flip_is_bit_exact(seed, B):
-    # The signed reversal in measures.concurrence against the literal
-    # (s2 x s2) sqrt(rho)* (s2 x s2), compared byte for byte.
-    for mat in _flip_cases(seed, B):
-        s = linalg.sqrt_psd(mat)
-        lam = np.linalg.svd(s @ (_SPIN_FLIP @ s.conj() @ _SPIN_FLIP), compute_uv=False)
-        want = np.maximum(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0)
-        got = np.asarray(measures.concurrence(DensityMatrix(mat, (2, 2))))
-        assert got.tobytes() == want.tobytes()
+    # The signed row reversal in measures.factor_concurrence against the literal
+    # F^T (s2 x s2) F, compared byte for byte: on each case's Hermitian square root,
+    # which measures.concurrence takes, and on complex Gaussian factors of rank 1-4.
+    rng = np.random.default_rng(seed)
+    mats = list(_flip_cases(seed, B))
+    factors = [linalg.sqrt_psd(mat) for mat in mats] + [
+        rng.standard_normal((B, 4, r)) + 1j * rng.standard_normal((B, 4, r)) for r in range(1, 5)]
+    for k, F in enumerate(factors):
+        lam = np.linalg.svd(F.mT @ (_SPIN_FLIP @ F), compute_uv=False)
+        want = np.maximum(lam[..., 0] - lam[..., 1:].sum(axis=-1), 0.0).tobytes()
+        assert np.asarray(measures.factor_concurrence(F)).tobytes() == want
+        if k < len(mats):
+            got = measures.concurrence(DensityMatrix(mats[k], (2, 2)))
+            assert np.asarray(got).tobytes() == want
 
 
 def test_stacked_measures_check_every_matrix():
@@ -365,6 +413,10 @@ def test_stacked_measures_check_every_matrix():
     stack[1] = np.diag([0.5, 0.5, 0.25, -0.25])
     with pytest.raises(DomainError):
         measures.concurrence(DensityMatrix(stack, (2, 2)))
+    factors = np.stack([np.eye(4) / 2] * 3)
+    factors[2, 3, 1] = np.nan
+    with pytest.raises(DomainError, match="non-finite"):
+        measures.factor_concurrence(factors)
     stack = np.stack([np.eye(4) / 4] * 3)
     stack[2, 0, 1] = stack[2, 1, 0] = 0.125
     with pytest.raises(DomainError, match="anti-X measure 6.250e-02"):
