@@ -1,12 +1,11 @@
 """Entanglement-preserving unitary (EPU) conversion of two-qubit states to X form.
 
-The central routine is `find_x_equivalent`, which builds in closed form a
-spectrum-preserving unitary that maps any two-qubit state, of any rank, to
-an X state of the same concurrence.  `closed_form_conversion` rotates the
-l1, l2 plane of a rank-<=2 state instead, onto `closed_form_x`.  Also here:
-the unitary between two states of one spectrum (`conversion_unitary`), the
-closed-form diagonal-unitary factorizability test and the X-preserving
-unitary with its unconstrained X transform.
+`find_x_equivalent` maps any two-qubit state, of any rank, to an X state of
+the same concurrence in closed form; `closed_form_conversion` maps a rank-<=2
+state onto `closed_form_x`.  They are two layout rows of one X-frame builder.
+Also here: `conversion_unitary` between two states of one spectrum, the
+diagonal-unitary factorizability test, and the X-preserving unitary with its
+unconstrained X transform.
 """
 
 from __future__ import annotations
@@ -76,25 +75,36 @@ def find_x_equivalent(rho: DensityMatrix) -> ConversionResult:
     stack; a stack's result fields equal a per-state loop bit for bit.
     """
     es = linalg.eig_hermitian(measures.require_state(rho, "find_x_equivalent", (2, 2)).mat)
-    return _x_frame(rho, es, measures.concurrence(rho, es), pair=2, attempts=1)
+    return _x_frame(rho, es, measures.concurrence(rho, es), _FIND_X_ROW, 1)
 
 
-def _x_frame(rho: DensityMatrix, es, c_in, pair: int, attempts: int) -> ConversionResult:
-    """`find_x_equivalent`'s frame, with l_(pair+1) beside l1 and the other two on |01>, |10>."""
-    u, v = (k for k in (1, 2, 3) if k != pair)
-    lam = np.maximum(es.values, 0.0)
-    l1, lp, lu, lv = lam[..., 0], lam[..., pair], lam[..., u], lam[..., v]
-    turn = (c_in > 0.0) & (l1 > lp)
-    s = np.minimum(1.0, (c_in + 2.0 * np.sqrt(lu * lv)) / np.where(turn, l1 - lp, 1.0))
+_FIND_X_ROW = ((0, 3), (0, 2), ((1, 1), (3, 2)))  # l1, l3 on {|00>, |11>}; l2, l4 on |01>, |10>
+_CLOSED_FORM_ROW = ((0, 3), (0, 1), ((2, 1), (3, 2)))  # l1, l2 on {|00>, |11>}; l3, l4 off it
+
+
+def _frame(s, layout, n: int) -> np.ndarray:
+    """The (..., n, n) X eigenframe at sin 2a = `s`, an array: column k is eigenvalue k's
+    eigenvector.  `layout` = ((i, j), (p, q), ((k, b), ...)) turns eigenvalues p, q by a on
+    the basis plane {i, j} and puts each other eigenvalue k on basis index b."""
+    (i, j), (p, q), rest = layout
     # math.asin row by row: np.arcsin differs from it in the last bit.
-    asin = np.array([math.asin(x) for x in s.ravel().tolist()]).reshape(s.shape)
-    a = np.where(turn, 0.5 * asin, 0.0)
-    # Column k is the X state's eigenvector for l_(k+1).
+    a = 0.5 * np.array([math.asin(x) for x in s.ravel().tolist()]).reshape(s.shape)
     ca, sa = np.cos(a), np.sin(a)
-    ex = np.zeros(a.shape + (4, 4), dtype=complex)
-    ex[..., 0, 0], ex[..., 3, 0], ex[..., 0, pair], ex[..., 3, pair] = ca, sa, -sa, ca
-    ex[..., 1, u] = ex[..., 2, v] = 1.0
-    U = ex @ es.vectors.conj().mT  # maps rho's eigenframe onto ex
+    ex = np.zeros(s.shape + (n, n), dtype=complex)
+    ex[..., i, p], ex[..., j, p], ex[..., i, q], ex[..., j, q] = ca, sa, -sa, ca
+    for k, b in rest:
+        ex[..., b, k] = 1.0
+    return ex
+
+
+def _x_frame(rho: DensityMatrix, es, c_in, layout, attempts: int) -> ConversionResult:
+    """Conversion onto `layout` at concurrence C: sin 2a = (C + 2 sqrt(l_u l_v)) / (l_p - l_q)."""
+    _, (p, q), ((u, _), (v, _)) = layout
+    lam = np.maximum(es.values, 0.0)
+    lp, lq, lu, lv = lam[..., p], lam[..., q], lam[..., u], lam[..., v]
+    turn = (c_in > 0.0) & (lp > lq)
+    s = np.minimum(1.0, (c_in + 2.0 * np.sqrt(lu * lv)) / np.where(turn, lp - lq, 1.0))
+    U = _frame(np.where(turn, s, 0.0), layout, 4) @ es.vectors.conj().mT  # rho's frame onto X's
     out = _conjugate(rho, U)
     c_out = measures.concurrence(out)
     return ConversionResult(
@@ -116,7 +126,7 @@ def closed_form_conversion(rho_g: DensityMatrix) -> ConversionResult:
         raise DomainError(
             f"(C={C:.6f}, P={measures.purity(rho_g):.6f}) lies outside the closed-form "
             f"region P >= (1 + C^2)/2; use find_x_equivalent instead")
-    return _x_frame(rho_g, es, C, pair=1, attempts=0)
+    return _x_frame(rho_g, es, C, _CLOSED_FORM_ROW, 0)
 
 
 # ---------------------------------------------------------------------------

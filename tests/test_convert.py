@@ -223,6 +223,58 @@ def test_find_x_equivalent_stack_equals_loop(rows):
     assert res.attempts == 1 and all(x.attempts == 1 for x in looped)
 
 
+def _layout_state(s, lam, layout) -> np.ndarray:
+    """ex diag(lam) ex+ for `convert._frame`'s X eigenframe ex of `layout` at sin 2a = s."""
+    ex = convert._frame(s, layout, lam.shape[-1])
+    return ex @ (lam[..., None] * ex.conj().mT)
+
+
+# Random, degenerate and rank-deficient spectra, in descending order.
+_SPECTRA = st.one_of(
+    st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    st.sampled_from([(0.25,) * 4, (1.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.0, 0.0),
+                     (1 / 3, 1 / 3, 1 / 3, 0.0), (0.4, 0.2, 0.2, 0.2)]),
+).map(lambda lam: sorted(lam, reverse=True))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from([convert._FIND_X_ROW, convert._CLOSED_FORM_ROW]),
+       st.lists(st.tuples(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), _SPECTRA),
+                min_size=1, max_size=8))
+def test_frame_is_a_unitary_x_frame_that_keeps_the_spectrum(layout, rows):
+    s, lam = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+    ex = convert._frame(s, layout, 4)
+    assert np.abs(ex @ ex.conj().mT - np.eye(4)).max() <= 1e-15
+    x = _layout_state(s, lam, layout)
+    assert np.max(measures.anti_x_measure(x)) == 0.0
+    assert np.abs(np.linalg.eigvalsh(x) - np.sort(lam)).max() <= 1e-15
+    # Unturned rows are exactly a permutation: one 1 in each row and column, else 0.
+    perm = ex[s == 0.0]
+    assert np.all((perm == 0.0) | (perm == 1.0))
+    assert np.all(perm.sum(axis=-1) == 1.0) and np.all(perm.sum(axis=-2) == 1.0)
+
+
+def test_spectrum_and_concurrence_label_each_epu_class():
+    # find_x_equivalent's X form depends on the spectrum and C alone, and a local
+    # unitary L keeps both: rho and L rho L+ share one X form, and U_b+ U_a is an
+    # EPU between them.  At ranks 2 and 3 C, and so the angle, is good to about 1e-8.
+    rank, rng = 1 + np.arange(2000) % 4, np.random.default_rng(21)
+    rho = states.random_mixed(4, rank, [rng] * 2000, (2, 2))
+    z = rng.standard_normal((2, 2000, 2, 2)) + 1j * rng.standard_normal((2, 2000, 2, 2))
+    q, r = np.linalg.qr(z)
+    d = r.diagonal(axis1=-2, axis2=-1)
+    a, b = q * (d / np.abs(d))[..., None, :]  # Haar unitaries on each qubit
+    L = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(2000, 4, 4)
+    moved = DensityMatrix(L @ rho.mat @ L.conj().mT, (2, 2))
+    ra, rb = convert.find_x_equivalent(rho), convert.find_x_equivalent(moved)
+    epu = rb.unitary.conj().mT @ ra.unitary
+    gaps = {"X form": np.abs(ra.converted.mat - rb.converted.mat).max(axis=(1, 2)),
+            "EPU": np.abs(epu @ rho.mat @ epu.conj().mT - moved.mat).max(axis=(1, 2))}
+    for name, gap in gaps.items():
+        for R, bound in ((1, 1e-13), (2, 1e-7), (3, 1e-7), (4, 1e-13)):
+            assert gap[rank == R].max() <= bound, (name, R, gap[rank == R].max())
+
+
 def test_closed_form_x_anchors():
     cf = convert.closed_form_x(1.0, 1.0)
     assert np.max(np.abs(cf.mat - states.bell_state().mat)) <= 1e-12
@@ -488,15 +540,11 @@ def _negativity_x_state(rho: DensityMatrix) -> DensityMatrix:
     on the {|00>, |11>} plane at angle a, l2 and l4 on |01> and |10>.  There
     N(a) = sqrt((l2 - l4)^2 + (l1 - l3)^2 sin^2 2a) - l2 - l4, so
     sin 2a = sqrt((N + 2 l2)(N + 2 l4)) / (l1 - l3) gives any N up to the bound."""
-    l1, l2, l3, l4 = np.moveaxis(np.clip(linalg.eig_hermitian(rho.mat).values, 0.0, None), -1, 0)
+    lam = np.clip(linalg.eig_hermitian(rho.mat).values, 0.0, None)
+    l1, l2, l3, l4 = np.moveaxis(lam, -1, 0)
     n = np.maximum(_negativity(rho), 0.0)  # a separable state's N may round below 0
-    a = 0.5 * np.arcsin(np.minimum(1.0, np.sqrt((n + 2 * l2) * (n + 2 * l4)) / (l1 - l3)))
-    x = np.zeros(rho.mat.shape, dtype=complex)
-    x[..., 0, 0] = l1 * np.cos(a) ** 2 + l3 * np.sin(a) ** 2
-    x[..., 3, 3] = l1 * np.sin(a) ** 2 + l3 * np.cos(a) ** 2
-    x[..., 0, 3] = x[..., 3, 0] = (l1 - l3) * np.sin(a) * np.cos(a)
-    x[..., 1, 1], x[..., 2, 2] = l2, l4
-    return DensityMatrix(x, (2, 2))
+    s = np.minimum(1.0, np.sqrt((n + 2 * l2) * (n + 2 * l4)) / (l1 - l3))
+    return DensityMatrix(_layout_state(s, lam, convert._FIND_X_ROW), (2, 2))
 
 
 def test_two_qubit_negativity_meets_its_spectral_bound_and_an_x_state_reaches_it():

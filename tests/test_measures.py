@@ -269,11 +269,8 @@ def test_the_2x2_spectral_bound_is_the_mems_curve():
         assert (_vad_bound(lam) - measures.mems_boundary_2x2(P)).max() <= 1e-12
         # find_x_equivalent's layout at a = pi/4 reaches the bound: l1 and l3 on
         # the {|00>, |11>} plane, l2 on |01>, l4 on |10>.
-        mat = np.zeros((len(lam), 4, 4), dtype=complex)
-        mat[:, [0, 3], [0, 3]] = (lam[:, 0, None] + lam[:, 2, None]) / 2.0
-        mat[:, 0, 3] = mat[:, 3, 0] = (lam[:, 0] - lam[:, 2]) / 2.0
-        mat[:, 1, 1], mat[:, 2, 2] = lam[:, 1], lam[:, 3]
-        C = measures.concurrence(DensityMatrix(mat, (2, 2)))
+        ex = convert._frame(np.ones(len(lam)), convert._FIND_X_ROW, 4)
+        C = measures.concurrence(DensityMatrix(ex @ (lam[..., None] * ex.conj().mT), (2, 2)))
         # Loose because a rank-deficient state measures only to about 1e-8.
         assert np.abs(C - _vad_bound(lam)).max() <= 1e-7
     # The bound is attained on the MEMS, so it is the curve, not just under it.
@@ -286,13 +283,14 @@ def test_the_2x3_one_coherence_layout_beats_the_candidate_but_not_e_star():
     # Per spectrum, l1 and l5 on |0,0>, |1,1> at a = pi/4, l4 on |0,1>, l6 on
     # |1,0>, and l2, l3 on |0,2>, |1,2>: its negativity is
     # E1 = sqrt((l1 - l5)^2 + (l4 - l6)^2) - l4 - l6 when positive.
-    # It exceeds xlab's candidate (ROADMAP item 1) but never E*(P).
-    beaten = 0.0
+    # It exceeds xlab's candidate (ROADMAP item 1) but never E*(P).  The plane
+    # {0, 4} is TGX, not literal X: every state is 0 on the 2x3 anti-X mask.
+    row = ((0, 4), (0, 4), ((3, 1), (5, 3), (1, 2), (2, 5)))
+    beaten, anti_x = 0.0, tgx.anti_x_mask((2, 3)).grid
     for lam in _dirichlet_spectra(6):
-        mat = np.zeros((len(lam), 6, 6), dtype=complex)
-        mat[:, [0, 4], [0, 4]] = (lam[:, 0, None] + lam[:, 4, None]) / 2.0
-        mat[:, 0, 4] = mat[:, 4, 0] = (lam[:, 0] - lam[:, 4]) / 2.0
-        mat[:, [1, 3, 2, 5], [1, 3, 2, 5]] = lam[:, [3, 5, 1, 2]]
+        ex = convert._frame(np.ones(len(lam)), row, 6)
+        mat = ex @ (lam[..., None] * ex.conj().mT)
+        assert not mat[:, anti_x].any()
         E1 = np.hypot(lam[:, 0] - lam[:, 4], lam[:, 3] - lam[:, 5]) - lam[:, 3] - lam[:, 5]
         E = measures.negativity_e(DensityMatrix(mat, (2, 3)))
         assert np.abs(E - np.maximum(E1, 0.0)).max() <= 1e-12
