@@ -9,21 +9,23 @@ starts: `_stream_words` and `_raw_words` transcribe numpy's SeedSequence and
 PCG64 so that a block's streams are seeded and read at once, and the tests and
 `verify` check each transcription against numpy.  `run_scatter` builds each
 block of `_sample_blocks` with one call of its family's stacked builder and
-measures it with its system's stacked measure, as `run_conversion_campaign`
-converts its blocks, so output is byte-identical for any block size; the grid
-families (`mems`, `h`) draw no streams.  `_SYSTEMS` and `_FAMILIES` hold one
-row per system and per family: a new system's facts are a row, as are a rank
-family's; any other new family also needs a branch in `_build_block`.  Every
-evenly spaced axis is `_axis`, so `scatter --family mems --samples N` and
-`mems-curve --samples N` share their purities bit for bit.  `--threads` is
-validated but has no effect.  `main` is every command's one pipeline: `_parse`
-reads argv into strings by `_COMMANDS`, which writes each command's flags,
-choices and config defaults once; `_merge_config` lays them over the config
-file (null or empty is the default); the frozen ExperimentConfig converts
-(`_convert` by `_KINDS`) and checks each value, whichever source gave it;
-`_option` checks the format, the handler its own values, and `_write`, the one
-writer of data output besides `--plot`, writes the handler's text.  So bad
-input is one ConfigError line before any work, config values checked first.
+measures it with its system's stacked measure (a `general` 2x2 block from its
+drawn factors, an `x`, `mems` or `h` 2x2 block by the X-state closed form), as
+`run_conversion_campaign` converts its blocks, so output is byte-identical for
+any block size; the grid families (`mems`, `h`) draw no streams.  `_SYSTEMS`
+and `_FAMILIES` hold one row per system and per family: a new system's facts
+are a row, as are a rank family's; any other new family also needs a branch
+in `_build_block`.  Every evenly spaced axis is `_axis`, so `scatter --family
+mems --samples N` and `mems-curve --samples N` share their purities bit for
+bit.  `--threads` is validated but has no effect.  `main` is every command's
+one pipeline: `_parse` reads argv into strings by `_COMMANDS`, which writes
+each command's flags, choices and config defaults once; `_merge_config` lays
+them over the config file (null or empty is the default); the frozen
+ExperimentConfig converts (`_convert` by `_KINDS`) and checks each value,
+whichever source gave it; `_option` checks the format, the handler its own
+values, and `_write`, the one writer of data output besides `--plot`, writes
+the handler's text.  So bad input is one ConfigError line before any work,
+config values checked first.
 """
 
 from __future__ import annotations
@@ -44,25 +46,25 @@ from . import convert, linalg, measures, states, tgx
 from .errors import ConfigError, DimensionError, XLabError
 
 
-def _concurrence(rho, es, factors):
-    """Each state's concurrence, from its factor in `states._ginibre`'s (rows, F) list if given."""
+def _concurrence(rho, factors):
+    """Each state's concurrence: from its factor in `states._ginibre`'s (rows, F) list if
+    given, else in closed form (`measures.concurrence_x`), which rejects a state not X."""
     if factors is None:
-        return measures.concurrence(rho, es)
+        return measures.concurrence_x(rho)
     C = np.empty(len(rho.mat))
     for rows, F in factors:
         C[rows] = measures.factor_concurrence(F)
     return C
 
 
-# One row per system: its entanglement measure of (states, eig_hermitian or None, factors or
-# None), whether that takes a block's eig_hermitian when it has no factors (the ranks then
-# reuse it), its X converter or None, and its MEMS builder and boundary.  A function is
-# looked up when called, so a wrapper put on it (bench/spans.py's) sees the call.
-_System = namedtuple("_System", "measure eig convert mems boundary")
+# One row per system: its entanglement measure of (states, factors or None), its X converter
+# or None, and its MEMS builder and boundary.  A function is looked up when called, so a
+# wrapper put on it (bench/spans.py's) sees the call.
+_System = namedtuple("_System", "measure convert mems boundary")
 _SYSTEMS = {
-    (2, 2): _System(_concurrence, True, lambda rho: convert.find_x_equivalent(rho),
+    (2, 2): _System(_concurrence, lambda rho: convert.find_x_equivalent(rho),
                     states.mems_2x2, lambda P: measures.mems_boundary_2x2(P)),
-    (2, 3): _System(lambda rho, es, factors: measures.negativity_e(rho), False, None,
+    (2, 3): _System(lambda rho, factors: measures.negativity_e(rho), None,
                     states.mems_2x3, lambda P: measures.mems_boundary_2x3(P)),
 }
 # One row per family: its one system or None, its rank table (`x` uses it only with --rank),
@@ -376,9 +378,8 @@ def run_scatter(cfg: ExperimentConfig) -> list:
     records, system = [], _SYSTEMS[cfg.system]
     for block, words in _sample_blocks(cfg):
         batch, ranks, factors = _build_block(cfg, block, words)
-        es = linalg.eig_hermitian(batch.mat) if system.eig and factors is None else None
-        ranks = batch.rank(es=es) if ranks is None else ranks
-        records += map(SampleRecord, system.measure(batch, es, factors).tolist(),
+        ranks = batch.rank() if ranks is None else ranks
+        records += map(SampleRecord, system.measure(batch, factors).tolist(),
                        measures.purity(batch).tolist(), ranks.tolist(),
                        [cfg.family] * len(block), block)
     return records
@@ -694,7 +695,7 @@ def _cmd_verify(cfg, m, fmt) -> tuple:
     check("x conversion sample", ok)
     # This catches numpy or LAPACK moving the general scatter's factor route off concurrence.
     rho, _, factors = _general_block(cfg, _stream_words(cfg.seed, range(_BLOCK)))
-    check("wootters factor", np.all(abs(_concurrence(rho, None, factors)
+    check("wootters factor", np.all(abs(_concurrence(rho, factors)
                                         - measures.concurrence(rho)) <= 1e-12))
     u = tgx.meb_union_mask(
         tgx.meb_basis_2x3(states.PHI) + tgx.meb_basis_2x3(states.PSI), (2, 3))

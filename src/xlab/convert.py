@@ -118,7 +118,7 @@ def closed_form_conversion(rho_g: DensityMatrix) -> ConversionResult:
     which is P < (1 + C^2)/2, is a DomainError."""
     es = linalg.eig_hermitian(
         measures.require_state(rho_g, "closed_form_conversion", (2, 2), single=True).mat)
-    R = linalg.numerical_rank(rho_g.mat, es=es)
+    R = rho_g.rank()
     if R > 2:
         raise RankError(f"closed-form conversion needs rank <= 2, got rank {R}")
     C = measures.concurrence(rho_g, es)

@@ -171,23 +171,19 @@ def check_psd(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _given(M, es: EigenSystem) -> EigenSystem:
-    """`es` passed as `eig_hermitian(M)`: a DimensionError unless it is an EigenSystem of
-    arrays (`record`) whose vectors have M's shape."""
-    shape = np.asarray(M).shape
-    if record(es, EigenSystem, "es", arrays=True).vectors.shape != shape:
-        raise DimensionError(f"eigensystem of shape {es.vectors.shape} for a {shape} matrix")
-    return es
-
-
 def sqrt_psd(M: np.ndarray, es: EigenSystem | None = None) -> np.ndarray:
     """Hermitian square root of a PSD matrix.
 
     Eigenvalues in [-PSD_TOL, 0) are clamped to zero; `check_psd` rejects a
     NaN or anything below.  A caller that already holds `eig_hermitian(M)`
-    passes it as `es` to skip the eigendecomposition, not the checks.
+    passes it as `es` to skip the eigendecomposition, not the checks; a
+    DimensionError unless it is an EigenSystem of arrays (`record`) of M's shape.
     """
-    vals, vecs = eig_hermitian(M) if es is None else _given(M, es)
+    if es is None:
+        es = eig_hermitian(M)
+    elif record(es, EigenSystem, "es", arrays=True).vectors.shape != np.shape(M):
+        raise DimensionError(f"eigensystem of shape {es.vectors.shape} for a {np.shape(M)} matrix")
+    vals, vecs = es
     vals = np.maximum(check_psd(vals), 0.0)
     return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().mT
 
@@ -197,13 +193,10 @@ def trace_norm(M: np.ndarray):
     return scalar(np.abs(np.linalg.eigvalsh(hermitize(M))).sum(axis=-1))
 
 
-def numerical_rank(M: np.ndarray, es: EigenSystem | None = None):
+def numerical_rank(M: np.ndarray):
     """Count of eigenvalues above RANK_TOL times the largest, per matrix, of a
     Hermitian PSD matrix; a NaN or an eigenvalue below -PSD_TOL raises (not PSD).
-
-    Computes eigenvalues only (eigvalsh), or reuses `es`, the `eig_hermitian(M)`
-    a caller already holds, whose eigenvalues get the same check.
-    """
-    vals = check_psd(np.linalg.eigvalsh(hermitize(M)) if es is None else _given(M, es).values)
+    Computes eigenvalues only (eigvalsh)."""
+    vals = check_psd(np.linalg.eigvalsh(hermitize(M)))
     top = np.maximum(np.maximum.reduce(vals, axis=-1, keepdims=True), 0.0)
     return scalar(np.add.reduce(vals > RANK_TOL * top, axis=-1))

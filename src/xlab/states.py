@@ -64,9 +64,9 @@ class DensityMatrix:
         linalg.check_psd(np.linalg.eigvalsh(linalg.hermitize(self.mat)))
         return self
 
-    def rank(self, es: linalg.EigenSystem | None = None):
-        """`linalg.numerical_rank(mat, es)`: an int, or one per stacked matrix."""
-        return linalg.numerical_rank(self.mat, es)
+    def rank(self):
+        """`linalg.numerical_rank(mat)`: an int, or one per stacked matrix."""
+        return linalg.numerical_rank(self.mat)
 
 
 def _finite(angles, name: str) -> np.ndarray:

@@ -160,9 +160,6 @@ _RECORD_ARGS = {
     "rank_states-family": (lambda v: states.rank_states(v, [1], [[0.1]], [[1.0]]), "family", ()),
     "concurrence-es": (lambda v: measures.concurrence(_BELL, es=v), "es", ("NoneType",)),
     "sqrt_psd-es": (lambda v: linalg.sqrt_psd(np.eye(4) / 4, es=v), "es", ("NoneType",)),
-    "numerical_rank-es": (lambda v: linalg.numerical_rank(np.eye(4) / 4, es=v), "es",
-                          ("NoneType",)),
-    "DensityMatrix.rank-es": (lambda v: _BELL.rank(es=v), "es", ("NoneType",)),
     "random_mixed-rng": (lambda v: states.random_mixed(4, 2, v), "rng", ("Generator",)),
     "random_mixed-rngs": (lambda v: states.random_mixed(4, [1, 2], v), "rng", ()),
 }

@@ -230,7 +230,7 @@ def _one_state_loop(cfg):
             redraws += 1
         mats.append(rho.mat[0])
     rho = states.DensityMatrix(np.stack(mats), cfg.system)
-    records = list(zip(cli._SYSTEMS[cfg.system].measure(rho, None, None).tolist(),
+    records = list(zip(cli._SYSTEMS[cfg.system].measure(rho, None).tolist(),
                        measures.purity(rho).tolist(), rho.rank().tolist()))
     return records, redraws
 
@@ -274,18 +274,22 @@ def _scatter_linalg_calls(monkeypatch, cfg):
     return calls
 
 
-@pytest.mark.parametrize("family,samples,rank", [
-    ("general", 1, None), ("general", 3, None), ("general", 256, None),
-    ("general", 600, None), ("general", 600, 2), ("x", 600, None), ("mems", 600, None),
-    ("h", 600, None)])
-def test_run_scatter_eigendecomposes_each_2x2_block_once(monkeypatch, family, samples, rank):
-    # A general block measures its concurrence from the drawn factors and takes its
-    # ranks from one eigvalsh; in the others one eigh per block serves both.
-    cfg = cli.ExperimentConfig(family=family, rank=rank, samples=samples, seed=8)
-    shapes = [(min(cli._BLOCK, samples - start), 4, 4) for start in range(0, samples, cli._BLOCK)]
-    want = {"eigh": [], "eigvalsh": shapes} if family == "general" else {
-        "eigh": shapes, "eigvalsh": []}
-    assert _scatter_linalg_calls(monkeypatch, cfg) == want
+@pytest.mark.parametrize("system,family,samples,rank", [
+    ("2x2", "general", 1, None), ("2x2", "general", 3, None), ("2x2", "general", 256, None),
+    ("2x2", "general", 600, None), ("2x2", "general", 600, 2), ("2x2", "x", 600, None),
+    ("2x2", "x", 600, 3), ("2x2", "mems", 600, None), ("2x2", "h", 600, None),
+    ("2x3", "general", 300, None), ("2x3", "lx", 300, None), ("2x3", "tgx", 300, 4),
+    ("2x3", "mems", 300, None)])
+def test_run_scatter_takes_no_eigh_and_one_eigvalsh_per_2x2_block(monkeypatch, system, family,
+                                                                   samples, rank):
+    # Each block is measured from how it was built: a general 2x2 block from its drawn
+    # factors, an X family's in closed form, a 2x3 block by negativity_e's eigvalsh.  No
+    # block takes an eigh, and a 2x2 block's one eigvalsh gives its ranks.
+    cfg = cli.ExperimentConfig(system=system, family=family, rank=rank, samples=samples, seed=8)
+    calls = _scatter_linalg_calls(monkeypatch, cfg)
+    blocks = [(min(cli._BLOCK, samples - start), 4, 4) for start in range(0, samples, cli._BLOCK)]
+    assert calls["eigh"] == []
+    assert [s for s in calls["eigvalsh"] if s[1:] == (4, 4)] == blocks * (system == "2x2")
 
 
 def test_run_scatter_2x3_block_keeps_its_eigvalsh_calls(monkeypatch):
@@ -304,21 +308,28 @@ def test_run_scatter_2x3_retry_round_rebuilds_only_its_rows(monkeypatch):
         "eigh": [], "eigvalsh": [(16, 6, 6), (2, 6, 6), (16, 6, 6)]}
 
 
-@pytest.mark.parametrize("family,rank", [("general", R) for R in (None, 1, 2, 3, 4)]
-                         + [("x", R) for R in (None, 1, 2, 3, 4)]
-                         + [("mems", None), ("h", None)])
-def test_rank_from_the_scatter_eigensystem_equals_eigvalsh_rank(family, rank):
-    # mems runs from the maximally mixed state to a pure one and the h grid
-    # ends in pure states; a rank-checked builder's ranks must agree too.
-    cfg = cli.ExperimentConfig(family=family, rank=rank, samples=300, seed=11)
+@pytest.mark.parametrize("system,family,rank", [("2x2", "x", R) for R in (1, 2, 3, 4)]
+                         + [("2x3", "lx", None), ("2x3", "tgx", None)])
+def test_rank_checked_builders_give_the_eigvalsh_rank(system, family, rank):
+    cfg = cli.ExperimentConfig(system=system, family=family, rank=rank, samples=300, seed=11)
     for block, rngs in cli._sample_blocks(cfg):
         batch, ranks, _ = cli._build_block(cfg, block, rngs)
-        want = batch.rank()
-        assert np.array_equal(batch.rank(es=linalg.eig_hermitian(batch.mat)), want)
-        assert ranks is None or np.array_equal(ranks, want)
-    for rho, R in [(states.mems_2x2(0.25), 4), (states.mems_2x2(1.0), 1),
-                   (states.bell_state(), 1), (states.closed_form_x(0.0, 1.0), 1)]:
-        assert rho.rank(es=linalg.eig_hermitian(rho.mat)) == rho.rank() == R
+        assert np.array_equal(ranks, batch.rank())
+
+
+def test_x_family_scatter_measures_in_closed_form():
+    # The X families build exact X states and measure them by concurrence_x, so a mems
+    # sample reads the MEMS boundary at its `_axis` purity and an h sample its grid C,
+    # bit for bit (Wootters read up to 2.0e-15 and 1.4e-15 off).
+    for family in ("x", "mems", "h"):
+        cfg = cli.ExperimentConfig(family=family, samples=300, seed=3)
+        for block, words in cli._sample_blocks(cfg):
+            assert np.all(measures.anti_x_measure(cli._build_block(cfg, block, words)[0]) == 0.0)
+    E = [r.entanglement for r in cli.run_scatter(cli.ExperimentConfig(family="mems", samples=300))]
+    assert E == measures.mems_boundary_2x2(cli._axis(0.25, np.arange(300), 299)).tolist()
+    side, i = 17, np.arange(289)  # h's side x side grid, its C on the sample index mod side
+    E = [r.entanglement for r in cli.run_scatter(cli.ExperimentConfig(family="h", samples=289))]
+    assert E == cli._axis(0.0, i % side, side - 1).tolist()
 
 
 def test_main_scatter_threads_do_not_change_bytes(tmp_path):
@@ -501,7 +512,13 @@ def test_main_convert_output_digest(tmp_path):
 
 # SHA-256 of the bytes `xlab scatter` writes (numpy 2.4, x86-64): 600 general
 # states are three blocks, the last one partial; 300 states of the other families
-# are two.  The 2x2 ones last moved with the concurrence kernel, in its last bits.
+# are two.  The general 2x2 one last moved with the concurrence kernel, in its last
+# bits; x, mems and h 2x2 moved when they took the X closed form (`concurrence_x`),
+# only in the entanglement column (largest change over 3000 samples at this seed:
+# 1.4e-14, 2.0e-15, 1.4e-15), from
+# x: d8e841a823e0b0bd8137b89b225307935bad7966ce535cfa956d7c2f3cd52a33
+# mems 2x2: 8c189f98c6e6d93e2312176db511ac5f803f7df79f356dcaeaad5792288dafba
+# h: 3952277405110d6526c0567292bfe8297ffc5d9aa026e70901e341efb391c751
 _SCATTER_DIGESTS = {
     ("general", "2x2", "600", "csv"):
         "25269cf7f2da5276731d57a9f31ae9518893afb2d4dae3999696f2f02ad7e1a0",
@@ -512,17 +529,17 @@ _SCATTER_DIGESTS = {
     ("lx", "2x3", "300", "csv"):
         "0497eed7cded72aec48e77ea6733f7118b0e201dd79d76f61f8cf4b11e1ea953",
     ("x", "2x2", "300", "csv"):
-        "d8e841a823e0b0bd8137b89b225307935bad7966ce535cfa956d7c2f3cd52a33",
+        "5a48bea449e796b8c03ae6c05a84b14100da10161d7a93b28557d47e046d8249",
     # The mems purities are `mems-curve`'s, lo + (1 - lo) * i / m.  They were
     # lo + (1 - lo) * (i / m), off in the last bit at some i, and the digests were
     # 2x2: 2abbde05216777b41192379787966241b2097df99c8703bd40da4cb66c4c5425
     # 2x3: 2606d76f0237cddd822f41b5b41357b2b1ada08f86c0f1a973a9546d96d71c6e
     ("mems", "2x2", "300", "csv"):
-        "8c189f98c6e6d93e2312176db511ac5f803f7df79f356dcaeaad5792288dafba",
+        "25bcf2fce51786384f634e892a8e5ec1f17b64eeb91976d4d1fc00fbdc08002d",
     ("mems", "2x3", "300", "csv"):
         "a5abd56975e924a3c1090e01624ec6a4f480e3980a0f017b5af60f2e9b2b1820",
     ("h", "2x2", "300", "csv"):
-        "3952277405110d6526c0567292bfe8297ffc5d9aa026e70901e341efb391c751",
+        "f32283de6ac50ecfad79bbb52921eae38411857fc78786d43f90a34dfbb42322",
 }
 
 
@@ -542,7 +559,9 @@ def test_main_scatter_output_digest(tmp_path):
     _assert_scatter_digests(out)
     assert cli.main(["scatter", "--family", "x", "--rank", "3", "--samples", "300",
                      "--seed", "78", "--out", str(out)]) == 0
-    assert _sha(out) == "3a6d57dbfcd8ff818f217266a287015cdd5aca7ebeae8e5037cd90cda9993cc8"
+    # Was 3a6d57dbfcd8ff818f217266a287015cdd5aca7ebeae8e5037cd90cda9993cc8 by Wootters;
+    # the X closed form moved only its entanglement column, by at most 2e-14.
+    assert _sha(out) == "e68be3fb7328b649d167f40faa7df294080f1010cd055b865ecc769331983ce9"
     assert cli.main(["scatter", "--family", "tgx", "--system", "2x3", "--samples", "300",
                      "--seed", "78", "--format", "json", "--out", str(out),
                      "--plot", str(plot)]) == 0
@@ -1219,8 +1238,10 @@ _PARITY = [
      "77108224819f7d87668d899fff84b358944331f2c1f8f5cc38b0b3fb9e3bb781"),
     (["convert", "--samples", "2", "--seed", "7", "--f", "json"], 0, "",
      "9f71b7e09bffa7ff048be546a82c21a3ecb514ef19e549d89fe3132689fbbd2b"),
+    # The x family's closed form moved its entanglement column in the last bits; the
+    # digest was 2d5f98787e4f49f4f5a2089e043829f8c03f987210e511435ae353aff1af7920.
     (["scatter", "--fam=x", "--samples", "3"], 0, "",
-     "2d5f98787e4f49f4f5a2089e043829f8c03f987210e511435ae353aff1af7920"),
+     "7d5dc32e834fd2051a526b2f2d659389e8311cd098f92947fe4883447e146a53"),
     (["scatter", "--sys", "2x3", "--fam", "tgx", "--se", "1", "--sa", "2"], 0, "",
      "0ea076c7a6214076885c8e3c2a84bf3a63fd7bebdcf2f0c57279db8bacdd8d22"),
     (["scatter", "--samples", "2", "--plot="], 0, "",
