@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import xlab
 from xlab import cli, linalg, measures, states
-from xlab.errors import ConfigError
+from xlab.errors import ConfigError, DomainError
 
 
 def test_config_validation():
@@ -315,6 +315,44 @@ def test_rank_checked_builders_give_the_eigvalsh_rank(system, family, rank):
     for block, rngs in cli._sample_blocks(cfg):
         batch, ranks, _ = cli._build_block(cfg, block, rngs)
         assert np.array_equal(ranks, batch.rank())
+
+
+@pytest.mark.parametrize("system,family,rank", [("2x2", "general", R) for R in (None, 1, 2, 3, 4)]
+                         + [("2x2", "x", None), ("2x2", "mems", None), ("2x2", "h", None),
+                            ("2x3", "general", None), ("2x3", "general", 3),
+                            ("2x3", "mems", None)])
+def test_scatter_rank_column_is_the_eigvalsh_rank(system, family, rank):
+    # A block whose builder checks no rank takes its ranks from batch.rank(): each
+    # state's count of eigenvalues above 1e-10 of its largest.  A --rank draw has that
+    # rank, and mems runs from the maximally mixed state to a pure one.
+    cfg = cli.ExperimentConfig(system=system, family=family, rank=rank, samples=300, seed=11)
+    mats = np.concatenate([cli._build_block(cfg, block, words)[0].mat
+                           for block, words in cli._sample_blocks(cfg)])
+    lam = np.linalg.eigvalsh(mats)
+    got = np.array([r.rank for r in cli.run_scatter(cfg)])
+    assert np.array_equal(got, (lam > 1e-10 * lam[:, -1:]).sum(axis=1))
+    if rank is not None:
+        assert np.all(got == rank)
+    if family == "mems":
+        assert (got[0], got[-1]) == (math.prod(cfg.system), 1)
+
+
+def test_rank_of_states_with_a_known_rank():
+    for rho, R in [(states.mems_2x2(0.25), 4), (states.mems_2x2(1.0), 1),
+                   (states.bell_state(), 1), (states.closed_form_x(0.0, 1.0), 1)]:
+        assert rho.rank() == R
+
+
+def test_2x2_measure_without_factors_rejects_a_block_not_x():
+    # Without factors the 2x2 measure is the X closed form, so a general block handed
+    # over without its factors fails loudly instead of reading a wrong concurrence.
+    cfg = cli.ExperimentConfig(family="general", samples=3, seed=8)
+    (block, words), = cli._sample_blocks(cfg)
+    batch, _, factors = cli._build_block(cfg, block, words)
+    measure = cli._SYSTEMS[(2, 2)].measure
+    assert np.all(abs(measure(batch, factors) - measures.concurrence(batch)) <= 1e-12)
+    with pytest.raises(DomainError, match="^state is not X-shaped: anti-X measure "):
+        measure(batch, None)
 
 
 def test_x_family_scatter_measures_in_closed_form():
