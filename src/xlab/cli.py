@@ -77,8 +77,9 @@ _FAMILIES = {"general": _Family(None, None, False), "x": _Family((2, 2), states.
 # Samples per stacked draw and measurement in run_scatter: enough to amortise
 # numpy's per-call overhead, few enough to keep temporaries small.
 _BLOCK = 256
-# uniform()'s scales of an `x` sample's 3 + 4 angles and 4 phases (no --rank).
-_X_SCALE = np.array([math.pi / 2.0] * 7 + [2.0 * math.pi] * 4)
+# uniform()'s scales of an `x` sample's 3 + 4 angles and 4 phases (no --rank); the first and
+# third phases scale by 0, the minimal 9-parameter form, and keep their words in the stream.
+_X_SCALE = np.array([math.pi / 2.0] * 7 + [0.0, 2.0 * math.pi] * 2)
 
 
 SampleRecord = namedtuple("SampleRecord", "entanglement purity rank family sample_index")
@@ -569,11 +570,11 @@ def _flag(word: str, flags) -> str | None:
 
 
 def _parse(argv: list) -> dict:
-    """argv as {"command", then one key per flag of its `_COMMANDS` row (`fmt` for --format): the
+    """argv as {"command", then one key per flag of its `_COMMANDS` row, the flag's name: the
     last value given or None}; a value follows "=" or is the next word unless -h or a --word."""
     cmd = argv[0] if argv and argv[0] in _COMMANDS else None
     flags, extras = _COMMANDS[cmd].flags if cmd else {}, []
-    args = {"command": cmd, **{"fmt" if f == "format" else f: None for f in flags}}
+    args = {"command": cmd, **dict.fromkeys(flags)}
     words = iter([(w, _flag(w, flags)) for w in (argv[bool(cmd):] if argv else [""])])
     for word, flag in words:  # every word is classified first, as argparse does
         if flag == "help":  # the commands, or the flags with their choices or help lines
@@ -592,7 +593,7 @@ def _parse(argv: list) -> dict:
         value, kind = (word.partition("=")[2], None) if "=" in word else next(words, (0, 0))
         if kind is not None:
             raise ConfigError(f"argument --{flag}: expected one argument")
-        args["fmt" if flag == "format" else flag] = value
+        args[flag] = value
     if extras:
         raise ConfigError("unrecognized arguments: " + " ".join(extras))
     return args
@@ -762,7 +763,7 @@ def main(argv=None) -> int:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
         row, m = _COMMANDS[args["command"]], _merge_config(args)
         cfg = None if row.defaults is None else _experiment(m, row)
-        fmt = _option(args["command"], "format", m.get("fmt")) if "format" in row.flags else None
+        fmt = _option(args["command"], "format", m.get("format")) if "format" in row.flags else None
         text, code = row.run(cfg, m, fmt)
         _write(text, m.get("out"))
         return code

@@ -75,7 +75,7 @@ def find_x_equivalent(rho: DensityMatrix) -> ConversionResult:
     stack; a stack's result fields equal a per-state loop bit for bit.
     """
     es = linalg.eig_hermitian(measures.require_state(rho, "find_x_equivalent", (2, 2)).mat)
-    return _x_frame(rho, es, measures.concurrence(rho, es), _FIND_X_ROW, 1)
+    return _x_frame(rho, es, measures.factor_concurrence(linalg._root(es)), _FIND_X_ROW, 1)
 
 
 _FIND_X_ROW = ((0, 3), (0, 2), ((1, 1), (3, 2)))  # l1, l3 on {|00>, |11>}; l2, l4 on |01>, |10>
@@ -121,7 +121,7 @@ def closed_form_conversion(rho_g: DensityMatrix) -> ConversionResult:
     R = rho_g.rank()
     if R > 2:
         raise RankError(f"closed-form conversion needs rank <= 2, got rank {R}")
-    C = measures.concurrence(rho_g, es)
+    C = measures.factor_concurrence(linalg._root(es))
     if C - (es.values[0] - es.values[1]) > linalg.RANK2_TOL:
         raise DomainError(
             f"(C={C:.6f}, P={measures.purity(rho_g):.6f}) lies outside the closed-form "

@@ -12,8 +12,7 @@ Keys are checked by `member`, numeric inputs read by `numbers`, matrices by `squ
 and records (namedtuple rows such as `EigenSystem`) by `record`; a rejected value is
 shown by `one_line`, so an array inside it keeps the message on one line.
 A NaN or infinite entry is rejected with `check_finite`'s one message and no
-numpy warning.  `check_psd` runs where a spectrum is used as PSD, so an
-eigensystem a caller passes in as `es` is checked like one computed here.
+numpy warning.  `check_psd` runs wherever a spectrum is used as PSD.
 
 The per-block paths call ufuncs, ufunc reductions and C methods, not numpy's
 Python-level helpers (`np.clip`, `np.errstate`, the wrappers behind
@@ -171,21 +170,17 @@ def check_psd(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def sqrt_psd(M: np.ndarray, es: EigenSystem | None = None) -> np.ndarray:
-    """Hermitian square root of a PSD matrix.
-
-    Eigenvalues in [-PSD_TOL, 0) are clamped to zero; `check_psd` rejects a
-    NaN or anything below.  A caller that already holds `eig_hermitian(M)`
-    passes it as `es` to skip the eigendecomposition, not the checks; a
-    DimensionError unless it is an EigenSystem of arrays (`record`) of M's shape.
-    """
-    if es is None:
-        es = eig_hermitian(M)
-    elif record(es, EigenSystem, "es", arrays=True).vectors.shape != np.shape(M):
-        raise DimensionError(f"eigensystem of shape {es.vectors.shape} for a {np.shape(M)} matrix")
+def _root(es: EigenSystem) -> np.ndarray:
+    """(V sqrt(L)) V+ of an eigensystem: eigenvalues in [-PSD_TOL, 0) are clamped
+    to zero; `check_psd` rejects a NaN or anything below."""
     vals, vecs = es
     vals = np.maximum(check_psd(vals), 0.0)
     return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().mT
+
+
+def sqrt_psd(M: np.ndarray) -> np.ndarray:
+    """Hermitian square root of a PSD matrix, the `_root` of `eig_hermitian(M)`."""
+    return _root(eig_hermitian(M))
 
 
 def trace_norm(M: np.ndarray):

@@ -49,16 +49,14 @@ def purity(rho):
     return linalg.scalar(np.add.reduce(np.abs(m) ** 2, axis=(-2, -1)))
 
 
-def concurrence(rho: DensityMatrix, es: linalg.EigenSystem | None = None):
+def concurrence(rho: DensityMatrix):
     """Wootters concurrence of a two-qubit state: `factor_concurrence` of sqrt(rho).
 
-    `es` reuses rho's `linalg.eig_hermitian` for sqrt(rho), which checks it is PSD.
     A rank-deficient rho measures only to about 1e-8, since sqrt(rho) takes the square
     roots of its zero eigenspace's eps-level eigenvalues; a factor with no such column,
     as a Ginibre draw's own G, measures to ~eps.
     """
-    return factor_concurrence(
-        linalg.sqrt_psd(require_state(rho, "concurrence", (2, 2)).mat, es=es))
+    return factor_concurrence(linalg.sqrt_psd(require_state(rho, "concurrence", (2, 2)).mat))
 
 
 def factor_concurrence(F):

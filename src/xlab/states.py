@@ -182,22 +182,19 @@ four mixing probabilities; superposition_angles: four theta angles in
 Each may also be a (B, 3) or (B, 4) array, one row per state."""
 
 
-def general_x_state(params: XParams, mode: str = "reduced-9") -> DensityMatrix:
+def general_x_state(params: XParams) -> DensityMatrix:
     """Convex mixture of four theta states covering all two-qubit X states.
 
-    mode "full-11" uses all four phases; "reduced-9" forces the first and
-    third phases to zero (the minimal parameterization; consecutive pure
-    terms share off-diagonal support, so one phase per pair suffices).
-    Parameter arrays with B rows give a (B, 4, 4) stack whose matrix b is
-    the state of row b.
+    Each term takes its own phase.  Consecutive pure terms share off-diagonal
+    support, so one phase per pair suffices: first and third phases 0 give the
+    minimal 9-parameter form.  Parameter arrays with B rows give a (B, 4, 4)
+    stack whose matrix b is the state of row b.
     """
-    linalg.member(mode, ("full-11", "reduced-9"), "unknown mode {!r}")
     params = linalg.record(params, XParams, "params")._asdict()
     angles, thetas, phases = (linalg.numbers(v, name) for name, v in params.items())
     shapes = [angles.shape, thetas.shape, phases.shape]
     if [s[-1:] for s in shapes] != [(3,), (4,), (4,)] or len({s[:-1] for s in shapes} - {()}) > 1:
         raise DimensionError(f"X parameter shapes {shapes} are not (..., 3), (..., 4), (..., 4)")
-    phases = np.where([mode == "reduced-9", False] * 2, 0.0, phases)
     lo, hi = zip(*(_THETA_SUPPORT[fam] for fam in (PHI, PHI, PSI, PSI)))
     mat = _block_mixture(4, lo, hi, thetas, _phase(phases), hyperspherical_probs(angles))
     return DensityMatrix(mat, (2, 2))

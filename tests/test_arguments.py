@@ -24,8 +24,6 @@ _KEYS = {
     "theta_state-family": lambda v: states.theta_state(v, 0.3, 0.0),
     "bell_state-family": lambda v: states.bell_state(v),
     "bell_state-sign": lambda v: states.bell_state(states.PHI, v),
-    "general_x_state-mode": lambda v: states.general_x_state(
-        XParams((0.1, 0.2, 0.3), (0.4, 0.5, 0.6, 0.7)), v),
     "meb_state_2x3-family": lambda v: states.meb_state_2x3(v, 1, 0.3, 0.0),
     "meb_state_2x3-index": lambda v: states.meb_state_2x3(states.PHI, v, 0.3, 0.0),
     "l_state-index": lambda v: states.l_state(v, 0.3, 0.0),
@@ -63,7 +61,7 @@ _NUMBERS = {
     "general_x_state-theta": lambda v: states.general_x_state(
         XParams((0.1, 0.2, 0.3), (0.4, 0.5, v, 0.7))),
     "general_x_state-phase": lambda v: states.general_x_state(
-        XParams((0.1, 0.2, 0.3), (0.4, 0.5, 0.6, 0.7), (0.0, v, 0.0, 0.0)), "full-11"),
+        XParams((0.1, 0.2, 0.3), (0.4, 0.5, 0.6, 0.7), (0.0, v, 0.0, 0.0))),
     "mems_2x2": lambda v: states.mems_2x2(v),
     "mems_2x3": lambda v: states.mems_2x3(v),
     "mems_boundary_2x2": lambda v: measures.mems_boundary_2x2(v),
@@ -90,6 +88,10 @@ _NUMBERS = {
     "anti_x_measure": lambda v: measures.anti_x_measure(v),
     "factor_concurrence": lambda v: measures.factor_concurrence(v),
     "eig_hermitian": lambda v: linalg.eig_hermitian(v),
+    "hermitize": lambda v: linalg.hermitize(v),
+    "sqrt_psd": lambda v: linalg.sqrt_psd(v),
+    "trace_norm": lambda v: linalg.trace_norm(v),
+    "numerical_rank": lambda v: linalg.numerical_rank(v),
 }
 _CALLS = {**_KEYS, **_DIMS, **_SIZES, **_NUMBERS}
 
@@ -158,12 +160,10 @@ def test_a_long_rejected_list_names_its_first_none():
 _RECORD_ARGS = {
     "general_x_state-params": (states.general_x_state, "params", ()),
     "rank_states-family": (lambda v: states.rank_states(v, [1], [[0.1]], [[1.0]]), "family", ()),
-    "concurrence-es": (lambda v: measures.concurrence(_BELL, es=v), "es", ("NoneType",)),
-    "sqrt_psd-es": (lambda v: linalg.sqrt_psd(np.eye(4) / 4, es=v), "es", ("NoneType",)),
     "random_mixed-rng": (lambda v: states.random_mixed(4, 2, v), "rng", ("Generator",)),
     "random_mixed-rngs": (lambda v: states.random_mixed(4, [1, 2], v), "rng", ()),
 }
-# A tuple for a record, an EigenSystem of no arrays, and one Generator for two ranks.
+# A tuple for a record, a record of another kind, and one Generator for two ranks.
 _NOT_RECORDS = [None, (1, 2, 3), "x", True, 2.5, linalg.EigenSystem(None, None),
                 np.random.default_rng(1)]
 # A RankFamily row whose dims are not ints, or one of whose tables is not an array.
@@ -191,9 +191,6 @@ def test_a_wrong_record_or_generator_is_one_dimension_error_that_names_it(call, 
 
 # name: (one call whose bad argument holds a 2-D array, its whole one-line message)
 _ARRAY_INSIDE = {
-    "sqrt_psd-es": (lambda: linalg.sqrt_psd(np.eye(2) / 2, es=linalg.EigenSystem(np.eye(2), None)),
-                    "es EigenSystem(values=array([[1., 0.], [0., 1.]]), vectors=None) "
-                    "is not EigenSystem of arrays"),
     "random_mixed-rng": (lambda: states.random_mixed(4, [1, 2], [np.eye(2), np.eye(3)]),
                          "rng array([[1., 0.], [0., 1.]]) is not a numpy Generator"),
     "square-object": (lambda: linalg.square(np.array([[None, 1], [2, 3]], dtype=object)),

@@ -876,7 +876,7 @@ def test_a_null_or_empty_format_means_the_default(tmp_path, capsys, command):
     cfg = tmp_path / "cfg.json"
     runs = [["--format", ""]]
     for value in (None, ""):
-        cfg.write_text(json.dumps({"fmt": value}))
+        cfg.write_text(json.dumps({"format": value}))
         runs.append(["--config", str(cfg)])
         runs.append(["--config", str(cfg), "--format", ""])
     for extra in runs:
@@ -924,9 +924,10 @@ def test_main_unreadable_config_is_one_line_error(tmp_path, capsys, content):
 
 # Cases of the test below whose bad input is not an ExperimentConfig field's value.
 _NOT_A_FIELD_VALUE = {
-    "threads-env-abc", "fmt-xml", "mems-curve-json", "scatter-out-int", "scatter-plot-bool",
-    "convert-out-int", "mems-curve-out-list", "flag-format-xml", "no-command", "unknown-flag",
-    "missing-value", "mask-kind-x", "mask-format-csv", "mask-dims-1x2", "mask-too-large"}
+    "threads-env-abc", "config-format-xml", "mems-curve-json", "scatter-out-int",
+    "scatter-plot-bool", "convert-out-int", "mems-curve-out-list", "flag-format-xml", "no-command",
+    "unknown-flag", "missing-value", "mask-kind-x", "mask-format-csv", "mask-dims-1x2",
+    "mask-too-large"}
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
 
 
@@ -948,7 +949,7 @@ def _assert_constructor_error(values, err: str):
     (["scatter"], {"samples": "abc"}, None),
     (["convert"], {"tol": [1e-3]}, None),
     (["scatter", "--samples", "2"], None, "abc"),
-    (["convert", "--samples", "2"], {"fmt": "xml"}, None),
+    (["convert", "--samples", "2"], {"format": "xml"}, None),
     (["mems-curve", "--format", "json"], None, None),
     (["scatter", "--samples", "2", "--seed", "-1"], None, None),
     (["scatter", "--samples", "2"], {"out": 1}, None),
@@ -990,7 +991,7 @@ def _assert_constructor_error(values, err: str):
     (["mask", "--system", "1000x1000"], None, None),
     (["verify", "--seed", "abc"], None, None),
     (["verify", "--seed", "-1"], None, None),
-], ids=["samples-abc", "tol-list", "threads-env-abc", "fmt-xml",
+], ids=["samples-abc", "tol-list", "threads-env-abc", "config-format-xml",
         "mems-curve-json", "negative-seed", "scatter-out-int", "scatter-plot-bool",
         "convert-out-int", "mems-curve-out-list", "mems-curve-samples-0",
         "mems-curve-samples-negative", "tol-nan", "tol-negative", "samples-over-2^32",
@@ -1038,12 +1039,12 @@ def test_main_bad_input_is_one_line_error(tmp_path, monkeypatch, capsys, request
     (["convert", "--samples", "2"], ["--tol", "x"], {"tol": "x"}),
     (["convert", "--samples", "2"], ["--threads", "abc"], {"threads": "abc"}),
     (["scatter", "--samples", "2"], ["--threads", "0"], {"threads": 0}),
-    (["convert", "--samples", "2"], ["--format", "xml"], {"fmt": "xml"}),
+    (["convert", "--samples", "2"], ["--format", "xml"], {"format": "xml"}),
     (["scatter", "--samples", "2"], ["--family", "nope"], {"family": "nope"}),
     (["scatter", "--samples", "2"], ["--system", "3x3"], {"system": "3x3"}),
     (["scatter", "--samples", "2"], ["--system", "2x"], {"system": "2x"}),
     (["scatter", "--samples", "2"], ["--seed", "-1"], {"seed": -1}),
-    (["mems-curve", "--samples", "2"], ["--format", "json"], {"fmt": "json"}),
+    (["mems-curve", "--samples", "2"], ["--format", "json"], {"format": "json"}),
 ], ids=["samples", "rank", "tol", "threads", "threads-0", "format", "family",
         "system", "dims", "seed", "mems-curve-format"])
 def test_main_bad_value_is_one_error_from_flag_and_config(tmp_path, capsys, argv, flags,
@@ -1148,7 +1149,7 @@ def test_main_reports_the_first_of_two_bad_values(tmp_path, monkeypatch, capsys,
         # A bad format from the config file is checked at the same point.
         at = argv.index("--format")
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"fmt": argv[at + 1]}))
+        path.write_text(json.dumps({"format": argv[at + 1]}))
         runs.append(argv[:at] + argv[at + 2:] + ["--config", str(path)])
     for run in runs:
         assert cli.main(run) == 1
@@ -1216,10 +1217,10 @@ def test_python_m_xlab_cli_bad_flag_is_one_line_error():
 @pytest.mark.parametrize("argv,config,names", [
     (["convert", "--samples", "2"], {"budget": 5, "sampels": 3}, "budget, sampels"),
     (["scatter", "--samples", "2"], {"tol": 1e-3}, "tol"),
-    (["mems-curve"], {"format": "csv"}, "format"),
+    (["mems-curve"], {"fmt": "csv"}, "fmt"),
     (["scatter", "--samples", "2"], {"config": "other.json"}, "config"),
     (["mems-curve"], {"seed": 1, "threads": 2}, "seed, threads"),
-], ids=["removed-and-typo", "other-command", "flag-not-dest", "config",
+], ids=["removed-and-typo", "other-command", "fmt-not-format", "config",
         "mems-curve-unseeded"])
 def test_main_unknown_config_key_is_error(tmp_path, capsys, argv, config, names):
     path = tmp_path / "cfg.json"

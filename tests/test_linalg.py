@@ -142,19 +142,16 @@ def test_numerical_rank_from_eigenvalues_equals_rank_from_eig_hermitian(data):
 
 @settings(deadline=None, max_examples=100)
 @given(st.data())
-def test_a_passed_eigensystem_changes_no_result(data):
-    # PSD stacks with tied and zero eigenvalues: each kernel given
-    # es = eig_hermitian(M) returns what it returns without es, bit for bit.
-    n = data.draw(st.sampled_from([2, 4, 6]))
-    spectra = data.draw(st.lists(_spectrum(n), min_size=1, max_size=4))
-    stack = _with_spectra(spectra, data.draw(st.integers(0, 2**32 - 1)))
+def test_convert_measures_its_input_as_concurrence_does(data):
+    # Two-qubit states with tied and zero eigenvalues: find_x_equivalent roots
+    # the eigensystem it holds, and its input concurrence is concurrence(rho)
+    # bit for bit, for a stack and for one state.
+    spectra = data.draw(st.lists(_spectrum(4), min_size=1, max_size=4))
+    stack = _with_spectra([s / s.sum() for s in spectra], data.draw(st.integers(0, 2**32 - 1)))
     for M in (stack, stack[0]):
-        es = linalg.eig_hermitian(M)
-        assert linalg.sqrt_psd(M, es).tobytes() == linalg.sqrt_psd(M).tobytes()
-        if n == 4:
-            rho = states.DensityMatrix(M, (2, 2))
-            with_es, without = measures.concurrence(rho, es), measures.concurrence(rho)
-            assert np.asarray(with_es).tobytes() == np.asarray(without).tobytes()
+        rho = states.DensityMatrix(M, (2, 2))
+        got = convert.find_x_equivalent(rho).input_concurrence
+        assert np.asarray(got).tobytes() == np.asarray(measures.concurrence(rho)).tobytes()
 
 
 # Smallest eigenvalues on either side of -1e-10, each far from the threshold
@@ -163,16 +160,20 @@ def test_a_passed_eigensystem_changes_no_result(data):
 @given(st.sampled_from([2, 4, 6]), st.sampled_from([-1.5e-10, -2e-10, -3.25e-10, -1e-4]),
        st.sampled_from([-0.9e-10, -0.5e-10, 0.0]), st.integers(0, 2**32 - 1))
 def test_numerical_rank_and_sqrt_psd_reject_the_same_negative_eigenvalue(n, bad, ok, seed):
-    # numerical_rank takes eigvalsh, sqrt_psd the eig_hermitian spectrum, given
-    # as es or not.  All three give the one message.
+    # numerical_rank takes eigvalsh, sqrt_psd the eig_hermitian spectrum; for
+    # n = 4, concurrence takes it through sqrt_psd and find_x_equivalent roots
+    # the eigensystem it holds.  All give the one message.
     spectra = [np.linspace(1.0, 0.0, n), np.linspace(1.0, 0.0, n), np.linspace(1.0, 0.0, n)]
     spectra[0][-1], spectra[2][-1] = ok, bad
     stack = _with_spectra(spectra, seed)
     assert linalg.numerical_rank(stack[:2]).tolist() == [n - 1, n - 1]
+    kernels = [linalg.numerical_rank, linalg.sqrt_psd]
+    if n == 4:
+        kernels += [lambda M: measures.concurrence(states.DensityMatrix(M, (2, 2))),
+                    lambda M: convert.find_x_equivalent(states.DensityMatrix(M, (2, 2)))]
     for M in (stack, stack[2]):
         messages = set()
-        for kernel in (linalg.numerical_rank, linalg.sqrt_psd,
-                       lambda M: linalg.sqrt_psd(M, es=linalg.eig_hermitian(M))):
+        for kernel in kernels:
             with pytest.raises(DomainError) as err:
                 kernel(M)
             messages.add(str(err.value))
@@ -194,15 +195,19 @@ def _public_callables(module):
 
 def test_no_public_callable_takes_a_tolerance():
     # Tolerances are module constants: xlab.linalg's, tgx's own two and the
-    # fixed bounds of convert's checks.
-    params = {f"{m.__name__}.{name}": inspect.signature(f).parameters
+    # fixed bounds of convert's checks.  Nor does any take an eigensystem (one
+    # that needs eig_hermitian computes it), and general_x_state has no mode:
+    # its minimal form is a value of its phases.
+    params = {f"{m.__name__}.{name}": list(inspect.signature(f).parameters)
               for m in (linalg, states, measures, tgx, convert)
               for name, f in _public_callables(m)}
-    assert {"xlab.linalg.numerical_rank", "xlab.states.DensityMatrix.validate",
+    assert {"xlab.linalg.numerical_rank", "xlab.linalg.sqrt_psd",
+            "xlab.states.DensityMatrix.validate", "xlab.measures.concurrence",
             "xlab.measures.concurrence_x", "xlab.tgx.is_simple_me_state",
             "xlab.convert.diag_factorizable", "xlab.convert.find_x_equivalent"} <= params.keys()
     assert [f"{name}({p})" for name, ps in params.items() for p in ps
-            if p.endswith("tol")] == []
+            if p.endswith("tol") or p == "es"] == []
+    assert params["xlab.states.general_x_state"] == ["params"]
 
 
 def test_hermitize_takes_square_matrices():

@@ -1,5 +1,4 @@
 import math
-import re
 import warnings
 
 import numpy as np
@@ -524,41 +523,18 @@ def test_empty_stacks_give_empty_results(name, dims):
 
 
 def test_nan_eigenvalues_fail_the_psd_check():
-    # An eigensystem passed in as `es`, with a NaN or a -0.2 eigenvalue, is
-    # checked where it is used as PSD: never an SVD that does not converge or a
-    # clamp to 0.
-    rho = DensityMatrix(np.stack([np.eye(4) / 4] * 3), (2, 2))
-    one = DensityMatrix(rho.mat[1], (2, 2))
+    # An eigensystem with a NaN or a -0.2 eigenvalue is checked where it is
+    # used as PSD, as the root convert takes of the eigensystem it holds:
+    # never an SVD that does not converge or a clamp to 0.
+    rho = np.stack([np.eye(4) / 4] * 3)
     for bad, shown in ((np.nan, "nan"), (-0.2, "-2.000e-01")):
-        values, vectors = linalg.eig_hermitian(rho.mat)
+        values, vectors = linalg.eig_hermitian(rho)
         values[1, 2] = bad
         es, es1 = linalg.EigenSystem(values, vectors), linalg.EigenSystem(values[1], vectors[1])
-        for kernel in (lambda: linalg.check_psd(es.values),
-                       lambda: linalg.sqrt_psd(rho.mat, es=es),
-                       lambda: linalg.sqrt_psd(one.mat, es=es1),
-                       lambda: measures.concurrence(rho, es),
-                       lambda: measures.concurrence(one, es1)):
+        for kernel in (lambda: linalg.check_psd(es.values), lambda: linalg._root(es),
+                       lambda: linalg._root(es1)):
             with pytest.raises(DomainError, match=f"^matrix is not PSD: smallest eigenvalue {shown}$"):
                 kernel()
-
-
-def test_an_eigensystem_of_another_shape_is_rejected():
-    # `es` must be the eigensystem of the matrix it is passed with; one of
-    # another size or stack depth is a one-line DimensionError, not a square
-    # root of the wrong matrix.
-    one = DensityMatrix(np.eye(4) / 4, (2, 2))
-    stack = DensityMatrix(np.stack([np.eye(4) / 4] * 3), (2, 2))
-    for rho, other in ((one, np.eye(6) / 6), (one, stack.mat), (stack, one.mat),
-                       (stack, stack.mat[:2]), (stack, np.stack([np.eye(6) / 6] * 3))):
-        es = linalg.eig_hermitian(other)
-        shown = re.escape(f"eigensystem of shape {other.shape} for a {rho.mat.shape} matrix")
-        for kernel in (lambda: linalg.sqrt_psd(rho.mat, es),
-                       lambda: measures.concurrence(rho, es)):
-            with pytest.raises(DimensionError, match=f"^{shown}$"):
-                kernel()
-    for rho in (one, stack):  # an eigensystem of the matrix itself still works
-        es = linalg.eig_hermitian(rho.mat)
-        assert np.all(measures.concurrence(rho, es) == 0.0)
 
 
 @pytest.mark.parametrize("call,message", [

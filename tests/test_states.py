@@ -56,21 +56,28 @@ def test_general_x_state_is_valid_x_state(seed):
     assert measures.anti_x_measure(r) <= 1e-14
 
 
-@pytest.mark.parametrize("mode", ["reduced-9", "full-11"])
-def test_general_x_state_stack_equals_row_builds(mode):
+def _minimal(phases) -> np.ndarray:
+    """`phases` with the first and third of each row 0: the minimal 9-parameter X form."""
+    return np.where([True, False] * 2, 0.0, phases)
+
+
+def test_general_x_state_stack_equals_row_builds():
     rng = np.random.default_rng(11)
     angles = rng.uniform(0, math.pi / 2, (50, 7))
-    phases = rng.uniform(0, 2 * math.pi, (50, 4))
-    stack = states.general_x_state(states.XParams(angles[:, :3], angles[:, 3:], phases), mode)
-    assert stack.mat.shape == (50, 4, 4) and stack.dims == (2, 2)
-    for b in range(50):
-        one = states.general_x_state(
-            states.XParams(tuple(angles[b, :3]), tuple(angles[b, 3:]), tuple(phases[b])), mode)
-        assert one.mat.tobytes() == stack.mat[b].tobytes(), b
-    full = states.general_x_state(states.XParams(angles[:, :3], angles[:, 3:], phases), "full-11")
-    assert (mode == "full-11") == np.array_equal(full.mat, stack.mat)
-    with pytest.raises(DomainError, match="unknown mode 'full-9'"):
-        states.general_x_state(states.XParams(angles[:, :3], angles[:, 3:], phases), "full-9")
+    full = rng.uniform(0, 2 * math.pi, (50, 4))
+    stacks = []
+    for phases in (full, _minimal(full)):
+        stack = states.general_x_state(states.XParams(angles[:, :3], angles[:, 3:], phases))
+        assert stack.mat.shape == (50, 4, 4) and stack.dims == (2, 2)
+        for b in range(50):
+            one = states.general_x_state(
+                states.XParams(tuple(angles[b, :3]), tuple(angles[b, 3:]), tuple(phases[b])))
+            assert one.mat.tobytes() == stack.mat[b].tobytes(), b
+        stacks.append(stack.mat)
+    for b in range(50):  # the minimal form is the per-term sum with those two phases 0
+        reference = _per_term_x_state(angles[b, :3], angles[b, 3:], _minimal(full[b]))
+        assert stacks[1][b].tobytes() == reference.tobytes(), b
+    assert not np.array_equal(*stacks)  # every phase counts
 
 
 @pytest.mark.parametrize("params,shapes", [
@@ -85,36 +92,35 @@ def test_general_x_state_stack_equals_row_builds(mode):
         "row-counts-differ"])
 def test_general_x_state_mis_sized_parameters_name_their_shapes(params, shapes):
     # Unchecked, these reach numpy as a broadcast ValueError or an IndexError.
-    for mode in ("reduced-9", "full-11"):
-        with pytest.raises(DimensionError) as err:
-            states.general_x_state(params, mode)
-        assert str(err.value) == f"X parameter shapes {shapes} are not (..., 3), (..., 4), (..., 4)"
+    with pytest.raises(DimensionError) as err:
+        states.general_x_state(params)
+    assert str(err.value) == f"X parameter shapes {shapes} are not (..., 3), (..., 4), (..., 4)"
 
 
-def _per_term_x_state(angles, thetas, phases, mode):
+def _per_term_x_state(angles, thetas, phases):
     """`general_x_state` one term at a time, with np.linalg.norm and np.outer."""
     mat = np.zeros((4, 4), dtype=complex)
     probs = states.hyperspherical_probs(angles)
     for k, (a, b) in enumerate([(0, 3), (0, 3), (1, 2), (1, 2)]):
-        phase = 0.0 if mode == "reduced-9" and k in (0, 2) else phases[k]
         v = np.zeros(4, dtype=complex)
         v[a] = math.cos(thetas[k])
-        v[b] = math.sin(thetas[k]) * np.exp(1j * phase)
+        v[b] = math.sin(thetas[k]) * np.exp(1j * phases[k])
         v = v / np.linalg.norm(v)
         mat += probs[k] * np.outer(v, v.conj())
     return mat
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from(["reduced-9", "full-11"]))
-def test_general_x_state_stack_equals_per_term_sum(seed, rows, mode):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_general_x_state_stack_equals_per_term_sum(seed, rows):
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0, math.pi / 2, (rows, 7))
-    phases = rng.uniform(0, 2 * math.pi, (rows, 4))
-    stack = states.general_x_state(states.XParams(angles[:, :3], angles[:, 3:], phases), mode)
-    for b in range(rows):
-        reference = _per_term_x_state(angles[b, :3], angles[b, 3:], phases[b], mode)
-        assert stack.mat[b].tobytes() == reference.tobytes(), b
+    full = rng.uniform(0, 2 * math.pi, (rows, 4))
+    for phases in (full, _minimal(full)):
+        stack = states.general_x_state(states.XParams(angles[:, :3], angles[:, 3:], phases))
+        for b in range(rows):
+            reference = _per_term_x_state(angles[b, :3], angles[b, 3:], phases[b])
+            assert stack.mat[b].tobytes() == reference.tobytes(), b
 
 
 def _with_neighbours(points):
