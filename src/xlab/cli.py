@@ -31,6 +31,7 @@ config values checked first.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -76,7 +77,7 @@ _FAMILIES = {"general": _Family(None, None, False), "x": _Family((2, 2), states.
              "mems": _Family(None, None, True), "h": _Family((2, 2), None, True)}
 # Samples per stacked draw and measurement in run_scatter: enough to amortise
 # numpy's per-call overhead, few enough to keep temporaries small.
-_BLOCK = 256
+_BLOCK = 512
 # uniform()'s scales of an `x` sample's 3 + 4 angles and 4 phases (no --rank); the first and
 # third phases scale by 0, the minimal 9-parameter form, and keep their words in the stream.
 _X_SCALE = np.array([math.pi / 2.0] * 7 + [0.0, 2.0 * math.pi] * 2)
@@ -303,6 +304,17 @@ def _general_block(cfg: ExperimentConfig, words: np.ndarray) -> tuple:
     return rho, R, factors
 
 
+def _partner_ranks(factors) -> np.ndarray:
+    """The numerical ranks of a block's Ginibre draws from `states._ginibre`'s (rows, F) list:
+    each F's r x r partner state F^T conj(F) holds rho = F F+'s nonzero spectrum (Schmidt),
+    so `DensityMatrix.rank` reads it without an n x n eigvalsh.  A rank-1 draw is pure."""
+    ranks = np.ones(len(factors[0][0]), dtype=np.intp)
+    for rows, F in factors:
+        if F.shape[-1] > 1:
+            ranks[rows] = states.DensityMatrix(F.mT @ F.conj(), F.shape[-1:]).rank()
+    return ranks
+
+
 def _draw_rank_block(cfg: ExperimentConfig, family, words: np.ndarray):
     """The rank-specific states drawn from the streams of `words` as one
     stack, and their ranks.
@@ -351,16 +363,18 @@ def _axis(lo, k, m: int):
 
 def _build_block(cfg: ExperimentConfig, block: range, words):
     """The states of `block` as one stack from one call of the family's
-    stacked builder, their ranks if the builder checked them, else None, and
-    the `general` draws' factors (`_general_block`), else None.
+    stacked builder, their ranks if the builder checked them or drew factors
+    (`_partner_ranks`), else None, and the `general` draws' factors
+    (`_general_block`), else None.
     `mems` walks purities from 1/n to 1, `h` a side x side grid of
     concurrences, each with purities from its `h_purity_floor` to 1 (`_axis`)."""
-    fam, index, factors = cfg.family, np.arange(block.start, block.stop), None
+    fam, index = cfg.family, np.arange(block.start, block.stop)
     if _FAMILIES[fam].ranks is not None and (fam != "x" or cfg.rank is not None):
         return (*_draw_rank_block(cfg, _FAMILIES[fam].ranks, words), None)
     if fam == "general":
         batch, _, factors = _general_block(cfg, words)
-    elif fam == "x":
+        return batch, _partner_ranks(factors), factors
+    if fam == "x":
         u = _doubles(_raw_words(words, 11)) * _X_SCALE
         batch = states.general_x_state(states.XParams(u[:, :3], u[:, 3:7], u[:, 7:]))
     elif fam == "mems":
@@ -371,7 +385,7 @@ def _build_block(cfg: ExperimentConfig, block: range, words):
         C = _axis(0.0, index % side, side - 1)
         P = _axis(states.h_purity_floor(C), (index // side) % side, side - 1)
         batch = states.h_state(C, np.minimum(P, 1.0))
-    return batch, None, factors
+    return batch, None, None
 
 
 def run_scatter(cfg: ExperimentConfig) -> list:
@@ -425,10 +439,10 @@ def _cell(x) -> str:
 
 def _csv(header, rows) -> str:
     """CSV text: the header line, then one line per row; each column is
-    written by the `_cell` of its first-row value."""
+    written by the `_cell` of its first-row value, the whole table by one format call."""
     rows = list(rows)
     line = ",".join(map(_cell, rows[0])) + "\n" if rows else ""
-    return ",".join(header) + "\n" + "".join(line.format(*row) for row in rows)
+    return ",".join(header) + "\n" + (line * len(rows)).format(*itertools.chain.from_iterable(rows))
 
 
 def _records_json(records, level: int = 1) -> str:
@@ -528,7 +542,7 @@ def emit_output(records, fmt=None, plot=None, system=(2, 2)) -> str:
 
 # Most states `xlab mask` takes: it builds an n x n int8 count and bool grid, 2 TB at 1000x1000.
 _MASK_MAX_N = 1024
-# Most points `xlab mems-curve` takes: a million rows peak near 360 MB, 2**32 would need TBs.
+# Most points `xlab mems-curve` takes: a million rows peak near 280 MB, 2**32 would need TBs.
 _CURVE_MAX_N = 1_000_000
 
 
@@ -698,6 +712,8 @@ def _cmd_verify(cfg, m, fmt) -> tuple:
     rho, _, factors = _general_block(cfg, _stream_words(cfg.seed, range(_BLOCK)))
     check("wootters factor", np.all(abs(_concurrence(rho, factors)
                                         - measures.concurrence(rho)) <= 1e-12))
+    # And the general scatter's rank column off each state's own n x n rank.
+    check("partner ranks", np.array_equal(_partner_ranks(factors), rho.rank()))
     u = tgx.meb_union_mask(
         tgx.meb_basis_2x3(states.PHI) + tgx.meb_basis_2x3(states.PSI), (2, 3))
     check("2x3 MEB union = TGX mask", u == tgx.tgx_mask((2, 3)))

@@ -23,6 +23,7 @@ few states, so each helper's fixed cost outweighs the arithmetic it wraps.
 from __future__ import annotations
 
 from collections import namedtuple
+from numbers import Number
 
 import numpy as np
 
@@ -73,22 +74,38 @@ def member(value, options, message: str, error=DomainError):
 
 
 def numbers(x, name: str, dtype=float) -> np.ndarray:
-    """x as an array of `dtype`; a DomainError names it unless its entries are numbers, not
-    None, which numpy reads as NaN (an ndarray of numbers, the per-block input, is not scanned).
-    An x whose one-line repr is over 80 characters is named by its first None's row-major
+    """x as an array of `dtype`; a DomainError names it unless its entries are numbers
+    (`_first_non_number`): not None, which numpy reads as NaN, nor str or bytes, which it
+    parses (an ndarray of numbers, the per-block input, is not scanned).  An x whose
+    one-line repr is over 80 characters is named by its first non-number entry's row-major
     index, or else by that repr cut at 80."""
-    flat = []
     try:
         raw = x if isinstance(x, np.ndarray) else np.asarray(x)
-        flat = raw.ravel().tolist() if raw.dtype == object else flat
-        if None not in flat:
+        if raw.dtype.kind not in "OSU" or raw.dtype.kind == "O" and not _first_non_number(raw):
             return np.asarray(raw, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
         pass
     shown = one_line(x)
     if len(shown) > 80:
-        shown = f"entry {flat.index(None)} (None)" if None in flat else f"{shown:.80}..."
+        bad = _first_non_number(x)
+        shown = f"entry {bad[0]} ({one_line(bad[1]):.80})" if bad else f"{shown:.80}..."
     raise DomainError(f"{name} {shown} is not a number")
+
+
+def _first_non_number(x):
+    """(row-major index, entry) of the first entry of x, nested in lists, tuples and arrays,
+    that is not a number (a `numbers.Number` or numpy scalar, not str or bytes), or None."""
+    todo, index = [x], 0
+    while todo:
+        v = todo.pop()
+        v = v.tolist() if isinstance(v, np.ndarray) else v
+        if isinstance(v, (list, tuple)):
+            todo += reversed(v)
+        elif isinstance(v, (str, bytes)) or not isinstance(v, (Number, np.generic)):
+            return index, v
+        else:
+            index += 1
+    return None
 
 
 def one_line(value) -> str:

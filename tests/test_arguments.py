@@ -117,7 +117,8 @@ def test_a_bad_key_dims_or_size_is_named(name, value):
     assert any(n in str(err.value) for n in names), str(err.value)
 
 
-@pytest.mark.parametrize("value", ["x", "ab", ["phi"], None], ids=repr)
+# numpy parses a numeric str or bytes as a number, so mems_boundary_2x2("0.9") once read 0.947.
+@pytest.mark.parametrize("value", ["x", "ab", ["phi"], None, "0.5", b"0.5", ["0.5"]], ids=repr)
 @pytest.mark.parametrize("name", sorted(_NUMBERS))
 def test_a_non_number_is_one_domain_error_that_names_it(name, value):
     with pytest.raises(DomainError) as err:
@@ -142,8 +143,9 @@ def test_none_inside_a_list_is_not_a_number(name):
 
 
 def test_a_long_rejected_list_names_its_first_none():
-    # Its whole repr would be 500,028 characters.  A nested list's None is named by its
-    # row-major index, and a long list with no None by its repr cut at 80 characters.
+    # Its whole repr would be 500,028 characters.  A long list's first non-number entry
+    # (None, str or bytes) is named by its row-major index, also in a nested list, and a
+    # long list whose entries are all numbers (a ragged one) by its repr cut at 80 characters.
     with pytest.raises(DomainError) as err:
         linalg.numbers([0.1] * 100000 + [None], "theta")
     assert str(err.value) == "theta entry 100000 (None) is not a number"
@@ -152,7 +154,23 @@ def test_a_long_rejected_list_names_its_first_none():
     assert str(err.value) == "theta entry 151 (None) is not a number"
     with pytest.raises(DomainError) as err:
         linalg.numbers([0.1] * 100000 + ["x"], "theta")
-    assert str(err.value) == f"theta {str([0.1] * 100000):.80}... is not a number"
+    assert str(err.value) == "theta entry 100000 ('x') is not a number"
+    with pytest.raises(DomainError) as err:
+        linalg.numbers((np.zeros(3), [[0.1] * 50, (0.2, b"0.5")]), "theta")
+    assert str(err.value) == "theta entry 54 (b'0.5') is not a number"
+    with pytest.raises(DomainError) as err:
+        linalg.numbers([[0.1] * 50, [0.2]], "theta")
+    assert str(err.value) == f"theta {str([[0.1] * 50, [0.2]]):.80}... is not a number"
+
+
+def test_an_array_of_numbers_passes_through_unscanned():
+    # The per-block input: an ndarray of numbers of the asked dtype is returned as it is;
+    # an ndarray of numeric strings is not numbers.
+    for a, dtype in ((np.linspace(0.0, 1.0, 5), float), (np.eye(4, dtype=complex), complex)):
+        assert linalg.numbers(a, "x", dtype) is a
+    for a in (np.array(["0.5"]), np.array([b"0.5"]), np.array(["0.5"], dtype=object)):
+        with pytest.raises(DomainError, match=r"^x array\(\[.*\) is not a number$"):
+            linalg.numbers(a, "x")
 
 
 # name: (one call with the record or generator under test in the place of `v`, the argument

@@ -276,20 +276,59 @@ def _scatter_linalg_calls(monkeypatch, cfg):
 
 @pytest.mark.parametrize("system,family,samples,rank", [
     ("2x2", "general", 1, None), ("2x2", "general", 3, None), ("2x2", "general", 256, None),
-    ("2x2", "general", 600, None), ("2x2", "general", 600, 2), ("2x2", "x", 600, None),
-    ("2x2", "x", 600, 3), ("2x2", "mems", 600, None), ("2x2", "h", 600, None),
-    ("2x3", "general", 300, None), ("2x3", "lx", 300, None), ("2x3", "tgx", 300, 4),
-    ("2x3", "mems", 300, None)])
-def test_run_scatter_takes_no_eigh_and_one_eigvalsh_per_2x2_block(monkeypatch, system, family,
-                                                                   samples, rank):
+    ("2x2", "general", 512, None), ("2x2", "general", 600, None), ("2x2", "general", 600, 2),
+    ("2x2", "x", 600, None), ("2x2", "x", 600, 3), ("2x2", "mems", 600, None),
+    ("2x2", "h", 600, None), ("2x3", "general", 300, None), ("2x3", "general", 600, 1),
+    ("2x3", "lx", 300, None), ("2x3", "tgx", 300, 4), ("2x3", "mems", 300, None)])
+def test_run_scatter_takes_no_eigh_and_ranks_a_general_block_from_its_factors(
+        monkeypatch, system, family, samples, rank):
     # Each block is measured from how it was built: a general 2x2 block from its drawn
-    # factors, an X family's in closed form, a 2x3 block by negativity_e's eigvalsh.  No
-    # block takes an eigh, and a 2x2 block's one eigvalsh gives its ranks.
+    # factors, an X family's in closed form, a 2x3 block by negativity_e's one n x n
+    # eigvalsh.  No block takes an eigh.  A general block's ranks take one r x r eigvalsh
+    # per group of its draws of rank r >= 2 (their partner states) and none of n x n;
+    # another 2x2 block's ranks take its one 4x4 eigvalsh.
     cfg = cli.ExperimentConfig(system=system, family=family, rank=rank, samples=samples, seed=8)
     calls = _scatter_linalg_calls(monkeypatch, cfg)
-    blocks = [(min(cli._BLOCK, samples - start), 4, 4) for start in range(0, samples, cli._BLOCK)]
+    n = math.prod(cfg.system)
+    starts = range(0, samples, cli._BLOCK)
+    sizes = [min(cli._BLOCK, samples - start) for start in starts]
     assert calls["eigh"] == []
-    assert [s for s in calls["eigvalsh"] if s[1:] == (4, 4)] == blocks * (system == "2x2")
+    if family == "general":
+        drawn = [rank or int(np.random.default_rng([8, i]).integers(1, n + 1))
+                 for i in range(samples)]
+        groups = [(block.count(r), r, r) for start in starts
+                  for block in [drawn[start:start + cli._BLOCK]] for r in set(block) if r >= 2]
+        negativity = [(size, n, n) for size in sizes] * (system == "2x3")
+        assert sorted(calls["eigvalsh"]) == sorted(groups + negativity)
+    else:
+        assert [s for s in calls["eigvalsh"] if s[1:] == (4, 4)] == \
+            [(size, 4, 4) for size in sizes] * (system == "2x2")
+
+
+def test_partner_ranks_equal_the_eigvalsh_ranks():
+    # rho = F F+ and the partner state F^T conj(F) share their nonzero spectrum, so both
+    # routes count the same rank: for random factors of each rank r (r = 1 is pure and
+    # takes no call), and for factors whose last column is a combination of the others,
+    # which have rank r - 1 on both routes.
+    rng = np.random.default_rng(31)
+    for n in (4, 6):
+        R = 1 + np.arange(40 * n) % n
+        factors, rho = [], np.empty((len(R), n, n), dtype=complex)
+        for r in range(1, n + 1):
+            rows = R == r
+            G = rng.standard_normal((2, rows.sum(), n, r))
+            F = G[0] + 1j * G[1]
+            if r >= 2:  # every other factor of rank r has a dependent last column
+                mix = rng.standard_normal(r - 1) + 1j * rng.standard_normal(r - 1)
+                F[::2, :, -1] = F[::2, :, :-1] @ mix
+            F /= np.sqrt(np.add.reduce(np.abs(F) ** 2, axis=(1, 2)))[:, None, None]
+            factors.append((rows, F))
+            rho[rows] = F @ F.conj().mT
+        ranks = cli._partner_ranks(factors)
+        assert ranks.tolist() == linalg.numerical_rank(rho).tolist()
+        for rows, F in factors:
+            r = F.shape[-1]
+            assert ranks[rows].tolist() == [r - (r >= 2), r] * (len(F) // 2)
 
 
 def test_run_scatter_2x3_block_keeps_its_eigvalsh_calls(monkeypatch):
@@ -535,10 +574,11 @@ def test_main_convert_record_bytes(tmp_path):
         assert out.read_text() == want
 
 
-def test_main_convert_output_digest(tmp_path):
-    # SHA-256 of the bytes `xlab convert` writes (numpy 2.4, x86-64): two blocks,
-    # the second one partial.  Only the concurrence kernel's last bits, and what
-    # the frame angle takes from them, have moved these since conversion was stacked.
+def _assert_convert_digests(tmp_path):
+    # SHA-256 of the bytes `xlab convert` writes (numpy 2.4, x86-64): one partial block
+    # of `_BLOCK`, and many in test_pinned_digests_hold_for_blocks_of_7.  Only the
+    # concurrence kernel's last bits, and what the frame angle takes from them, have
+    # moved these since conversion was stacked.
     digests = {"csv": "685904a60fe73ba51a279956eb97a994aac63c23ac12e95717e780fe2fdd3556",
                "json": "1563725964de3111f087f9511aafd437cd9f8986d8ff2f382f5b372b8470d748"}
     for fmt, digest in digests.items():
@@ -548,12 +588,17 @@ def test_main_convert_output_digest(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_main_convert_output_digest(tmp_path):
+    _assert_convert_digests(tmp_path)
+
+
 # SHA-256 of the bytes `xlab scatter` writes (numpy 2.4, x86-64): 600 general
-# states are three blocks, the last one partial; 300 states of the other families
-# are two.  The general 2x2 one last moved with the concurrence kernel, in its last
-# bits; x, mems and h 2x2 moved when they took the X closed form (`concurrence_x`),
-# only in the entanglement column (largest change over 3000 samples at this seed:
-# 1.4e-14, 2.0e-15, 1.4e-15), from
+# states are two blocks of `_BLOCK`, the last one partial; 300 states of the other
+# families are one partial block.  test_pinned_digests_hold_for_blocks_of_7 writes
+# them again in many blocks of 7, the last one partial.  The general 2x2 one last
+# moved with the concurrence kernel, in its last bits; x, mems and h 2x2 moved when
+# they took the X closed form (`concurrence_x`), only in the entanglement column
+# (largest change over 3000 samples at this seed: 1.4e-14, 2.0e-15, 1.4e-15), from
 # x: d8e841a823e0b0bd8137b89b225307935bad7966ce535cfa956d7c2f3cd52a33
 # mems 2x2: 8c189f98c6e6d93e2312176db511ac5f803f7df79f356dcaeaad5792288dafba
 # h: 3952277405110d6526c0567292bfe8297ffc5d9aa026e70901e341efb391c751
@@ -604,6 +649,14 @@ def test_main_scatter_output_digest(tmp_path):
                      "--seed", "78", "--format", "json", "--out", str(out),
                      "--plot", str(plot)]) == 0
     assert _sha(plot) == "32b7d15ef246581e7b9c356f1c4bd8e3d5090a0c725583048f756144ef01606f"
+
+
+def test_pinned_digests_hold_for_blocks_of_7(tmp_path, monkeypatch):
+    # Output is byte-identical for any block size, so the pins keep their multi-block
+    # coverage whatever `_BLOCK` is.
+    monkeypatch.setattr(cli, "_BLOCK", 7)
+    _assert_scatter_digests(tmp_path / "s.out")
+    _assert_convert_digests(tmp_path)
 
 
 def test_lemire_fallback_keeps_scatter_digests(tmp_path, monkeypatch):
@@ -1290,8 +1343,10 @@ _PARITY = [
      "0a4746f55abb7914be7eee913ca76f17a8eda53821b0a13513fd7a625c3594fe"),
     (["mems-curve", "--samples", "5", "--system=2x3"], 0, "",
      "c063ac3cee317d015fd0980a366ecdc8406b1c81a997fcf05f262edaeaeb87ea"),
+    # Was 63995da615fc962c714bd268e18293030e640cf03d1df33a8f51e8b92b8a321b before the
+    # "partner ranks" line.
     (["verify", "--seed="], 0, "",
-     "63995da615fc962c714bd268e18293030e640cf03d1df33a8f51e8b92b8a321b"),
+     "6b76b190d3afccb52990f7a99f6fb87c045452c25527594e6ca175720439c94e"),
     (["scatter", "--samples", "-5"], 1, "samples must be in 1..2**32, got -5", None),
     (["scatter", "--samples", "2", "--seed", "-1"], 1, "seed must be >= 0, got -1", None),
     (["scatter", "--s", "3"], 1, "ambiguous option: --s could match --system, --samples, --seed",
@@ -1421,6 +1476,15 @@ def test_main_verify_catches_a_factor_route_drift(monkeypatch, capsys):
     assert cli.main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  wootters factor" in out and out.count("FAIL") == 1
+
+
+def test_main_verify_catches_a_partner_rank_drift(monkeypatch, capsys):
+    # A rank that reads one short on matrices under 4x4, which only partner states are.
+    rank = linalg.numerical_rank
+    monkeypatch.setattr(linalg, "numerical_rank", lambda M: rank(M) - (M.shape[-1] < 4))
+    assert cli.main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  partner ranks" in out and out.count("FAIL") == 1
 
 
 def test_main_verify_catches_a_raw_word_drift(monkeypatch, capsys):
