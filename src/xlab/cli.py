@@ -4,28 +4,13 @@ Subcommands: `scatter` (entanglement-purity samples of a state family),
 `convert` (consecutive X-conversion campaign), `mask` (TGX/anti-X element
 masks), `mems-curve` (boundary curves), `verify` (fast invariant checks).
 
-Sample i draws from its own stream, the one np.random.default_rng([seed, i])
-starts: `_stream_words` and `_raw_words` transcribe numpy's SeedSequence and
-PCG64 so that a block's streams are seeded and read at once, and the tests and
-`verify` check each transcription against numpy.  `run_scatter` builds each
-block of `_sample_blocks` with one call of its family's stacked builder and
-measures it with its system's stacked measure (a `general` 2x2 block from its
-drawn factors, an `x`, `mems` or `h` 2x2 block by the X-state closed form), as
-`run_conversion_campaign` converts its blocks, so output is byte-identical for
-any block size; the grid families (`mems`, `h`) draw no streams.  `_SYSTEMS`
-and `_FAMILIES` hold one row per system and per family: a new system's facts
-are a row, as are a rank family's; any other new family also needs a branch
-in `_build_block`.  Every evenly spaced axis is `_axis`, so `scatter --family
-mems --samples N` and `mems-curve --samples N` share their purities bit for
-bit.  `--threads` is validated but has no effect.  `main` is every command's
-one pipeline: `_parse` reads argv into strings by `_COMMANDS`, which writes
-each command's flags, choices and config defaults once; `_merge_config` lays
-them over the config file (null or empty is the default); the frozen
-ExperimentConfig converts (`_convert` by `_KINDS`) and checks each value,
-whichever source gave it; `_option` checks the format, the handler its own
-values, and `_write`, the one writer of data output besides `--plot`, writes
-the handler's text.  So bad input is one ConfigError line before any work,
-config values checked first.
+`run_scatter` builds each block of `_sample_blocks` with one stacked call, from the block's
+seeded streams (`_streams`) or, for a grid family, from the sample index, and measures it
+with its system's stacked measure, so output is byte-identical for any block size.
+`--threads` is validated but has no effect.  `main` is every command's one pipeline: argv
+(`_parse`, by `_COMMANDS`) over the config file (`_merge_config`), one frozen
+ExperimentConfig that converts and checks each value, the handler, and `_write`.  So bad
+input is one ConfigError line before any work.
 """
 
 from __future__ import annotations
@@ -40,10 +25,8 @@ from collections import namedtuple
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.random import PCG64, Generator
-from numpy.random.bit_generator import ISeedSequence
 
-from . import convert, linalg, measures, states, tgx
+from . import _streams, convert, linalg, measures, states, tgx
 from .errors import ConfigError, DimensionError, XLabError
 
 
@@ -78,10 +61,6 @@ _FAMILIES = {"general": _Family(None, None, False), "x": _Family((2, 2), states.
 # Samples per stacked draw and measurement in run_scatter: enough to amortise
 # numpy's per-call overhead, few enough to keep temporaries small.
 _BLOCK = 512
-# uniform()'s scales of an `x` sample's 3 + 4 angles and 4 phases (no --rank); the first and
-# third phases scale by 0, the minimal 9-parameter form, and keep their words in the stream.
-_X_SCALE = np.array([math.pi / 2.0] * 7 + [0.0, 2.0 * math.pi] * 2)
-
 
 SampleRecord = namedtuple("SampleRecord", "entanglement purity rank family sample_index")
 SampleRecord.__doc__ = "One scatter sample: entanglement/purity plus provenance."
@@ -104,7 +83,7 @@ class ExperimentConfig:
             value = _convert(f.name, getattr(self, f.name), _KINDS[f.name])
             object.__setattr__(self, f.name, f.default if value is None else value)
         if not 1 <= self.samples <= 2**32:
-            # Sample indices must fit in one 32-bit seed word (see _stream_words).
+            # Sample indices must fit in one 32-bit seed word (see _streams.stream_words).
             raise ConfigError(f"samples must be in 1..2**32, got {self.samples}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -124,184 +103,13 @@ class ExperimentConfig:
 _FIELDS = fields(ExperimentConfig)  # built once: `fields` rebuilds its tuple on every call
 
 
-# numpy's SeedSequence constants for its default pool of 4 words.  Hash
-# call k xors a word with init * mult**k and multiplies it by
-# init * mult**(k + 1); all arithmetic is mod 2**32.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-@functools.cache
-def _hash_consts(calls: range, init: int, mult: int) -> tuple:
-    """The xor and multiply constants of hash calls `calls`, as columns."""
-    a = np.array([init * pow(mult, k, 2**32) % 2**32
-                  for k in range(calls.start, calls.stop + 1)], dtype=np.uint32)[:, None]
-    a.flags.writeable = False  # shared by every call through the cache
-    return a[:-1], a[1:]
-
-
-def _hashmix(words: np.ndarray, calls: range, init=_INIT_A, mult=_MULT_A) -> np.ndarray:
-    """SeedSequence's hash of `words` by hash calls `calls`, one call per row
-    of the result; `words` broadcasts against the calls."""
-    xor, mul = _hash_consts(calls, init, mult)
-    h = words ^ xor
-    h *= mul
-    h ^= h >> 16
-    return h
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of x with y."""
-    m = x * _MIX_L - y * _MIX_R
-    m ^= m >> 16
-    return m
-
-
-class _Words(ISeedSequence):
-    """A seed sequence that hands PCG64 four precomputed uint64 words."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
-            raise ValueError(f"only 4 uint64 words are stored, not {n_words} {np.dtype(dtype)}")
-        return self.words
-
-
-def _stream_words(seed: int, block: range) -> np.ndarray:
-    """The (len(block), 4) uint64 words from which PCG64 seeds the stream
-    that np.random.default_rng([seed, index]) starts, one row per index in
-    `block` (indices < 2**32).
-
-    A plain transcription of numpy's SeedSequence (pool of 4 words) on
-    (k, len(block)) uint32 rows, one column per index.  A stream depends on
-    (seed, index) alone, so any blocking of the samples draws the same states.
-    """
-    # entropy[k] is word k of each sample's entropy: the seed's little-endian
-    # 32-bit words, then the index, then zeros up to the pool size.
-    n_words = max(-(-seed.bit_length() // 32), 1)
-    entropy = np.zeros((max(n_words + 1, 4), len(block)), dtype=np.uint32)
-    entropy[:n_words] = np.frombuffer(seed.to_bytes(4 * n_words, "little"), "<u4")[:, None]
-    entropy[n_words] = np.arange(block.start, block.stop, block.step)
-    pool = _hashmix(entropy[:4], range(4))
-    # Each source word's 3 hashes mix into the other words in ascending order.
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], range(4 + 3 * src, 7 + 3 * src)))
-    # Each entropy word past the pool mixes into every pool word.
-    for k, word in enumerate(entropy[4:]):
-        pool = _mix(pool, _hashmix(word, range(16 + 4 * k, 20 + 4 * k)))
-    # The 8 output calls cycle the pool twice; sample b's output words are
-    # one C-contiguous run, read as 4 little-endian uint64s.
-    state = np.empty((len(block), 8), dtype="<u4")
-    state.T[:] = _hashmix(np.concatenate([pool, pool]), range(8), _INIT_B, _MULT_B)
-    return state.view("<u8").astype(np.uint64, copy=False)
-
-
-def _sample_rngs(words: np.ndarray) -> list:
-    """One Generator per row of `_stream_words`, for the draws that the raw
-    words cannot give: standard_normal's ziggurat tables are not transcribed."""
-    return [Generator(PCG64(_Words(row))) for row in words]
-
-
-# numpy's 128-bit PCG64 multiplier.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_LOW32 = np.uint64(0xFFFFFFFF)
-
-
-@functools.cache
-def _jump_consts(k: int) -> np.ndarray:
-    """Rows hi(A), lo(A), hi(B), lo(B) with columns j = 1..k, where
-    A = MULT**(j + 1) and B = MULT**0 + ... + MULT**(j + 1), mod 2**128."""
-    power, total, cols = _PCG_MULT, 1 + _PCG_MULT, []
-    for _ in range(k):
-        power = power * _PCG_MULT % 2**128
-        total = (total + power) % 2**128
-        cols.append((power >> 64, power % 2**64, total >> 64, total % 2**64))
-    c = np.array(cols, dtype=np.uint64).T.copy()
-    c.flags.writeable = False  # shared by every call through the cache
-    return c
-
-
-def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The high 64 bits of each uint64 product a * b, from 32-bit halves."""
-    a0, a1, b0, b1 = a & _LOW32, a >> 32, b & _LOW32, b >> 32
-    t = a1 * b0 + (a0 * b0 >> 32)
-    return a1 * b1 + (t >> 32) + ((t & _LOW32) + a0 * b1 >> 32)
-
-
-def _raw_words(words: np.ndarray, k: int) -> np.ndarray:
-    """The first k outputs, (B, k) uint64, of the PCG64 that seeds itself
-    from each row of `words`: numpy's random_raw(k), for every stream at once.
-
-    PCG64 takes state s = (w0, w1) and increment c = 2(w2, w3) + 1 as 128-bit
-    numbers, steps s -> MULT s + c twice around adding s (pcg64_set_seed), and
-    steps before each output, so output j reads state A s + B c (`_jump_consts`),
-    computed on uint64 halves, and emits its XSL-RR: hi ^ lo rotated right by
-    the top 6 bits.
-    """
-    a_hi, a_lo, b_hi, b_lo = _jump_consts(k)
-    w = words[:, :, None]
-    s_hi, s_lo = w[:, 0], w[:, 1]
-    c_hi, c_lo = w[:, 2] << 1 | w[:, 3] >> 63, w[:, 3] << 1 | 1
-    lo_s = a_lo * s_lo
-    lo = lo_s + b_lo * c_lo
-    hi = (_mulhi(a_lo, s_lo) + a_hi * s_lo + a_lo * s_hi + _mulhi(b_lo, c_lo)
-          + b_hi * c_lo + b_lo * c_hi + (lo < lo_s))
-    x, rot = hi ^ lo, hi >> 58
-    return x >> rot | x << (-rot & 63)
-
-
-def _doubles(raw: np.ndarray) -> np.ndarray:
-    """Generator.random's double of each raw word (numpy's next_double)."""
-    return (raw >> 11) * 2.0**-53
-
-
-def _lemire_threshold(n: int) -> int:
-    """numpy's Lemire step rejects a product whose low 32 bits fall below this."""
-    return (2**32 - n) % n
-
-
-def _lemire(raw: np.ndarray, n: int, words: np.ndarray, gens) -> np.ndarray:
-    """Generator.integers(1, n + 1) of each stream whose first raw word is
-    `raw`: 1 + (low 32 bits of the word) * n >> 32, numpy's Lemire step.
-
-    numpy would redraw a rejected row from the word's buffered high half; such
-    a row (about 1e-9 of them at n = 6) instead draws its rank on a fresh
-    Generator from its `words`, which goes to gens[row] in place of its stream.
-    """
-    m = (raw & _LOW32) * np.uint64(n)
-    ranks = (m >> 32).astype(np.int64) + 1
-    for j in ((m & _LOW32) < _lemire_threshold(n)).nonzero()[0].tolist():
-        gens[j] = Generator(PCG64(_Words(words[j])))
-        ranks[j] = gens[j].integers(1, n + 1)
-    return ranks
-
-
 def _sample_blocks(cfg: ExperimentConfig):
     """(block, words) for each block of `_BLOCK` consecutive sample indices:
-    words holds each sample's `_stream_words` row, or is None for a grid
+    words holds each sample's `_streams.stream_words` row, or is None for a grid
     family, whose states depend on the sample index alone."""
     for lo in range(0, cfg.samples, _BLOCK):
         block = range(lo, min(lo + _BLOCK, cfg.samples))
-        yield block, None if _FAMILIES[cfg.family].grid else _stream_words(cfg.seed, block)
-
-
-def _general_block(cfg: ExperimentConfig, words: np.ndarray) -> tuple:
-    """Ginibre states drawn on Generators from `words`, their ranks and their factors.
-
-    A rank not fixed by --rank comes from the stream's first raw word through
-    `_lemire`, as integers() draws it; integers() would also keep the word's
-    other 32-bit half, which standard_normal never reads.
-    """
-    n, rngs = math.prod(cfg.system), _sample_rngs(words)
-    R = [cfg.rank] * len(rngs) if cfg.rank else _lemire(
-        np.array([g.bit_generator.random_raw() for g in rngs], dtype=np.uint64),
-        n, words, rngs).tolist()
-    rho, factors = states._random_factored(n, R, rngs, cfg.system)
-    return rho, R, factors
+        yield block, None if _FAMILIES[cfg.family].grid else _streams.stream_words(cfg.seed, block)
 
 
 def _partner_ranks(factors) -> np.ndarray:
@@ -315,46 +123,6 @@ def _partner_ranks(factors) -> np.ndarray:
     return ranks
 
 
-def _draw_rank_block(cfg: ExperimentConfig, family, words: np.ndarray):
-    """The rank-specific states drawn from the streams of `words` as one
-    stack, and their ranks.
-
-    Each sample draws its rank (unless --rank fixes it), then R thetas and
-    R - 1 probability angles as one `random(2R - 1) * pi/2` from its own
-    stream, and draws again, up to 64 tries, while its numerical rank falls
-    short, as it does when a used probability is 0.  The first round reads
-    every stream's leading words at once from `_raw_words`; a row that
-    `_lemire` hands to a Generator, and every retried row, draws on a
-    Generator at its stream's position.  Each round fills a zero (rows, 2K)
-    thetas|angles buffer in one masked assignment.
-    """
-    K = len(family.lo)  # the family's top rank, n, which _lemire draws up to
-    used, gens = int(not cfg.rank), {}  # words a rank takes; rows drawn on a Generator
-    raw = _raw_words(words, used + 2 * K - 1)
-    R = np.full(len(words), cfg.rank) if cfg.rank else _lemire(raw[:, 0], K, words, gens)
-    u = _doubles(raw[:, used:])
-    for j, g in gens.items():
-        u[j, :2 * R[j] - 1] = g.random(2 * R[j] - 1)
-    u, cols = u[np.arange(2 * K - 1) < 2 * R[:, None] - 1], np.arange(2 * K)
-    mats = np.empty((len(R),) + (math.prod(family.dims),) * 2, dtype=complex)
-    todo = np.arange(len(R))
-    for _ in range(64):
-        # A row of rank r fills its first r thetas and its first r - 1 angles.
-        buf = np.zeros((len(todo), 2 * K))
-        buf[cols % K < R[todo, None] - (cols >= K)] = u * (math.pi / 2.0)
-        probs = states.hyperspherical_probs(buf[:, K:-1])
-        rho, ranks = states.rank_states(family, R[todo], buf[:, :K], probs)
-        mats[todo] = rho.mat
-        todo = todo[ranks != R[todo]]
-        if not todo.size:
-            return states.DensityMatrix(mats, cfg.system), R
-        for j in set(todo.tolist()) - gens.keys():  # past the rank and first round
-            gens[j] = Generator(PCG64(_Words(words[j])).advance(used + 2 * int(R[j]) - 1))
-        u = np.concatenate([gens[j].random(2 * r - 1)
-                            for j, r in zip(todo.tolist(), R[todo].tolist())])
-    raise ConfigError(f"could not draw a rank-{R[todo[0]]} {cfg.family} state after 64 tries")
-
-
 def _axis(lo, k, m: int):
     """Point k (an int or an array) of m + 1 evenly spaced from lo to 1, as
     lo + (1 - lo) * k / m left to right; a one-point axis (m = 0) is lo."""
@@ -365,18 +133,17 @@ def _build_block(cfg: ExperimentConfig, block: range, words):
     """The states of `block` as one stack from one call of the family's
     stacked builder, their ranks if the builder checked them or drew factors
     (`_partner_ranks`), else None, and the `general` draws' factors
-    (`_general_block`), else None.
+    (`_streams.general_block`), else None.
     `mems` walks purities from 1/n to 1, `h` a side x side grid of
     concurrences, each with purities from its `h_purity_floor` to 1 (`_axis`)."""
     fam, index = cfg.family, np.arange(block.start, block.stop)
     if _FAMILIES[fam].ranks is not None and (fam != "x" or cfg.rank is not None):
-        return (*_draw_rank_block(cfg, _FAMILIES[fam].ranks, words), None)
+        return (*_streams.rank_block(words, _FAMILIES[fam].ranks, cfg.rank, fam), None)
     if fam == "general":
-        batch, _, factors = _general_block(cfg, words)
+        batch, _, factors = _streams.general_block(words, cfg.system, cfg.rank)
         return batch, _partner_ranks(factors), factors
     if fam == "x":
-        u = _doubles(_raw_words(words, 11)) * _X_SCALE
-        batch = states.general_x_state(states.XParams(u[:, :3], u[:, 3:7], u[:, 7:]))
+        batch = _streams.x_block(words)
     elif fam == "mems":
         P = _axis(1.0 / math.prod(cfg.system), index, cfg.samples - 1)
         batch = _SYSTEMS[cfg.system].mems(P)
@@ -417,7 +184,7 @@ def run_conversion_campaign(cfg: ExperimentConfig) -> CampaignSummary:
                           f"{'x'.join(map(str, cfg.system))}")
     records = []
     for block, words in _sample_blocks(cfg):
-        rho, ranks, _ = _general_block(cfg, words)
+        rho, ranks, _ = _streams.general_block(words, cfg.system, cfg.rank)
         res = _SYSTEMS[cfg.system].convert(rho)
         ok = (res.delta_c <= cfg.tol) & (res.anti_x <= linalg.ANTI_X_TOL)
         records += map(CampaignRecord, block, ranks, measures.purity(rho).tolist(),
@@ -709,7 +476,8 @@ def _cmd_verify(cfg, m, fmt) -> tuple:
     ok = np.all(res.delta_c <= convert.DEFAULT_TOL_C) and np.all(res.anti_x <= linalg.ANTI_X_TOL)
     check("x conversion sample", ok)
     # This catches numpy or LAPACK moving the general scatter's factor route off concurrence.
-    rho, _, factors = _general_block(cfg, _stream_words(cfg.seed, range(_BLOCK)))
+    words = _streams.stream_words(cfg.seed, range(_BLOCK))
+    rho, _, factors = _streams.general_block(words, cfg.system, cfg.rank)
     check("wootters factor", np.all(abs(_concurrence(rho, factors)
                                         - measures.concurrence(rho)) <= 1e-12))
     # And the general scatter's rank column off each state's own n x n rank.
@@ -717,19 +485,8 @@ def _cmd_verify(cfg, m, fmt) -> tuple:
     u = tgx.meb_union_mask(
         tgx.meb_basis_2x3(states.PHI) + tgx.meb_basis_2x3(states.PSI), (2, 3))
     check("2x3 MEB union = TGX mask", u == tgx.tgx_mask((2, 3)))
-    # _stream_words transcribes a numpy internal; this catches numpy changing it.
-    check("sample streams", all(
-        r.bit_generator.state == np.random.default_rng([cfg.seed, i]).bit_generator.state
-        for i, r in enumerate(_sample_rngs(_stream_words(cfg.seed, range(3))))))
-    # _raw_words, _doubles and _lemire transcribe PCG64 and two Generator draws,
-    # on streams and on rows whose 128-bit arithmetic carries through every limb.
-    words = np.vstack([_stream_words(cfg.seed, range(6)), np.uint64([[0] * 4, [2**64 - 1] * 4])])
-    raw = _raw_words(words, 12)
-    check("raw stream words",
-          raw.tolist() == [g.bit_generator.random_raw(12).tolist() for g in _sample_rngs(words)]
-          and _doubles(raw).tolist() == [g.random(12).tolist() for g in _sample_rngs(words)]
-          and all(_lemire(raw[:, 0], n, words, {}).tolist()
-                  == [g.integers(1, n + 1) for g in _sample_rngs(words)] for n in (4, 6)))
+    for name, ok in _streams.checks(cfg.seed):
+        check(name, ok)
     # _records_json and _mask_json copy json's formatting; this catches json changing it.
     recs = [SampleRecord(x, -0.0, 2**70, 'a, "\\\u00e9', 0) for x in (0.1, math.nan, -math.inf)]
     # An anti mask of 105 states, so the indices cross 100, and a TGX mask's dense rows.

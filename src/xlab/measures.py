@@ -52,9 +52,10 @@ def purity(rho):
 def concurrence(rho: DensityMatrix):
     """Wootters concurrence of a two-qubit state: `factor_concurrence` of sqrt(rho).
 
-    A rank-deficient rho measures only to about 1e-8, since sqrt(rho) takes the square
-    roots of its zero eigenspace's eps-level eigenvalues; a factor with no such column,
-    as a Ginibre draw's own G, measures to ~eps.
+    sqrt(rho) takes the square roots of a rank-deficient rho's eps-level zero eigenvalues, so
+    accuracy depends on the state: on 1000 Ginibre draws per rank 1-4 it matched each draw's
+    own factor to 1.0e-14 or better, but on 4000 locally rotated rank-2 X states
+    p|psi><psi| + (1 - p)|10><10| it missed the exact C by up to 3e-8.
     """
     return factor_concurrence(linalg.sqrt_psd(require_state(rho, "concurrence", (2, 2)).mat))
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xlab
-from xlab import cli, linalg, measures, states
+from xlab import _streams, cli, linalg, measures, states
 from xlab.errors import ConfigError, DomainError
 
 
@@ -43,105 +43,6 @@ def test_config_validation():
             cli.ExperimentConfig(samples=samples)
     cli.ExperimentConfig(samples=2**32)
     cli.ExperimentConfig(system=(2, 3), family="tgx", rank=6)
-
-
-def _assert_numpy_streams(seed, block):
-    rngs = cli._sample_rngs(cli._stream_words(seed, block))
-    assert len(rngs) == len(block)
-    for rng, i in zip(rngs, block):
-        oracle = np.random.default_rng([seed, i])
-        assert rng.bit_generator.state == oracle.bit_generator.state, (seed, i)
-        assert rng.integers(0, 2**63, 3).tolist() == oracle.integers(0, 2**63, 3).tolist()
-        assert rng.standard_normal(4).tolist() == oracle.standard_normal(4).tolist()
-
-
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3,
-                                  # The entropy fills the pool, then runs 1 and 2 words past it.
-                                  2**96 - 1, 2**96, 2**128 + 1])
-def test_sample_rngs_match_numpy_default_rng(seed):
-    for block in (range(0, 1), range(250, 260), range(2**32 - 3, 2**32)):
-        _assert_numpy_streams(seed, block)
-
-
-@settings(deadline=None, max_examples=60)
-@given(st.integers(0, 2**260), st.integers(0, 2**32 - 1), st.integers(1, 9))
-def test_sample_rngs_match_numpy_default_rng_property(seed, start, size):
-    _assert_numpy_streams(seed, range(start, min(start + size, 2**32)))
-
-
-def test_sample_rng_words_serve_pcg64_only():
-    words = cli._sample_rngs(cli._stream_words(5, range(1)))[0].bit_generator.seed_seq
-    assert words.generate_state(4, np.uint64) is words.words
-    for n_words, dtype in ((4, np.uint32), (8, np.uint64), (2, np.uint64)):
-        with pytest.raises(ValueError, match="only 4 uint64 words"):
-            words.generate_state(n_words, dtype)
-
-
-def _oracles(words):
-    return [np.random.Generator(np.random.PCG64(cli._Words(w))) for w in words]
-
-
-# Rows with limbs of 0 and 2**64 - 1 run every carry of the 128-bit jump.
-_WORD_ROWS = st.lists(st.lists(st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]),
-                                         st.integers(0, 2**64 - 1)), min_size=4, max_size=4),
-                      min_size=1, max_size=6)
-
-
-@settings(deadline=None, max_examples=150)
-@given(_WORD_ROWS, st.integers(1, 12))
-def test_raw_words_match_pcg64_random_raw(rows, k):
-    words = np.array(rows, dtype=np.uint64)
-    raw = cli._raw_words(words, k)
-    assert raw.dtype == np.uint64 and raw.shape == (len(rows), k)
-    assert raw.tolist() == [g.bit_generator.random_raw(k).tolist() for g in _oracles(words)]
-    assert cli._doubles(raw).tolist() == [g.random(k).tolist() for g in _oracles(words)]
-
-
-@pytest.mark.parametrize("n", [4, 6])
-def test_lemire_ranks_match_generator_integers(n):
-    words = cli._stream_words(17, range(10_000))
-    gens = {}
-    ranks = cli._lemire(cli._raw_words(words, 1)[:, 0], n, words, gens)
-    assert ranks.tolist() == [g.integers(1, n + 1) for g in _oracles(words)]
-    assert gens == {} and set(ranks.tolist()) == set(range(1, n + 1))
-
-
-def _words_with_first_state(state, w2, w3):
-    """Seed words whose PCG64 holds the 128-bit `state` at its first output."""
-    mult, inc = cli._PCG_MULT, (w2 << 65 | w3 << 1 | 1) % 2**128
-    jump, total = mult**2 % 2**128, (1 + mult + mult**2) % 2**128
-    seed = (state - total * inc) * pow(jump, -1, 2**128) % 2**128
-    return [seed >> 64, seed % 2**64, w2, w3]
-
-
-@pytest.mark.parametrize("n", [4, 6])
-def test_lemire_rejected_row_draws_on_a_generator(n):
-    # State 0 outputs word 0, whose halves numpy's Lemire step rejects at
-    # n = 6 (twice, so the rank comes from the second word); n = 4 never rejects.
-    words = np.array([_words_with_first_state(0, 5, 2**64 - 1)] + cli._stream_words(
-        3, range(5)).tolist(), dtype=np.uint64)
-    raw = cli._raw_words(words, 2)
-    assert raw[0, 0] == 0
-    gens = {}
-    assert (cli._lemire(raw[:, 0], n, words, gens).tolist()
-            == [g.integers(1, n + 1) for g in _oracles(words)])
-    assert list(gens) == ([0] if n == 6 else [])
-    if n == 6:
-        oracle = _oracles(words[:1])[0]
-        oracle.integers(1, 7)
-        assert gens[0].random(5).tolist() == oracle.random(5).tolist()
-
-
-@pytest.mark.parametrize("n", [4, 6])
-def test_random_raw_rank_leaves_standard_normal_unchanged(n):
-    # _general_block draws a rank from random_raw(), where numpy draws
-    # integers(1, n + 1); standard_normal reads whole words after either.
-    words = cli._stream_words(23, range(50))
-    for i, g in enumerate(_oracles(words)):
-        oracle = np.random.default_rng([23, i])
-        raw = np.array([g.bit_generator.random_raw()], dtype=np.uint64)
-        assert cli._lemire(raw, n, words[i:i + 1], {}).tolist() == [oracle.integers(1, n + 1)]
-        assert g.standard_normal(8).tolist() == oracle.standard_normal(8).tolist()
 
 
 # Every family x system pair, in table order, and the pairs whose family row allows them.
@@ -182,8 +83,8 @@ def test_run_scatter_grid_families_build_no_streams(monkeypatch, family, system)
         raise AssertionError("sample streams were built")
 
     # Streams start from either entry point: seed words, or Generators on them.
-    monkeypatch.setattr(cli, "_stream_words", no_draws)
-    monkeypatch.setattr(cli, "_sample_rngs", no_draws)
+    monkeypatch.setattr(_streams, "stream_words", no_draws)
+    monkeypatch.setattr(_streams, "generators", no_draws)
     cfg = cli.ExperimentConfig(system=system, family=family, samples=cli._BLOCK + 3, seed=4)
     assert len(cli.run_scatter(cfg)) == cli._BLOCK + 3
     with pytest.raises(AssertionError, match="were built"):
@@ -667,8 +568,8 @@ def test_lemire_fallback_keeps_scatter_digests(tmp_path, monkeypatch):
         built.append(bitgen)
         return np.random.Generator(bitgen)
 
-    monkeypatch.setattr(cli, "_lemire_threshold", lambda n: 2**32)
-    monkeypatch.setattr(cli, "Generator", generator)
+    monkeypatch.setattr(_streams, "_lemire_threshold", lambda n: 2**32)
+    monkeypatch.setattr(_streams, "Generator", generator)
     _assert_scatter_digests(tmp_path / "s.out")
     # A general sample builds its stream and a fresh one for the rank; a tgx or
     # lx sample builds one for its rank (x draws no rank).
@@ -1062,8 +963,8 @@ def test_main_bad_input_is_one_line_error(tmp_path, monkeypatch, capsys, request
         def no_draws(*args):
             raise AssertionError("the run got as far as drawing samples")
 
-        monkeypatch.setattr(cli, "_stream_words", no_draws)
-        monkeypatch.setattr(cli, "_sample_rngs", no_draws)
+        monkeypatch.setattr(_streams, "stream_words", no_draws)
+        monkeypatch.setattr(_streams, "generators", no_draws)
     if request.node.callspec.id == "mask-too-large":
         # Without the size limit this mask would need TiBs; fail at once.
         def no_mask(dims):
@@ -1488,14 +1389,14 @@ def test_main_verify_catches_a_partner_rank_drift(monkeypatch, capsys):
 
 
 def test_main_verify_catches_a_raw_word_drift(monkeypatch, capsys):
-    raw_words = cli._raw_words
+    raw_words = _streams.raw_words
 
     def flipped(words, k):
         raw = raw_words(words, k)
         raw[-1, -1] ^= np.uint64(1 << 40)
         return raw
 
-    monkeypatch.setattr(cli, "_raw_words", flipped)
+    monkeypatch.setattr(_streams, "raw_words", flipped)
     assert cli.main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  raw stream words" in out and out.count("FAIL") == 1
@@ -1503,7 +1404,7 @@ def test_main_verify_catches_a_raw_word_drift(monkeypatch, capsys):
 
 @pytest.mark.parametrize("name", sorted(n for n, row in cli._FAMILIES.items() if row.ranks))
 def test_a_zero_used_probability_lowers_the_rank(name):
-    # _draw_rank_block retries a row on its numerical rank alone: a used
+    # _streams.rank_block retries a row on its numerical rank alone: a used
     # probability is 0 only when a drawn angle is exactly 0, and then every
     # later weight is 0 too, so the rank falls short of R.
     family, rng = cli._FAMILIES[name].ranks, np.random.default_rng(31)
@@ -1522,26 +1423,27 @@ def test_a_zero_used_probability_lowers_the_rank(name):
 def test_draw_rank_block_redraws_a_row_with_a_zero_angle(monkeypatch):
     # Zero the first probability angle of row 0's first draw: that row is
     # drawn again and every row comes out at its rank.
-    doubles = cli._doubles
+    doubles = _streams.doubles
 
     def zeroed(raw):
         u = doubles(raw)
         u[0, 3] = 0.0  # --rank 3 fixes the rank: 3 thetas, then the angles
         return u
 
-    monkeypatch.setattr(cli, "_doubles", zeroed)
+    monkeypatch.setattr(_streams, "doubles", zeroed)
     cfg = cli.ExperimentConfig(system=(2, 3), family="tgx", rank=3, samples=8, seed=5)
-    rho, R = cli._draw_rank_block(cfg, states.TGX_RANK, next(cli._sample_blocks(cfg))[1])
+    words = next(cli._sample_blocks(cfg))[1]
+    rho, R = _streams.rank_block(words, states.TGX_RANK, cfg.rank, cfg.family)
     assert (R == 3).all() and (rho.rank() == 3).all()
-    monkeypatch.setattr(cli, "_doubles", doubles)
-    again = cli._draw_rank_block(cfg, states.TGX_RANK, next(cli._sample_blocks(cfg))[1])[0]
+    monkeypatch.setattr(_streams, "doubles", doubles)
+    again = _streams.rank_block(words, states.TGX_RANK, cfg.rank, cfg.family)[0]
     assert np.array_equal(rho.mat[1:], again.mat[1:])
     assert not np.array_equal(rho.mat[0], again.mat[0])
 
 
 @pytest.mark.parametrize("r", [1, 2, 6])
 def test_one_random_call_draws_the_values_of_two_uniform_calls(r):
-    # _draw_rank_block draws thetas and angles as one random(2r - 1) * pi/2.
+    # _streams.rank_block draws thetas and angles as one random(2r - 1) * pi/2.
     for seed in range(20):
         a, b = np.random.default_rng([seed, r]), np.random.default_rng([seed, r])
         two = np.concatenate([a.uniform(0.0, math.pi / 2.0, r),
