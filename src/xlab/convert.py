@@ -1,11 +1,11 @@
 """Entanglement-preserving unitary (EPU) conversion of two-qubit states to X form.
 
-`find_x_equivalent` maps any two-qubit state, of any rank, to an X state of
-the same concurrence in closed form; `closed_form_conversion` maps a rank-<=2
-state onto `closed_form_x`.  They are two layout rows of one X-frame builder.
-Also here: `conversion_unitary` between two states of one spectrum, the
-diagonal-unitary factorizability test, and the X-preserving unitary with its
-unconstrained X transform.
+`find_x_equivalent` maps any two-qubit state, of any rank, to `x_state`, the X state
+X(lambda, C) of its spectrum and concurrence, in closed form; `closed_form_conversion`
+maps a rank-<=2 state onto `closed_form_x`.  Each builds its output from the rank-cut
+spectrum on a layout row of one X-frame builder, not as U rho U+.  Also here:
+`conversion_unitary` between two states of one spectrum, the diagonal-unitary
+factorizability test, and the X-preserving unitary with its unconstrained X transform.
 """
 
 from __future__ import annotations
@@ -55,27 +55,17 @@ def conversion_unitary(rho_g: DensityMatrix, rho_x: DensityMatrix) -> np.ndarray
     return ex.vectors @ eg.vectors.conj().T
 
 
-def _conjugate(rho: DensityMatrix, U: np.ndarray) -> DensityMatrix:
-    return DensityMatrix(U @ rho.mat @ U.conj().mT, rho.dims)
-
-
 def find_x_equivalent(rho: DensityMatrix) -> ConversionResult:
     """X state unitarily equivalent to `rho` with the same concurrence, in closed form.
 
-    With the spectrum l1 >= l2 >= l3 >= l4 of rho, the X state that puts l2
-    on |01>, l4 on |10> and l1, l3 on the {|00>, |11>} plane rotated by an
-    angle a has concurrence max(0, (l1 - l3) sin 2a - 2 sqrt(l2 l4)).  Its
-    maximum over a is the largest concurrence any state of that spectrum
-    can have (Verstraete, Audenaert & De Moor, PRA 64, 012316 (2001);
-    Ishizaka & Hiroshima, PRA 62, 022310 (2000)), so
-    sin 2a = (C + 2 sqrt(l2 l4)) / (l1 - l3) is always solvable, with a = 0
-    when C = 0 or l1 = l3.  U maps rho's eigenframe onto that X eigenframe.
+    The output is `x_state` of rho's spectrum and concurrence, built from that spectrum.
+    U maps rho's eigenframe onto the X eigenframe, so U rho U+ is the output up to rounding.
 
     `rho` is one state or a (B, 4, 4) stack, with one eigendecomposition per
     stack; a stack's result fields equal a per-state loop bit for bit.
     """
     es = linalg.eig_hermitian(measures.require_state(rho, "find_x_equivalent", (2, 2)).mat)
-    return _x_frame(rho, es, measures.factor_concurrence(linalg._root(es)), _FIND_X_ROW, 1)
+    return _x_frame(es, measures.factor_concurrence(linalg._root(es)), _FIND_X_ROW, 1)
 
 
 _FIND_X_ROW = ((0, 3), (0, 2), ((1, 1), (3, 2)))  # l1, l3 on {|00>, |11>}; l2, l4 on |01>, |10>
@@ -97,16 +87,61 @@ def _frame(s, layout, n: int) -> np.ndarray:
     return ex
 
 
-def _x_frame(rho: DensityMatrix, es, c_in, layout, attempts: int) -> ConversionResult:
-    """Conversion onto `layout` at concurrence C: sin 2a = (C + 2 sqrt(l_u l_v)) / (l_p - l_q)."""
+def _state(ex: np.ndarray, lam: np.ndarray) -> DensityMatrix:
+    """The two-qubit state ex diag(lam) ex+ of eigenframe `ex` and spectrum `lam`."""
+    return DensityMatrix(ex @ (lam[..., None] * ex.conj().mT), (2, 2))
+
+
+def _x_build(values, c, layout) -> tuple:
+    """(E, E diag(lam) E+, reach): `layout`'s X frame E at concurrence `c`, lam the descending
+    `values` cut as `numerical_rank` counts, and the largest C the turn reaches."""
     _, (p, q), ((u, _), (v, _)) = layout
-    lam = np.maximum(es.values, 0.0)
-    lp, lq, lu, lv = lam[..., p], lam[..., q], lam[..., u], lam[..., v]
-    turn = (c_in > 0.0) & (lp > lq)
-    s = np.minimum(1.0, (c_in + 2.0 * np.sqrt(lu * lv)) / np.where(turn, lp - lq, 1.0))
-    U = _frame(np.where(turn, s, 0.0), layout, 4) @ es.vectors.conj().mT  # rho's frame onto X's
-    out = _conjugate(rho, U)
-    c_out = measures.concurrence(out)
+    lam = np.where(values > linalg.RANK_TOL * values[..., :1], np.maximum(values, 0.0), 0.0)
+    span, root = lam[..., p] - lam[..., q], 2.0 * np.sqrt(lam[..., u] * lam[..., v])
+    turn = (c > 0.0) & (span > 0.0)
+    s = np.minimum(1.0, (c + root) / np.where(turn, span, 1.0))
+    ex = _frame(np.where(turn, s, 0.0), layout, 4)
+    return ex, _state(ex, lam), np.maximum(span - root, 0.0)
+
+
+def x_state(spectrum, C) -> DensityMatrix:
+    """X(lambda, C): the two-qubit X state of spectrum l1 >= l2 >= l3 >= l4 and concurrence C.
+
+    It puts l2 on |01>, l4 on |10> and l1, l3 on the {|00>, |11>} plane rotated by an
+    angle a, with concurrence max(0, (l1 - l3) sin 2a - 2 sqrt(l2 l4)).  Its maximum over
+    a, the reach, is the largest concurrence any state of that spectrum can have
+    (Verstraete, Audenaert & De Moor, PRA 64, 012316 (2001); Ishizaka & Hiroshima, PRA 62,
+    022310 (2000)), so sin 2a = (C + 2 sqrt(l2 l4)) / (l1 - l3) is solvable for every C up
+    to it, with a = 0 when C = 0 or l1 = l3.  The spectrum is rank-cut first: each entry
+    at or below linalg.RANK_TOL * l1 is 0.  `find_x_equivalent` returns this state, bit
+    for bit, for every state of that spectrum and concurrence.
+
+    `spectrum` is 4 eigenvalues or a (B, 4) stack, C one number or one per spectrum.  A
+    DomainError names a non-finite or non-descending spectrum, an entry below
+    -linalg.PSD_TOL, a sum off 1 by more than linalg.TRACE_TOL, and a C more than
+    linalg.INPUT_TOL outside [0, reach].
+    """
+    lam, c = _finite(spectrum, "spectrum entry"), linalg.numbers(C, "concurrence")
+    if lam.ndim not in (1, 2) or lam.shape[-1] != 4 or c.shape not in ((), lam.shape[:-1]):
+        raise DimensionError(f"x_state takes a (4,) spectrum or a (B, 4) stack and one C or "
+                             f"one per spectrum, got shapes {lam.shape} and {c.shape}")
+    linalg.reject(lam < -linalg.PSD_TOL, f"spectrum entry {{:.3e}} is below -{linalg.PSD_TOL}",
+                  lam)
+    linalg.reject(lam[..., 1:] > lam[..., :-1], "spectrum is not descending: {!r} before {!r}",
+                  lam[..., :-1], lam[..., 1:])
+    total = np.add.reduce(lam, axis=-1)
+    linalg.reject(np.abs(total - 1.0) > linalg.TRACE_TOL,
+                  f"spectrum sums to {{!r}}, off 1 by more than {linalg.TRACE_TOL}", total)
+    _, out, reach = _x_build(lam, c, _FIND_X_ROW)
+    linalg.reject(~((c >= -linalg.INPUT_TOL) & (c <= reach + linalg.INPUT_TOL)),
+                  "concurrence {!r} lies outside [0, {!r}], the reach of its spectrum", c, reach)
+    return out
+
+
+def _x_frame(es, c_in, layout, attempts: int) -> ConversionResult:
+    """Conversion of eigensystem `es` onto `layout`'s X state at `c_in`, with U = E V+."""
+    ex, out, _ = _x_build(es.values, c_in, layout)
+    c_out, U = measures.concurrence(out), ex @ es.vectors.conj().mT
     return ConversionResult(
         converted=out, unitary=U, attempts=attempts, delta_c=abs(c_out - c_in),
         anti_x=measures.anti_x_measure(out), input_concurrence=c_in, output_concurrence=c_out)
@@ -126,7 +161,7 @@ def closed_form_conversion(rho_g: DensityMatrix) -> ConversionResult:
         raise DomainError(
             f"(C={C:.6f}, P={measures.purity(rho_g):.6f}) lies outside the closed-form "
             f"region P >= (1 + C^2)/2; use find_x_equivalent instead")
-    return _x_frame(rho_g, es, C, _CLOSED_FORM_ROW, 0)
+    return _x_frame(es, C, _CLOSED_FORM_ROW, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +223,12 @@ def x_preserving_unitary(eps: float, theta: float, alpha: float, beta: float,
 def x_transform_unconstrained(rho_g: DensityMatrix, angles) -> DensityMatrix:
     """One-shot X transform without entanglement preservation.
 
-    Diagonalize rho_g, then rotate the diagonal with the X-shaped unitary of
-    the six `x_preserving_unitary` angles: the output is always X-shaped with
-    the input's spectrum, but the concurrence generally changes.
+    X diag(lambda) X+ for rho_g's spectrum lambda and the X-shaped unitary X of the
+    six `x_preserving_unitary` angles: the output is always X-shaped with the
+    input's spectrum, but the concurrence generally changes.
     """
     measures.require_state(rho_g, "x_transform_unconstrained", (2, 2), single=True)
     angles = linalg.numbers(angles, "angle")
     if angles.shape != (6,):
         raise DimensionError(f"need 6 angles, got shape {angles.shape}")
-    eg = linalg.eig_hermitian(rho_g.mat).vectors
-    return _conjugate(rho_g, x_preserving_unitary(*angles.tolist()) @ eg.conj().T)
+    return _state(x_preserving_unitary(*angles.tolist()), linalg.eig_hermitian(rho_g.mat).values)

@@ -82,6 +82,8 @@ _NUMBERS = {
     "x_transform_unconstrained": lambda v: convert.x_transform_unconstrained(_BELL, v),
     "x_transform_unconstrained-angle": lambda v: convert.x_transform_unconstrained(
         _BELL, [v] * 6),
+    "x_state-spectrum": lambda v: convert.x_state(v, 0.0),
+    "x_state-C": lambda v: convert.x_state((0.25,) * 4, v),
     "diag_factor_conditions": lambda v: convert.diag_factor_conditions(v),
     "diag_factor_conditions-phase": lambda v: convert.diag_factor_conditions([v] * 4),
     "diag_factorizable-phase": lambda v: convert.diag_factorizable([0.0, 0.0, 0.0, v]),

@@ -479,9 +479,15 @@ def _assert_convert_digests(tmp_path):
     # SHA-256 of the bytes `xlab convert` writes (numpy 2.4, x86-64): one partial block
     # of `_BLOCK`, and many in test_pinned_digests_hold_for_blocks_of_7.  Only the
     # concurrence kernel's last bits, and what the frame angle takes from them, have
-    # moved these since conversion was stacked.
-    digests = {"csv": "685904a60fe73ba51a279956eb97a994aac63c23ac12e95717e780fe2fdd3556",
-               "json": "1563725964de3111f087f9511aafd437cd9f8986d8ff2f382f5b372b8470d748"}
+    # moved these since conversion was stacked.  Building the output from the rank-cut
+    # spectrum instead of as U rho U+ moved output_concurrence, delta_c and anti_x
+    # (now 0) in their last bits.  The digests were, old -> new:
+    #   csv  685904a60fe73ba51a279956eb97a994aac63c23ac12e95717e780fe2fdd3556
+    #     -> 8c92580a6598c65299a5fa253a49782180322b4866d432cd63a5f1a687759aab
+    #   json 1563725964de3111f087f9511aafd437cd9f8986d8ff2f382f5b372b8470d748
+    #     -> 253bce2dd4feb66d5866735031b379cab0a2eef360ef3e3bc7c64425500972d8
+    digests = {"csv": "8c92580a6598c65299a5fa253a49782180322b4866d432cd63a5f1a687759aab",
+               "json": "253bce2dd4feb66d5866735031b379cab0a2eef360ef3e3bc7c64425500972d8"}
     for fmt, digest in digests.items():
         out = tmp_path / f"c.{fmt}"
         assert cli.main(["convert", "--samples", "300", "--seed", "78", "--format", fmt,
@@ -1221,16 +1227,22 @@ def test_importing_the_cli_loads_no_argparse_or_gettext():
 # line (`_HELP`) only checks that the help was printed.  The second is marked below.
 _HELP = "help"
 _PARITY = [
+    # The convert output moved in its last bits when it was built from the rank-cut
+    # spectrum, not as U rho U+.  Its digests were, old -> new:
+    #   csv  77108224819f7d87668d899fff84b358944331f2c1f8f5cc38b0b3fb9e3bb781
+    #     -> 033c1cbcd0e2a873ccc983b2ee49ea2d59c53a1388cd872b0c2ceb35105dc1f2
+    #   json 9f71b7e09bffa7ff048be546a82c21a3ecb514ef19e549d89fe3132689fbbd2b
+    #     -> c1230214b6152e82bb8e145bdb54c718d46be2e28d39d4df059fb8cdef64adb3
     (["convert", "--samples", "3", "--seed", "5"], 0, "",
-     "77108224819f7d87668d899fff84b358944331f2c1f8f5cc38b0b3fb9e3bb781"),
+     "033c1cbcd0e2a873ccc983b2ee49ea2d59c53a1388cd872b0c2ceb35105dc1f2"),
     (["convert", "--samples=3", "--seed=5"], 0, "",
-     "77108224819f7d87668d899fff84b358944331f2c1f8f5cc38b0b3fb9e3bb781"),
+     "033c1cbcd0e2a873ccc983b2ee49ea2d59c53a1388cd872b0c2ceb35105dc1f2"),
     (["convert", "--sam", "3", "--seed", "5"], 0, "",
-     "77108224819f7d87668d899fff84b358944331f2c1f8f5cc38b0b3fb9e3bb781"),
+     "033c1cbcd0e2a873ccc983b2ee49ea2d59c53a1388cd872b0c2ceb35105dc1f2"),
     (["convert", "--samples", "9", "--samples", "3", "--seed", "5"], 0, "",
-     "77108224819f7d87668d899fff84b358944331f2c1f8f5cc38b0b3fb9e3bb781"),
+     "033c1cbcd0e2a873ccc983b2ee49ea2d59c53a1388cd872b0c2ceb35105dc1f2"),
     (["convert", "--samples", "2", "--seed", "7", "--f", "json"], 0, "",
-     "9f71b7e09bffa7ff048be546a82c21a3ecb514ef19e549d89fe3132689fbbd2b"),
+     "c1230214b6152e82bb8e145bdb54c718d46be2e28d39d4df059fb8cdef64adb3"),
     # The x family's closed form moved its entanglement column in the last bits; the
     # digest was 2d5f98787e4f49f4f5a2089e043829f8c03f987210e511435ae353aff1af7920.
     (["scatter", "--fam=x", "--samples", "3"], 0, "",
