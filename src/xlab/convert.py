@@ -31,10 +31,11 @@ ConversionResult.__doc__ = """Outcome of an X-conversion: the X state, the unita
 
 `attempts` counts the candidate X states evaluated: `find_x_equivalent`
 builds its one candidate in closed form, so it reports 1;
-`closed_form_conversion` reports 0.  `input_concurrence` and
-`output_concurrence` are the concurrences of the input and of
-`converted`; `delta_c` is their absolute difference.  For a stacked
-input, `converted` and `unitary` are stacks and the measures arrays."""
+`closed_form_conversion` reports 0.  `input_concurrence` is
+`measures.concurrence` of the input and `output_concurrence` the X closed
+form `measures.concurrence_x` of `converted`; `delta_c` is their absolute
+difference.  For a stacked input, `converted` and `unitary` are stacks and
+the measures arrays."""
 
 
 def conversion_unitary(rho_g: DensityMatrix, rho_x: DensityMatrix) -> np.ndarray:
@@ -61,11 +62,12 @@ def find_x_equivalent(rho: DensityMatrix) -> ConversionResult:
     The output is `x_state` of rho's spectrum and concurrence, built from that spectrum.
     U maps rho's eigenframe onto the X eigenframe, so U rho U+ is the output up to rounding.
 
-    `rho` is one state or a (B, 4, 4) stack, with one eigendecomposition per
-    stack; a stack's result fields equal a per-state loop bit for bit.
+    `rho` is one state or a (B, 4, 4) stack.  It is eigendecomposed twice, for the frame
+    and inside `measures.concurrence`, and the output is measured by `concurrence_x`; a
+    stack's result fields equal a per-state loop bit for bit.
     """
     es = linalg.eig_hermitian(measures.require_state(rho, "find_x_equivalent", (2, 2)).mat)
-    return _x_frame(es, measures.factor_concurrence(linalg._root(es)), _FIND_X_ROW, 1)
+    return _x_frame(es, measures.concurrence(rho), _FIND_X_ROW, 1)
 
 
 _FIND_X_ROW = ((0, 3), (0, 2), ((1, 1), (3, 2)))  # l1, l3 on {|00>, |11>}; l2, l4 on |01>, |10>
@@ -77,8 +79,7 @@ def _frame(s, layout, n: int) -> np.ndarray:
     eigenvector.  `layout` = ((i, j), (p, q), ((k, b), ...)) turns eigenvalues p, q by a on
     the basis plane {i, j} and puts each other eigenvalue k on basis index b."""
     (i, j), (p, q), rest = layout
-    # math.asin row by row: np.arcsin differs from it in the last bit.
-    a = 0.5 * np.array([math.asin(x) for x in s.ravel().tolist()]).reshape(s.shape)
+    a = 0.5 * np.arcsin(s)
     ca, sa = np.cos(a), np.sin(a)
     ex = np.zeros(s.shape + (n, n), dtype=complex)
     ex[..., i, p], ex[..., j, p], ex[..., i, q], ex[..., j, q] = ca, sa, -sa, ca
@@ -141,7 +142,7 @@ def x_state(spectrum, C) -> DensityMatrix:
 def _x_frame(es, c_in, layout, attempts: int) -> ConversionResult:
     """Conversion of eigensystem `es` onto `layout`'s X state at `c_in`, with U = E V+."""
     ex, out, _ = _x_build(es.values, c_in, layout)
-    c_out, U = measures.concurrence(out), ex @ es.vectors.conj().mT
+    c_out, U = measures.concurrence_x(out), ex @ es.vectors.conj().mT
     return ConversionResult(
         converted=out, unitary=U, attempts=attempts, delta_c=abs(c_out - c_in),
         anti_x=measures.anti_x_measure(out), input_concurrence=c_in, output_concurrence=c_out)
@@ -150,13 +151,14 @@ def _x_frame(es, c_in, layout, attempts: int) -> ConversionResult:
 def closed_form_conversion(rho_g: DensityMatrix) -> ConversionResult:
     """Exact X conversion of one rank-<=2 two-qubit state: l1 and l2 share
     the rotated plane, sin 2a = C / (l1 - l2), so C > l1 - l2 + `linalg.RANK2_TOL`,
-    which is P < (1 + C^2)/2, is a DomainError."""
+    which is P < (1 + C^2)/2, is a DomainError.  C is `measures.concurrence` of the
+    input, and the output is measured by `concurrence_x`, as in `find_x_equivalent`."""
     es = linalg.eig_hermitian(
         measures.require_state(rho_g, "closed_form_conversion", (2, 2), single=True).mat)
     R = rho_g.rank()
     if R > 2:
         raise RankError(f"closed-form conversion needs rank <= 2, got rank {R}")
-    C = measures.factor_concurrence(linalg._root(es))
+    C = measures.concurrence(rho_g)
     if C - (es.values[0] - es.values[1]) > linalg.RANK2_TOL:
         raise DomainError(
             f"(C={C:.6f}, P={measures.purity(rho_g):.6f}) lies outside the closed-form "

@@ -187,17 +187,13 @@ def check_psd(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _root(es: EigenSystem) -> np.ndarray:
-    """(V sqrt(L)) V+ of an eigensystem: eigenvalues in [-PSD_TOL, 0) are clamped
-    to zero; `check_psd` rejects a NaN or anything below."""
-    vals, vecs = es
+def sqrt_psd(M: np.ndarray) -> np.ndarray:
+    """Hermitian square root (V sqrt(L)) V+ of a PSD matrix, from `eig_hermitian(M)`:
+    eigenvalues in [-PSD_TOL, 0) are clamped to zero; `check_psd` rejects a NaN or
+    anything below."""
+    vals, vecs = eig_hermitian(M)
     vals = np.maximum(check_psd(vals), 0.0)
     return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().mT
-
-
-def sqrt_psd(M: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a PSD matrix, the `_root` of `eig_hermitian(M)`."""
-    return _root(eig_hermitian(M))
 
 
 def trace_norm(M: np.ndarray):

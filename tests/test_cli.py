@@ -352,7 +352,8 @@ def test_run_conversion_campaign_block_invariance(monkeypatch):
 
 
 def test_run_conversion_campaign_eigendecomposes_per_block(monkeypatch):
-    # Two eighs per block of _BLOCK states: the input stack and the converted one.
+    # Two eighs per block of _BLOCK states, both of the input stack: one for the
+    # frame, one for the input concurrence.  The converted stack takes none.
     calls, eig = [], cli.convert.linalg.eig_hermitian
 
     def counting(M):
@@ -391,8 +392,8 @@ def test_convert_success_means_x_state(tmp_path):
     assert len(rows) == 4
     for row in rows:
         assert row["success"] == "1"
-        assert float(row["anti_x"]) <= 1e-10
-        assert float(row["delta_c"]) <= 1e-7
+        assert float(row["anti_x"]) == 0.0
+        assert float(row["delta_c"]) <= 1.1e-15
 
 
 def test_emit_output_csv_and_json():
@@ -481,13 +482,15 @@ def _assert_convert_digests(tmp_path):
     # concurrence kernel's last bits, and what the frame angle takes from them, have
     # moved these since conversion was stacked.  Building the output from the rank-cut
     # spectrum instead of as U rho U+ moved output_concurrence, delta_c and anti_x
-    # (now 0) in their last bits.  The digests were, old -> new:
-    #   csv  685904a60fe73ba51a279956eb97a994aac63c23ac12e95717e780fe2fdd3556
-    #     -> 8c92580a6598c65299a5fa253a49782180322b4866d432cd63a5f1a687759aab
-    #   json 1563725964de3111f087f9511aafd437cd9f8986d8ff2f382f5b372b8470d748
-    #     -> 253bce2dd4feb66d5866735031b379cab0a2eef360ef3e3bc7c64425500972d8
-    digests = {"csv": "8c92580a6598c65299a5fa253a49782180322b4866d432cd63a5f1a687759aab",
-               "json": "253bce2dd4feb66d5866735031b379cab0a2eef360ef3e3bc7c64425500972d8"}
+    # (now 0) in their last bits; measuring that X output by concurrence_x, with the
+    # frame angle from np.arcsin, moved output_concurrence and delta_c in theirs.
+    # The digests were, old -> new:
+    #   csv  8c92580a6598c65299a5fa253a49782180322b4866d432cd63a5f1a687759aab
+    #     -> 2efce03d1bcb81c12f032cf53d88dd4c563e6b289df185ea10f78a1612d11447
+    #   json 253bce2dd4feb66d5866735031b379cab0a2eef360ef3e3bc7c64425500972d8
+    #     -> d106ca9d744175dcbc80992c93b8aa9af81002e30b7eaccc879ed943662610a9
+    digests = {"csv": "2efce03d1bcb81c12f032cf53d88dd4c563e6b289df185ea10f78a1612d11447",
+               "json": "d106ca9d744175dcbc80992c93b8aa9af81002e30b7eaccc879ed943662610a9"}
     for fmt, digest in digests.items():
         out = tmp_path / f"c.{fmt}"
         assert cli.main(["convert", "--samples", "300", "--seed", "78", "--format", fmt,
@@ -1227,22 +1230,22 @@ def test_importing_the_cli_loads_no_argparse_or_gettext():
 # line (`_HELP`) only checks that the help was printed.  The second is marked below.
 _HELP = "help"
 _PARITY = [
-    # The convert output moved in its last bits when it was built from the rank-cut
-    # spectrum, not as U rho U+.  Its digests were, old -> new:
-    #   csv  77108224819f7d87668d899fff84b358944331f2c1f8f5cc38b0b3fb9e3bb781
-    #     -> 033c1cbcd0e2a873ccc983b2ee49ea2d59c53a1388cd872b0c2ceb35105dc1f2
-    #   json 9f71b7e09bffa7ff048be546a82c21a3ecb514ef19e549d89fe3132689fbbd2b
-    #     -> c1230214b6152e82bb8e145bdb54c718d46be2e28d39d4df059fb8cdef64adb3
+    # The convert output moved in its last bits when its X output was measured by
+    # concurrence_x, with the frame angle from np.arcsin.  Its digests were, old -> new:
+    #   csv  033c1cbcd0e2a873ccc983b2ee49ea2d59c53a1388cd872b0c2ceb35105dc1f2
+    #     -> d6e1946eeb1b7db090268a53a91836ae8e7957167fd4c71a03ac24d546695626
+    #   json c1230214b6152e82bb8e145bdb54c718d46be2e28d39d4df059fb8cdef64adb3
+    #     -> 666dc9d2349ab5c19058ff02d776ab410f5a4bf8a30001c1c71ef161cef1224c
     (["convert", "--samples", "3", "--seed", "5"], 0, "",
-     "033c1cbcd0e2a873ccc983b2ee49ea2d59c53a1388cd872b0c2ceb35105dc1f2"),
+     "d6e1946eeb1b7db090268a53a91836ae8e7957167fd4c71a03ac24d546695626"),
     (["convert", "--samples=3", "--seed=5"], 0, "",
-     "033c1cbcd0e2a873ccc983b2ee49ea2d59c53a1388cd872b0c2ceb35105dc1f2"),
+     "d6e1946eeb1b7db090268a53a91836ae8e7957167fd4c71a03ac24d546695626"),
     (["convert", "--sam", "3", "--seed", "5"], 0, "",
-     "033c1cbcd0e2a873ccc983b2ee49ea2d59c53a1388cd872b0c2ceb35105dc1f2"),
+     "d6e1946eeb1b7db090268a53a91836ae8e7957167fd4c71a03ac24d546695626"),
     (["convert", "--samples", "9", "--samples", "3", "--seed", "5"], 0, "",
-     "033c1cbcd0e2a873ccc983b2ee49ea2d59c53a1388cd872b0c2ceb35105dc1f2"),
+     "d6e1946eeb1b7db090268a53a91836ae8e7957167fd4c71a03ac24d546695626"),
     (["convert", "--samples", "2", "--seed", "7", "--f", "json"], 0, "",
-     "c1230214b6152e82bb8e145bdb54c718d46be2e28d39d4df059fb8cdef64adb3"),
+     "666dc9d2349ab5c19058ff02d776ab410f5a4bf8a30001c1c71ef161cef1224c"),
     # The x family's closed form moved its entanglement column in the last bits; the
     # digest was 2d5f98787e4f49f4f5a2089e043829f8c03f987210e511435ae353aff1af7920.
     (["scatter", "--fam=x", "--samples", "3"], 0, "",

@@ -62,7 +62,7 @@ def test_find_x_equivalent_each_rank(R):
         rho = states.random_mixed(4, R, rng, (2, 2))
         res = convert.find_x_equivalent(rho)
         assert res.delta_c <= convert.DEFAULT_TOL_C
-        assert res.anti_x <= 1e-10
+        assert res.anti_x == 0.0
         assert np.max(np.abs(np.sort(np.linalg.eigvalsh(res.converted.mat))
                              - np.sort(np.linalg.eigvalsh(rho.mat)))) <= 1e-10
         assert np.max(np.abs(res.unitary @ res.unitary.conj().T - np.eye(4))) <= 1e-10
@@ -111,6 +111,9 @@ def test_find_x_equivalent_properties(rho):
     U = res.unitary
     assert res.attempts == 1
     assert abs(measures.concurrence(res.converted) - measures.concurrence(rho)) <= 1e-7
+    # Wootters on the X output checks its closed form: 10x the worst |difference| of
+    # 32,000 Ginibre and locally rotated states of ranks 1-4, 5.7e-15.
+    assert abs(measures.concurrence(res.converted) - res.output_concurrence) <= 6e-14
     assert res.anti_x == 0.0
     # The output is X(lambda, C) of rho's spectrum and input concurrence, bit for bit.
     values = linalg.eig_hermitian(rho.mat).values
@@ -131,14 +134,16 @@ def _eig_calls(monkeypatch, conversion, rho):
     monkeypatch.setattr(linalg, "eig_hermitian", counting)
     res = conversion(rho)
     monkeypatch.setattr(linalg, "eig_hermitian", eig)
-    assert np.array_equal(calls[0], rho.mat) and np.array_equal(calls[-1], res.converted.mat)
+    # Each call gets rho's own array, so none is of the converted state, even where
+    # that equals rho (an input already in the output's X form).
+    assert all(M is rho.mat for M in calls)
     assert np.array_equal(res.input_concurrence, measures.concurrence(rho))
     return res, calls
 
 
 def test_find_x_equivalent_eigendecomposes_each_state_once(monkeypatch):
-    # One eigh of rho serves the frame and the input concurrence; the other
-    # is the converted state's, inside measures.concurrence.
+    # Both eighs are of rho: one serves the frame, the other the input concurrence
+    # inside measures.concurrence.  The converted state is measured in closed form.
     rng = np.random.default_rng(12)
     for R in (1, 2, 3, 4):
         rho = states.random_mixed(4, R, rng, (2, 2))
@@ -148,8 +153,8 @@ def test_find_x_equivalent_eigendecomposes_each_state_once(monkeypatch):
 
 @pytest.mark.parametrize("B", [1, 3, 256])
 def test_find_x_equivalent_eigendecomposes_each_block_once(monkeypatch, B):
-    # A (B, 4, 4) stack takes one eigh of the input stack and one of the
-    # converted stack, whatever B is.
+    # A (B, 4, 4) stack takes two eighs of the input stack, for the frame and the
+    # input concurrence, and none of the converted stack, whatever B is.
     rng = np.random.default_rng(20)
     rho = DensityMatrix(np.stack([states.random_mixed(4, 1 + k % 4, rng).mat
                                   for k in range(B)]), (2, 2))
@@ -158,8 +163,8 @@ def test_find_x_equivalent_eigendecomposes_each_block_once(monkeypatch, B):
 
 
 def test_closed_form_conversion_eigendecomposes_each_state_once(monkeypatch):
-    # One eigh of rho serves the rank check, the input concurrence, the reach
-    # test and the frame; the other is the converted state's concurrence.
+    # Both eighs are of rho: one serves the reach test and the frame, the other the
+    # input concurrence.  The converted state is measured in closed form.
     rng = np.random.default_rng(14)
     cases = [states.random_mixed(4, 1, rng, (2, 2)) for _ in range(3)]
     for rho in cases + [states.closed_form_x(0.55, 0.8), states.bell_state()]:
@@ -393,7 +398,7 @@ def test_closed_form_conversion_in_region():
         target = convert.closed_form_x(C, min(max(P, 0.5 * (1 + C * C)), 1.0))
         assert np.max(np.abs(res.converted.mat - target.mat)) <= 1e-9
         assert res.delta_c <= 1e-10
-        assert res.anti_x <= 1e-12
+        assert res.anti_x == 0.0
 
 
 @settings(deadline=None, max_examples=300)
@@ -418,7 +423,7 @@ def test_closed_form_conversion_converts_just_where_the_rotation_reaches_c(l1, k
             convert.closed_form_conversion(rho)
         return
     res = convert.closed_form_conversion(rho)
-    assert res.delta_c <= max(k, 0.0) * linalg.RANK2_TOL + 1e-12 and res.anti_x <= 1e-12
+    assert res.delta_c <= max(k, 0.0) * linalg.RANK2_TOL + 1e-12 and res.anti_x == 0.0
 
 
 def test_closed_form_conversion_rejects_rank3():

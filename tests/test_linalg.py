@@ -143,9 +143,8 @@ def test_numerical_rank_from_eigenvalues_equals_rank_from_eig_hermitian(data):
 @settings(deadline=None, max_examples=100)
 @given(st.data())
 def test_convert_measures_its_input_as_concurrence_does(data):
-    # Two-qubit states with tied and zero eigenvalues: find_x_equivalent roots
-    # the eigensystem it holds, and its input concurrence is concurrence(rho)
-    # bit for bit, for a stack and for one state.
+    # Two-qubit states with tied and zero eigenvalues: find_x_equivalent measures
+    # its input by concurrence(rho), bit for bit, for a stack and for one state.
     spectra = data.draw(st.lists(_spectrum(4), min_size=1, max_size=4))
     stack = _with_spectra([s / s.sum() for s in spectra], data.draw(st.integers(0, 2**32 - 1)))
     for M in (stack, stack[0]):
@@ -161,8 +160,8 @@ def test_convert_measures_its_input_as_concurrence_does(data):
        st.sampled_from([-0.9e-10, -0.5e-10, 0.0]), st.integers(0, 2**32 - 1))
 def test_numerical_rank_and_sqrt_psd_reject_the_same_negative_eigenvalue(n, bad, ok, seed):
     # numerical_rank takes eigvalsh, sqrt_psd the eig_hermitian spectrum; for
-    # n = 4, concurrence takes it through sqrt_psd and find_x_equivalent roots
-    # the eigensystem it holds.  All give the one message.
+    # n = 4, concurrence takes it through sqrt_psd, and so does find_x_equivalent
+    # through concurrence.  All give the one message.
     spectra = [np.linspace(1.0, 0.0, n), np.linspace(1.0, 0.0, n), np.linspace(1.0, 0.0, n)]
     spectra[0][-1], spectra[2][-1] = ok, bad
     stack = _with_spectra(spectra, seed)

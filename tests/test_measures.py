@@ -523,16 +523,18 @@ def test_empty_stacks_give_empty_results(name, dims):
 
 
 def test_nan_eigenvalues_fail_the_psd_check():
-    # An eigensystem with a NaN or a -0.2 eigenvalue is checked where it is
-    # used as PSD, as the root convert takes of the eigensystem it holds:
-    # never an SVD that does not converge or a clamp to 0.
+    # A NaN or -0.2 eigenvalue fails check_psd, and a stack with a -0.2 eigenvalue
+    # fails sqrt_psd, as does the one matrix of it that holds it: never an SVD that
+    # does not converge or a clamp to 0.
     rho = np.stack([np.eye(4) / 4] * 3)
     for bad, shown in ((np.nan, "nan"), (-0.2, "-2.000e-01")):
         values, vectors = linalg.eig_hermitian(rho)
         values[1, 2] = bad
-        es, es1 = linalg.EigenSystem(values, vectors), linalg.EigenSystem(values[1], vectors[1])
-        for kernel in (lambda: linalg.check_psd(es.values), lambda: linalg._root(es),
-                       lambda: linalg._root(es1)):
+        kernels = [lambda: linalg.check_psd(values)]
+        if bad == -0.2:
+            M = (vectors * values[..., None, :]) @ vectors.conj().mT
+            kernels += [lambda: linalg.sqrt_psd(M), lambda: linalg.sqrt_psd(M[1])]
+        for kernel in kernels:
             with pytest.raises(DomainError, match=f"^matrix is not PSD: smallest eigenvalue {shown}$"):
                 kernel()
 

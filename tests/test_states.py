@@ -312,7 +312,7 @@ def test_h_depolarizing_a_rank_deficient_x_equivalent_keeps_its_concurrence():
     # Lambda_p(rho) = (1 - p) rho + p h_state(C, h_purity_floor(C)) mixes two X states
     # with corner C/2.  find_x_equivalent puts l4 on |10>, so at rank <= 3 rho33 = 0
     # and C = 2 |rho14| - 2 sqrt(rho22 rho33) stays C: 2933 states at 3 p (8799 rows),
-    # worst 1.8e-15, as the conversion builds X(lambda, C) from the rank-cut spectrum.  At rank 4
+    # worst 1.9e-15, as the conversion builds X(lambda, C) from the rank-cut spectrum.  At rank 4
     # rho33 > 0, and the concave sqrt(rho22 rho33) of a mixture exceeds the mixture of
     # its values, so C falls (all 2235 rows, by up to 0.085).
     rng = np.random.default_rng(41)
@@ -323,7 +323,7 @@ def test_h_depolarizing_a_rank_deficient_x_equivalent_keeps_its_concurrence():
     sigma = states.h_state(C, states.h_purity_floor(C)).mat
     for p in (0.25, 0.5, 0.75):
         out = states.DensityMatrix((1.0 - p) * x + p * sigma, (2, 2))
-        assert np.max(np.abs(measures.concurrence(out) - C)) <= 1e-7
+        assert np.max(np.abs(measures.concurrence(out) - C)) <= 2e-14
 
 
 def test_h_state_rejects_below_floor():
